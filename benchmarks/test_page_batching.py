@@ -1,10 +1,11 @@
-"""Micro-benchmark: page-batched vs per-element operator processing.
+"""Micro-benchmark: whole pages vs pages of one through the one data path.
 
-The tentpole claim of the runtime-core refactor is that handing operators
-whole pages (``process_page`` -> ``on_page`` with guard pre-filtering and
-bulk emission) beats the historical per-element loop, *especially* on a
-guard-heavy chain where the per-element path pays guard evaluation plus
-dispatch overhead for every tuple.
+``process_page`` -> ``on_page`` (guard pre-filtering, bulk emission) is
+the only data path; what this measures is what the page is *worth*: the
+same stream delivered as full pages against the same stream delivered
+one element per page -- the slicing the costed simulator's meter uses --
+on a guard-heavy chain where every page pays guard set-up plus dispatch
+overhead.
 
 The harness drives a three-deep SELECT chain (each stage carrying two
 input guards and a predicate) at the operator layer -- no engine, so the
@@ -83,19 +84,19 @@ def pump(process, downstream) -> None:
             process(op, page)
 
 
-def run_per_element(pages) -> None:
+def run_pages_of_one(pages) -> None:
     head, downstream = build_chain()
 
     def process(op, page):
         for element in page:
-            op.process_element(0, element)
+            op.process_page(0, [element])
 
     for page in pages:
         process(head, page)
     pump(process, downstream)
 
 
-def run_batched(pages) -> None:
+def run_whole_pages(pages) -> None:
     head, downstream = build_chain()
 
     def process(op, page):
@@ -116,15 +117,15 @@ def best_of(fn, pages) -> float:
 
 
 class TestPageBatchingThroughput:
-    def test_batch_path_beats_per_element_path(self, report, record_artifact):
+    def test_whole_pages_beat_pages_of_one(self, report, record_artifact):
         pages = build_input_pages()
 
-        # Correctness first: both paths must agree tuple-for-tuple.
+        # Correctness first: both slicings must agree tuple-for-tuple.
         head_e, down_e = build_chain()
         for page in pages:
             for element in page:
-                head_e.process_element(0, element)
-        pump(lambda op, p: [op.process_element(0, e) for e in p], down_e)
+                head_e.process_page(0, [element])
+        pump(lambda op, p: [op.process_page(0, [e]) for e in p], down_e)
         sink_e = down_e[-1][0]
 
         head_b, down_b = build_chain()
@@ -136,8 +137,8 @@ class TestPageBatchingThroughput:
             t.values for t in sink_b.results
         ]
 
-        element_s = best_of(run_per_element, pages)
-        batch_s = best_of(run_batched, pages)
+        element_s = best_of(run_pages_of_one, pages)
+        batch_s = best_of(run_whole_pages, pages)
         speedup = element_s / batch_s
         per_tuple_ns = batch_s / N_TUPLES * 1e9
 
@@ -147,16 +148,16 @@ class TestPageBatchingThroughput:
             "stages": 3,
             "guards_per_stage": 2,
             "page_size": DEFAULT_PAGE_SIZE,
-            "per_element_s": round(element_s, 6),
-            "page_batched_s": round(batch_s, 6),
+            "pages_of_one_s": round(element_s, 6),
+            "whole_pages_s": round(batch_s, 6),
             "speedup": round(speedup, 3),
-            "batched_ns_per_input_tuple": round(per_tuple_ns, 1),
+            "whole_pages_ns_per_input_tuple": round(per_tuple_ns, 1),
         }
         record_artifact("BENCH_page_batch.json", record)
 
         report.append(
-            f"page batching: per-element {element_s * 1e3:.1f} ms, "
-            f"batched {batch_s * 1e3:.1f} ms, speedup {speedup:.2f}x "
+            f"page batching: pages of one {element_s * 1e3:.1f} ms, "
+            f"whole pages {batch_s * 1e3:.1f} ms, speedup {speedup:.2f}x "
             f"({N_TUPLES} tuples, 3 guarded SELECTs)"
         )
         # The headline claim: batching wins on a guard-heavy chain.

@@ -57,14 +57,15 @@ class CongestionAwareJoin(SymmetricHashJoin):
         self._decided: set[tuple] = set()
         self.uncongested_keys = 0
 
-    def on_tuple(self, port_index: int, tup) -> None:
+    def on_page(self, port_index: int, batch: list) -> None:
         if port_index == self.LEFT:
-            key = self._key_of(self.LEFT, tup)
-            if key not in self._decided:
-                self._decided.add(key)
-                if tup["speed"] is not None and tup["speed"] >= CONGESTION_THRESHOLD:
-                    self._suppress_vehicle_data(key)
-        super().on_tuple(port_index, tup)
+            for tup in batch:
+                key = self._key_of(self.LEFT, tup)
+                if key not in self._decided:
+                    self._decided.add(key)
+                    if tup["speed"] is not None and tup["speed"] >= CONGESTION_THRESHOLD:
+                        self._suppress_vehicle_data(key)
+        super().on_page(port_index, batch)
 
     def _suppress_vehicle_data(self, key: tuple) -> None:
         self.uncongested_keys += 1

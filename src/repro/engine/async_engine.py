@@ -266,9 +266,7 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
                 # upstream producers -- interleave per page the way the
                 # threaded engine's threads get preempted.
                 if self.emulate_costs and operator.needs_metering:
-                    cost = 0.0
-                    for element in page:
-                        cost += operator.admission_cost(port.index, element)
+                    cost = operator.page_cost(port.index, page)
                     await self._yield_outside_lock(cost)
                     if cost > 0.0:
                         operator.metrics.busy_time += cost

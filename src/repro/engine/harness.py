@@ -72,8 +72,7 @@ class OperatorHarness:
 
     def push(self, element: StreamTuple | Punctuation, *, port: int = 0) -> None:
         """Deliver one stream element to an input port."""
-        self.tick(0.0)
-        self.operator.process_element(port, element)
+        self.push_page([element], port=port)
 
     def push_all(self, elements: list, *, port: int = 0) -> None:
         for element in elements:
@@ -83,11 +82,11 @@ class OperatorHarness:
         self.push(punct, port=port)
 
     def push_page(self, elements: list, *, port: int = 0) -> None:
-        """Deliver a whole page at once (the engines' batch fast path).
+        """Deliver a whole page at once, as the wall-clock engines do.
 
-        Exercises :meth:`~repro.operators.base.Operator.process_page`
-        without a meter -- i.e. native ``on_page`` implementations -- so
-        batch/element equivalence is testable operator by operator.
+        Pushing the same elements one by one (:meth:`push_all`) must
+        give the same results -- the page boundary carries no semantics
+        -- which makes that invariance testable operator by operator.
         """
         self.tick(0.0)
         self.operator.process_page(port, elements)

@@ -34,9 +34,9 @@ core owns control draining, completion bookkeeping and operator finish;
 this module owns the event heap, the virtual clock, and the cost model.
 Pages are handed to operators through
 :meth:`~repro.operators.base.Operator.process_page`; zero-cost operators
-take the batch fast path, costed operators get a per-element ``meter``
-that charges their cost model and stamps the virtual clock exactly as the
-historical per-element loop did.
+take the page whole, costed operators get a per-element ``meter`` that
+charges their cost model and stamps the virtual clock before each element
+is delivered as a page of one.
 """
 
 from __future__ import annotations
@@ -337,9 +337,8 @@ class Simulator(RuntimeCore):
 
         Charges the admission cost and advances the operator's busy
         horizon before each element is dispatched; flushes produced by the
-        *previous* element are stamped at that element's finish time, so
-        output availability matches the historical per-element loop
-        exactly.  The final element's flushes are stamped by the trailing
+        *previous* element are stamped at that element's finish time.
+        The final element's flushes are stamped by the trailing
         ``_after_activity`` in :meth:`_handle_work`.
         """
         name = operator.name
@@ -378,15 +377,15 @@ class Simulator(RuntimeCore):
             )
             self._busy_until[operator.name] = busy
             operator.set_now(busy)
-            if operator.needs_metering:
-                operator.process_page(
-                    port.index, page,
-                    meter=self._make_meter(operator, port.index),
-                )
-            else:
-                # Zero-cost operator: the virtual clock cannot move during
-                # the page, so the batch fast path is timing-exact.
-                operator.process_page(port.index, page)
+            # A zero-cost operator takes the page whole: the virtual
+            # clock cannot move during it, so that is timing-exact.
+            operator.process_page(
+                port.index, page,
+                meter=(
+                    self._make_meter(operator, port.index)
+                    if operator.needs_metering else None
+                ),
+            )
             self.check_relief(
                 operator, at=self._busy_until[operator.name]
             )

@@ -38,8 +38,8 @@ control sent) is followed by a ``notify_all``, with page-ready and close
 events announced by the :class:`~repro.stream.queues.DataQueue` waiter
 seam itself -- so idle operators consume no CPU; the run-level
 ``timeout`` is only a watchdog on thread joins.  Operators receive whole
-pages through :meth:`~repro.operators.base.Operator.process_page`, i.e.
-the batch fast path, since wall-clock time needs no per-element metering.
+pages through :meth:`~repro.operators.base.Operator.process_page` with no
+``meter``, since wall-clock time needs no per-element metering.
 
 Backpressure (``queue_capacity`` / bounded :class:`~repro.stream.queues.
 DataQueue`) is honoured cooperatively: a source thread sleeps between
@@ -263,9 +263,7 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
             # replicas -- and any operators on disjoint data -- execute
             # concurrently instead of serialising on the plan lock.
             if self.emulate_costs and operator.needs_metering:
-                cost = 0.0
-                for element in page:
-                    cost += operator.admission_cost(port.index, element)
+                cost = operator.page_cost(port.index, page)
                 if cost > 0.0:
                     time.sleep(cost)
                     operator.metrics.busy_time += cost

@@ -50,6 +50,7 @@ from repro.punctuation.atoms import (
 )
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
+from repro.stream.control import ControlMessageKind
 from repro.stream.schema import Attribute, AttributeOrigin, Schema, SchemaMapping
 from repro.stream.tuples import StreamTuple
 
@@ -339,49 +340,21 @@ class WindowAggregate(Operator):
 
     # ---------------------------------------------------------------- data
 
-    def _group_key(self, tup: StreamTuple) -> tuple:
-        return tuple(tup.values[i] for i in self._group_indices)
-
     def _output_values(
         self, window_id: int, group: tuple, value: float | None
     ) -> list:
         return [window_id, *group, value]
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        timestamp = float(tup.values[self._ts_index])
-        group = self._group_key(tup)
-        value = (
-            None if self._value_index is None
-            else tup.values[self._value_index]
-        )
-        for window_id in self.window_ids(timestamp):
-            if self._window_guarded(window_id, group):
-                self.windows_skipped += 1
-                continue
-            key = (window_id, group)
-            state = self._state.get(key)
-            if state is None:
-                state = _WindowState()
-                self._state[key] = state
-                self.metrics.grow_state()
-            state.add(None if value is None else float(value))
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: accumulate a run of tuples with hoisted lookups.
+        """Accumulate a run of tuples with hoisted lookups.
 
         Pure state accumulation (windows emit on punctuation or finish,
-        never here), so bulk processing is trivially order-safe; the win
-        over per-element dispatch is hoisting the attribute-index,
-        state-dict and guard lookups out of the loop.  Window guards can
-        only change via control (feedback) or punctuation, both of which
-        are delivered outside a batch run, so the hoisted guard check is
-        exact.  Subclasses overriding :meth:`on_tuple` keep element-wise
-        dispatch.
+        never here), so bulk processing is trivially order-safe; the
+        attribute-index, state-dict and guard lookups are hoisted out of
+        the loop.  Window guards can only change via control (feedback)
+        or punctuation, both of which are delivered outside a run, so
+        the hoisted guard check is exact.
         """
-        if type(self).on_tuple is not WindowAggregate.on_tuple:
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
         ts_index = self._ts_index
         value_index = self._value_index
         group_indices = self._group_indices
@@ -673,10 +646,11 @@ class WindowAggregate(Operator):
             # State-dependent propagation of G (Table 1, row 3).
             self.metrics.feedback_relayed += 1
             self._send_upstream(
-                0,
+                ControlMessageKind.FEEDBACK,
                 feedback.propagated(
                     input_pattern, relayer=self.name, at=self.now()
                 ),
+                (0,),
             )
         # Stop matching windows from re-forming locally.
         for key in group_set:

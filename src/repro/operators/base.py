@@ -30,7 +30,6 @@ story (section 5, "Feedback Support").
 from __future__ import annotations
 
 import abc
-from collections import deque
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.feedback import (
@@ -131,9 +130,13 @@ class _DetachedRuntime:
 class Operator(abc.ABC):
     """Base class for every query operator.
 
-    Subclasses must implement :meth:`on_tuple` and may override
-    :meth:`on_punctuation` (default: forward), the feedback hooks, and the
-    lifecycle hooks :meth:`on_start`, :meth:`on_input_done`,
+    Data reaches an operator one way: :meth:`process_page` walks the
+    page and hands each run of tuples to :meth:`on_page`.  Subclasses
+    implement :meth:`on_page` -- or, when there is nothing to gain from
+    seeing the run at once, the per-tuple convenience :meth:`on_tuple`
+    the default ``on_page`` loops over; never both.  They may override
+    :meth:`on_punctuation` (default: forward), the feedback hooks, and
+    the lifecycle hooks :meth:`on_start`, :meth:`on_input_done`,
     :meth:`on_finish`.
 
     Cost model: ``tuple_cost`` / ``punctuation_cost`` / ``control_cost``
@@ -251,6 +254,17 @@ class Operator(abc.ABC):
             return self.guard_check_cost
         return self.cost_of(element)
 
+    def page_cost(self, port_index: int, page: Iterable[Any]) -> float:
+        """Modeled cost of one whole page: the sum of its admission costs.
+
+        What a wall-clock engine sleeps under ``emulate_costs`` before
+        delivering the page (the simulator charges element by element
+        instead, through :meth:`process_page`'s ``meter``).
+        """
+        return sum(
+            self.admission_cost(port_index, element) for element in page
+        )
+
     @property
     def needs_metering(self) -> bool:
         """Whether engines must charge this operator's cost per element.
@@ -307,40 +321,24 @@ class Operator(abc.ABC):
 
     # --------------------------------------------------------- data handling
 
-    def process_element(self, port_index: int, element: Any) -> None:
-        """Entry point for one stream element on one input.
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Refuse a class whose :meth:`on_tuple` could never run.
 
-        Engines deliver whole pages through :meth:`process_page`; this
-        remains the per-element path for harnesses and direct tests.
+        :meth:`on_tuple` is only reached through the *default*
+        :meth:`on_page`; once a class (or an ancestor) supplies its own
+        ``on_page``, an ``on_tuple`` defined beside or below it would be
+        silently ignored -- so it is an error at class creation.
         """
-        heads = self._ckpt_heads
-        if heads and port_index in heads:
-            # Port blocked by checkpoint alignment: everything behind the
-            # pending marker belongs to a later epoch and must wait.
-            self._ckpt_blocked.setdefault(port_index, deque()).append(
-                element
-            )
+        super().__init_subclass__(**kwargs)
+        if "on_tuple" not in vars(cls):
             return
-        if isinstance(element, CheckpointPunctuation):
-            self._on_checkpoint_marker(port_index, element)
-            return
-        if isinstance(element, RebalancePunctuation):
-            self._on_rebalance_marker(port_index, element)
-            return
-        port = self.input_port(port_index)
-        if element.is_punctuation:
-            self.metrics.punctuations_in += 1
-            released = port.guards.expire_with(element)
-            if released:
-                self.on_guards_expired(port_index, element, released)
-            self.on_punctuation(port_index, element)
-            return
-        self.metrics.tuples_in += 1
-        if port.guards.blocks(element):
-            self.metrics.input_guard_drops += 1
-            self.on_guarded_drop(port_index, element)
-            return
-        self.on_tuple(port_index, element)
+        for klass in cls.__mro__:
+            if klass is not Operator and "on_page" in vars(klass):
+                raise TypeError(
+                    f"{cls.__name__} defines on_tuple, but "
+                    f"{klass.__name__} defines on_page, which would "
+                    f"never call it; override on_page instead"
+                )
 
     def process_page(
         self,
@@ -349,41 +347,44 @@ class Operator(abc.ABC):
         *,
         meter: Callable[[Any], None] | None = None,
     ) -> None:
-        """Engine entry point for one page of elements on one input.
+        """The only way data reaches an operator: one page on one input.
 
-        One pass over the page: guard-dropped tuples are filtered up
-        front, runs of surviving tuples between punctuations are handed to
-        :meth:`on_page` in bulk, and punctuations get exactly the
-        :meth:`process_element` treatment (guard expiry, then
-        :meth:`on_punctuation`).
-
-        ``meter`` is an engine-supplied per-element accounting hook (cost
-        charging, clock stamping).  When present, elements are dispatched
-        one at a time so emission times interleave with the metered clock
-        exactly as the per-element path does; when absent, the batch fast
-        path applies.
+        ``meter`` is the costed simulator's per-element accounting hook
+        (cost charging, clock stamping).  When present the page is
+        delivered one element at a time, each as a page of one right
+        after ``meter(element)``, so emission times interleave with the
+        metered clock; when absent the page is delivered whole.  Either
+        way every element takes the same walk (:meth:`_deliver`) -- the
+        page boundary carries no semantics.
         """
-        port = self.input_port(port_index)
-        guards = port.guards
         metrics = self.metrics
         metrics.pages_in += 1
-
-        if meter is not None:
-            for element in page:
-                meter(element)
-                self.process_element(port_index, element)
-            return
-
         elements = page.elements if isinstance(page, Page) else list(page)
+        if meter is None:
+            metrics.pages_batched += 1
+            self._deliver(port_index, elements)
+            return
+        for element in elements:
+            meter(element)
+            self._deliver(port_index, [element])
+
+    def _deliver(self, port_index: int, elements: list) -> None:
+        """Walk a list of elements: every data-plane protocol rule, once.
+
+        In order: a port blocked by checkpoint alignment stashes the
+        elements raw (metrics are charged when the stash drains);
+        checkpoint and rebalance markers are intercepted; punctuation
+        expires the input guards it covers, then reaches
+        :meth:`on_punctuation`; runs of tuples between punctuations are
+        guard-filtered in bulk and handed to :meth:`on_page`.
+        """
         heads = self._ckpt_heads
         if heads and port_index in heads:
-            # Port blocked by checkpoint alignment: stash the whole page
-            # (raw; metrics are charged when the stash drains).
-            self._ckpt_blocked.setdefault(port_index, deque()).extend(
-                elements
-            )
+            # Everything behind the pending marker belongs to a later
+            # epoch and must wait.
+            self._ckpt_blocked.setdefault(port_index, []).extend(elements)
             return
-        metrics.pages_batched += 1
+        guards = self.input_port(port_index).guards
         # Zero-copy fast path: a punctuation-free page hands its own
         # element list straight to the run dispatcher -- no re-buffering.
         # (Queue-built pages can only carry a punctuation at the tail,
@@ -396,34 +397,33 @@ class Operator(abc.ABC):
             return
         batch: list = []
         for position, element in enumerate(elements):
-            if element.is_punctuation:
-                if batch:
-                    self._dispatch_batch(port_index, guards, batch)
-                    batch = []
-                if isinstance(element, CheckpointPunctuation):
-                    self._on_checkpoint_marker(port_index, element)
-                    heads = self._ckpt_heads
-                    if heads and port_index in heads:
-                        # The marker blocked this port mid-page: the
-                        # page's remainder waits behind it in the stash.
-                        self._ckpt_blocked.setdefault(
-                            port_index, deque()
-                        ).extend(elements[position + 1:])
-                        return
-                    continue
-                if isinstance(element, RebalancePunctuation):
-                    # Rebalance markers never block a port (lane members
-                    # are single-input by eligibility), so no remainder
-                    # stashing is needed here.
-                    self._on_rebalance_marker(port_index, element)
-                    continue
-                metrics.punctuations_in += 1
+            if not element.is_punctuation:
+                batch.append(element)
+                continue
+            if batch:
+                self._dispatch_batch(port_index, guards, batch)
+                batch = []
+            if isinstance(element, CheckpointPunctuation):
+                self._on_checkpoint_marker(port_index, element)
+                heads = self._ckpt_heads
+                if heads and port_index in heads:
+                    # The marker blocked this port mid-page: the page's
+                    # remainder waits behind it in the stash.
+                    self._ckpt_blocked.setdefault(port_index, []).extend(
+                        elements[position + 1:]
+                    )
+                    return
+            elif isinstance(element, RebalancePunctuation):
+                # Rebalance markers never block a port (lane members
+                # are single-input by eligibility), so no remainder
+                # stashing is needed here.
+                self._on_rebalance_marker(port_index, element)
+            else:
+                self.metrics.punctuations_in += 1
                 released = guards.expire_with(element)
                 if released:
                     self.on_guards_expired(port_index, element, released)
                 self.on_punctuation(port_index, element)
-                continue
-            batch.append(element)
         if batch:
             self._dispatch_batch(port_index, guards, batch)
 
@@ -452,22 +452,32 @@ class Operator(abc.ABC):
             self.on_page(port_index, kept)
 
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch hook: process a run of guard-surviving data tuples.
+        """The data hook: process a run of guard-surviving tuples.
 
-        The default dispatches per element, which is correct for every
-        operator; stateless operators override it with a native batch
-        implementation (one pass, bulk emission) for throughput.
-        Overrides must be element-wise equivalent to :meth:`on_tuple` --
-        the page boundary carries no semantics.  ``batch`` may be the
+        ``batch`` is a non-empty list of data tuples that arrived
+        consecutively on ``port_index`` -- no punctuation, no markers,
+        already filtered by the port's input guards.  It may be the
         page's own element buffer (the zero-copy fast path): treat it as
-        read-only.
+        read-only.  Where runs are cut is an engine detail (page size,
+        punctuation density, metering), so an implementation must give
+        the same results however the stream is sliced -- down to one
+        tuple per call.
+
+        Operators override this with one pass and bulk emission.  The
+        default loops over :meth:`on_tuple`, the convenience hook for
+        operators with nothing to gain from seeing the run at once.
         """
         for tup in batch:
             self.on_tuple(port_index, tup)
 
-    @abc.abstractmethod
     def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        """Process one data tuple."""
+        """Process one data tuple (called by the default :meth:`on_page`).
+
+        Implement this *or* override :meth:`on_page`, never both.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither on_page nor on_tuple"
+        )
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
         """Process one embedded punctuation.  Default: forward it.
@@ -493,7 +503,7 @@ class Operator(abc.ABC):
     #: the post-marker elements stashed behind that head.  ``None`` on
     #: single-input operators and whenever checkpointing is off.
     _ckpt_heads: "dict[int, CheckpointPunctuation] | None" = None
-    _ckpt_blocked: "dict[int, deque] | None" = None
+    _ckpt_blocked: "dict[int, list] | None" = None
 
     def _on_checkpoint_marker(
         self, port_index: int, marker: CheckpointPunctuation
@@ -520,9 +530,12 @@ class Operator(abc.ABC):
     def _ckpt_pump(self) -> None:
         """Complete every checkpoint the current heads allow.
 
-        Iterative: completing an epoch drains the released ports' stashes
-        through :meth:`process_element`, which may surface the *next*
-        epoch's marker and re-block -- so pump until alignment stalls.
+        Completing an epoch drains each released port's stash through
+        :meth:`_deliver`.  The walk may surface the *next* epoch's marker,
+        which re-blocks the port (re-stashing whatever followed it) and
+        re-enters this pump; that inner call stalls while any sibling
+        port released here is still undrained (it is live and has no
+        head), so epochs complete strictly in order.
         """
         heads = self._ckpt_heads
         blocked = self._ckpt_blocked
@@ -543,13 +556,9 @@ class Operator(abc.ABC):
                 del heads[index]
             self._ckpt_complete(marker)
             for index in released:
-                stash = blocked.get(index)
-                while stash:
-                    element = stash.popleft()
-                    if isinstance(element, CheckpointPunctuation):
-                        heads[index] = element
-                        break
-                    self.process_element(index, element)
+                stash = blocked.pop(index, None)
+                if stash:
+                    self._deliver(index, stash)
 
     def _ckpt_complete(self, marker: CheckpointPunctuation) -> None:
         """The aligned cut passed this operator: snapshot and sweep on.
@@ -560,27 +569,14 @@ class Operator(abc.ABC):
         ends: the epoch is complete plan-wide, so a CHECKPOINT
         acknowledgement travels back upstream to the sources.
         """
-        runtime = self.runtime
-        checkpoints = getattr(runtime, "checkpoints", None)
+        checkpoints = getattr(self.runtime, "checkpoints", None)
         if checkpoints is not None:
             checkpoints.snapshot(self, marker)
         if self.outputs:
             for edge in self.outputs:
                 edge.queue.put(marker)
             return
-        message = ControlMessage(
-            ControlMessageKind.CHECKPOINT,
-            Direction.UPSTREAM,
-            payload=marker,
-            sender=self.name,
-            sent_at=self.now(),
-        )
-        for port in self.inputs:
-            if port is None:
-                continue
-            port.control.send(message)
-            if port.producer is not None:
-                runtime.notify_control(port.producer, at=self.now())
+        self._send_upstream(ControlMessageKind.CHECKPOINT, marker)
 
     def _ckpt_port_busy(self, port_index: int) -> bool:
         """Is ``port_index`` still mid-alignment (head pending or stash
@@ -724,6 +720,23 @@ class Operator(abc.ABC):
         self.outputs[output_index].queue.put(tup)
         return True
 
+    def _pass_output_guards(
+        self, tuples: Sequence[StreamTuple]
+    ) -> Sequence[StreamTuple]:
+        """The tuples of a result batch the output guards let through.
+
+        Counts the suppressed ones as ``output_guard_drops`` and the rest
+        as ``tuples_out``: the survivors are this operator's output,
+        whether they ship now or wait in a stash (PARTITION's paused
+        lanes).  The list comes back as-is when no guard is active.
+        """
+        guards = self.output_guards
+        if len(guards):
+            tuples, dropped = guards.filter_batch(tuples)
+            self.metrics.output_guard_drops += len(dropped)
+        self.metrics.tuples_out += len(tuples)
+        return tuples
+
     def emit_many(self, tuples: Sequence[StreamTuple]) -> int:
         """Send a batch of result tuples downstream (all outputs).
 
@@ -732,19 +745,9 @@ class Operator(abc.ABC):
         native :meth:`on_page` implementations: one guard pass, then one
         :meth:`~repro.stream.queues.DataQueue.put_many` per output edge.
         """
-        if len(self.output_guards):
-            kept = []
-            blocks = self.output_guards.blocks
-            for tup in tuples:
-                if blocks(tup):
-                    self.metrics.output_guard_drops += 1
-                else:
-                    kept.append(tup)
-        else:
-            kept = list(tuples)
+        kept = self._pass_output_guards(tuples)
         if not kept:
             return 0
-        self.metrics.tuples_out += len(kept)
         for edge in self.outputs:
             edge.queue.put_many(kept)
         return len(kept)
@@ -759,19 +762,9 @@ class Operator(abc.ABC):
         per-lane routing): one guard pass, one
         :meth:`~repro.stream.queues.DataQueue.put_many`.
         """
-        if len(self.output_guards):
-            kept = []
-            blocks = self.output_guards.blocks
-            for tup in tuples:
-                if blocks(tup):
-                    self.metrics.output_guard_drops += 1
-                else:
-                    kept.append(tup)
-        else:
-            kept = list(tuples)
+        kept = self._pass_output_guards(tuples)
         if not kept:
             return 0
-        self.metrics.tuples_out += len(kept)
         self.outputs[output_index].queue.put_many(kept)
         return len(kept)
 
@@ -815,26 +808,52 @@ class Operator(abc.ABC):
         self.runtime.feedback_log.record(
             self.now(), self.name, feedback, (), note="produced"
         )
-        targets = (
-            range(self.n_inputs) if input_indices is None else input_indices
+        self._send_upstream(
+            ControlMessageKind.FEEDBACK, feedback, input_indices
         )
-        for index in targets:
-            self._send_upstream(index, feedback)
 
     def _send_upstream(
-        self, port_index: int, feedback: FeedbackPunctuation
+        self,
+        kind: ControlMessageKind,
+        payload: Any,
+        input_indices: Sequence[int] | None = None,
     ) -> None:
-        port = self.input_port(port_index)
+        """Send one control message upstream and wake the producers.
+
+        The single place an upstream message is stamped (``sender``,
+        ``sent_at`` -- per-hop ``control_latency`` counts from here) and
+        queued.  Goes to the given inputs, or to every connected input.
+        """
         message = ControlMessage(
-            ControlMessageKind.FEEDBACK,
+            kind,
             Direction.UPSTREAM,
-            payload=feedback,
+            payload=payload,
             sender=self.name,
             sent_at=self.now(),
         )
-        port.control.send(message)
-        if port.producer is not None:
-            self.runtime.notify_control(port.producer, at=self.now())
+        ports = (
+            self.inputs if input_indices is None
+            else [self.input_port(index) for index in input_indices]
+        )
+        for port in ports:
+            if port is None:
+                continue
+            port.control.send(message)
+            if port.producer is not None:
+                self.runtime.notify_control(port.producer, at=self.now())
+
+    def _send_downstream(self, kind: ControlMessageKind, payload: Any) -> None:
+        """Send one control message to every consumer and wake them."""
+        message = ControlMessage(
+            kind,
+            Direction.DOWNSTREAM,
+            payload=payload,
+            sender=self.name,
+            sent_at=self.now(),
+        )
+        for edge in self.outputs:
+            edge.control.send(message)
+            self.runtime.notify_control(edge.consumer, at=self.now())
 
     def inject_feedback(self, feedback: FeedbackPunctuation) -> None:
         """Send client-originated feedback upstream from this operator.
@@ -851,24 +870,11 @@ class Operator(abc.ABC):
         self.runtime.feedback_log.record(
             self.now(), self.name, feedback, (), note="injected"
         )
-        for index in range(self.n_inputs):
-            self._send_upstream(index, feedback)
+        self._send_upstream(ControlMessageKind.FEEDBACK, feedback)
 
     def request_results(self, pattern: Pattern | None = None) -> None:
         """Send a RESULT_REQUEST upstream on every input (Example 4)."""
-        for index in range(self.n_inputs):
-            port = self.input_port(index)
-            port.control.send(
-                ControlMessage(
-                    ControlMessageKind.RESULT_REQUEST,
-                    Direction.UPSTREAM,
-                    payload=pattern,
-                    sender=self.name,
-                    sent_at=self.now(),
-                )
-            )
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
+        self._send_upstream(ControlMessageKind.RESULT_REQUEST, pattern)
 
     # ----------------------------------------------------- feedback: receive
 
@@ -914,7 +920,9 @@ class Operator(abc.ABC):
             relayed = self.relay_feedback(feedback)
             for index, sub in relayed.items():
                 self.metrics.feedback_relayed += 1
-                self._send_upstream(index, sub)
+                self._send_upstream(
+                    ControlMessageKind.FEEDBACK, sub, (index,)
+                )
             if relayed:
                 actions.append(ExploitAction.PROPAGATE)
         self.runtime.feedback_log.record(
@@ -947,21 +955,7 @@ class Operator(abc.ABC):
 
     def on_result_request(self, pattern: Pattern | None) -> None:
         """Handle an on-demand result request; default: forward upstream."""
-        for index in range(self.n_inputs):
-            port = self.inputs[index]
-            if port is None:
-                continue
-            port.control.send(
-                ControlMessage(
-                    ControlMessageKind.RESULT_REQUEST,
-                    Direction.UPSTREAM,
-                    payload=pattern,
-                    sender=self.name,
-                    sent_at=self.now(),
-                )
-            )
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
+        self._send_upstream(ControlMessageKind.RESULT_REQUEST, pattern)
 
     # ---------------------------------------------- flow control (backpressure)
 
@@ -1005,24 +999,10 @@ class Operator(abc.ABC):
         exactly as it does to relayed feedback.
         """
         self.metrics.control_forwarded += 1
-        copy = ControlMessage(
-            message.kind,
-            message.direction,
-            payload=message.payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
         if message.direction is Direction.UPSTREAM:
-            for port in self.inputs:
-                if port is None:
-                    continue
-                port.control.send(copy)
-                if port.producer is not None:
-                    self.runtime.notify_control(port.producer, at=self.now())
+            self._send_upstream(message.kind, message.payload)
         else:
-            for edge in self.outputs:
-                edge.control.send(copy)
-                self.runtime.notify_control(edge.consumer, at=self.now())
+            self._send_downstream(message.kind, message.payload)
 
     # -------------------------------------------------------- feedback: relay
 

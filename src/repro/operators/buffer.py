@@ -64,24 +64,22 @@ class PriorityBuffer(Operator):
 
     # -- data --------------------------------------------------------------------
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self._pending.append(tup)
-        self.metrics.grow_state()
-        while not self._held and len(self._pending) >= self.capacity:
-            self._release_one()
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path for the FIFO regime: drain releases in one emission.
+        """Admit a run; in the FIFO regime drain releases in one emission.
 
         With desires active, release order is data-dependent (a desired
-        tuple later in the run must not overtake scans that per-element
-        arrival would not have seen), so the per-element path is kept.
+        tuple later in the run must not overtake scans that one-by-one
+        arrival would not have seen), so each admission releases before
+        the next tuple is looked at.
         """
+        pending = self._pending
         if self._desires or self._held:
             for tup in batch:
-                self.on_tuple(port_index, tup)
+                pending.append(tup)
+                self.metrics.grow_state()
+                while not self._held and len(pending) >= self.capacity:
+                    self._release_one()
             return
-        pending = self._pending
         released: list[StreamTuple] = []
         for tup in batch:
             pending.append(tup)

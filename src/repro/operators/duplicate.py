@@ -21,7 +21,6 @@ from repro.core.roles import ExploitAction
 from repro.operators.base import Operator, OutputEdge
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import Schema, SchemaMapping
-from repro.stream.tuples import StreamTuple
 
 __all__ = ["Duplicate"]
 
@@ -38,19 +37,8 @@ class Duplicate(Operator):
         # Assumed patterns declared per output edge (keyed by identity).
         self._declared: dict[int, list[Pattern]] = {}
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self.emit(tup)
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: one guard pass, one ``put_many`` per output edge.
-
-        Subclasses that override :meth:`on_tuple` keep element-wise
-        dispatch -- the batch shortcut is only valid for plain broadcast.
-        """
-        if type(self).on_tuple is not Duplicate.on_tuple:
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
+        """One guard pass, one ``put_many`` per output edge."""
         self.emit_many(batch)
 
     # -- feedback reconciliation ---------------------------------------------

@@ -10,8 +10,8 @@ Fidelity is the design constraint, not a bolt-on.  The composite wraps the
 *real* stage operator instances and replaces only their inter-stage
 plumbing with synchronous shims:
 
-* **data** -- a :class:`_LinkQueue` between stages dispatches ``put`` /
-  ``put_many`` straight into the next stage's ``process_element`` /
+* **data** -- a :class:`_LinkQueue` between stages dispatches ``put_many``
+  (and ``put``, as a page of one) straight into the next stage's
   ``process_page``, so guard filtering, punctuation transforms (a
   PROJECT absorbing a lossy pattern, a MAP widening onto carried
   attributes) and guard expiry all run exactly the materialized chain's
@@ -48,7 +48,6 @@ from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
 from repro.stream.control import ControlMessage, ControlMessageKind, Direction
 from repro.stream.queues import DataQueue
-from repro.stream.tuples import StreamTuple
 
 __all__ = ["FusedOperator", "fused_name"]
 
@@ -113,7 +112,7 @@ class _LinkQueue:
         self.consumer = consumer
 
     def put(self, element: Any) -> bool:
-        self.consumer.process_element(0, element)
+        self.consumer.process_page(0, [element])
         return False
 
     def put_many(self, elements: list) -> int:
@@ -184,14 +183,16 @@ class _LinkControl:
     def send(self, message: ControlMessage) -> None:
         if message.direction is Direction.UPSTREAM:
             if self.producer is None:
-                self.fused._boundary_upstream(message)
+                # Crossed the head: re-emit on the composite's real ports.
+                self.fused._send_upstream(message.kind, message.payload)
             else:
                 self.fused._ctl_pending.append(
                     (self.producer, message, self.producer_edge)
                 )
         else:
             if self.consumer is None:
-                self.fused._boundary_downstream(message)
+                # Crossed the tail: re-emit on the composite's real edges.
+                self.fused._send_downstream(message.kind, message.payload)
             else:
                 self.fused._ctl_pending.append(
                     (self.consumer, message, None)
@@ -308,18 +309,13 @@ class FusedOperator(Operator):
 
     # ---------------------------------------------------------------- data path
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self._head.process_element(0, tup)
-        if self._ctl_pending:
-            self._pump_control()
-
     def on_page(self, port_index: int, batch: list) -> None:
         self._head.process_page(0, batch)
         if self._ctl_pending:
             self._pump_control()
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
-        self._head.process_element(0, punct)
+        self._head.process_page(0, [punct])
         if self._ctl_pending:
             self._pump_control()
 
@@ -344,35 +340,6 @@ class FusedOperator(Operator):
                 stage.on_result_request(message.payload)
             else:
                 stage.forward_control(message)
-
-    def _boundary_upstream(self, message: ControlMessage) -> None:
-        """A stage's upstream send crossed the head: re-emit for real."""
-        copy = ControlMessage(
-            message.kind,
-            message.direction,
-            payload=message.payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
-        for port in self.inputs:
-            if port is None:
-                continue
-            port.control.send(copy)
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
-
-    def _boundary_downstream(self, message: ControlMessage) -> None:
-        """A stage's downstream send crossed the tail: re-emit for real."""
-        copy = ControlMessage(
-            message.kind,
-            message.direction,
-            payload=message.payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
-        for edge in self.outputs:
-            edge.control.send(copy)
-            self.runtime.notify_control(edge.consumer, at=self.now())
 
     def receive_feedback(
         self,

@@ -20,7 +20,6 @@ from repro.core.feedback import FeedbackPunctuation
 from repro.operators.join import SymmetricHashJoin
 from repro.punctuation.atoms import Equals, WILDCARD
 from repro.punctuation.patterns import Pattern
-from repro.stream.tuples import StreamTuple
 
 __all__ = ["ImpatientJoin"]
 
@@ -52,35 +51,21 @@ class ImpatientJoin(SymmetricHashJoin):
         self._requested_keys = set(state["requested_keys"])
         self.desired_sent = state["desired_sent"]
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        if port_index == self.eager_input:
-            key = self._key_of(port_index, tup)
-            if key not in self._requested_keys:
-                self._requested_keys.add(key)
-                self._request_priority(key)
-        super().on_tuple(port_index, tup)
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: request new keys for the run, then join it in bulk.
+        """Request new keys for the run, then join it in bulk.
 
         Desired feedback for every fresh key in the run is issued before
         the run is joined (rather than interleaved per tuple); desired
         feedback never changes the result -- only production timing -- so
-        this stays element-wise equivalent in content while keeping the
-        parent's :meth:`~repro.operators.join.SymmetricHashJoin.
-        _join_batch` fast path.
+        the content does not depend on where the run was cut.
         """
-        if type(self).on_tuple is not ImpatientJoin.on_tuple:
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
         if port_index == self.eager_input:
             for tup in batch:
                 key = self._key_of(port_index, tup)
                 if key not in self._requested_keys:
                     self._requested_keys.add(key)
                     self._request_priority(key)
-        self._join_batch(port_index, batch)
+        super().on_page(port_index, batch)
 
     def _request_priority(self, key: tuple) -> None:
         """Send ``?[key...]`` to the opposite (dense) input."""

@@ -176,59 +176,14 @@ class SymmetricHashJoin(Operator):
 
     # ------------------------------------------------------------- data
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        key = self._key_of(port_index, tup)
-        other = 1 - port_index
-        stored = _StoredTuple(tup)
-        other_port = self.inputs[other]
-        other_done = other_port is not None and other_port.done
-        if not other_done:
-            # Park the tuple only while the opposite input can still
-            # deliver partners; storing after that is pure state leak.
-            self._tables[port_index].setdefault(key, []).append(stored)
-            self.metrics.grow_state()
-        for partner in self._tables[other].get(key, ()):  # probe
-            left_stored, right_stored = (
-                (stored, partner) if port_index == self.LEFT
-                else (partner, stored)
-            )
-            left, right = left_stored.tup, right_stored.tup
-            if self._condition is not None and not self._condition(left, right):
-                continue
-            left_stored.matched = True
-            right_stored.matched = True
-            self.emit(self._join_values(left, right))
-        if (
-            other_done
-            and port_index == self.LEFT
-            and self.how == "left_outer"
-        ):
-            # The right side is complete: an unmatched left tuple will
-            # never find a partner, so its padded result is due now.
-            self._maybe_pad(stored, key)
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: build/probe the run in one pass, bulk emission.
-
-        Subclasses that override :meth:`on_tuple` (IMPATIENT JOIN wraps
-        it with per-key feedback) keep element-wise dispatch unless they
-        provide their own batch hook over :meth:`_join_batch`.
-        """
-        if type(self).on_tuple is not SymmetricHashJoin.on_tuple:
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
-        self._join_batch(port_index, batch)
-
-    def _join_batch(self, port_index: int, batch: list) -> None:
         """One build+probe pass over a run of same-port tuples.
 
-        Element-wise equivalent to :meth:`on_tuple` -- results (joins and
-        any due outer padding) accumulate in arrival order and ship via
-        one :meth:`~repro.operators.base.Operator.emit_many`; hash-table
-        mutations and ``matched`` flags are applied tuple by tuple, so a
-        batch joining against itself behaves exactly as the per-element
-        path does.
+        Results (joins and any due outer padding) accumulate in arrival
+        order and ship via one :meth:`~repro.operators.base.Operator.
+        emit_many`; hash-table mutations and ``matched`` flags are
+        applied tuple by tuple, so the result does not depend on where
+        the run was cut.
         """
         other = 1 - port_index
         other_port = self.inputs[other]
@@ -244,6 +199,8 @@ class SymmetricHashJoin(Operator):
             key = self._key_of(port_index, tup)
             stored = _StoredTuple(tup)
             if not other_done:
+                # Park the tuple only while the opposite input can still
+                # deliver partners; storing after that is pure state leak.
                 table.setdefault(key, []).append(stored)
                 parked += 1
             for partner in other_table.get(key, ()):
@@ -257,6 +214,8 @@ class SymmetricHashJoin(Operator):
                 right_stored.matched = True
                 out.append(self._join_values(left, right))
             if pad_due:
+                # The right side is complete: an unmatched left tuple
+                # will never find a partner, so its padding is due now.
                 padded = self._padded_result(stored, key)
                 if padded is not None:
                     out.append(padded)

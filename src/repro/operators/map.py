@@ -75,11 +75,8 @@ class Map(Operator):
 
         return cls(name, mapping, fn, **kwargs)
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self.emit(self._fn(tup))
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: apply the function over the run, emit in bulk."""
+        """Apply the function over the run, emit in bulk."""
         fn = self._fn
         self.emit_many([fn(t) for t in batch])
 

@@ -33,7 +33,6 @@ from repro.punctuation.atoms import AtMost
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import Schema
-from repro.stream.tuples import StreamTuple
 
 __all__ = ["Pace"]
 
@@ -147,36 +146,45 @@ class Pace(Union):
             cut = max(cut, self._assumed_bound)
         return cut
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        timestamp = float(tup.values[self._ts_index])
-        previous_input = self._input_watermarks[port_index]
-        if previous_input is None or timestamp > previous_input:
-            self._input_watermarks[port_index] = timestamp
-        if self.high_watermark is None or timestamp > self.high_watermark:
-            self.high_watermark = timestamp
-        tolerance_bound = self.high_watermark - self.tolerance
-        if timestamp <= tolerance_bound:
-            # Genuine divergence: the disorder policy condemns this tuple,
-            # and lateness this deep is the signal to issue feedback.
-            self.late_drops += 1
-            self.late_drops_by_port[port_index] += 1
-            self._on_late_tuple(port_index, tolerance_bound)
-            return
-        if (
-            self._assumed_bound is not None
-            and timestamp <= self._assumed_bound
-        ):
-            # Straggler from a region PACE already declared complete: it
-            # must be dropped for consistency with the punctuation emitted
-            # downstream, but it is NOT fresh divergence -- triggering
-            # feedback here would escalate the assumed bound on every
-            # in-flight tuple and needlessly discard recoverable work.
-            self.late_drops += 1
-            self.late_drops_by_port[port_index] += 1
-            return
-        self.timely_tuples += 1
-        self.timely_by_port[port_index] += 1
-        self.emit(tup)
+    def on_page(self, port_index: int, batch: list) -> None:
+        """Judge each tuple of the run against the bound as it stands.
+
+        Every tuple can move the watermark (and a late one the assumed
+        bound) for the tuples behind it, so verdicts and emissions stay
+        one at a time, in arrival order.
+        """
+        for tup in batch:
+            timestamp = float(tup.values[self._ts_index])
+            previous_input = self._input_watermarks[port_index]
+            if previous_input is None or timestamp > previous_input:
+                self._input_watermarks[port_index] = timestamp
+            if self.high_watermark is None or timestamp > self.high_watermark:
+                self.high_watermark = timestamp
+            tolerance_bound = self.high_watermark - self.tolerance
+            if timestamp <= tolerance_bound:
+                # Genuine divergence: the disorder policy condemns this
+                # tuple, and lateness this deep is the signal to issue
+                # feedback.
+                self.late_drops += 1
+                self.late_drops_by_port[port_index] += 1
+                self._on_late_tuple(port_index, tolerance_bound)
+                continue
+            if (
+                self._assumed_bound is not None
+                and timestamp <= self._assumed_bound
+            ):
+                # Straggler from a region PACE already declared complete:
+                # it must be dropped for consistency with the punctuation
+                # emitted downstream, but it is NOT fresh divergence --
+                # triggering feedback here would escalate the assumed
+                # bound on every in-flight tuple and needlessly discard
+                # recoverable work.
+                self.late_drops += 1
+                self.late_drops_by_port[port_index] += 1
+                continue
+            self.timely_tuples += 1
+            self.timely_by_port[port_index] += 1
+            self.emit(tup)
 
     def _on_late_tuple(self, port_index: int, bound: float) -> None:
         """A tuple exceeded the disorder bound: consider issuing feedback."""

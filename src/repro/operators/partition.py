@@ -269,73 +269,38 @@ class Partition(Operator):
 
     # ------------------------------------------------------------------ data
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        slot, lane = self._slot_lane_of(tup)
-        if slot is not None:
-            self._slot_loads[slot] += 1
-            record = self._pending_rebalance
-            if record is not None and slot in record.moved:
-                # A moved key's old lane already cut its state; its new
-                # lane has not installed it yet.  Hold the tuple here --
-                # routing it either way would split the key's history.
-                if self.output_guards.blocks(tup):
-                    self.metrics.output_guard_drops += 1
-                    return
-                self.metrics.tuples_out += 1
-                self._rebalance_stash.append(tup)
-                self.tuples_held += 1
-                return
-        if lane not in self._paused_lanes:
-            self.emit_to(lane, tup)
-            return
-        if self.output_guards.blocks(tup):
-            self.metrics.output_guard_drops += 1
-            return
-        self.metrics.tuples_out += 1
-        self._stash.setdefault(lane, []).append(tup)
-        self.tuples_stashed += 1
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: bucket the run by lane, one bulk emit per lane.
-
-        Subclasses overriding :meth:`on_tuple` fall back to element-wise
-        dispatch, as does a migration window in progress -- the shortcut
-        is only valid for plain table routing.
-        """
-        if (
-            type(self).on_tuple is not Partition.on_tuple
-            or self._pending_rebalance is not None
-        ):
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
+        """Bucket the run by lane, one bulk emit (or stash) per lane."""
         buckets: dict[int, list] = {}
+        held: list = []
         if self._router is None:
             for tup in batch:
                 buckets.setdefault(self.lane_of(tup), []).append(tup)
         else:
             loads = self._slot_loads
+            record = self._pending_rebalance
+            moved = record.moved if record is not None else ()
             for tup in batch:
                 slot, lane = self._slot_lane_of(tup)
                 loads[slot] += 1
-                buckets.setdefault(lane, []).append(tup)
-        blocks = (
-            self.output_guards.blocks if len(self.output_guards) else None
-        )
+                if slot in moved:
+                    # A moved key's old lane already cut its state; its
+                    # new lane has not installed it yet.  Hold the tuple
+                    # here -- routing it either way would split the
+                    # key's history.
+                    held.append(tup)
+                else:
+                    buckets.setdefault(lane, []).append(tup)
+        if held:
+            held = self._pass_output_guards(held)
+            self._rebalance_stash.extend(held)
+            self.tuples_held += len(held)
         for lane, routed in buckets.items():
             if lane not in self._paused_lanes:
                 self.emit_many_to(lane, routed)
                 continue
-            if blocks is not None:
-                kept = []
-                for tup in routed:
-                    if blocks(tup):
-                        self.metrics.output_guard_drops += 1
-                    else:
-                        kept.append(tup)
-                routed = kept
+            routed = self._pass_output_guards(routed)
             if routed:
-                self.metrics.tuples_out += len(routed)
                 self._stash.setdefault(lane, []).extend(routed)
                 self.tuples_stashed += len(routed)
 
@@ -668,13 +633,14 @@ class Partition(Operator):
             for pattern in agreed[1:]:
                 self.metrics.feedback_relayed += 1
                 self._send_upstream(
-                    0,
+                    ControlMessageKind.FEEDBACK,
                     feedback.propagated(
                         pattern.with_schema(self.output_schema)
                         if self.output_schema is not None else pattern,
                         relayer=self.name,
                         at=self.now(),
                     ),
+                    (0,),
                 )
         self._relay_pending = agreed[0]
         return actions
@@ -773,18 +739,7 @@ class ShardMerge(Union):
             del self._rebalance_cuts[marker.epoch]
             if record is None or record.aborted:
                 return
-            port = self.input_port(0)
-            port.control.send(
-                ControlMessage(
-                    ControlMessageKind.REBALANCE,
-                    Direction.UPSTREAM,
-                    payload=record,
-                    sender=self.name,
-                    sent_at=self.now(),
-                )
-            )
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
+            self._send_upstream(ControlMessageKind.REBALANCE, record, (0,))
             return
         if marker.phase == "install":
             seen = self._rebalance_installs.get(marker.epoch, 0) + 1

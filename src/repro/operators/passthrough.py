@@ -14,7 +14,6 @@ from typing import Any
 
 from repro.operators.base import Operator
 from repro.stream.schema import Schema, SchemaMapping
-from repro.stream.tuples import StreamTuple
 
 __all__ = ["PassThrough"]
 
@@ -29,9 +28,6 @@ class PassThrough(Operator):
             name, schema, mapping=SchemaMapping.identity(schema), **kwargs
         )
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self.emit(tup)
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: forward the whole run in one bulk emission."""
+        """Forward the whole run in one bulk emission."""
         self.emit_many(batch)

@@ -49,12 +49,8 @@ class Project(Operator):
         self._attributes = list(attributes)
         self._indices = input_schema.indices_of(attributes)
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        values = [tup.values[i] for i in self._indices]
-        self.emit(StreamTuple(self.output_schema, values))
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: project the whole run, then one bulk emission."""
+        """Project the whole run, then one bulk emission."""
         schema = self.output_schema
         indices = self._indices
         self.emit_many([

@@ -51,12 +51,8 @@ class Select(Operator):
             self.pattern = None
             self._predicate = predicate
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        if self._predicate(tup):
-            self.emit(tup)
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: one predicate pass, one bulk emission."""
+        """One predicate pass, one bulk emission."""
         predicate = self._predicate
         self.emit_many([t for t in batch if predicate(t)])
 

@@ -27,6 +27,7 @@ from repro.errors import EngineError
 from repro.operators.base import Operator
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
+from repro.stream.control import ControlMessageKind
 from repro.stream.schema import Schema
 from repro.stream.tuples import StreamTuple
 
@@ -84,30 +85,15 @@ class CollectSink(Operator):
             self._ckpt_dedup = None
         return True
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        if self._ckpt_dedup is not None and self._ckpt_replayed(tup):
-            return
-        now = self.now()
-        self.results.append(tup)
-        self.arrivals.append((now, tup))
-        if self._ckpt_writer is not None:
-            self._ckpt_writer.append((now, tup))
-        self.runtime.output_log.record(
-            now, tup, sink=self.name, tag=self.tag
-        )
+    def _record_arrivals(self, batch: list) -> list:
+        """Record a run of arrivals in bulk; return the ones recorded.
 
-    def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: record a whole run of arrivals in bulk.
-
-        Element-wise equivalent to :meth:`on_tuple` -- a batch is
-        delivered at one engine step, so every element of it carries the
-        same arrival time on either path.
+        A run is delivered at one engine step, so every element of it
+        carries the same arrival time.  While a recovery run's replay
+        window is open, already-delivered arrivals are swallowed first.
         """
         if self._ckpt_dedup is not None:
-            # Replay-window dedup must inspect each arrival.
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
+            batch = [t for t in batch if not self._ckpt_replayed(t)]
         now = self.now()
         self.results.extend(batch)
         self.arrivals.extend((now, tup) for tup in batch)
@@ -115,8 +101,12 @@ class CollectSink(Operator):
         if writer is not None:
             for tup in batch:
                 writer.append((now, tup))
+        return batch
+
+    def on_page(self, port_index: int, batch: list) -> None:
         self.runtime.output_log.record_many(
-            now, batch, sink=self.name, tag=self.tag
+            self.now(), self._record_arrivals(batch),
+            sink=self.name, tag=self.tag,
         )
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
@@ -313,31 +303,8 @@ class PushSink(AwaitableSink):
         del self.results[:cut]
         del self.arrivals[:cut]
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        if self._ckpt_dedup is not None and self._ckpt_replayed(tup):
-            return
-        now = self.now()
-        self.results.append(tup)
-        self.arrivals.append((now, tup))
-        if self._ckpt_writer is not None:
-            self._ckpt_writer.append((now, tup))
-        self.delivered += 1
-        if self.publish is not None:
-            self.publish(tup)
-        self._trim()
-
     def on_page(self, port_index: int, batch: list) -> None:
-        if self._ckpt_dedup is not None:
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
-        now = self.now()
-        self.results.extend(batch)
-        self.arrivals.extend((now, tup) for tup in batch)
-        writer = self._ckpt_writer
-        if writer is not None:
-            for tup in batch:
-                writer.append((now, tup))
+        batch = self._record_arrivals(batch)
         self.delivered += len(batch)
         if self.publish is not None:
             for tup in batch:
@@ -394,5 +361,4 @@ class OnDemandSink(CollectSink):
         self.runtime.feedback_log.record(
             self.now(), self.name, feedback, (), note="demanded by client"
         )
-        for index in range(self.n_inputs):
-            self._send_upstream(index, feedback)
+        self._send_upstream(ControlMessageKind.FEEDBACK, feedback)

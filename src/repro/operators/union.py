@@ -18,7 +18,6 @@ from repro.operators.base import Operator
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import AttributeOrigin, Schema, SchemaMapping
-from repro.stream.tuples import StreamTuple
 
 __all__ = ["Union"]
 
@@ -53,21 +52,13 @@ class Union(Operator):
 
     # -- data ---------------------------------------------------------------
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self.emit(tup)
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: interleaving is per page, so forward the run in bulk.
+        """Interleaving is per page, so forward the run in bulk.
 
         Punctuation never reaches this hook (the page walk dispatches it
         through :meth:`on_punctuation`), so frontier bookkeeping is
-        untouched.  Subclasses with their own per-tuple semantics (PACE's
-        lateness policy) fall back to element-wise dispatch.
+        untouched.
         """
-        if type(self).on_tuple is not Union.on_tuple:
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
         self.emit_many(batch)
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:

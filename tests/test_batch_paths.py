@@ -1,15 +1,15 @@
-"""Native ``on_page`` batch paths: join family and window aggregates.
+"""Page-boundary invariance: join family and window aggregates.
 
-The page-batched operator path (DESIGN.md section 4) requires every
-native ``on_page`` override to be *element-wise equivalent* to
-``on_tuple`` -- the page boundary carries no semantics.  These tests pin
-that contract for the operators that gained native batch hooks in the
-sharding PR: :class:`SymmetricHashJoin` (build/probe in bulk, outer
-padding in arrival order), :class:`ThriftyJoin` / :class:`ImpatientJoin`
-(feedback production preserved), and :class:`WindowAggregate` (hoisted
-accumulation), plus engine-level parity: the same flow run costed
-(per-element metered path), uncosted (batch path) and threaded must
-produce identical result multisets.
+``on_page`` is the one data hook (DESIGN.md section 4) and the page
+boundary carries no semantics: an operator must give the same results
+whether a stream reaches it as pages of one or pages of N.  These tests
+pin that contract, through the one body, for :class:`SymmetricHashJoin`
+(build/probe in bulk, outer padding in arrival order),
+:class:`ThriftyJoin` / :class:`ImpatientJoin` (feedback production
+preserved), and :class:`WindowAggregate` (hoisted accumulation), plus
+engine-level invariance: the same flow run costed (metered: pages of
+one), uncosted (whole pages) and threaded must produce identical result
+multisets.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def tvals(harness):
 
 
 def paired_harnesses(make):
-    """Two identical operators: one driven per element, one per page."""
+    """Two identical operators: one fed pages of one, one whole pages."""
     return OperatorHarness(make()), OperatorHarness(make())
 
 
@@ -109,7 +109,7 @@ class TestJoinBatchEquivalence:
 
     def test_left_outer_padding_order_preserved(self):
         """Padding due after the right side closed interleaves in arrival
-        order with join results, exactly as the per-element path."""
+        order with join results, wherever the page boundaries fall."""
         def make():
             return SymmetricHashJoin(
                 "join", LEFT, RIGHT_T, on=[("t", "t")], how="left_outer"

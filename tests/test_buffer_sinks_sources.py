@@ -173,21 +173,21 @@ class TestSinks:
         sink = CollectSink("sink", schema)
         harness = OperatorHarness(sink, outputs=0)
         harness.tick(3.0)
-        sink.process_element(0, tup(schema, 1.0))
+        sink.process_page(0, [tup(schema, 1.0)])
         assert len(sink) == 1
         assert sink.arrivals[0][0] == 3.0
 
     def test_collect_sink_logs_to_runtime(self, schema):
         sink = CollectSink("sink", schema, tag="fig5")
         harness = OperatorHarness(sink, outputs=0)
-        sink.process_element(0, tup(schema, 1.0))
+        sink.process_page(0, [tup(schema, 1.0)])
         records = sink.runtime.output_log.tagged("fig5")
         assert len(records) == 1
 
     def test_collect_sink_punctuation_kept_when_asked(self, schema):
         sink = CollectSink("sink", schema, keep_punctuation=True)
         OperatorHarness(sink, outputs=0)
-        sink.process_element(0, Punctuation.up_to(schema, "ts", 1.0))
+        sink.process_page(0, [Punctuation.up_to(schema, "ts", 1.0)])
         assert len(sink.punctuations) == 1
 
     def test_on_demand_sink_poll_sends_result_request(self, schema):

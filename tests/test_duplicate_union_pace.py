@@ -231,7 +231,8 @@ class TestPace:
 
 
 class TestBatchParity:
-    """Native on_page for Union/Duplicate must match the per-element path."""
+    """Page-boundary invariance for Union/Duplicate: a page of N must
+    match the same elements as pages of one."""
 
     def elements(self, schema):
         data = [tup(schema, float(i), seg=i % 3) for i in range(20)]
@@ -247,7 +248,7 @@ class TestBatchParity:
         page = self.elements(schema)
         batched.process_page(0, page)
         for element in page:
-            elementwise.process_element(0, element)
+            elementwise.process_page(0, [element])
 
         assert (
             [t.values for t in h_batch.emitted_tuples()]
@@ -275,7 +276,7 @@ class TestBatchParity:
         page = self.elements(schema)
         batched.process_page(0, page)
         for element in page:
-            elementwise.process_element(0, element)
+            elementwise.process_page(0, [element])
 
         assert (
             [t.values for t in h_batch.emitted_tuples()]
@@ -296,7 +297,7 @@ class TestBatchParity:
         page = self.elements(schema)
         batched.process_page(0, page)
         for element in page:
-            elementwise.process_element(0, element)
+            elementwise.process_page(0, [element])
 
         for output in (0, 1):
             assert (
@@ -307,7 +308,8 @@ class TestBatchParity:
         assert batched.metrics.pages_batched == 1
 
     def test_pace_subclass_keeps_elementwise_semantics(self, schema):
-        """PACE overrides on_tuple; the Union batch path must not bypass it."""
+        """PACE judges tuple by tuple inside a page (its own on_page, not
+        the Union's bulk forward)."""
         pace = Pace(
             "pace", schema, timestamp_attribute="ts", tolerance=1.0,
         )

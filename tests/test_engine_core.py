@@ -237,7 +237,7 @@ class TestEngineParity:
         make_engine(plan).run()
         keep = plan.operator("keep")
         assert keep.metrics.pages_in > 0
-        # Zero-cost operators take the batch fast path on every engine.
+        # Zero-cost operators take whole pages on every engine.
         assert keep.metrics.pages_batched == keep.metrics.pages_in
 
 
