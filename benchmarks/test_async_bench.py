@@ -1,11 +1,11 @@
 """Async ingestion benchmark: many slow feeds on one event loop.
 
-The tentpole claim of the asyncio engine: ingesting N independent
-rate-limited feeds (async generators sleeping between elements -- the
-shape of websockets, HTTP streams, broker subscriptions) costs one
-*parked coroutine* per feed, so the makespan tracks a single feed's
-replay time instead of the sum of all feeds -- and no OS thread is
-spent per operator.
+What the asyncio engine is for: ingesting N independent rate-limited
+feeds (async generators sleeping between elements -- the shape of
+websockets, HTTP streams, broker subscriptions) costs one *parked pump
+task* per feed, so the makespan tracks a single feed's replay time
+instead of the sum of all feeds -- and no OS thread is spent per
+operator.
 
 Three measurements:
 
@@ -22,8 +22,7 @@ Three measurements:
 
 Content is asserted engine-independently at every scale: the asyncio
 run's multiset must equal the deterministic simulated run of the same
-flow.  The result is recorded in ``BENCH_async.json`` via the shared
-``record_artifact`` fixture (``REPRO_BENCH_RECORD=1`` rewrites it).
+flow.
 
 Scale knobs: ``REPRO_BENCH_ASYNC_FEEDS`` (default 8),
 ``REPRO_BENCH_ASYNC_TUPLES`` (default 150 per feed; below the default
@@ -82,7 +81,7 @@ def sink_multiset(result):
 
 
 class TestAsyncIngestion:
-    def test_feeds_overlap_on_one_loop(self, report, record_artifact):
+    def test_feeds_overlap_on_one_loop(self, report):
         asyncio_result, asyncio_wall = run_engine("asyncio")
         threaded_result, threaded_wall = run_engine("threaded")
 
@@ -103,19 +102,6 @@ class TestAsyncIngestion:
                 f"asyncio ingest {asyncio_wall:.3f}s vs serial bound "
                 f"{SERIAL_BOUND:.3f}s: feeds did not overlap"
             )
-
-        record = {
-            "benchmark": "async_feed_ingestion",
-            "feeds": N_FEEDS,
-            "tuples_per_feed": N_TUPLES,
-            "feed_delay_s": DELAY,
-            "serial_bound_s": round(SERIAL_BOUND, 6),
-            "asyncio_wall_s": round(asyncio_wall, 6),
-            "threaded_wall_s": round(threaded_wall, 6),
-            "asyncio_speedup_vs_serial": round(speedup, 2),
-            "per_feed_replay_s": round(N_TUPLES * DELAY, 6),
-        }
-        record_artifact("BENCH_async.json", record)
 
         report.append(
             f"async ingest: {N_FEEDS} feeds x {N_TUPLES} tuples @ "

@@ -2,8 +2,8 @@
 
 Three "network" feeds (async generators pausing between elements, the
 shape of a websocket or HTTP stream) are unioned, windowed, and served
-through an awaitable sink -- all on a single event loop with one
-coroutine per operator (``docs/engines.md``).  The run demonstrates:
+through an awaitable sink -- all on a single event loop: one engine
+driver plus one small pump task per feed (``docs/engines.md``).  The run demonstrates:
 
 * ``Flow.from_async_iterable``: async-native sources, awaited natively
   by ``engine="asyncio"`` (and bridged on the other engines -- the same

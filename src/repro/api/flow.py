@@ -899,7 +899,7 @@ class Flow:
         async iterable of ``(arrival_time, element)`` pairs -- typically
         an async generator wrapping a websocket, HTTP feed or broker
         subscription.  On ``engine="asyncio"`` the iterable is awaited
-        natively (one parked coroutine per feed); the simulated and
+        natively (one parked pump task per feed); the simulated and
         threaded engines pump it through a private event loop, so the
         same flow runs on every backend.  See ``docs/engines.md``.
         """
@@ -935,7 +935,7 @@ class Flow:
 
         Unlike the per-run sources, the channel *persists across
         builds*: a supervisor restarting a crashed flow re-attaches a
-        fresh source coroutine to the same channel, and elements
+        fresh source to the same channel, and elements
         admitted during the outage are delivered by the next run.
         """
         stage_name = self._next_name(name, "ingest")
@@ -1195,15 +1195,8 @@ class Flow:
                 f"engine {engine!r} does not support scheduled actions "
                 f"(no at() hook); cannot inject feedback declaratively"
             )
-        if schedule:
-            supports_owner = (
-                "owner" in inspect.signature(runner.at).parameters
-            )
-            for when, thunk, owner in schedule:
-                if supports_owner:
-                    runner.at(when, thunk, owner=owner)
-                else:
-                    runner.at(when, thunk)
+        for when, thunk, owner in schedule:
+            runner.at(when, thunk, owner=owner)
         return runner.run()
 
     # -- internals ----------------------------------------------------------------

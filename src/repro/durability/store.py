@@ -189,13 +189,16 @@ class MemoryCheckpointStore(CheckpointStore):
 class _DirectoryDeliveryWriter(DeliveryWriter):
     """Buffered pickle-frame appender onto one log file.
 
-    The file opens lazily at the first flush, so a writer created before
-    a fork never shares a handle (and its position) across processes.
+    Each flush opens the file, appends and closes it: flushes happen once
+    per epoch (plus clean finish and abort), so the writer holds no
+    descriptor between them -- a process running many checkpointed flows,
+    or restarting one under a supervisor, leaks none -- and a writer
+    created before a fork never shares a handle (and its position)
+    across processes.
     """
 
     def __init__(self, path: Path) -> None:
         self._path = path
-        self._file: Any = None
         self._buffer: list[Any] = []
 
     def append(self, entry: Any) -> None:
@@ -204,12 +207,10 @@ class _DirectoryDeliveryWriter(DeliveryWriter):
     def flush(self) -> None:
         if not self._buffer:
             return
-        if self._file is None:
-            self._file = open(self._path, "ab")
-        for entry in self._buffer:
-            pickle.dump(entry, self._file, protocol=_PICKLE_PROTOCOL)
+        with open(self._path, "ab") as log:
+            for entry in self._buffer:
+                pickle.dump(entry, log, protocol=_PICKLE_PROTOCOL)
         self._buffer.clear()
-        self._file.flush()
 
 
 class DirectoryCheckpointStore(CheckpointStore):

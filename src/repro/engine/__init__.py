@@ -11,8 +11,9 @@ scheduling policy per engine over a shared mechanism core.
   time (used by all experiments);
 * :class:`ThreadedRuntime` -- thread-per-operator runtime mirroring
   NiagaraST's architecture;
-* :class:`AsyncioEngine` -- coroutine-per-operator runtime on one event
-  loop, for network-facing sources and sinks (``docs/engines.md``);
+* :class:`AsyncioEngine` -- the simulator's scheduler on the wall clock
+  inside one event loop (one driver coroutine, one pump task per async
+  source), for network-facing sources and sinks (``docs/engines.md``);
 * :class:`MultiprocessEngine` -- worker-process-per-operator-group
   runtime with columnar page serialization at the process boundaries,
   for real CPU parallelism past the GIL (``docs/engines.md``);

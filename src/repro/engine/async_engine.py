@@ -1,54 +1,48 @@
-"""Asyncio engine: coroutine-per-operator scheduling on one event loop.
+"""Asyncio engine: the simulator's scheduler on the wall clock, on one loop.
 
-The third execution backend over the shared runtime core, built for
-network-facing sources and sinks (paper section 5 fixes NiagaraST's
-runtime as thread-per-operator; related work on scalable data feeds --
-Grover & Carey's AsterixDB ingestion, and the Röger & Mayer
-parallelization survey, see PAPERS.md -- argues that ingesting from many
-slow or remote endpoints should not burn an OS thread per operator).
-This engine keeps the paper's architecture -- one worker per operator,
-page queues between them, out-of-band high-priority control (section 5,
-"control messages are given high priority and processed before pending
-tuples") -- but the workers are coroutines multiplexed on one asyncio
-event loop: thousands of idle sources cost nothing but a parked
-``await``.
+The execution backend for network-facing sources and sinks (paper
+section 5 fixes NiagaraST's runtime as operators joined by page queues
+with out-of-band high-priority control; Grover & Carey's AsterixDB feeds
+and the Röger & Mayer parallelization survey, see PAPERS.md, argue that
+ingesting from many slow or remote endpoints should not burn an OS thread
+per operator).  It is the same cooperative, run-to-completion scheduler
+as :class:`~repro.engine.simulator.Simulator` -- one event heap, the same
+source / control / work / action / elastic handlers, the same pause
+stash and watermark checks -- with a different clock under it: events are
+ordered on a :class:`~repro.stream.clock.WallClock`, and instead of
+jumping the clock to the heap's head, **one driver coroutine** waits for
+it.  What the virtual-time engine models, this one experiences:
 
-Like the simulator and the threaded runtime, this engine is a *policy*
-layer over :class:`~repro.engine.runtime.RuntimeCore` (DESIGN.md section
-3): the core owns control draining (``control_latency`` arrival
-semantics on the wall clock, exactly as the threaded runtime), input
-completion, finish, backpressure watermarks and shard-lane flow control;
-this module owns the coroutines.  The wake-up half of the policy is the
-shared :class:`~repro.engine.notify.NotificationPolicy` bound to an
-:class:`~repro.stream.waiters.AsyncioConditionWaiter`: wake-ups ride an
-``asyncio.Condition`` mirroring the threaded engine's
-``threading.Condition`` discipline -- every state change notifies, idle
-coroutines ``await`` the condition (no polling), and the only timed wait
-is the arrival deadline of an in-flight control message.  Paused
-coroutines likewise ``await`` instead of sleeping a thread, so
-backpressure (``queue_capacity``, docs/backpressure.md) parks work
-without occupying the loop.
+* ``control_latency``, :meth:`~repro.engine.runtime.RuntimeCore.at`
+  actions and elastic ticks are heap entries due in the future; the
+  driver sleeps until the earliest one (or until something is pushed)
+  and never polls.
+* ``emulate_costs=True`` keeps the simulator's per-operator busy
+  horizons: a costed operator's output becomes available -- and its next
+  page starts -- only when its modeled cost has elapsed on the wall
+  clock, so independent branches overlap exactly as they do across the
+  threaded engine's threads.  Without it no cost model is charged.
+* Replay arrival times are ignored, as on the threaded runtime: a
+  synchronous source's next element is due immediately (after its own
+  modeled cost under ``emulate_costs``).
+* An operator whose input runs dry flushes its open output pages, so an
+  always-on flow delivers at input-idle time instead of holding results
+  until a page fills; under sustained load pages fill first and batching
+  is preserved.
 
-Scheduling discipline: each coroutine runs its synchronous engine steps
-while holding the condition's lock -- free under cooperative scheduling,
-since only one coroutine executes at a time -- and releases it exactly
-at its awaits (``Condition.wait``, the per-page cooperative yield, and
-``emulate_costs`` sleeps).  Because notifications originate inside
-synchronous operator callbacks, "the lock is held" always means "held by
-the running task", which is what makes a plain synchronous
-``notify_all`` legal (see :mod:`repro.stream.waiters`).
-
-``emulate_costs=True`` charges each operator's cost model with
-``asyncio.sleep`` *outside* the lock, so modeled CPU cost overlaps
-across operator coroutines exactly as the threaded engine's modeled
-costs overlap across threads (and as NiagaraST's real per-operator CPU
-time would).
+Between steps the driver yields to the event loop once per
+:data:`_TIME_SLICE` of continuous work, so socket handlers and client
+coroutines sharing the loop keep running under a saturating source.
 
 Sources that expose ``aevents()`` -- an *async* iterator of ``(arrival,
 element)`` pairs, e.g. :class:`~repro.operators.source.
-AsyncIterableSource` -- are consumed natively with ``await`` between
-elements, so a slow network feed never blocks the loop; plain sources
-fall back to their synchronous ``events()`` timeline.
+AsyncIterableSource` -- get one small **pump task** each: it awaits the
+feed's next element, pushes it onto the heap, and parks until the
+scheduler has dispatched it (a paused source therefore parks its pump
+until the resume, by the same stash-and-replay rule the simulator uses).
+A slow network feed parks its pump and nothing else; thousands of idle
+feeds cost one parked ``await`` each.  Plain sources replay their
+synchronous ``events()`` timeline off the heap.
 
 Use :meth:`AsyncioEngine.run` from synchronous code (it owns a private
 event loop via ``asyncio.run``), or ``await`` :meth:`AsyncioEngine.arun`
@@ -60,41 +54,46 @@ await concurrently with the run.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable
+from typing import Any, AsyncIterable
 
-from repro.engine.notify import NotificationPolicy
 from repro.engine.plan import QueryPlan
-from repro.engine.runtime import RunResult, RuntimeCore
+from repro.engine.runtime import RunResult
+from repro.engine.simulator import _PRIO_SOURCE, Simulator
 from repro.errors import EngineError
 from repro.operators.base import Operator, SourceOperator
 from repro.stream.clock import WallClock
-from repro.stream.waiters import AsyncioConditionWaiter
 
 __all__ = ["AsyncioEngine"]
 
+#: Seconds of back-to-back steps after which the driver yields to the
+#: event loop.  Long enough that the yield (one loop iteration) is noise
+#: against the work done, short enough that a socket handler sharing the
+#: loop waits about a millisecond behind a saturating source.
+_TIME_SLICE = 0.001
 
-class AsyncioEngine(NotificationPolicy, RuntimeCore):
-    """Run a plan with one coroutine per operator on an asyncio loop.
+
+class AsyncioEngine(Simulator):
+    """Run a plan on the wall clock inside one asyncio event loop.
 
     Parameters
     ----------
     timeout:
         Run-level watchdog: maximum wall-clock seconds for the whole
-        plan to drain (worker waits themselves are untimed and purely
-        notification-driven), mirroring the threaded runtime's join
-        watchdog.  ``None`` disables the watchdog for always-on serving
-        flows whose sources never end until drained by a supervisor.
+        plan to drain, mirroring the threaded runtime's join watchdog.
+        ``None`` disables it for always-on serving flows whose sources
+        never end until drained by a supervisor.
     control_latency:
         Wall-clock seconds between sending a control message and its
-        arrival (the simulator's feedback propagation delay, honoured
-        here exactly as in the threaded runtime; default 0).
+        arrival (the simulator's feedback propagation delay; default 0).
     emulate_costs:
         Charge each operator's cost model (``tuple_cost`` and friends)
-        as ``asyncio.sleep`` outside the condition lock, so modeled CPU
-        cost parallelises across operator coroutines the way it does
-        across the threaded engine's threads.  Slept cost is recorded as
+        on the wall clock as a busy horizon, so modeled CPU cost
+        parallelises across operators the way it does across the
+        threaded engine's threads.  Charged cost is recorded as
         ``busy_time``.
     """
+
+    clock_class = WallClock
 
     def __init__(
         self,
@@ -110,7 +109,7 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
         elastic: Any = None,
     ) -> None:
         super().__init__(
-            plan, WallClock(), control_latency=control_latency,
+            plan, control_latency=control_latency,
             checkpoint_every=checkpoint_every,
             checkpoint_store=checkpoint_store,
             recover_from=recover_from,
@@ -119,277 +118,159 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
         )
         self.timeout = timeout
         self.emulate_costs = emulate_costs
-        self._init_notifications(AsyncioConditionWaiter())
-        self._actions: list[tuple[float, Callable[[], None]]] = []
-        self._action_errors: list[BaseException] = []
+        #: Set by every push; the driver sleeps on it when nothing is due.
+        self._wake = asyncio.Event()
+        #: One task per ``aevents()`` source, and per such source the
+        #: event that asks its pump for the feed's next element.
+        self._pumps: list[asyncio.Task] = []
+        self._requests: dict[str, asyncio.Event] = {}
+        self._pump_error: Exception | None = None
 
-    def at(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule a client-side action at ``time`` wall-clock seconds.
+    # -- what the wall clock changes ------------------------------------------
 
-        Mirrors ``Simulator.at`` / ``ThreadedRuntime.at`` so ``Flow.run``'s
-        declarative feedback injection works engine-agnostically.  The
-        action runs on its own coroutine under the condition lock; an
-        action whose time falls after the plan has already drained never
-        fires -- the same "the stream is over" rule every engine applies
-        to in-flight feedback.
-        """
-        if self._started:
-            raise EngineError("schedule actions before calling run()")
-        self._actions.append((float(time), action))
+    def _push(self, time: float, priority: int, kind: str, payload: Any) -> None:
+        super()._push(time, priority, kind, payload)
+        self._wake.set()
 
-    # -- coroutine bodies ----------------------------------------------------------
+    def _source_due(
+        self, source: SourceOperator, arrival: float, element: Any
+    ) -> float:
+        now = self.clock.now()
+        if not self.emulate_costs:
+            return now
+        cost = source.cost_of(element)
+        source.metrics.busy_time += cost
+        return now + cost
 
-    async def _wait_for_work(self, operator: Operator) -> None:
-        """Park (lock held) until a page or control message arrives.
+    def _earliest_start(self) -> float:
+        return self.clock.now()
 
-        Purely notification-driven; the only timed wait is the arrival
-        deadline of an in-flight (deferred) control message.  The lock is
-        re-held when this returns, timed out or notified.
-        """
-        await self._waiter.wait(self.wait_timeout(operator))
+    def _input_dry(self, operator: Operator) -> None:
+        operator.flush_outputs()
 
-    async def _yield_outside_lock(self, sleep: float) -> None:
-        """Release the condition, await, re-acquire.
+    def _quiescent(self) -> bool:
+        # A feed or a client coroutine may push at any moment; a plan
+        # that is truly wedged is the ``timeout`` watchdog's to report.
+        return False
 
-        This is the engine's only suspension point besides
-        ``Condition.wait``: the per-page cooperative yield (``sleep=0``)
-        that lets pipelined operators interleave, and the
-        ``emulate_costs`` sleep that lets modeled costs overlap.
-        """
-        condition = self._waiter.condition
-        condition.release()
-        try:
-            await asyncio.sleep(sleep)
-        finally:
-            await condition.acquire()
+    # -- async sources ---------------------------------------------------------
 
-    async def _source_body(self, source: SourceOperator) -> None:
-        condition = self._waiter.condition
+    def _open_source(self, source: SourceOperator) -> None:
         aevents = getattr(source, "aevents", None)
-        if aevents is not None:
-            # Async-native source: await between elements on the loop --
-            # a slow network feed parks this coroutine, nothing else.
-            async for _arrival, element in self.source_aevents(
-                source, aevents()
-            ):
-                await self._admit_source_element(source, element)
-        else:
-            for _arrival, element in self.source_events(source):
-                await self._admit_source_element(source, element)
-        await condition.acquire()
-        try:
-            # Same rule as the other engines: arrived control is
-            # delivered, but feedback still in flight toward an exhausted
-            # source is dropped -- the stream is over.
-            self.drain_control(source)
-            self.finish_operator(source)
-            self._waiter.notify_all()
-        finally:
-            condition.release()
+        if aevents is None:
+            super()._open_source(source)
+            return
+        request = self._requests[source.name] = asyncio.Event()
+        pump = asyncio.ensure_future(self._pump(source, aevents(), request))
+        pump.set_name(f"pump-{source.name}")
+        self._pumps.append(pump)
 
-    async def _admit_source_element(self, source: SourceOperator, element) -> None:
-        if self.emulate_costs:
-            cost = source.cost_of(element)
-            if cost > 0.0:
-                await asyncio.sleep(cost)  # outside the lock: sources overlap
-                source.metrics.busy_time += cost
-        else:
-            await asyncio.sleep(0)  # cooperative yield: consumers interleave
-        condition = self._waiter.condition
-        await condition.acquire()
-        try:
-            self.drain_control(source)
-            while self.is_paused(source):
-                # Honour backpressure: park until the consumer's resume
-                # arrives (every control send notifies the condition).
-                await self._wait_for_work(source)
-                self.drain_control(source)
-            self.dispatch_source_element(source, element)
-            wants_flush = getattr(source, "wants_flush", None)
-            if wants_flush is not None and wants_flush():
-                # Interactive feed gone quiet (Flow.ingest's channel is
-                # empty): flush partial pages now rather than batching
-                # them against input that may be seconds away.
-                source.flush_outputs()
-            self.check_pressure(source)
-            self._waiter.notify_all()
-        finally:
-            condition.release()
+    async def _pump(
+        self,
+        source: SourceOperator,
+        aevents: AsyncIterable[tuple[float, Any]],
+        request: asyncio.Event,
+    ) -> None:
+        """Feed one async source's elements onto the heap, one at a time.
 
-    async def _operator_body(self, operator: Operator) -> None:
-        condition = self._waiter.condition
-        await condition.acquire()
-        try:
-            while True:
-                if self.drain_control(operator):
-                    # Feedback handling may have emitted (partial results,
-                    # flushes, a lane-stash replay); consumers must hear
-                    # about it, and a replayed stash may refill a lane
-                    # queue past its high-water mark.
-                    self.check_pressure(operator)
-                    self._waiter.notify_all()
-                if self.is_paused(operator):
-                    # Transitive pressure: while paused this operator
-                    # pulls no pages, so its own inputs back up and pause
-                    # its producers.  Exhausted inputs may still finish
-                    # it -- holding finish hostage to a resume could
-                    # deadlock the tail of the stream.
-                    self.check_input_completion(operator)
-                    if operator.finished:
-                        return
-                    await self._wait_for_work(operator)
-                    continue
-                page, port = None, None
-                for candidate in operator.inputs:
-                    if candidate is None:
-                        continue
-                    page = candidate.queue.get_page()
-                    if page is not None:
-                        port = candidate
-                        break
-                if page is None:
-                    # Out of input: flush partial output pages before
-                    # parking, so interactive (always-on) flows deliver
-                    # results at input-idle time instead of holding them
-                    # until a page fills.  Under sustained load pages
-                    # fill before the input runs dry, so batching -- and
-                    # the batch-path throughput floor -- is preserved.
-                    operator.flush_outputs()
-                    self.check_input_completion(operator)
-                    if operator.finished:
-                        return
-                    await self._wait_for_work(operator)
-                    continue
-                operator.set_now(self.clock.now())
-                # Cooperative yield (or modeled-cost sleep) with the lock
-                # released, so sibling coroutines -- shard replicas,
-                # upstream producers -- interleave per page the way the
-                # threaded engine's threads get preempted.
-                if self.emulate_costs and operator.needs_metering:
-                    cost = operator.page_cost(port.index, page)
-                    await self._yield_outside_lock(cost)
-                    if cost > 0.0:
-                        operator.metrics.busy_time += cost
-                else:
-                    await self._yield_outside_lock(0)
-                # Page processing is synchronous and single-threaded, so
-                # holding the lock through it is free; control for this
-                # operator waits until the next loop turn (control-before-
-                # data is preserved per page, as on every engine).
-                operator.process_page(port.index, page)
-                self.mark_done_ports(operator)
-                self.check_relief(operator)
-                self.check_pressure(operator)
-                self._waiter.notify_all()
-        finally:
-            if condition.locked():
-                # Single-threaded loop: a held lock belongs to the
-                # running task (us); a cancellation delivered exactly at
-                # an internal re-acquire can land here without it.
-                condition.release()
-
-    async def _elastic_body(self) -> None:
-        """Controller ticker task: observe/decide/apply every interval.
-
-        Ticks run under the condition lock (the controller reads operator
-        counters and enqueues control, like any callback); the task is
-        cancelled by ``_arun`` once the workers drain.  A tick failure is
-        captured like an action error so ``arun`` re-raises it.
+        An element that lands at the head of the heap already due is
+        stepped right here: it is the step the driver would take next,
+        and taking it saves waking the driver once per element -- a
+        burst buffered in the feed is emitted in one go and the driver
+        wakes once, for the page it completed.  Anything else due first
+        (a pause for this source, a consumer's page) keeps its turn.
         """
-        interval = self.elastic.config.interval
-        condition = self._waiter.condition
-        while True:
-            await asyncio.sleep(interval)
-            await condition.acquire()
-            try:
-                try:
-                    self.elastic.tick(self.clock.now())
-                except BaseException as error:  # noqa: BLE001 - rethrown
-                    self._action_errors.append(error)
-                    return
-                self._waiter.notify_all()
-            finally:
-                condition.release()
-
-    async def _action_body(self, when: float, action: Callable[[], None]) -> None:
-        await asyncio.sleep(max(0.0, when - self.clock.now()))
-        condition = self._waiter.condition
-        await condition.acquire()
         try:
-            try:
-                action()
-            except BaseException as error:  # noqa: BLE001 - re-raised in run()
-                # A raised exception would otherwise vanish with this
-                # task and the run would report success with the action's
-                # effect silently missing.  Capture it; arun() re-raises.
-                self._action_errors.append(error)
-            self._waiter.notify_all()
-        finally:
-            condition.release()
+            async for _arrival, element in self.source_aevents(source, aevents):
+                request.clear()
+                payload = (source, element)
+                self._push(
+                    self._source_due(source, 0.0, element),
+                    _PRIO_SOURCE, "source", payload,
+                )
+                head = self._events[0]
+                if head[4] is payload and head[0] <= self.clock.now():
+                    self._step()
+                await request.wait()
+            self._push(self.clock.now(), _PRIO_SOURCE, "source", (source, None))
+        except Exception as error:  # noqa: BLE001 - re-raised by the driver
+            self._pump_error = error
+            self._wake.set()
 
-    # -- run -------------------------------------------------------------------------
+    def _schedule_next_source_event(self, source: SourceOperator) -> None:
+        request = self._requests.get(source.name)
+        if request is None:
+            super()._schedule_next_source_event(source)
+            return
+        wants_flush = getattr(source, "wants_flush", None)
+        if wants_flush is not None and wants_flush():
+            # Interactive feed gone quiet (Flow.ingest's channel is
+            # empty): flush partial pages now rather than batching them
+            # against input that may be seconds away.
+            source.flush_outputs()
+            self._after_activity(source)
+        request.set()
+
+    # -- run -------------------------------------------------------------------
+
+    async def _drive(self) -> None:
+        """Step the heap as its head falls due; sleep when nothing is."""
+        self._prime()
+        loop = asyncio.get_running_loop()
+        events, clock, wake = self._events, self.clock, self._wake
+        slice_end = clock.now() + _TIME_SLICE
+        while True:
+            now = clock.now()
+            if events and events[0][0] <= now:
+                self._step()
+                if now < slice_end:
+                    continue
+                await asyncio.sleep(0)
+            elif all(op.finished for op in self.plan):
+                # Entries still on the heap are moot: an action or
+                # in-flight control due after the plan drained never
+                # fires -- the stream is over.
+                return
+            else:
+                wake.clear()
+                timer = (
+                    loop.call_later(events[0][0] - now, wake.set)
+                    if events else None
+                )
+                try:
+                    await wake.wait()
+                finally:
+                    if timer is not None:
+                        timer.cancel()
+            # Pumps ran only while the driver was suspended just now.
+            if self._pump_error is not None:
+                raise self._pump_error
+            slice_end = clock.now() + _TIME_SLICE
 
     async def arun(self) -> RunResult:
         """Run the plan on the *current* event loop (async entry point)."""
         self._begin()
         try:
-            return await self._arun()
+            try:
+                async with asyncio.timeout(self.timeout) as watchdog:
+                    await self._drive()
+            except TimeoutError:
+                if not watchdog.expired():
+                    raise  # an operator's own TimeoutError, not ours
+                raise EngineError(
+                    f"plan did not finish within {self.timeout}s"
+                ) from None
+            finally:
+                for pump in self._pumps:
+                    pump.cancel()
+                await asyncio.gather(*self._pumps, return_exceptions=True)
         except BaseException as error:
             # Fail anyone parked on an unfinished operator (an
             # AwaitableSink's client coroutines) instead of leaving them
             # awaiting an on_finish that will never come.
             self._notify_run_aborted(error)
             raise
-
-    async def _arun(self) -> RunResult:
-        for op in self.plan:
-            # One cooperative loop needs no queue mutexes, but queues
-            # announce page-ready/close on the shared waiter seam so
-            # consumer coroutines wake as soon as a producer's page lands.
-            for edge in op.outputs:
-                edge.queue.attach_waiter(self._waiter)
-        condition = self._waiter.condition
-        await condition.acquire()
-        try:
-            # on_start may inject feedback (notify_control), so it must
-            # run under the same lock discipline as every callback.
-            self._start_operators()
-        finally:
-            condition.release()
-        workers = []
-        for op in self.plan:
-            if isinstance(op, SourceOperator):
-                body = self._source_body(op)
-            else:
-                body = self._operator_body(op)
-            workers.append(asyncio.ensure_future(body))
-            workers[-1].set_name(f"op-{op.name}")
-        actions = [
-            asyncio.ensure_future(self._action_body(when, action))
-            for when, action in self._actions
-        ]
-        if self.elastic is not None:
-            ticker = asyncio.ensure_future(self._elastic_body())
-            ticker.set_name("elastic-controller")
-            actions.append(ticker)
-        try:
-            await asyncio.wait_for(asyncio.gather(*workers), self.timeout)
-        except asyncio.TimeoutError:
-            raise EngineError(
-                f"operator coroutines did not finish within "
-                f"{self.timeout}s"
-            ) from None
-        finally:
-            # An action whose time falls after the plan drained never
-            # fires (and on failure nothing should linger on the loop).
-            for task in actions:
-                task.cancel()
-            for task in workers:
-                task.cancel()
-            await asyncio.gather(*actions, *workers, return_exceptions=True)
-        if self._action_errors:
-            raise self._action_errors[0]
-        return self.build_result(self.collect_metrics())
+        return self._finalise()
 
     def run(self) -> RunResult:
         """Run the plan to completion (synchronous entry point).

@@ -316,7 +316,6 @@ class MultiprocessEngine(RuntimeCore):
             for index, group in enumerate(self._groups)
             for name in group
         }
-        self._actions: list[tuple[float, Callable[[], None], str]] = []
         self._inboxes: list[Any] = []
         self._coord_inbox: Any = None
 
@@ -384,8 +383,6 @@ class MultiprocessEngine(RuntimeCore):
         workers execute.  ``Flow.run`` passes the feedback target
         automatically; owner-less actions are rejected.
         """
-        if self._started:
-            raise EngineError("schedule actions before calling run()")
         if owner is None:
             raise EngineError(
                 "the multiprocess engine requires owner= on scheduled "
@@ -395,7 +392,7 @@ class MultiprocessEngine(RuntimeCore):
             )
         if owner not in self.plan._operators:
             raise EngineError(f"unknown action owner {owner!r}")
-        self._actions.append((float(time), action, owner))
+        super().at(time, action, owner=owner)
 
     # -- run -------------------------------------------------------------------------
 

@@ -11,11 +11,15 @@ split made explicit:
   the runtime surface operators see (``now`` / ``notify_control`` /
   ``notify_data`` / the feedback and output logs);
 * engines subclass it with a **policy**: the deterministic
-  :class:`~repro.engine.simulator.Simulator` (event heap + virtual clock)
-  and the :class:`~repro.engine.threaded.ThreadedRuntime` (thread per
-  operator + condition waits).  Future backends (asyncio, sharded,
-  multi-process workers) add a policy subclass without re-implementing the
-  control/completion/finish protocol.
+  :class:`~repro.engine.simulator.Simulator` (event heap + virtual
+  clock), the :class:`~repro.engine.async_engine.AsyncioEngine` (the same
+  heap on a wall clock inside an event loop), the
+  :class:`~repro.engine.threaded.ThreadedRuntime` (thread per operator +
+  condition waits) and the :class:`~repro.engine.multiprocess.
+  MultiprocessEngine` (worker processes running threaded runtimes).  A
+  backend is a policy subclass; none re-implements the
+  control/completion/finish protocol, and all share one
+  :meth:`RuntimeCore.at` for scheduled client actions.
 
 Policy hooks a subclass may override:
 
@@ -75,7 +79,7 @@ control kinds forward hop-by-hop through both boundary operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.feedback import (
     CheckpointPunctuation,
@@ -158,6 +162,10 @@ class RuntimeCore:
         self.feedback_log = FeedbackLog()
         self.output_log = OutputLog()
         self._started = False
+        #: ``(time, action, owner)`` entries registered through :meth:`at`.
+        self._actions: list[
+            tuple[float, Callable[[], None], str | None]
+        ] = []
         #: Edges (by queue name) each operator is currently paused on.
         self._paused_outputs: dict[str, set[str]] = {}
         #: When each currently-paused operator's first pause landed.
@@ -212,6 +220,30 @@ class RuntimeCore:
     def notify_data(self, operator: Operator) -> None:
         """New data is ready for ``operator``; wake it."""
         raise NotImplementedError
+
+    def at(
+        self,
+        time: float,
+        action: Callable[[], None],
+        *,
+        owner: str | None = None,
+    ) -> None:
+        """Schedule a client-side action (poll, zoom, demand) at ``time``.
+
+        ``time`` is on the engine's clock: virtual seconds on the
+        simulator, wall-clock seconds on the others.  The engine runs
+        the action between operator steps; an action whose time falls
+        after the plan has drained never fires on a wall clock -- the
+        "the stream is over" rule every engine applies to in-flight
+        feedback.  ``owner`` names the operator the action targets:
+        single-process engines ignore it, the multiprocess engine
+        requires it to pick the worker that runs the action.  This one
+        signature is the engine contract ``Flow.run`` calls
+        (``docs/engines.md``, "Scheduled actions").
+        """
+        if self._started:
+            raise EngineError("schedule actions before calling run()")
+        self._actions.append((float(time), action, owner))
 
     # -- policy hooks ----------------------------------------------------------------
 

@@ -37,6 +37,16 @@ Pages are handed to operators through
 take the page whole, costed operators get a per-element ``meter`` that
 charges their cost model and stamps the virtual clock before each element
 is delivered as a page of one.
+
+The scheduler is shared with the asyncio engine: :meth:`Simulator._step`
+pops one event and runs its handler without touching the clock, and the
+loop around it decides what "the next event's time has come" means.  This
+module's loop jumps a virtual clock there;
+:class:`~repro.engine.async_engine.AsyncioEngine` subclasses
+:class:`Simulator` on a wall clock and waits.  What differs between the
+two is confined to a few small hooks (``clock_class``,
+``emulate_costs``, ``_source_due``, ``_earliest_start``, ``_input_dry``,
+``_quiescent``, ``_open_source``).
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from repro.engine.plan import QueryPlan
 from repro.engine.runtime import RunResult, RuntimeCore
 from repro.errors import EngineError
 from repro.operators.base import InputPort, Operator, SourceOperator
-from repro.stream.clock import VirtualClock
+from repro.stream.clock import Clock, VirtualClock
 
 __all__ = ["Simulator", "RunResult"]
 
@@ -72,6 +82,12 @@ class Simulator(RuntimeCore):
         Safety valve against runaway plans.
     """
 
+    #: The clock the event heap is ordered on.
+    clock_class: type[Clock] = VirtualClock
+    #: Virtual time always charges operator cost models; the wall-clock
+    #: subclass charges them only under its ``emulate_costs`` keyword.
+    emulate_costs = True
+
     def __init__(
         self,
         plan: QueryPlan,
@@ -85,7 +101,7 @@ class Simulator(RuntimeCore):
         elastic: Any = None,
     ) -> None:
         super().__init__(
-            plan, VirtualClock(), control_latency=control_latency,
+            plan, self.clock_class(), control_latency=control_latency,
             checkpoint_every=checkpoint_every,
             checkpoint_store=checkpoint_store,
             recover_from=recover_from,
@@ -100,7 +116,6 @@ class Simulator(RuntimeCore):
         self._source_iters: dict[str, Iterator[tuple[float, Any]]] = {}
         self._rr_port: dict[str, int] = {}
         self._events_processed = 0
-        self._actions: list[tuple[float, Callable[[], None]]] = []
         #: Source elements that arrived while their source was paused:
         #: exactly one per paused source (event chaining stops at the
         #: stash), replayed by ``_on_resumed``.
@@ -144,12 +159,6 @@ class Simulator(RuntimeCore):
             operator,
         )
 
-    def at(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule a client-side action (poll, zoom, demand) at a time."""
-        if self._started:
-            raise EngineError("schedule actions before calling run()")
-        self._actions.append((time, action))
-
     # -- RuntimeCore policy hooks --------------------------------------------------
 
     def notify_control(self, operator: Operator, at: float | None = None) -> None:
@@ -162,7 +171,7 @@ class Simulator(RuntimeCore):
         return max(self._busy_until[operator.name], self.clock.now())
 
     def _charge_control(self, operator: Operator) -> None:
-        cost = operator.control_cost
+        cost = operator.control_cost if self.emulate_costs else 0.0
         busy = max(self._busy_until[operator.name], self.clock.now())
         busy += cost
         self._busy_until[operator.name] = busy
@@ -200,44 +209,58 @@ class Simulator(RuntimeCore):
             raise
 
     def _run(self) -> RunResult:
+        self._prime()
+        while self._events:
+            if self._events_processed >= self.max_events:
+                raise EngineError(
+                    f"exceeded max_events={self.max_events}; "
+                    "plan is likely livelocked"
+                )
+            self.clock.advance_to(self._events[0][0])
+            self._step()
+        return self._finalise()
+
+    def _prime(self) -> None:
+        """Start the operators and seed the heap with the first events."""
         for op in self.plan:
             self._busy_until[op.name] = 0.0
             self._work_scheduled[op.name] = False
             self._rr_port[op.name] = 0
         self._start_operators()
         for source in self.plan.sources():
-            iterator = iter(self.source_events(source))
-            self._source_iters[source.name] = iterator
-            self._schedule_next_source_event(source)
-        for time, action in self._actions:
+            self._open_source(source)
+        for time, action, _owner in self._actions:
             self._push(time, _PRIO_ACTION, "action", action)
         if self.elastic is not None:
             self._push(
                 self.elastic.config.interval, _PRIO_ACTION, "elastic", None
             )
 
-        while self._events:
-            self._events_processed += 1
-            if self._events_processed > self.max_events:
-                raise EngineError(
-                    f"exceeded max_events={self.max_events}; "
-                    "plan is likely livelocked"
-                )
-            time, _prio, _seq, kind, payload = heapq.heappop(self._events)
-            self.clock.advance_to(time)
-            if kind == "source":
-                self._handle_source(payload)
-            elif kind == "control":
-                self._handle_control(payload)
-            elif kind == "action":
-                payload()
-            elif kind == "elastic":
-                self._handle_elastic()
-            else:
-                self._handle_work(payload)
-        return self._finalise()
+    def _step(self) -> None:
+        """Pop the earliest event and run its handler to completion.
+
+        The caller has already brought the clock to the event's time
+        (jumped there, or waited for it).
+        """
+        self._events_processed += 1
+        _time, _prio, _seq, kind, payload = heapq.heappop(self._events)
+        if kind == "source":
+            self._handle_source(payload)
+        elif kind == "control":
+            self._handle_control(payload)
+        elif kind == "action":
+            payload()
+        elif kind == "elastic":
+            self._handle_elastic()
+        else:
+            self._handle_work(payload)
 
     # ------------------------------------------------------------- sources
+
+    def _open_source(self, source: SourceOperator) -> None:
+        """Begin replaying ``source``'s timeline."""
+        self._source_iters[source.name] = iter(self.source_events(source))
+        self._schedule_next_source_event(source)
 
     def _schedule_next_source_event(self, source: SourceOperator) -> None:
         iterator = self._source_iters[source.name]
@@ -246,8 +269,14 @@ class Simulator(RuntimeCore):
         except StopIteration:
             self._push(self.clock.now(), _PRIO_SOURCE, "source", (source, None))
             return
-        self._push(max(arrival, self.clock.now()), _PRIO_SOURCE,
+        self._push(self._source_due(source, arrival, element), _PRIO_SOURCE,
                    "source", (source, element))
+
+    def _source_due(
+        self, source: SourceOperator, arrival: float, element: Any
+    ) -> float:
+        """When a replayed element enters the plan: its recorded arrival."""
+        return arrival
 
     def _handle_source(self, payload: tuple[SourceOperator, Any]) -> None:
         source, element = payload
@@ -280,18 +309,23 @@ class Simulator(RuntimeCore):
 
     # -------------------------------------------------------------- elastic
 
-    def _handle_elastic(self) -> None:
-        """One controller tick on the virtual cadence, self-rescheduling.
+    def _quiescent(self) -> bool:
+        """True when nothing can happen any more: an empty heap."""
+        return not self._events
 
-        The chain stops when the plan has finished *or* the heap is
-        empty after the tick -- an unconditional reschedule would keep
-        the run alive forever, and checking the heap preserves the old
-        termination semantics exactly (a quiet but unfinished plan still
-        has its own events pending).
+    def _handle_elastic(self) -> None:
+        """One controller tick on the engine's cadence, self-rescheduling.
+
+        The chain stops when the plan has finished *or* the run is
+        quiescent after the tick -- an unconditional reschedule would
+        keep a virtual-time run alive forever (a quiet but unfinished
+        plan still has its own events pending).
         """
         now = self.clock.now()
         self.elastic.tick(now)
-        if self._events and not all(op.finished for op in self.plan):
+        if not self._quiescent() and not all(
+            op.finished for op in self.plan
+        ):
             self._push(
                 now + self.elastic.config.interval,
                 _PRIO_ACTION, "elastic", None,
@@ -374,6 +408,7 @@ class Simulator(RuntimeCore):
             busy = max(
                 self._busy_until[operator.name],
                 page.available_at or 0.0,
+                self._earliest_start(),
             )
             self._busy_until[operator.name] = busy
             operator.set_now(busy)
@@ -383,16 +418,32 @@ class Simulator(RuntimeCore):
                 port.index, page,
                 meter=(
                     self._make_meter(operator, port.index)
-                    if operator.needs_metering else None
+                    if self.emulate_costs and operator.needs_metering
+                    else None
                 ),
             )
             self.check_relief(
                 operator, at=self._busy_until[operator.name]
             )
+        more = self._has_data_work(operator)
+        if not more:
+            self._input_dry(operator)
         self.check_input_completion(operator)
         self._after_activity(operator, at=self._busy_until[operator.name])
-        if not operator.finished and self._has_data_work(operator):
+        if more and not operator.finished:
             self.schedule_work(operator, at=self._earliest_ready(operator))
+
+    def _earliest_start(self) -> float:
+        """Floor on the time an operator may start a page.
+
+        None on virtual time: each operator is its own CPU, so an idle
+        one starts a page the moment it became available even when the
+        work event fires later (behind a sibling port's page, say).
+        """
+        return 0.0
+
+    def _input_dry(self, operator: Operator) -> None:
+        """``operator`` has no ready input page left after this step."""
 
     # -------------------------------------------------------------- plumbing
 

@@ -28,16 +28,19 @@ Like the simulator, this engine is a *policy* layer over
 :class:`~repro.engine.runtime.RuntimeCore` (see DESIGN.md section 3): the
 core owns control draining (including ``control_latency`` arrival
 semantics, which this runtime honours on the wall clock), completion
-bookkeeping and operator finish; this module owns the threads.  The
-wake-up half of the policy -- notify hooks, deferred-control deadlines --
-is the shared :class:`~repro.engine.notify.NotificationPolicy`, bound to
-a :class:`~repro.stream.waiters.ThreadConditionWaiter` here and to an
-``asyncio.Condition`` in the asyncio engine.  Waits are purely
-notification-driven -- every state change (page flushed, queue closed,
-control sent) is followed by a ``notify_all``, with page-ready and close
-events announced by the :class:`~repro.stream.queues.DataQueue` waiter
-seam itself -- so idle operators consume no CPU; the run-level
-``timeout`` is only a watchdog on thread joins.  Operators receive whole
+bookkeeping and operator finish; this module owns the threads and their
+wake-ups.  Every core policy hook (``notify_control`` / ``notify_data``
+/ ``_on_finished`` / ``_on_paused`` / ``_on_resumed``) is a
+``notify_all`` on one ``threading.Condition``, and a control message
+still in flight under ``control_latency`` becomes a per-operator wake-up
+deadline, recomputed on every drain, that bounds that operator's next
+wait.  Waits are purely notification-driven -- every state change (page
+flushed, queue closed, control sent) is followed by a ``notify_all``,
+with page-ready and close events announced by the
+:class:`~repro.stream.queues.DataQueue` itself through its attached
+:class:`~repro.stream.waiters.ThreadConditionWaiter` -- so idle operators
+consume no CPU; the run-level ``timeout`` is only a watchdog on thread
+joins.  Operators receive whole
 pages through :meth:`~repro.operators.base.Operator.process_page` with no
 ``meter``, since wall-clock time needs no per-element metering.
 
@@ -59,7 +62,6 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.engine.notify import NotificationPolicy
 from repro.engine.plan import QueryPlan
 from repro.engine.runtime import RunResult, RuntimeCore
 from repro.errors import EngineError
@@ -70,7 +72,7 @@ from repro.stream.waiters import ThreadConditionWaiter
 __all__ = ["ThreadedRuntime"]
 
 
-class ThreadedRuntime(NotificationPolicy, RuntimeCore):
+class ThreadedRuntime(RuntimeCore):
     """Run a plan with one thread per operator and wake-up signalling.
 
     Parameters
@@ -125,38 +127,16 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
         self.emulate_costs = emulate_costs
         self._lock = threading.RLock()
         self._wakeup = threading.Condition(self._lock)
-        self._init_notifications(ThreadConditionWaiter(self._wakeup))
-        self._actions: list[tuple[float, Callable[[], None]]] = []
+        #: What queues notify when a page lands or the stream closes.
+        self._waiter = ThreadConditionWaiter(self._wakeup)
+        #: Earliest pending-but-unarrived control arrival per operator;
+        #: bounds that operator's next wait so delivery is not missed.
+        self._control_deadline: dict[str, float] = {}
         self._action_errors: list[BaseException] = []
         #: First exception raised inside an operator thread.  It aborts
         #: the whole run: every body checks the flag when it wakes, so
         #: the run fails fast instead of hanging until the watchdog.
         self._abort_error: BaseException | None = None
-
-    def at(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        owner: str | None = None,
-    ) -> None:
-        """Schedule a client-side action at ``time`` wall-clock seconds.
-
-        Mirrors :meth:`Simulator.at` so callers (``Flow.run``'s feedback
-        injection, tests) can schedule actions engine-agnostically.  The
-        action runs on a timer thread under the plan lock, measured from
-        run start; an action whose time falls after the plan has already
-        drained never fires -- the same "the stream is over" rule both
-        engines apply to in-flight feedback.
-
-        ``owner`` optionally names the operator the action targets.  A
-        single-process runtime ignores it (every operator is local); the
-        multiprocess engine uses it to route the action to the worker
-        owning that operator.
-        """
-        if self._started:
-            raise EngineError("schedule actions before calling run()")
-        self._actions.append((float(time), action))
 
     def _run_action(self, action: Callable[[], None]) -> None:
         # Runs on a timer thread: a raised exception would otherwise be
@@ -171,9 +151,40 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
                 self._action_errors.append(error)
                 self._wakeup.notify_all()
 
-    # The wake-up hooks (notify_control/notify_data, deferred-control
-    # deadlines, _on_finished/_on_paused/_on_resumed) come from
-    # NotificationPolicy, shared with the asyncio engine.
+    # -- wake-ups: every RuntimeCore policy hook is a notify_all ------------------
+
+    def notify_control(
+        self, operator: Operator, at: float | None = None
+    ) -> None:
+        # ``at`` is a virtual-time hint only the heap scheduler needs;
+        # arrival gating happens in the core's drain via
+        # ``control_latency``.
+        self._waiter.notify_all()
+
+    def notify_data(self, operator: Operator) -> None:
+        self._waiter.notify_all()
+
+    def _on_finished(self, operator: Operator, at: float) -> None:
+        self._waiter.notify_all()
+
+    def _on_paused(self, operator: Operator, at: float) -> None:
+        # The pause flushed open output pages; wake consumers to drain
+        # them (that drain is what will eventually produce the resume).
+        self._waiter.notify_all()
+
+    def _on_resumed(self, operator: Operator, at: float) -> None:
+        self._waiter.notify_all()
+
+    def drain_control(self, operator: Operator) -> bool:
+        # Deadlines are recomputed from scratch on every drain: the core
+        # re-defers whatever is still in flight.
+        self._control_deadline.pop(operator.name, None)
+        return super().drain_control(operator)
+
+    def _defer_control(self, operator: Operator, arrival: float) -> None:
+        deadline = self._control_deadline.get(operator.name)
+        if deadline is None or arrival < deadline:
+            self._control_deadline[operator.name] = arrival
 
     # -- thread bodies --------------------------------------------------------------
 
@@ -183,7 +194,11 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
         Purely notification-driven; the only timed wait is the arrival
         deadline of an in-flight (deferred) control message.
         """
-        self._wakeup.wait(timeout=self.wait_timeout(operator))
+        deadline = self._control_deadline.get(operator.name)
+        self._wakeup.wait(
+            None if deadline is None
+            else max(0.0, deadline - self.clock.now())
+        )
 
     def _source_body(self, source: SourceOperator) -> None:
         for _arrival, element in self.source_events(source):
@@ -365,7 +380,7 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
             )
             threads.append(thread)
         timers: list[threading.Timer] = []
-        for time, action in self._actions:
+        for time, action, _owner in self._actions:
             timer = threading.Timer(time, self._run_action, args=(action,))
             timer.daemon = True
             timers.append(timer)

@@ -8,11 +8,11 @@ paper's "avoidance of unnecessary work".
 
 Sources are also where backpressure terminates: when a bounded downstream
 queue signals *pause*, the engine stops replaying the source's timeline
-(the simulator stashes the in-flight event, the threaded runtime sleeps
-the source thread) until the matching *resume* arrives, so input is
-admitted no faster than the plan can absorb it.  Sources need no code for
-this -- the engines honour it on their behalf (see
-:mod:`repro.engine.runtime`).
+(the simulator and the asyncio engine stash the in-flight event, the
+threaded runtime sleeps the source thread) until the matching *resume*
+arrives, so input is admitted no faster than the plan can absorb it.
+Sources need no code for this -- the engines honour it on their behalf
+(see :mod:`repro.engine.runtime`).
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class AsyncIterableSource(SourceOperator):
     lazily at engine start and must return an async iterable (typically
     an async generator).  On the asyncio engine
     (:class:`~repro.engine.async_engine.AsyncioEngine`) the iterable is
-    consumed through :meth:`aevents` natively -- each ``await`` between
-    elements parks only this source's coroutine, so thousands of slow
-    feeds share one event loop.
+    consumed through :meth:`aevents` natively by one pump task -- each
+    ``await`` between elements parks only this source's pump, so
+    thousands of slow feeds share one event loop.
 
     The synchronous :meth:`events` bridge keeps the source runnable on
     the simulator and the threaded runtime: it pumps a private event

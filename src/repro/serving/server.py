@@ -4,7 +4,7 @@
 three client protocols over it (HTTP POST ingest, SSE push delivery,
 websocket duplex), routing everything to a
 :class:`~repro.serving.supervisor.FlowSupervisor`.  The whole service --
-every socket handler, every operator coroutine of every flow -- runs
+every socket handler, every flow's engine driver and source pumps -- runs
 cooperatively on one event loop, which is what makes the end-to-end
 backpressure story airtight: a slow subscriber blocks its writer's
 ``drain()``, the hub gate closes, ingest awaits, and the ingesting

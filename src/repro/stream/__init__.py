@@ -25,14 +25,9 @@ from repro.stream.pages import DEFAULT_PAGE_SIZE, Page
 from repro.stream.queues import DataQueue
 from repro.stream.schema import Attribute, AttributeOrigin, Schema, SchemaMapping
 from repro.stream.tuples import StreamTuple
-from repro.stream.waiters import (
-    AsyncioConditionWaiter,
-    ThreadConditionWaiter,
-    Waiter,
-)
+from repro.stream.waiters import ThreadConditionWaiter
 
 __all__ = [
-    "AsyncioConditionWaiter",
     "Attribute",
     "AttributeOrigin",
     "Broadcast",
@@ -51,6 +46,5 @@ __all__ = [
     "Subscription",
     "ThreadConditionWaiter",
     "VirtualClock",
-    "Waiter",
     "WallClock",
 ]

@@ -10,8 +10,8 @@ deliberately placed in the engine-agnostic stream substrate:
   plugs straight into :class:`~repro.operators.source.
   AsyncIterableSource` (``Flow.ingest``).  When the plan's interior
   queues cross their high-water marks, the engine's pause
-  :class:`~repro.core.feedback.FlowControlPunctuation` parks the source
-  coroutine, the channel fills to its own capacity, and
+  :class:`~repro.core.feedback.FlowControlPunctuation` parks the source's
+  pump task, the channel fills to its own capacity, and
   :meth:`Channel.put` awaits -- which suspends the socket handler and
   stops it reading, so backpressure reaches the client's TCP connection
   without a single dropped element.

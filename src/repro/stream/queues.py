@@ -25,15 +25,17 @@ on every queue before starting threads -- producers then emit whole pages
 concurrently), so the producer/consumer critical sections here are guarded
 by a per-queue mutex instead.
 
-Concurrent engines additionally :meth:`attach_waiter` a wake-up primitive
-(the :class:`~repro.stream.waiters.Waiter` seam): whenever a page becomes
-ready -- or the queue closes -- the queue notifies the waiter itself, so
-"new data wakes the consumer" is one code path shared by the threaded
-runtime (``threading.Condition``) and the asyncio engine
-(``asyncio.Condition``) instead of per-engine wake-up plumbing.  The
-notification always fires *after* the per-queue mutex is released, so a
-waiter that takes the engine lock can never deadlock against a consumer
-holding that lock while popping pages.
+The threaded runtime additionally attaches its wake-up handle
+(:meth:`attach_waiter`, a
+:class:`~repro.stream.waiters.ThreadConditionWaiter`): whenever a page
+becomes ready -- or the queue closes -- the queue notifies the waiter
+itself, so "new data wakes the consumer" holds even for producers
+emitting outside the plan lock.  The notification always fires *after*
+the per-queue mutex is released, so a waiter that takes the engine lock
+can never deadlock against a consumer holding that lock while popping
+pages.  The cooperative engines (simulator, asyncio) attach nothing:
+their scheduler stamps freshly flushed pages after every step
+(:meth:`stamp_ready`) and schedules the consumer itself.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Any, Iterator
 
 from repro.errors import EngineError
 from repro.stream.pages import DEFAULT_PAGE_SIZE, Page
-from repro.stream.waiters import Waiter
+from repro.stream.waiters import ThreadConditionWaiter
 
 __all__ = ["DataQueue"]
 
@@ -105,10 +107,10 @@ class DataQueue:
         #: Optional per-queue mutex (threaded runtime only); None keeps
         #: the single-threaded fast path completely lock-free.
         self._mutex: threading.Lock | None = None
-        #: Optional wake-up primitive (concurrent engines); notified --
+        #: Optional wake-up handle (threaded runtime); notified --
         #: outside the mutex -- when a page becomes ready or the queue
         #: closes, so consumers sleeping on the engine's condition wake.
-        self._waiter: Waiter | None = None
+        self._waiter: ThreadConditionWaiter | None = None
         self.pages_flushed = 0
         self.elements_enqueued = 0
 
@@ -123,14 +125,12 @@ class DataQueue:
         if self._mutex is None:
             self._mutex = threading.Lock()
 
-    def attach_waiter(self, waiter: Waiter | None) -> None:
-        """Install the engine's wake-up primitive (the waiter seam).
+    def attach_waiter(self, waiter: ThreadConditionWaiter | None) -> None:
+        """Install the threaded runtime's wake-up handle.
 
-        Concurrent engines attach their condition adapter
-        (:class:`~repro.stream.waiters.ThreadConditionWaiter` or
-        :class:`~repro.stream.waiters.AsyncioConditionWaiter`) before the
-        run starts; the queue then announces page-ready and close events
-        itself, one shared code path for both primitives.
+        Attached before the run starts; the queue then announces
+        page-ready and close events itself, from whichever thread
+        produced them.
         """
         self._waiter = waiter
 

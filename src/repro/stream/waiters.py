@@ -1,50 +1,27 @@
-"""Waiter protocol: the one wake-up seam shared by concurrent engines.
+"""The threaded runtime's wake-up seam.
 
-The threaded runtime and the asyncio engine are both *notification-driven*
-(paper section 5: "each operator has an object that it sleeps on when it
-has no work to do.  An operator is awakened when a new data page or
-control message is sent to it").  The primitive underneath differs --
-``threading.Condition`` for preemptive threads, ``asyncio.Condition`` for
-cooperative coroutines -- but the protocol the runtime needs is the same
-and small:
+The threaded runtime is *notification-driven* (paper section 5: "each
+operator has an object that it sleeps on when it has no work to do.  An
+operator is awakened when a new data page or control message is sent to
+it").  Its operator threads park on one ``threading.Condition``;
+:class:`ThreadConditionWaiter` is the handle the rest of the runtime
+notifies it through -- operator callbacks, scheduled actions, and
+:class:`~repro.stream.queues.DataQueue` itself: a queue with a waiter
+attached (``DataQueue.attach_waiter``) announces "a page became ready /
+the stream closed" from whichever thread produced it, including
+producers that emit outside the engine's plan lock.
 
-* ``notify_all()`` -- callable *synchronously* from anywhere inside the
-  engine (operator callbacks, queue hand-offs, scheduled actions), waking
-  every sleeping worker so it can re-scan for work;
-* a wait primitive the engine's workers park on, optionally bounded by a
-  deadline (the arrival time of an in-flight ``control_latency`` message).
-
-This module is that seam.  :class:`ThreadConditionWaiter` and
-:class:`AsyncioConditionWaiter` adapt the two stdlib conditions to one
-interface, so the wake-up half of an engine policy
-(:class:`~repro.engine.notify.NotificationPolicy`) and the page-ready
-hand-off in :class:`~repro.stream.queues.DataQueue` are written exactly
-once instead of per engine.  ``DataQueue.attach_waiter`` is the
-queue-side hook: a queue with a waiter announces "a page became ready /
-the stream closed" itself, on whichever primitive the running engine
-uses.
+The cooperative engines need none of this: the simulator and the asyncio
+engine run every operator step from one scheduler loop, which learns
+about new pages by stamping them (``DataQueue.stamp_ready``) after each
+step.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
-from typing import Protocol, runtime_checkable
 
-__all__ = [
-    "AsyncioConditionWaiter",
-    "ThreadConditionWaiter",
-    "Waiter",
-]
-
-
-@runtime_checkable
-class Waiter(Protocol):
-    """What the shared runtime code needs from a wake-up primitive."""
-
-    def notify_all(self) -> None:
-        """Wake every sleeping worker (callable from synchronous code)."""
-        ...
+__all__ = ["ThreadConditionWaiter"]
 
 
 class ThreadConditionWaiter:
@@ -53,8 +30,7 @@ class ThreadConditionWaiter:
     ``notify_all`` acquires the condition's (re-entrant) lock itself, so
     it is safe both from a worker thread that already holds the engine
     lock and from one that does not (a producer emitting pages outside
-    the plan lock).  ``wait`` must be called with the lock held -- the
-    engine's worker loop already runs under it.
+    the plan lock).
     """
 
     __slots__ = ("condition",)
@@ -69,76 +45,5 @@ class ThreadConditionWaiter:
         with self.condition:
             self.condition.notify_all()
 
-    def wait(self, timeout: float | None = None) -> None:
-        """Park the calling thread (lock held) until notified."""
-        self.condition.wait(timeout)
-
     def __repr__(self) -> str:
         return "ThreadConditionWaiter()"
-
-
-class AsyncioConditionWaiter:
-    """Adapter over ``asyncio.Condition`` for the asyncio engine.
-
-    The engine's coroutines run their synchronous sections while holding
-    the condition's lock (cooperative scheduling makes that free: only
-    one coroutine executes at a time anyway), so ``notify_all`` called
-    from inside an operator callback finds the lock held by the running
-    task and notifies directly -- no polling, exactly mirroring the
-    threaded runtime's discipline.
-
-    Because no coroutine is ever *suspended* while holding the lock (the
-    only awaits under it are ``Condition.wait`` -- which releases it --
-    and explicit release/re-acquire around cost-emulation sleeps), a
-    held lock always belongs to the currently running task.  The rare
-    caller outside that discipline (client code poking the plan from the
-    loop) falls back to a scheduled notify task, so wake-ups are never
-    dropped.
-    """
-
-    __slots__ = ("condition", "_pending_notifies")
-
-    def __init__(self) -> None:
-        # Binding to the running loop happens lazily on first await
-        # (Python >= 3.10), so the waiter may be built before the loop.
-        self.condition = asyncio.Condition()
-        #: Strong references to fall-back notify tasks: the loop keeps
-        #: only weak ones, and a collected task would drop the wake-up.
-        self._pending_notifies: set[asyncio.Task] = set()
-
-    def notify_all(self) -> None:
-        condition = self.condition
-        if condition.locked():
-            # Single-threaded loop + the no-await-while-locked discipline
-            # above: a held lock is held by the running task, i.e. us.
-            condition.notify_all()
-            return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            return  # no loop running -> nobody can be waiting
-        task = loop.create_task(self._locked_notify())
-        self._pending_notifies.add(task)
-        task.add_done_callback(self._pending_notifies.discard)
-
-    async def _locked_notify(self) -> None:
-        async with self.condition:
-            self.condition.notify_all()
-
-    async def wait(self, timeout: float | None = None) -> None:
-        """Park the calling coroutine (lock held) until notified.
-
-        On timeout the condition's lock is re-acquired before returning,
-        so callers hold it again either way -- the same contract as
-        ``threading.Condition.wait(timeout)``.
-        """
-        if timeout is None:
-            await self.condition.wait()
-            return
-        try:
-            await asyncio.wait_for(self.condition.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass  # deadline waits time out routinely; lock is re-held
-
-    def __repr__(self) -> str:
-        return "AsyncioConditionWaiter()"

@@ -1,4 +1,4 @@
-"""The asyncio engine: coroutine-per-operator policy over RuntimeCore.
+"""The asyncio engine: the simulator's scheduler on the wall clock.
 
 Covers what the cross-engine parity suites (test_engine_core,
 test_api_flow, test_backpressure, test_sharding -- all of which now run
@@ -13,11 +13,14 @@ an ``asyncio`` leg) do not: the async-native surface itself.
   one loop (the reason this backend exists);
 * ``AwaitableSink`` resolves for concurrent client coroutines and after
   synchronous runs on every engine;
-* scheduled actions (``at()``/declarative feedback) fire under the lock,
+* scheduled actions (``at()``/declarative feedback) fire when due,
   their errors re-raise, and ``control_latency`` defers delivery on the
   wall clock exactly as on the threaded runtime;
-* ``emulate_costs`` charges the cost model via ``asyncio.sleep`` and
-  records it as ``busy_time``;
+* ``emulate_costs`` charges the cost model as wall-clock busy horizons
+  -- operators and sources -- and records it as ``busy_time``;
+* sharing the loop: the driver yields under a saturating source, an
+  idle feed costs no steps, a run owns one pump task per async source
+  and nothing else, and cancelling it cancels them all;
 * the run-level watchdog turns a wedged plan into ``EngineError``.
 """
 
@@ -319,6 +322,133 @@ class TestEmulatedCosts:
         flow.run("asyncio", emulate_costs=True, timeout=30.0)
         wall = time.perf_counter() - start
         assert wall < 1.8 * per_branch  # serial would be ~2x + overhead
+
+    @pytest.mark.parametrize("engine", ["threaded", "asyncio"])
+    def test_source_cost_is_charged_and_sources_overlap(self, engine):
+        """A costed source is busy ``cost_of(element)`` before each
+        element on both wall-clock engines, and two costed sources are
+        busy concurrently."""
+        n, cost = 40, 0.002
+
+        def run(names):
+            flow = Flow("costed-sources")
+            feeds = [
+                flow.source(SCHEMA, timeline(n), name=name, tuple_cost=cost)
+                for name in names
+            ]
+            (feeds[0].union(*feeds[1:]) if feeds[1:] else feeds[0]).collect(
+                "sink"
+            )
+            start = time.perf_counter()
+            result = flow.run(engine, emulate_costs=True, timeout=30.0)
+            return result, time.perf_counter() - start
+
+        one, wall_one = run(["a"])
+        busy = one.metrics.operator_metrics["a"].busy_time
+        assert busy == pytest.approx(n * cost, rel=0.05)
+        assert wall_one >= 0.9 * n * cost
+        two, wall_two = run(["a", "b"])
+        assert len(two.sink("sink").results) == 2 * n
+        assert wall_two < 1.8 * wall_one  # serial would be ~2x
+
+
+class TestSharingTheLoop:
+    """What one cooperative scheduler owes the loop it runs on."""
+
+    def test_saturating_source_does_not_starve_the_loop(self):
+        """A heartbeat beside a 50k-tuple synchronous replay keeps
+        ticking: the driver yields once per time slice."""
+        engine = create_engine(
+            "asyncio", linear_flow(50_000).build(), timeout=60.0
+        )
+
+        async def main():
+            gaps = []
+
+            async def heartbeat():
+                last = time.perf_counter()
+                while True:
+                    await asyncio.sleep(0.001)
+                    now = time.perf_counter()
+                    gaps.append(now - last)
+                    last = now
+
+            beat = asyncio.ensure_future(heartbeat())
+            start = time.perf_counter()
+            result = await engine.arun()
+            wall = time.perf_counter() - start
+            beat.cancel()
+            return result, wall, gaps
+
+        result, wall, gaps = asyncio.run(main())
+        assert len(result.sink("sink").results) == 50_000
+        assert max(gaps) < 0.1
+        assert len(gaps) >= wall / 0.010  # a tick per 10 ms, on average
+
+    def test_idle_feed_costs_no_events(self):
+        """A feed that sleeps between elements parks its pump; the
+        scheduler does not poll while it waits."""
+
+        def events_processed(gap):
+            async def feed_():
+                yield 0.0, tup(0)
+                await asyncio.sleep(gap)
+                yield 1.0, tup(1)
+
+            flow = Flow("idle")
+            flow.from_async_iterable(SCHEMA, feed_).collect("sink")
+            result = flow.run("asyncio", timeout=30.0)
+            assert len(result.sink("sink").results) == 2
+            return result.metrics.events_processed
+
+        assert events_processed(0.3) <= events_processed(0.0) + 2
+
+    def test_one_driver_and_one_pump_per_async_source(self):
+        """No task per operator, per action or per elastic tick."""
+        flow = Flow("tasks")
+        a = flow.from_async_iterable(SCHEMA, feed(5, delay=0.01), name="a")
+        b = flow.from_async_iterable(SCHEMA, feed(5, delay=0.01), name="b")
+        c = flow.source(SCHEMA, timeline(5), name="c")
+        a.union(b, c).where(lambda t: True, name="keep").collect("sink")
+        engine = create_engine("asyncio", flow.build(), timeout=30.0)
+        engine.at(0.01, lambda: None)
+
+        async def main():
+            before = asyncio.all_tasks()
+            run = asyncio.ensure_future(engine.arun())
+            await asyncio.sleep(0.02)
+            during = asyncio.all_tasks() - before - {run}
+            await run
+            return sorted(task.get_name() for task in during)
+
+        assert asyncio.run(main()) == ["pump-a", "pump-b"]
+
+    def test_cancelling_arun_cancels_every_pump(self):
+        aborted = []
+
+        class Probe(CollectSink):
+            def on_run_aborted(self, error):
+                aborted.append((self.name, type(error)))
+
+        plan = QueryPlan("cancel")
+        source = AsyncIterableSource("src", SCHEMA, feed(10_000, delay=0.001))
+        sink = Probe("sink", SCHEMA)
+        plan.add(source)
+        plan.chain(source, sink, page_size=1)
+        engine = AsyncioEngine(plan, timeout=30.0)
+
+        async def main():
+            before = asyncio.all_tasks()
+            run = asyncio.ensure_future(engine.arun())
+            await asyncio.sleep(0.02)
+            run.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await run
+            return asyncio.all_tasks() - before
+
+        assert asyncio.run(main()) == set()
+        assert 0 < len(sink.results) < 10_000
+        assert aborted == [("sink", asyncio.CancelledError)]
 
 
 class TestWatchdog:

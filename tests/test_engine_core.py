@@ -2,7 +2,7 @@
 
 The same small plans run on the Simulator (event heap + virtual clock),
 the ThreadedRuntime (threads + condition waits) and the AsyncioEngine
-(coroutines + asyncio.Condition waits); per-operator tuple, punctuation
+(the simulator's heap on the wall clock); per-operator tuple, punctuation
 and feedback counts must be identical -- the scheduling policy may
 reorder work, but the mechanism (control before data, guards, completion,
 finish) decides every count.

@@ -292,6 +292,25 @@ class TestDirectoryStore:
         log_path.write_bytes(whole + b"\x80\x04torn")
         assert store.read_delivery_log("sink") == [(0.1, "a")]
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_delivery_log_holds_no_descriptor_between_flushes(self, tmp_path):
+        """Regression: the delivery writer kept ``delivery-<sink>.log``
+        open from its first flush until it was garbage-collected -- one
+        descriptor per sink per checkpointed run (or supervised restart)
+        for as long as the results were referenced."""
+        held = []
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(8):
+            held.append(linear_flow().run(
+                "simulated", checkpoint_every=50,
+                checkpoint_store=DirectoryCheckpointStore(tmp_path / str(i)),
+            ))
+        assert len(os.listdir("/proc/self/fd")) == before
+        log = held[-1].checkpoint_store.read_delivery_log("sink")
+        assert [tup for _arrival, tup in log] == held[-1].sink("sink").results
+
     def test_as_checkpoint_store_coercion(self, tmp_path):
         store = as_checkpoint_store(str(tmp_path / "s"))
         assert isinstance(store, DirectoryCheckpointStore)

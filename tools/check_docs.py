@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Docs checker: every fenced python snippet must run, every link resolve.
 
-The docs job in CI runs this over ``docs/*.md`` and ``README.md``:
+The docs job in CI runs this over ``docs/*.md``, ``README.md`` and
+``DESIGN.md``:
 
 * every fenced ```` ```python ```` block is executed (doctest-style) in a
   fresh namespace with ``src/`` importable.  A raised exception is
@@ -18,8 +19,8 @@ The docs job in CI runs this over ``docs/*.md`` and ``README.md``:
   (GitHub-style slugs: lowercased, punctuation stripped, spaces to
   hyphens, ``-N`` suffixes for duplicates).
 
-Usage: ``python tools/check_docs.py [files...]`` (defaults to README.md
-and docs/*.md from the repo root).
+Usage: ``python tools/check_docs.py [files...]`` (defaults to README.md,
+DESIGN.md and docs/*.md from the repo root).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
 
 
 def default_files() -> list[Path]:
-    files = [REPO / "README.md"]
+    files = [REPO / "README.md", REPO / "DESIGN.md"]
     files.extend(sorted((REPO / "docs").glob("*.md")))
     return [f for f in files if f.exists()]
 
