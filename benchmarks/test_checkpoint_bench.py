@@ -5,15 +5,16 @@ the data plane (no extra scheduling passes), snapshots happen at epoch
 boundaries only, and none of it charges *virtual* time -- so the
 simulated makespan with checkpointing on is identical to the makespan
 with it off, and the wall-clock overhead at production-sized epochs
-(1000 tuples) stays small (<5% is the design target; the artifact
-records the measured figure).
+(1000 tuples) stays small (<5% is the design target; the wall-clock
+figure is measured by ``bench/run.py --workload speedmap_durable``, not
+here).
 
 Three variants run the same windowed pipeline: checkpointing off, every
 1000 tuples, and every 100 tuples (an aggressively tight interval that
-bounds the worst case).  The artifact ``BENCH_checkpoint.json`` also
-records the per-epoch snapshot-size series of the 1k run -- the growth
-curve is dominated by the terminal sink's result log, which is exactly
-what the delivery-log/dedup design predicts.
+bounds the worst case).  The per-epoch snapshot-size series of the 1k
+run must stay flat: the terminal sink's delivery log is the durable copy
+of its output and its snapshot only the cut into that log, so bytes per
+epoch do not depend on how much the run has produced.
 
 Scale knob: ``REPRO_BENCH_CKPT_TUPLES`` (default 20000; the CI
 bench-smoke job sets it tiny).
@@ -82,7 +83,7 @@ def snapshot_series(store, result):
 
 
 class TestCheckpointOverhead:
-    def test_overhead_and_snapshot_growth(self, report, record_artifact):
+    def test_overhead_and_snapshot_growth(self, report):
         base_result, _, base_wall = run_variant(None)
         k1_result, k1_store, k1_wall = run_variant(1000)
         k100_result, _, k100_wall = run_variant(100)
@@ -112,39 +113,18 @@ class TestCheckpointOverhead:
 
         series = snapshot_series(k1_store, k1_result)
         assert len(series) >= 2
-        # The terminal sink accumulates results, so later snapshots are
-        # at least as large as the first.
-        assert series[-1]["snapshot_bytes"] >= series[0]["snapshot_bytes"]
+        # Window state comes and goes with the punctuation; the sink
+        # contributes its cut, never its accumulated results.
+        assert series[-1]["snapshot_bytes"] <= 2 * series[0]["snapshot_bytes"]
 
-        k1_overhead = (k1_wall / base_wall - 1) * 100
-        k100_overhead = (k100_wall / base_wall - 1) * 100
-        record = {
-            "benchmark": "checkpoint_interval_overhead",
-            "tuples": N_TUPLES,
-            "stage_tuple_cost": TUPLE_COST,
-            "makespan_off_s": round(base_result.makespan, 6),
-            "makespan_1k_s": round(k1_result.makespan, 6),
-            "makespan_100_s": round(k100_result.makespan, 6),
-            "makespan_overhead_1k_pct": round(
-                (k1_result.makespan / base_result.makespan - 1) * 100, 3
-            ),
-            "wall_off_s": round(base_wall, 6),
-            "wall_1k_s": round(k1_wall, 6),
-            "wall_100_s": round(k100_wall, 6),
-            "wall_overhead_1k_pct": round(k1_overhead, 2),
-            "wall_overhead_100_pct": round(k100_overhead, 2),
-            "epochs_1k": k1_result.metrics.checkpoint_epochs,
-            "epochs_100": k100_result.metrics.checkpoint_epochs,
-            "snapshot_bytes_1k_total": k1_result.metrics.checkpoint_bytes,
-            "snapshot_series_1k": series,
-        }
-        record_artifact("BENCH_checkpoint.json", record)
-
+        makespan_overhead = (
+            k1_result.makespan / base_result.makespan - 1
+        ) * 100
         report.append(
             f"checkpointing: makespan overhead at 1k epochs "
-            f"{record['makespan_overhead_1k_pct']}% (target <5%), wall "
-            f"{record['wall_overhead_1k_pct']}% at 1k / "
-            f"{record['wall_overhead_100_pct']}% at 100; "
-            f"{record['epochs_1k']} epochs, "
-            f"{record['snapshot_bytes_1k_total']} snapshot bytes"
+            f"{makespan_overhead:.3f}% (target <5%), wall "
+            f"{(k1_wall / base_wall - 1) * 100:.2f}% at 1k / "
+            f"{(k100_wall / base_wall - 1) * 100:.2f}% at 100; "
+            f"{k1_result.metrics.checkpoint_epochs} epochs, "
+            f"{k1_result.metrics.checkpoint_bytes} snapshot bytes"
         )

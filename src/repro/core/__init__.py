@@ -8,7 +8,7 @@ Layered on the substrate packages, :mod:`repro.core` defines:
 * :class:`PropagationPlanner` -- safe propagation per Definition 2;
 * Definition 1 correctness checkers (:mod:`repro.core.correctness`);
 * machine-checkable operator characterizations (Tables 1-2);
-* the producer / exploiter / relayer role protocols and the feedback log.
+* the :class:`ExploitAction` vocabulary and the feedback log.
 """
 
 from repro.core.characterization import (
@@ -48,10 +48,7 @@ from repro.core.propagation import PropagationPlan, PropagationPlanner
 from repro.core.roles import (
     ExploitAction,
     FeedbackEvent,
-    FeedbackExploiter,
     FeedbackLog,
-    FeedbackProducer,
-    FeedbackRelayer,
 )
 
 __all__ = [
@@ -63,12 +60,9 @@ __all__ = [
     "DesiredReport",
     "ExploitAction",
     "FeedbackEvent",
-    "FeedbackExploiter",
     "FeedbackIntent",
     "FeedbackLog",
-    "FeedbackProducer",
     "FeedbackPunctuation",
-    "FeedbackRelayer",
     "FlowControlKind",
     "FlowControlPunctuation",
     "Guard",

@@ -77,7 +77,31 @@ class FeedbackIntent(enum.Enum):
             raise FeedbackError(f"unknown feedback glyph {glyph!r}") from None
 
 
-class FeedbackPunctuation:
+class _Immutable:
+    """Slot-only value object: no attribute assignment after ``__init__``.
+
+    Immutability blocks the default slot-state unpickling (it applies
+    state via ``setattr``), so the slots are restored explicitly: every
+    punctuation family crosses process boundaries in the multiprocess
+    engine -- feedback and pause/resume as pickled control payloads,
+    markers inside encoded pages -- and provenance (issuer/seq/hops)
+    must survive.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getstate__(self) -> dict:
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state: dict) -> None:
+        for slot, value in state.items():
+            object.__setattr__(self, slot, value)
+
+
+class FeedbackPunctuation(_Immutable):
     """An intent plus a pattern, stamped with provenance.
 
     ``issuer`` is the operator that produced the feedback, ``issued_at`` the
@@ -113,20 +137,6 @@ class FeedbackPunctuation:
         object.__setattr__(self, "issued_at", float(issued_at))
         object.__setattr__(self, "seq", next(_feedback_counter))
         object.__setattr__(self, "hops", int(hops))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("FeedbackPunctuation is immutable")
-
-    # Immutability blocks the default slot-state unpickling (it applies
-    # state via ``setattr``); restore the slots explicitly -- feedback
-    # crosses process boundaries as a pickled control payload in the
-    # multiprocess engine, and provenance (issuer/seq/hops) must survive.
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
 
     # -- constructors -----------------------------------------------------------
 
@@ -221,7 +231,7 @@ class FlowControlKind(enum.Enum):
         return {"pause": "⊣", "resume": "⊢"}[self.value]
 
 
-class FlowControlPunctuation:
+class FlowControlPunctuation(_Immutable):
     """Runtime-generated feedback about *rate*: pause or resume an edge.
 
     Travels upstream on the control channel exactly like
@@ -257,18 +267,6 @@ class FlowControlPunctuation:
         object.__setattr__(self, "occupancy", int(occupancy))
         object.__setattr__(self, "seq", next(_feedback_counter))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("FlowControlPunctuation is immutable")
-
-    # Same explicit slot restore as FeedbackPunctuation: pause/resume
-    # signals travel between worker processes in the multiprocess engine.
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-
     # -- constructors -----------------------------------------------------------
 
     @classmethod
@@ -295,7 +293,7 @@ class FlowControlPunctuation:
         return f"{self.kind.glyph}[{self.edge}@{self.occupancy}]"
 
 
-class CheckpointPunctuation:
+class CheckpointPunctuation(_Immutable):
     """A Chandy-Lamport checkpoint marker riding the *data* plane.
 
     The third punctuation family: where :class:`FeedbackPunctuation`
@@ -313,9 +311,7 @@ class CheckpointPunctuation:
     every source, sweep the plan as one consistent cut); ``source`` and
     ``offset`` record which source injected this marker and how many
     stream elements it had replayed when it did -- the replay position
-    recovery rewinds to.  Instances are immutable; the explicit
-    slot-state pickling mirrors the siblings because markers cross the
-    multiprocess engine's columnar wire inside encoded pages.
+    recovery rewinds to.  Instances are immutable.
     """
 
     __slots__ = ("epoch", "source", "offset", "issued_at", "seq")
@@ -336,21 +332,11 @@ class CheckpointPunctuation:
         object.__setattr__(self, "issued_at", float(issued_at))
         object.__setattr__(self, "seq", next(_feedback_counter))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("CheckpointPunctuation is immutable")
-
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-
     def __repr__(self) -> str:
         return f"⌖[epoch={self.epoch} {self.source}@{self.offset}]"
 
 
-class RebalancePunctuation:
+class RebalancePunctuation(_Immutable):
     """A re-partitioning marker riding the *data* plane.
 
     The fourth punctuation family: elasticity's cut marker.  When the
@@ -406,16 +392,6 @@ class RebalancePunctuation:
         object.__setattr__(self, "record", record)
         object.__setattr__(self, "issued_at", float(issued_at))
         object.__setattr__(self, "seq", next(_feedback_counter))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("RebalancePunctuation is immutable")
-
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
 
     def __repr__(self) -> str:
         return f"⇄[epoch={self.epoch} {self.phase} from={self.issuer}]"

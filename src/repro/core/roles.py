@@ -6,26 +6,23 @@ The paper (abstract, section 3.5) names three roles an operator may play:
 * **exploiter** -- acts on received feedback (guards, purges, priorities);
 * **relayer** -- maps feedback through its schema and forwards it upstream.
 
-A single operator can play all three.  This module defines the role
-protocols (structural typing -- operators need not inherit anything), the
-:class:`ExploitAction` vocabulary used by the characterization tables and
-metrics, and the :class:`FeedbackLog` that records every feedback event for
-experiments and tests.
+A single operator can play all three; the roles are methods of
+:class:`~repro.operators.base.Operator`, not types.  This module defines
+the :class:`ExploitAction` vocabulary used by the characterization tables
+and metrics, and the :class:`FeedbackLog` that records every feedback
+event for experiments and tests.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator
 
 from repro.core.feedback import FeedbackPunctuation
 
 __all__ = [
     "ExploitAction",
-    "FeedbackProducer",
-    "FeedbackExploiter",
-    "FeedbackRelayer",
     "FeedbackEvent",
     "FeedbackLog",
 ]
@@ -47,35 +44,6 @@ class ExploitAction(enum.Enum):
     PRIORITIZE = "prioritize"          # reorder production (desired)
     EMIT_PARTIAL = "emit_partial"      # unblock with partial results (demanded)
     IGNORE = "ignore"                  # null response (still correct)
-
-
-@runtime_checkable
-class FeedbackProducer(Protocol):
-    """An operator that can discover opportunities and issue feedback."""
-
-    def pending_feedback(self) -> Iterable[FeedbackPunctuation]:
-        """Feedback discovered since the last call (drained on read)."""
-        ...
-
-
-@runtime_checkable
-class FeedbackExploiter(Protocol):
-    """An operator that acts on received feedback."""
-
-    def on_feedback(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        """Handle one feedback punctuation; return the actions taken."""
-        ...
-
-
-@runtime_checkable
-class FeedbackRelayer(Protocol):
-    """An operator that can map feedback onto its inputs and forward it."""
-
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        """Per-input mapped feedback that is safe to send upstream."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -119,6 +87,10 @@ class FeedbackLog:
         event = FeedbackEvent(time, operator, feedback, tuple(actions), note)
         self._events.append(event)
         return event
+
+    def extend(self, events: Iterable[FeedbackEvent]) -> None:
+        """Append pre-built events (merging worker logs at run end)."""
+        self._events.extend(events)
 
     def __iter__(self) -> Iterator[FeedbackEvent]:
         return iter(self._events)

@@ -266,28 +266,21 @@ class CheckpointCoordinator:
                 if offset is None:
                     offset = store.load_finished(source.name)
             self.replay_offsets[source.name] = offset or 0
-        sink_cut: dict[str, int] = {}
         if epoch is not None:
             for op in self.plan:
                 if isinstance(op, SourceOperator):
                     continue
                 blob = store.load_state(epoch, op.name)
-                if blob is None:
-                    continue
-                state = pickle.loads(blob)
-                if isinstance(op, CollectSink):
-                    sink_cut[op.name] = len(state.get("results", ()))
-                op.restore_state(state)
+                if blob is not None:
+                    op.restore_state(pickle.loads(blob))
         for op in self.plan:
             if not isinstance(op, CollectSink) or op.outputs:
                 continue
             log = store.read_delivery_log(op.name)
             if not log:
                 continue
-            op.results = [entry[1] for entry in log]
-            op.arrivals = [(entry[0], entry[1]) for entry in log]
+            window = op.reload_from_log(log)
             if self.policy == "exactly-once":
-                window = log[sink_cut.get(op.name, 0):]
                 dedup = Counter(delivery_key(entry[1]) for entry in window)
                 op._ckpt_dedup = dedup if dedup else None
         return epoch

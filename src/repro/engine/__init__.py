@@ -29,8 +29,6 @@ from repro.engine.harness import OperatorHarness
 from repro.engine.multiprocess import MultiprocessEngine, fork_available
 from repro.engine.metrics import (
     OperatorMetrics,
-    OutputLog,
-    OutputRecord,
     PlanMetrics,
     QueueMetrics,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "QuiescenceReport",
     "audit_quiescence",
     "OperatorMetrics",
-    "OutputLog",
-    "OutputRecord",
     "PlanMetrics",
     "QueueMetrics",
     "QueryPlan",

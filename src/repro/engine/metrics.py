@@ -1,12 +1,10 @@
-"""Metrics: per-operator counters and the plan-wide output log.
+"""Metrics: per-operator, per-queue and plan-wide counters.
 
 The experiments report three kinds of numbers, all sourced here:
 
 * **work accounting** -- virtual seconds charged per operator (the
   simulator's stand-in for the paper's "total query execution time" on a
   single-CPU machine);
-* **output patterns** -- ``(tuple, emit_time)`` pairs recorded by sinks,
-  which regenerate the scatter shapes of Figures 5 and 6;
 * **feedback accounting** -- counts of feedback produced / exploited /
   relayed plus guard drop counters, used for the savings breakdowns;
 * **flow-control accounting** -- pause/resume signals issued and received,
@@ -17,12 +15,10 @@ The experiments report three kinds of numbers, all sourced here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "OperatorMetrics",
-    "OutputRecord",
-    "OutputLog",
     "PlanMetrics",
     "QueueMetrics",
     "ShardGroupMetrics",
@@ -107,58 +103,6 @@ class OperatorMetrics:
             "snapshot_bytes": self.snapshot_bytes,
             "snapshot_time": self.snapshot_time,
         }
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One sink emission: what arrived, when, and through which sink."""
-
-    time: float
-    element: Any
-    sink: str = ""
-    tag: str = ""
-
-
-class OutputLog:
-    """Append-only log of sink emissions (figures are drawn from this)."""
-
-    __slots__ = ("_records",)
-
-    def __init__(self) -> None:
-        self._records: list[OutputRecord] = []
-
-    def record(
-        self, time: float, element: Any, *, sink: str = "", tag: str = ""
-    ) -> None:
-        self._records.append(OutputRecord(time, element, sink, tag))
-
-    def record_many(
-        self, time: float, elements: Any, *, sink: str = "", tag: str = ""
-    ) -> None:
-        """Bulk :meth:`record` for a batch arriving at one time stamp."""
-        self._records.extend(
-            OutputRecord(time, element, sink, tag) for element in elements
-        )
-
-    def extend(self, records: Any) -> None:
-        """Append pre-built records (merging worker logs at run end)."""
-        self._records.extend(records)
-
-    def __iter__(self) -> Iterator[OutputRecord]:
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def tuples(self) -> list[OutputRecord]:
-        return [r for r in self._records if not r.element.is_punctuation]
-
-    def tagged(self, tag: str) -> list[OutputRecord]:
-        return [r for r in self._records if r.tag == tag]
-
-    def series(self, tag: str) -> list[tuple[float, Any]]:
-        """(time, element) pairs for one tag -- a figure data series."""
-        return [(r.time, r.element) for r in self._records if r.tag == tag]
 
 
 @dataclass(frozen=True)

@@ -660,7 +660,6 @@ class MultiprocessEngine(RuntimeCore):
                 if self.plan.operator(name).finished
             ],
             "queues": queues,
-            "outputs": list(runtime.output_log),
             "feedback": list(runtime.feedback_log),
             "makespan": self.clock.now(),
         }
@@ -670,18 +669,23 @@ class MultiprocessEngine(RuntimeCore):
     def _merge(self, payloads: list[dict]) -> RunResult:
         """Fold every worker's payload onto the coordinator's plan copy."""
         shipped_queues: dict[str, tuple[int, int, int]] = {}
-        outputs: list[Any] = []
         feedback: list[Any] = []
         makespan = 0.0
         for payload in payloads:
             for name, metrics in payload["metrics"].items():
                 self.plan.operator(name).metrics = metrics
             for name, state in payload["state"].items():
-                self.plan.operator(name).restore_state(state)
+                op = self.plan.operator(name)
+                op.restore_state(state)
+                if getattr(op, "_ckpt_writer", None) is not None:
+                    # A logged sink ships its cut, not its lists: the
+                    # workers' flushed delivery log holds the results.
+                    op.reload_from_log(
+                        self.checkpoints.store.read_delivery_log(name)
+                    )
             for name in payload["finished"]:
                 self.plan.operator(name).finished = True
             shipped_queues.update(payload["queues"])
-            outputs.extend(payload["outputs"])
             feedback.extend(payload["feedback"])
             makespan = max(makespan, payload["makespan"])
         for op in self.plan:
@@ -695,11 +699,8 @@ class MultiprocessEngine(RuntimeCore):
                 (queue.peak_occupancy,
                  queue.elements_enqueued,
                  queue.pages_flushed) = counters
-        outputs.sort(key=lambda record: record.time)
         feedback.sort(key=lambda event: event.time)
-        self.output_log.extend(outputs)
-        for event in feedback:
-            self.feedback_log._events.append(event)
+        self.feedback_log.extend(feedback)
         metrics = self.collect_metrics()
         metrics.makespan = makespan
         return self.build_result(metrics)

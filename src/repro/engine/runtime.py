@@ -9,7 +9,7 @@ split made explicit:
   (including ``control_latency`` arrival semantics), input-completion and
   ``on_input_done`` bookkeeping, operator finish plus queue closure, and
   the runtime surface operators see (``now`` / ``notify_control`` /
-  ``notify_data`` / the feedback and output logs);
+  ``notify_data`` / the feedback log);
 * engines subclass it with a **policy**: the deterministic
   :class:`~repro.engine.simulator.Simulator` (event heap + virtual
   clock), the :class:`~repro.engine.async_engine.AsyncioEngine` (the same
@@ -88,7 +88,6 @@ from repro.core.feedback import (
 )
 from repro.core.roles import FeedbackLog
 from repro.engine.metrics import (
-    OutputLog,
     PlanMetrics,
     QueueMetrics,
     ShardGroupMetrics,
@@ -117,7 +116,6 @@ class RunResult:
 
     plan: QueryPlan
     metrics: PlanMetrics
-    output_log: OutputLog
     feedback_log: FeedbackLog
     #: The run's checkpoint store when durability was active (pass it --
     #: or its directory path -- back as ``recover_from=`` to resume).
@@ -160,7 +158,6 @@ class RuntimeCore:
         self.clock = clock
         self.control_latency = float(control_latency)
         self.feedback_log = FeedbackLog()
-        self.output_log = OutputLog()
         self._started = False
         #: ``(time, action, owner)`` entries registered through :meth:`at`.
         self._actions: list[
@@ -768,7 +765,6 @@ class RuntimeCore:
         return RunResult(
             plan=self.plan,
             metrics=metrics,
-            output_log=self.output_log,
             feedback_log=self.feedback_log,
             checkpoint_store=(
                 self.checkpoints.store

@@ -41,7 +41,7 @@ from repro.core.feedback import (
 from repro.core.guards import GuardSet
 from repro.core.propagation import PropagationPlanner
 from repro.core.roles import ExploitAction, FeedbackLog
-from repro.engine.metrics import OperatorMetrics, OutputLog
+from repro.engine.metrics import OperatorMetrics
 from repro.errors import FeedbackError, PlanError
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
@@ -113,7 +113,6 @@ class _DetachedRuntime:
 
     def __init__(self) -> None:
         self.feedback_log = FeedbackLog()
-        self.output_log = OutputLog()
 
     def now(self) -> float:
         return 0.0

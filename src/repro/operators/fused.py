@@ -85,10 +85,6 @@ class _StageRuntime:
     def feedback_log(self) -> Any:
         return self._fused.runtime.feedback_log
 
-    @property
-    def output_log(self) -> Any:
-        return self._fused.runtime.output_log
-
     def notify_control(self, operator: Operator, at: float | None = None) -> None:
         pass
 

@@ -1,8 +1,8 @@
 """Sinks: terminal operators that collect results and drive demand.
 
 :class:`CollectSink` records every arriving tuple with its (virtual)
-arrival time into the run's output log -- Figures 5 and 6 are drawn
-directly from these records.
+arrival time in ``arrivals`` -- Figures 5 and 6 are drawn directly from
+that series.
 
 :class:`OnDemandSink` models Example 4's poll-based client: results are
 produced only when the application asks.  ``poll()`` sends a
@@ -44,16 +44,17 @@ class CollectSink(Operator):
         name: str,
         schema: Schema | None = None,
         *,
-        tag: str = "",
         keep_punctuation: bool = False,
         **kwargs: Any,
     ) -> None:
         super().__init__(name, schema, **kwargs)
-        self.tag = tag or name
         self.keep_punctuation = keep_punctuation
         self.results: list[StreamTuple] = []
         self.arrivals: list[tuple[float, StreamTuple]] = []
         self.punctuations: list[Punctuation] = []
+        #: Arrivals recorded over the sink's lifetime (trim-proof): its
+        #: position in its delivery log, hence the checkpoint cut.
+        self.delivered = 0
 
     #: Durability hooks, armed by the checkpoint coordinator: a
     #: delivery-log writer (write-through of every recorded arrival,
@@ -95,6 +96,7 @@ class CollectSink(Operator):
         if self._ckpt_dedup is not None:
             batch = [t for t in batch if not self._ckpt_replayed(t)]
         now = self.now()
+        self.delivered += len(batch)
         self.results.extend(batch)
         self.arrivals.extend((now, tup) for tup in batch)
         writer = self._ckpt_writer
@@ -104,10 +106,7 @@ class CollectSink(Operator):
         return batch
 
     def on_page(self, port_index: int, batch: list) -> None:
-        self.runtime.output_log.record_many(
-            self.now(), self._record_arrivals(batch),
-            sink=self.name, tag=self.tag,
-        )
+        self._record_arrivals(batch)
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
         if self.keep_punctuation:
@@ -135,16 +134,47 @@ class CollectSink(Operator):
                 pass
 
     def snapshot_state(self) -> dict[str, Any]:
-        return {
-            "results": self.results,
-            "arrivals": self.arrivals,
+        """The cut, plus the lists only when no delivery log holds them.
+
+        With a delivery-log writer attached the flushed log is the
+        durable copy of ``results``/``arrivals`` and ``delivered`` the
+        position in it, so a checkpoint's size does not grow with the
+        output; without one (the multiprocess ship-back of an
+        un-checkpointed run) the state must carry the lists itself.
+        """
+        # While a recovery run's replay window is open the log already
+        # holds the deliveries still to be swallowed: they lie past
+        # this cut, not before it.
+        replaying = sum((self._ckpt_dedup or {}).values())
+        state = {
+            "delivered": self.delivered - replaying,
             "punctuations": self.punctuations,
         }
+        if self._ckpt_writer is None:
+            state["results"] = self.results
+            state["arrivals"] = self.arrivals
+        return state
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self.results = state["results"]
-        self.arrivals = state["arrivals"]
+        self.delivered = state["delivered"]
         self.punctuations = state["punctuations"]
+        if "results" in state:
+            self.results = state["results"]
+            self.arrivals = state["arrivals"]
+
+    def reload_from_log(self, log: list) -> list:
+        """Rebuild ``results``/``arrivals`` from the sink's delivery log.
+
+        Returns the replay window ``log[delivered:]`` -- the entries
+        past the restored cut, which a recovery run regenerates -- and
+        moves ``delivered`` to the end of the log, where the writer
+        appends next.
+        """
+        window = log[self.delivered:]
+        self.results = [entry[1] for entry in log]
+        self.arrivals = [(entry[0], entry[1]) for entry in log]
+        self.delivered = len(log)
+        return window
 
     def __len__(self) -> int:
         return len(self.results)
@@ -247,14 +277,13 @@ class PushSink(AwaitableSink):
     so results fan out to live SSE/websocket subscribers
     (``docs/serving.md``).
 
-    Two always-on adaptations keep memory bounded over unbounded runs:
-    the shared run :class:`~repro.engine.logs.OutputLog` is *not* written
-    (it grows without bound and is a batch-analysis artifact), and the
-    locally retained ``results``/``arrivals`` lists are trimmed to the
-    last ``retain`` entries (``retain=None`` keeps everything, restoring
-    collect-sink behaviour).  The durability seams are untouched: the
-    delivery-log writer and the exactly-once replay dedup filter see
-    every arrival, so checkpointed serving flows recover like any other.
+    To keep memory bounded over unbounded runs the locally retained
+    ``results``/``arrivals`` lists are trimmed to the last ``retain``
+    entries (``retain=None`` keeps everything, restoring collect-sink
+    behaviour).  The durability seams are untouched: the delivery-log
+    writer and the exactly-once replay dedup filter see every arrival
+    and the checkpoint cut is the trim-proof ``delivered`` count, so
+    checkpointed serving flows recover like any other.
     """
 
     def __init__(
@@ -287,8 +316,6 @@ class PushSink(AwaitableSink):
         #: hub and its subscribers alive across the rebuild.
         self.on_complete = on_complete
         self.retain = retain
-        #: Total results pushed over the sink's lifetime (trim-proof).
-        self.delivered = 0
 
     def on_finish(self) -> None:
         super().on_finish()
@@ -305,20 +332,10 @@ class PushSink(AwaitableSink):
 
     def on_page(self, port_index: int, batch: list) -> None:
         batch = self._record_arrivals(batch)
-        self.delivered += len(batch)
         if self.publish is not None:
             for tup in batch:
                 self.publish(tup)
         self._trim()
-
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["delivered"] = self.delivered
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.delivered = state.get("delivered", len(self.results))
 
 
 class OnDemandSink(CollectSink):

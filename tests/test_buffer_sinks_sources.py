@@ -177,13 +177,6 @@ class TestSinks:
         assert len(sink) == 1
         assert sink.arrivals[0][0] == 3.0
 
-    def test_collect_sink_logs_to_runtime(self, schema):
-        sink = CollectSink("sink", schema, tag="fig5")
-        harness = OperatorHarness(sink, outputs=0)
-        sink.process_page(0, [tup(schema, 1.0)])
-        records = sink.runtime.output_log.tagged("fig5")
-        assert len(records) == 1
-
     def test_collect_sink_punctuation_kept_when_asked(self, schema):
         sink = CollectSink("sink", schema, keep_punctuation=True)
         OperatorHarness(sink, outputs=0)

@@ -9,7 +9,10 @@ behaviours the job depends on:
 * relative links are checked down to the anchor: in-page ``(#section)``
   and cross-file ``(other.md#section)`` fragments must match a real
   heading (GitHub-style slugs, duplicate ``-N`` suffixes included), and
-  headings inside fenced code blocks do not count.
+  headings inside fenced code blocks do not count;
+* a Sphinx cross-reference in a source docstring that names nothing
+  importable is reported as ``file:line`` (the repo-wide run of that pass
+  rides ``TestRepoDocsStayGreen``).
 """
 
 from __future__ import annotations
@@ -156,10 +159,38 @@ class TestAnchorChecking:
         assert code == 0
 
 
+class TestSourceCrossReferences:
+    def test_unresolvable_target_is_reported_with_file_and_line(
+        self, tmp_path
+    ):
+        module = tmp_path / "xref_case.py"
+        module.write_text(
+            '"""See :class:`Known`, :meth:`Known.method`, :func:`helper`,\n'
+            ":mod:`json`, a wrapped :class:`~collections.\n"
+            "    OrderedDict` and a titled\n"
+            ":meth:`decode <json.JSONDecoder.decode>`.\n"
+            "\n"
+            "But :class:`~repro.engine.logs.OutputLog` never existed.\n"
+            '"""\n\n\n'
+            "class Known:\n"
+            "    def method(self):\n"
+            '        """Recurses into :meth:`method`."""\n\n\n'
+            "def helper():\n"
+            "    pass\n",
+            encoding="utf-8",
+        )
+        sys.path.insert(0, str(tmp_path))
+        assert check_docs.check_xrefs(module, "xref_case") == [
+            f"{module}:6: unresolved cross-reference -> "
+            "repro.engine.logs.OutputLog"
+        ]
+
+
 class TestRepoDocsStayGreen:
     def test_shipped_docs_pass_the_checker(self, capsys):
         """The committed docs themselves: every snippet runs, every link
-        and anchor resolves (the CI docs job, as a tier-1 test)."""
+        and anchor resolves, and so does every cross-reference under
+        ``src/repro`` (the CI docs job, as a tier-1 test)."""
         code, out = run_main(capsys)
         assert code == 0, out
 

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Flow
+from repro.durability import MemoryCheckpointStore
 from repro.engine.harness import OperatorHarness
 from repro.engine.plan import checkpoint_capable
 from repro.operators import (
@@ -311,6 +314,8 @@ class TestPartitionRoundTrip:
 
 class TestSinkRoundTrip:
     def test_collect_sink_results_roundtrip(self):
+        """No writer, no log: the state itself carries the lists (the
+        multiprocess ship-back, a non-terminal collect stage)."""
         def make():
             return CollectSink("sink", SCHEMA)
         op = make()
@@ -325,7 +330,75 @@ class TestSinkRoundTrip:
         assert [t.values for t in restored.results] == [
             t.values for t in rows
         ]
-        assert len(restored.arrivals) == 5
+        assert len(restored.arrivals) == 5 == restored.delivered
+
+
+def logged_flow(bomb_at=None, n=600, built=None):
+    """source -> where -> collect; ``built`` captures each run's sink
+    (an aborted run returns no result to reach it through)."""
+    flow = Flow("logged")
+    calls = {"n": 0}
+
+    def pred(t):
+        calls["n"] += 1
+        if bomb_at is not None and calls["n"] >= bomb_at:
+            raise RuntimeError("injected crash")
+        return True
+
+    rows = [(i * 0.1, StreamTuple(SCHEMA, (i * 0.1, i % 3, float(i))))
+            for i in range(n)]
+    (flow.source(SCHEMA, rows, name="source")
+         .where(pred, name="stage")
+         .collect("sink",
+                  configure=None if built is None else built.append))
+    return flow
+
+
+class TestLoggedSinkSnapshot:
+    """A terminal sink's delivery log is the durable copy of its output;
+    its checkpoint holds the cut into that log, not a second copy."""
+
+    def test_snapshot_is_the_cut_and_does_not_grow_with_output(self):
+        store = MemoryCheckpointStore()
+        result = logged_flow().run(checkpoint_every=50, checkpoint_store=store)
+        blobs = [store.load_state(epoch, "sink") for epoch in store.epochs()]
+        assert len(blobs) >= 10
+        assert len(blobs[-1]) <= 2 * len(blobs[0])
+        assert result.metrics.operator_metrics["sink"].snapshot_bytes == sum(
+            len(blob) for blob in blobs
+        )
+        for number, blob in enumerate(blobs, start=1):
+            state = pickle.loads(blob)
+            assert isinstance(state, dict)
+            assert "results" not in state and "arrivals" not in state
+            assert state["delivered"] == 50 * number
+        assert len(result.sink("sink").results) == 600
+
+    @pytest.mark.parametrize("engine", ["simulated", "threaded", "asyncio"])
+    def test_delivered_is_the_position_in_the_log(self, engine):
+        store = MemoryCheckpointStore()
+        clean = logged_flow(n=200).run(
+            engine, checkpoint_every=50, checkpoint_store=store
+        )
+        sink = clean.sink("sink")
+        assert sink.delivered == 200 == len(store.read_delivery_log("sink"))
+
+        store = MemoryCheckpointStore()
+        built = []
+        with pytest.raises(Exception):
+            logged_flow(bomb_at=130, n=200, built=built).run(
+                engine, checkpoint_every=50, checkpoint_store=store
+            )
+        aborted = built[-1]
+        assert aborted.delivered == len(store.read_delivery_log("sink"))
+        assert aborted.delivered < 200
+
+        recovered = logged_flow(n=200).run(
+            engine, recover_from=store, checkpoint_every=50
+        )
+        sink = recovered.sink("sink")
+        assert sink.delivered == 200 == len(store.read_delivery_log("sink"))
+        assert len(sink.results) == 200
 
 
 class TestCapabilityProbe:

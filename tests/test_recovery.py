@@ -22,7 +22,9 @@ from collections import Counter
 import pytest
 
 from repro import Flow, Schema, StreamTuple
+from repro.core.feedback import CheckpointPunctuation
 from repro.durability import (
+    CheckpointCoordinator,
     CheckpointStore,
     DirectoryCheckpointStore,
     MemoryCheckpointStore,
@@ -154,6 +156,130 @@ class TestKillAndResume:
         )
         assert result.checkpoint_store is store
         assert result.metrics.checkpoint_epochs >= 1
+
+
+def push_flow(published, bomb_at=None, *, retain, n=400):
+    """source -> where -> select(sensor, value) -> push.  The projection
+    drops ``ts``, so delivered results *repeat* (150 distinct keys): a
+    dedup key left armed past its replay window swallows a later, fresh
+    result.  ``published`` stands in for the hub."""
+    flow = Flow("recovery-push")
+    calls = {"n": 0}
+
+    def pred(t):
+        if bomb_at is not None:
+            calls["n"] += 1
+            if calls["n"] >= bomb_at:
+                raise RuntimeError("injected crash")
+        return True
+
+    (flow.source(SCHEMA, rows(n), name="source")
+         .punctuate(on="ts", every=2.0)
+         .where(pred, name="stage")
+         .select("sensor", "value", name="drop_ts")
+         .push("out", retain=retain,
+               configure=lambda op: setattr(op, "publish", published.append)))
+    return flow
+
+
+class TestTrimmedSinkRecovery:
+    """Exactly-once behind a ``PushSink`` that trims its local history:
+    the cut is the sink's ``delivered`` count, not a list length."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("retain", [None, 16])
+    def test_push_kill_and_resume_parity(self, engine, retain):
+        expect = []
+        push_flow(expect, retain=retain).run(engine)
+        store = MemoryCheckpointStore()
+        published = []
+        with pytest.raises(Exception):
+            push_flow(published, bomb_at=330, retain=retain).run(
+                engine, checkpoint_every=50, checkpoint_store=store
+            )
+        assert len(published) < len(expect)
+        recovered = push_flow(published, retain=retain).run(
+            engine, recover_from=store, checkpoint_every=50
+        )
+        assert Counter(published) == Counter(expect)
+        assert recovered.sink("out")._ckpt_dedup is None
+
+    def test_replay_window_starts_at_the_stored_cut(self):
+        """No engine: snapshot a sink 20 deliveries in, log 10 more, and
+        restore -- the armed window is the 10 past the cut even though
+        the sink retained only 4 results when it was snapshotted."""
+        store = MemoryCheckpointStore()
+        plan = push_flow([], retain=4).build()
+        sink = plan.operator("out")
+        sink._ckpt_writer = store.delivery_writer("out")
+        schema = sink.output_schema
+        tuples = [StreamTuple(schema, (i % 3, float(i % 5)))
+                  for i in range(30)]
+        sink.process_page(0, tuples[:20])
+        assert len(sink.results) == 4 and sink.delivered == 20
+        store.record_offset(1, "source", 20)
+        for op in plan:
+            if op.name != "source":
+                CheckpointCoordinator(plan, store).snapshot(
+                    op, CheckpointPunctuation(1, source="source", offset=20)
+                )
+        sink.process_page(0, tuples[20:])
+
+        fresh = push_flow([], retain=4).build()
+        coordinator = CheckpointCoordinator(fresh, store)
+        assert coordinator.restore(store) == 1
+        restored = fresh.operator("out")
+        assert restored._ckpt_dedup == Counter(tuples[20:])
+        assert restored.delivered == 30 == len(
+            store.read_delivery_log("out")
+        )
+
+
+    def test_cut_taken_while_the_replay_window_is_open(self):
+        """Sink ``a`` drains the whole stream while its sibling ``b``
+        crawls; the run dies, is resumed, and dies again one epoch
+        later.  The epoch completed in between holds a snapshot ``a``
+        took mid-replay: its cut is how far replay had got, not the end
+        of the log the first run left behind."""
+        def flow(out_a, out_b, bomb_at=None):
+            calls = {"n": 0}
+
+            def slow(t):
+                calls["n"] += 1
+                if bomb_at is not None and calls["n"] >= bomb_at:
+                    raise RuntimeError("injected crash")
+                return True
+
+            built = Flow("ran-ahead", page_size=1)
+            a, b = built.source(SCHEMA, rows(400), name="source").split(2)
+            for handle, name, out in (
+                (a, "a", out_a),
+                (b.where(slow, name="slow", tuple_cost=0.5), "b", out_b),
+            ):
+                handle.select("sensor", "value").push(
+                    name, retain=None,
+                    configure=lambda op, out=out: setattr(
+                        op, "publish", out.append
+                    ),
+                )
+            return built
+
+        expect_a, expect_b = [], []
+        flow(expect_a, expect_b).run()
+        store = MemoryCheckpointStore()
+        got_a, got_b = [], []
+        with pytest.raises(RuntimeError):
+            flow(got_a, got_b, bomb_at=130).run(
+                checkpoint_every=50, checkpoint_store=store
+            )
+        assert len(got_a) == 400 and len(got_b) < 150
+        with pytest.raises(RuntimeError):
+            flow(got_a, got_b, bomb_at=60).run(
+                checkpoint_every=50, recover_from=store
+            )
+        flow(got_a, got_b).run(checkpoint_every=50, recover_from=store)
+        assert Counter(got_a) == Counter(expect_a)
+        assert Counter(got_b) == Counter(expect_b)
 
 
 def fusible_flow(bomb_at=None, *, calls=None):

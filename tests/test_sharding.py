@@ -168,10 +168,10 @@ class TestShardedEquivalence:
         first = shard_flow(4).run("simulated")
         second = shard_flow(4).run("simulated")
         assert (
-            [(rec.time, tuple(rec.element.values))
-             for rec in first.output_log.tuples()]
-            == [(rec.time, tuple(rec.element.values))
-                for rec in second.output_log.tuples()]
+            [(time, tuple(tup.values))
+             for time, tup in first.sink("sink").arrivals]
+            == [(time, tuple(tup.values))
+                for time, tup in second.sink("sink").arrivals]
         )
 
 

@@ -2,18 +2,9 @@
 
 from repro.engine.metrics import (
     OperatorMetrics,
-    OutputLog,
     PlanMetrics,
 )
-from repro.stream import Schema, StreamTuple
 from repro.viz import grouped_bars, scatter, series_summary
-
-SCHEMA = Schema.of("x")
-
-
-def tup(x):
-    return StreamTuple(SCHEMA, (x,))
-
 
 class TestScatter:
     def test_renders_marks_and_legend(self):
@@ -73,17 +64,6 @@ class TestOperatorMetrics:
         snap = OperatorMetrics().snapshot()
         assert snap["tuples_in"] == 0
         assert "busy_time" in snap
-
-
-class TestOutputLog:
-    def test_tags_and_series(self):
-        log = OutputLog()
-        log.record(1.0, tup(1), sink="s", tag="a")
-        log.record(2.0, tup(2), sink="s", tag="b")
-        assert len(log) == 2
-        assert len(log.tagged("a")) == 1
-        assert log.series("b") == [(2.0, tup(2))]
-        assert len(log.tuples()) == 2
 
 
 class TestPlanMetrics:

@@ -2,7 +2,7 @@
 """Docs checker: every fenced python snippet must run, every link resolve.
 
 The docs job in CI runs this over ``docs/*.md``, ``README.md`` and
-``DESIGN.md``:
+``DESIGN.md``, and then over the docstrings under ``src/repro``:
 
 * every fenced ```` ```python ```` block is executed (doctest-style) in a
   fresh namespace with ``src/`` importable.  A raised exception is
@@ -17,14 +17,23 @@ The docs job in CI runs this over ``docs/*.md``, ``README.md`` and
   match a heading in the same file, and a cross-file link
   ``[text](other.md#section)`` must match a heading in the target file
   (GitHub-style slugs: lowercased, punctuation stripped, spaces to
-  hyphens, ``-N`` suffixes for duplicates).
+  hyphens, ``-N`` suffixes for duplicates);
+* every Sphinx cross-reference in a source file -- ``:class:``,
+  ``:meth:``, ``:func:`` or ``:mod:`` -- must name something that
+  imports: the dotted target as written, or relative to the module it
+  appears in, a class visible in that module, or a package enclosing it
+  (short names are the packages' exports).  A target that does not
+  resolve is reported as ``file:line``.
 
 Usage: ``python tools/check_docs.py [files...]`` (defaults to README.md,
-DESIGN.md and docs/*.md from the repo root).
+DESIGN.md and docs/*.md from the repo root plus the ``src/repro``
+cross-reference pass; explicit files are checked as Markdown only).
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import re
 import sys
 import traceback
@@ -40,6 +49,9 @@ FENCE = re.compile(
 MD_LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 WIKI_LINK = re.compile(r"\[\[([A-Za-z0-9._/-]+)\]\]")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
+# :role:`target`, :role:`~target` or :role:`title <target>`; a long
+# target may be wrapped after a dot, so whitespace inside it is dropped.
+XREF = re.compile(r":(?:class|meth|func|mod):`(?:[^`<]*<)?~?([^`>]+)>?`")
 
 
 def default_files() -> list[Path]:
@@ -153,20 +165,78 @@ def check_links(path: Path, text: str) -> list[str]:
     return errors
 
 
+def short(path: Path) -> Path:
+    """``path`` relative to the repo root (as given, if it lies outside)."""
+    try:
+        return path.relative_to(REPO)
+    except ValueError:
+        return path
+
+
+def importable(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attribute in parts[cut:]:
+                found = getattr(found, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_xrefs(path: Path, module_name: str) -> list[str]:
+    """``file:line`` for each cross-reference in ``path`` nothing backs."""
+    text = path.read_text(encoding="utf-8")
+    packages = module_name.split(".")
+    scopes = [".".join(packages[:n]) for n in range(len(packages), 0, -1)]
+    scopes.extend(
+        f"{module_name}.{name}" for name, _cls in inspect.getmembers(
+            importlib.import_module(module_name), inspect.isclass
+        )
+    )
+    errors = []
+    for match in XREF.finditer(text):
+        target = re.sub(r"\s+", "", match.group(1))
+        if not importable(target) and not any(
+            importable(f"{scope}.{target}") for scope in scopes
+        ):
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(
+                f"{short(path)}:{line}: "
+                f"unresolved cross-reference -> {target}"
+            )
+    return errors
+
+
+def source_modules() -> list[tuple[Path, str]]:
+    """Every module under ``src/repro`` with its dotted import name."""
+    root = REPO / "src"
+    return [
+        (path, ".".join(path.relative_to(root).with_suffix("").parts)
+         .removesuffix(".__init__"))
+        for path in sorted((root / "repro").rglob("*.py"))
+    ]
+
+
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(REPO / "src"))
     files = [Path(a).resolve() for a in argv] if argv else default_files()
     failures: list[str] = []
+    if not argv:
+        for path, module_name in source_modules():
+            failures.extend(check_xrefs(path, module_name))
     ran = 0
     for path in files:
         text = path.read_text(encoding="utf-8")
         failures.extend(check_links(path, text))
-        try:
-            short = path.relative_to(REPO)
-        except ValueError:  # explicit files outside the repo root
-            short = path
         for line, source in snippets(text):
-            label = f"{short}:{line}"
+            label = f"{short(path)}:{line}"
             error = run_snippet(source, label)
             ran += 1
             if error is None:
