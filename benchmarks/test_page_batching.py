@@ -9,8 +9,10 @@ overhead.
 
 The harness drives a three-deep SELECT chain (each stage carrying two
 input guards and a predicate) at the operator layer -- no engine, so the
-numbers isolate the data-path cost the engines sit on.  The result is
-recorded in ``BENCH_page_batch.json`` at the repo root.
+numbers isolate the data-path cost the engines sit on.  The recorded
+series is the benchmark ladder's (``bench/ladder.py``:
+``operators.select_page_ns`` / ``select_tuple_ns`` /
+``core.guard_filter_batch_ns``); this module keeps the assertions.
 
 Scale knob: ``REPRO_BENCH_TUPLES`` (default 10000).
 """
@@ -117,7 +119,7 @@ def best_of(fn, pages) -> float:
 
 
 class TestPageBatchingThroughput:
-    def test_whole_pages_beat_pages_of_one(self, report, record_artifact):
+    def test_whole_pages_beat_pages_of_one(self, report):
         pages = build_input_pages()
 
         # Correctness first: both slicings must agree tuple-for-tuple.
@@ -153,7 +155,6 @@ class TestPageBatchingThroughput:
             "speedup": round(speedup, 3),
             "whole_pages_ns_per_input_tuple": round(per_tuple_ns, 1),
         }
-        record_artifact("BENCH_page_batch.json", record)
 
         report.append(
             f"page batching: pages of one {element_s * 1e3:.1f} ms, "

@@ -760,7 +760,8 @@ class StreamHandle:
         hub = Broadcast(name, high_water=high_water, low_water=low_water)
         self.flow._derive(
             lambda name: PushSink(
-                name, schema, publish=hub.publish, on_complete=hub.close,
+                name, schema, publish=hub.publish_page,
+                on_complete=hub.close,
                 retain=retain, keep_punctuation=keep_punctuation,
                 **op_kwargs,
             ),
@@ -849,9 +850,14 @@ class Flow:
         name: str | None = None,
         **op_kwargs: Any,
     ) -> StreamHandle:
-        """Add a replayed source over ``(arrival_time, element)`` pairs."""
+        """Add a replayed source over ``(arrival_time, element)`` pairs.
+
+        A list is replayed in place by every run of the flow, not copied
+        (any other sequence is materialised once, here).
+        """
         stage_name = self._next_name(name, "source")
-        timeline = list(timeline)
+        if not isinstance(timeline, list):
+            timeline = list(timeline)
 
         def factory() -> Operator:
             return ListSource(stage_name, schema, timeline, **op_kwargs)
@@ -941,7 +947,7 @@ class Flow:
         stage_name = self._next_name(name, "ingest")
         channel = Channel(stage_name, schema, capacity=capacity)
         handle = self.from_async_iterable(
-            schema, channel.stream, name=stage_name,
+            schema, channel.runs, name=stage_name,
             idle_flush=lambda: channel.idle, **op_kwargs,
         )
         self._serving_channels[stage_name] = channel

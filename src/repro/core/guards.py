@@ -10,6 +10,12 @@ pattern, no future tuple can match the guard, so the guard is released.
 
 :class:`GuardSet` maintains active guards, answers ``blocks(tuple)``,
 expires guards against punctuation, and keeps drop counters for metrics.
+
+A guard costs what a query predicate costs: its pattern is compiled once
+into a matcher over a tuple's value sequence
+(:attr:`~repro.punctuation.patterns.Pattern.matcher` -- set membership and
+chained comparisons on the constrained columns only), and every question a
+guard set answers -- per element or per page -- is a call to it.
 """
 
 from __future__ import annotations
@@ -40,9 +46,14 @@ class Guard:
     drops: int = 0
     released: bool = False
 
+    def __post_init__(self) -> None:
+        #: The pattern's compiled matcher, resolved once for the guard
+        #: set's loops.
+        self.matcher = self.pattern.matcher
+
     def blocks(self, element: Any) -> bool:
         """True when ``element`` matches the guard (and should be dropped)."""
-        return not self.released and self.pattern.matches(element)
+        return not self.released and self.matcher(element.values)
 
     def __repr__(self) -> str:
         state = "released" if self.released else f"drops={self.drops}"
@@ -97,8 +108,9 @@ class GuardSet:
         Increments drop counters as a side effect, because a True answer
         means the caller is dropping the element.
         """
-        for guard in self._guards:
-            if guard.blocks(element):
+        values = element.values
+        for guard in self._guards:  # released guards never stay in the set
+            if guard.matcher(values):
                 guard.drops += 1
                 self.total_drops += 1
                 return True
@@ -106,31 +118,19 @@ class GuardSet:
 
     def would_block(self, element: Any) -> bool:
         """Like :meth:`blocks` but without touching the counters."""
-        return any(g.blocks(element) for g in self._guards)
+        values = element.values
+        return any(guard.matcher(values) for guard in self._guards)
 
     def filter_batch(self, batch: list) -> tuple[list, list]:
         """Split a run of data tuples into ``(kept, dropped)`` in one pass.
 
-        The batch counterpart of :meth:`blocks`, used by the page-batched
-        operator path: each guard's non-wildcard atoms (its constrained
-        *columns*, see :meth:`~repro.punctuation.patterns.Pattern.
-        constrained`) are hoisted once per batch, then evaluated
-        positionally against each tuple's value array.  That skips the
-        per-element ``Pattern.matches`` machinery -- arity check,
-        wildcard-atom sweeps, generator dispatch -- which dominates the
-        guard-heavy profile.  Semantics match :meth:`blocks` exactly: the
+        The batch counterpart of :meth:`blocks`, with the same semantics:
+        each tuple's values go to each guard's compiled matcher, and the
         first matching guard (in installation order) takes the drop and
-        its counter.
+        its counter.  The batch comes back as-is when no guard is active.
         """
         guards = self._guards
         if not guards:
-            return batch, []
-        specs = [
-            (g, tuple((i, a.matches) for i, a in g.pattern.constrained()),
-             g.pattern.arity)
-            for g in guards if not g.released
-        ]
-        if not specs:
             return batch, []
         kept: list = []
         dropped: list = []
@@ -138,16 +138,8 @@ class GuardSet:
         drop = dropped.append
         for element in batch:
             values = element.values
-            n = len(values)
-            for guard, spec, arity in specs:
-                if n != arity:
-                    # Preserve blocks()'s error behaviour (via matches()).
-                    guard.pattern.matches(element)
-                    continue
-                for index, matches in spec:
-                    if not matches(values[index]):
-                        break
-                else:
+            for guard in guards:
+                if guard.matcher(values):
                     guard.drops += 1
                     drop(element)
                     break
@@ -192,10 +184,6 @@ class GuardSet:
 
     def __len__(self) -> int:
         return len(self._guards)
-
-    def covers(self, element: Any) -> bool:
-        """Alias of :meth:`would_block` for read-only call sites."""
-        return self.would_block(element)
 
     def __repr__(self) -> str:
         return (

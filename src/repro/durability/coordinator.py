@@ -136,19 +136,32 @@ class CheckpointCoordinator:
         source: SourceOperator,
         aevents: Any,
     ) -> AsyncIterator[tuple[float, Any]]:
-        """Async twin of :meth:`wrap_events` for ``aevents`` adapters."""
+        """Async twin of :meth:`wrap_events` for ``aevents`` adapters.
+
+        A feed's event may be a run (a list of tuples): it is counted
+        element by element, loses whatever part of it is replayed prefix,
+        and is split after the element that closes an epoch, so markers
+        land at the offsets they would have with single elements.
+        """
         skip = self.replay_offsets.get(source.name, 0)
         every = self.every
         count = 0
         self.live_offsets[source.name] = skip
-        async for arrival, element in aevents:
-            count += 1
-            if count <= skip:
-                continue
-            yield arrival, element
-            self.live_offsets[source.name] = count
-            if every and count % every == 0:
-                yield arrival, self._marker(source, count, arrival)
+        async for arrival, event in aevents:
+            batched = isinstance(event, list)
+            run = event if batched else [event]
+            if count < skip:
+                replayed = min(len(run), skip - count)
+                count += replayed
+                run = run[replayed:]
+            while run:
+                part = run[:every - count % every] if every else run
+                run = run[len(part):]
+                count += len(part)
+                yield arrival, part if batched else part[0]
+                self.live_offsets[source.name] = count
+                if every and count % every == 0:
+                    yield arrival, self._marker(source, count, arrival)
 
     def _marker(
         self, source: SourceOperator, offset: int, arrival: float

@@ -37,9 +37,14 @@ coroutines sharing the loop keep running under a saturating source.
 Sources that expose ``aevents()`` -- an *async* iterator of ``(arrival,
 element)`` pairs, e.g. :class:`~repro.operators.source.
 AsyncIterableSource` -- get one small **pump task** each: it awaits the
-feed's next element, pushes it onto the heap, and parks until the
+feed's next event, pushes it onto the heap, and parks until the
 scheduler has dispatched it (a paused source therefore parks its pump
 until the resume, by the same stash-and-replay rule the simulator uses).
+A feed's event may carry a *run* -- a list of tuples it had ready
+together, as ``Flow.ingest``'s channel yields its backlog -- which enters
+the plan as one source event (:meth:`~repro.engine.simulator.Simulator.
+_handle_fed_run`), so a burst costs one pump round trip, not one per
+tuple.
 A slow network feed parks its pump and nothing else; thousands of idle
 feeds cost one parked ``await`` each.  Plain sources replay their
 synchronous ``events()`` timeline off the heap.
@@ -142,6 +147,9 @@ class AsyncioEngine(Simulator):
         source.metrics.busy_time += cost
         return now + cost
 
+    def _jump(self, due: float) -> bool:
+        return due <= self.clock.now()
+
     def _earliest_start(self) -> float:
         return self.clock.now()
 
@@ -171,27 +179,35 @@ class AsyncioEngine(Simulator):
         aevents: AsyncIterable[tuple[float, Any]],
         request: asyncio.Event,
     ) -> None:
-        """Feed one async source's elements onto the heap, one at a time.
+        """Feed one async source's events onto the heap, one at a time.
 
-        An element that lands at the head of the heap already due is
+        An event is an element, or a *run*: a list of tuples the feed had
+        ready together (``Flow.ingest``'s channel yields what is
+        buffered), which enters the plan as one source event.  Modeled
+        costs are charged per element, so under ``emulate_costs`` a run
+        goes in element by element.
+
+        An event that lands at the head of the heap already due is
         stepped right here: it is the step the driver would take next,
-        and taking it saves waking the driver once per element -- a
-        burst buffered in the feed is emitted in one go and the driver
-        wakes once, for the page it completed.  Anything else due first
-        (a pause for this source, a consumer's page) keeps its turn.
+        and taking it saves waking the driver once per event -- a burst
+        buffered in the feed is emitted in one go and the driver wakes
+        once, for the page it completed.  Anything else due first (a
+        pause for this source, a consumer's page) keeps its turn.
         """
         try:
-            async for _arrival, element in self.source_aevents(source, aevents):
-                request.clear()
-                payload = (source, element)
-                self._push(
-                    self._source_due(source, 0.0, element),
-                    _PRIO_SOURCE, "source", payload,
-                )
-                head = self._events[0]
-                if head[4] is payload and head[0] <= self.clock.now():
-                    self._step()
-                await request.wait()
+            async for _arrival, event in self.source_aevents(source, aevents):
+                singly = self.emulate_costs and isinstance(event, list)
+                for element in event if singly else (event,):
+                    request.clear()
+                    payload = (source, element)
+                    self._push(
+                        self._source_due(source, 0.0, element),
+                        _PRIO_SOURCE, "source", payload,
+                    )
+                    head = self._events[0]
+                    if head[4] is payload and head[0] <= self.clock.now():
+                        self._step()
+                    await request.wait()
             self._push(self.clock.now(), _PRIO_SOURCE, "source", (source, None))
         except Exception as error:  # noqa: BLE001 - re-raised by the driver
             self._pump_error = error

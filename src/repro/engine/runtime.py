@@ -601,20 +601,40 @@ class RuntimeCore:
 
     # -- sources ---------------------------------------------------------------------
 
-    def dispatch_source_element(self, source: SourceOperator, element: Any) -> None:
-        """Emit one replayed source element at the current clock time."""
+    def dispatch_source_run(self, source: SourceOperator, run: list) -> None:
+        """Emit a run of replayed source elements at the current clock time.
+
+        The one way source elements enter a plan, on every engine.  A run
+        is consecutive plain tuples -- one output-guard pass, one
+        ``put_many`` per edge -- or a single punctuation or checkpoint
+        marker on its own.  Engines cut runs with :meth:`source_run_room`
+        so that batching stays invisible to everything downstream.
+        """
         source.set_now(self.clock.now())
-        if isinstance(element, CheckpointPunctuation):
+        head = run[0]
+        if not head.is_punctuation:
+            source.emit_many(run)
+        elif isinstance(head, CheckpointPunctuation):
             # A checkpoint marker injected by the coordinator's event
             # wrapper: snapshot the source and start the marker's sweep
             # downstream (bypassing ``emit_punctuation``, whose pattern
             # guards expect schema punctuation).
-            source._ckpt_complete(element)
-            return
-        if element.is_punctuation:
-            source.emit_punctuation(element)
+            source._ckpt_complete(head)
         else:
-            source.emit(element)
+            source.emit_punctuation(head)
+
+    def source_run_room(self, source: SourceOperator) -> int:
+        """The longest run of tuples ``source`` may emit in one dispatch.
+
+        At least one.  A longer run ends no later than the tuple that
+        fills an output edge's open page (the page's ``available_at``
+        stays that tuple's arrival) and no later than the tuple that
+        brings a bounded edge to high water (the pause fires at the same
+        element as it would tuple by tuple).
+        """
+        return max(1, min(
+            (edge.queue.quiet_room() for edge in source.outputs), default=1
+        ))
 
     def source_events(self, source: SourceOperator) -> Any:
         """The source's event iterator, checkpoint-wrapped when active.

@@ -10,7 +10,14 @@ clock**:
 
 * every operator has a ``busy_until`` horizon; processing an element
   advances it by the operator's cost model;
-* sources replay ``(arrival_time, element)`` timelines;
+* sources replay ``(arrival_time, element)`` timelines: a source event
+  is an element of its ``events()`` iterator due at its arrival time, and
+  the handler keeps taking elements while the next one would be the next
+  heap event anyway, emitting consecutive tuples as one run (see
+  :meth:`Simulator._handle_source`) -- which moves no timestamp; a
+  source fed from outside the heap (the asyncio engine's pump) may hand
+  over a run ready-made, which leaves in the same cuts
+  (:meth:`Simulator._handle_fed_run`);
 * control messages (feedback!) are delivered with a configurable latency
   and always drain **before** data pages -- NiagaraST's "control messages
   are given high priority and processed before pending tuples";
@@ -45,8 +52,8 @@ module's loop jumps a virtual clock there;
 :class:`~repro.engine.async_engine.AsyncioEngine` subclasses
 :class:`Simulator` on a wall clock and waits.  What differs between the
 two is confined to a few small hooks (``clock_class``,
-``emulate_costs``, ``_source_due``, ``_earliest_start``, ``_input_dry``,
-``_quiescent``, ``_open_source``).
+``emulate_costs``, ``_jump``, ``_source_due``, ``_earliest_start``,
+``_input_dry``, ``_quiescent``, ``_open_source``).
 """
 
 from __future__ import annotations
@@ -116,9 +123,10 @@ class Simulator(RuntimeCore):
         self._source_iters: dict[str, Iterator[tuple[float, Any]]] = {}
         self._rr_port: dict[str, int] = {}
         self._events_processed = 0
-        #: Source elements that arrived while their source was paused:
-        #: exactly one per paused source (event chaining stops at the
-        #: stash), replayed by ``_on_resumed``.
+        #: What came due while its source was paused: one entry per
+        #: paused source -- the element pulled ahead of the pause, or the
+        #: rest of the run an async feed handed over -- and nothing
+        #: further is pulled; replayed by ``_on_resumed``.
         self._paused_source_pending: dict[str, Any] = {}
 
     @property
@@ -216,7 +224,7 @@ class Simulator(RuntimeCore):
                     f"exceeded max_events={self.max_events}; "
                     "plan is likely livelocked"
                 )
-            self.clock.advance_to(self._events[0][0])
+            self._jump(self._events[0][0])
             self._step()
         return self._finalise()
 
@@ -278,7 +286,30 @@ class Simulator(RuntimeCore):
         """When a replayed element enters the plan: its recorded arrival."""
         return arrival
 
+    def _jump(self, due: float) -> bool:
+        """Bring the clock to ``due``; False when its time has not come.
+
+        Virtual time is always there: the clock jumps.
+        """
+        self.clock.advance_to(due)
+        return True
+
     def _handle_source(self, payload: tuple[SourceOperator, Any]) -> None:
+        """Admit a source element -- and every one behind it that the heap
+        would hand straight back.
+
+        After an element is taken the source's next one is pulled.  Pushed,
+        it would be popped right back whenever nothing else on the heap
+        sorts before it; that round trip is skipped, which changes no
+        order.  Consecutive tuples taken this way leave as one run
+        (:meth:`~repro.engine.runtime.RuntimeCore.dispatch_source_run`) at
+        the clock of the last of them.  A run is held back only while
+        emitting it would be *quiet* -- it completes no page and reaches
+        no high-water mark (:meth:`~repro.engine.runtime.RuntimeCore.
+        source_run_room`), so it stamps nothing and schedules nobody --
+        and is cut before a punctuation or marker, before any other
+        event's turn, and at the end of the timeline.
+        """
         source, element = payload
         if element is None:  # exhausted: close downstream
             # Finishing is legal even while paused (rule 2): the queues
@@ -291,9 +322,81 @@ class Simulator(RuntimeCore):
             # chain; _on_resumed replays it when relief arrives.
             self._paused_source_pending[source.name] = element
             return
-        self.dispatch_source_element(source, element)
+        iterator = self._source_iters.get(source.name)
+        if iterator is None:
+            self._handle_fed_run(source, element)
+            return
+        events = self._events
+        now = self.clock.now()
+        run: list = []
+        room = 0
+        while True:
+            if element.is_punctuation:
+                self._emit_source_run(source, [element])
+            else:
+                if not run:
+                    room = self.source_run_room(source)
+                run.append(element)
+                if len(run) >= room:
+                    self._emit_source_run(source, run)
+                    run = []
+            # A run still held here is quiet, so the heap already reads
+            # as it will after it: ask whose turn is next.
+            try:
+                arrival, element = next(iterator)
+            except StopIteration:
+                element, due, ahead = None, now, False
+            else:
+                due = self._source_due(source, arrival, element)
+                if due < now:
+                    due = now  # late arrival: time never rewinds
+                # A pushed event would carry the largest seq: it is next
+                # only if it sorts strictly before the head.
+                head = events[0] if events else None
+                ahead = (
+                    head is None
+                    or due < head[0]
+                    or (due == head[0] and _PRIO_SOURCE < head[1])
+                ) and self._events_processed < self.max_events
+            if run and (not ahead or element.is_punctuation):
+                self._emit_source_run(source, run)
+                run = []
+            if not (ahead and (due <= now or self._jump(due))):
+                if run:  # a wall clock said "not yet" (a costed element)
+                    self._emit_source_run(source, run)
+                self._push(due, _PRIO_SOURCE, "source", (source, element))
+                return
+            self._events_processed += 1
+            now = due
+
+    def _handle_fed_run(self, source: SourceOperator, event: Any) -> None:
+        """Admit what an async feed's pump handed over: an element or a run.
+
+        Fed from outside the heap there is no timeline to run ahead on;
+        the feed already says what is there -- a list of tuples.  It
+        leaves in the same quiet cuts a replayed run does, and what is
+        left after a cut goes back on the heap for *now*: behind a pause
+        the cut may have provoked (control sorts first, and the stash
+        then holds the remainder), ahead of the feed's next event, which
+        is only asked for once the run is out.
+        """
+        run = event if isinstance(event, list) else [event]
+        rest: list = []
+        if len(run) > 1:
+            room = self.source_run_room(source)
+            run, rest = run[:room], run[room:]
+        if run:
+            self._events_processed += len(run) - 1  # elements, not events
+            self._emit_source_run(source, run)
+        if rest:
+            self._push(self.clock.now(), _PRIO_SOURCE, "source", (source, rest))
+        else:
+            self._schedule_next_source_event(source)
+
+    def _emit_source_run(self, source: SourceOperator, run: list) -> None:
+        """Dispatch ``run`` at the current clock; stamp, wake, check marks."""
+        self.dispatch_source_run(source, run)
         self._after_activity(source, at=self.clock.now())
-        self._schedule_next_source_event(source)
 
     # ------------------------------------------------------------- control
 

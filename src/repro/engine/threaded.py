@@ -45,9 +45,11 @@ pages through :meth:`~repro.operators.base.Operator.process_page` with no
 ``meter``, since wall-clock time needs no per-element metering.
 
 Backpressure (``queue_capacity`` / bounded :class:`~repro.stream.queues.
-DataQueue`) is honoured cooperatively: a source thread sleeps between
-events while any of its output edges is paused, and an operator thread
-pulls no pages while paused -- both wake when the consumer's *resume*
+DataQueue`) is honoured cooperatively: a source thread pulls its timeline
+in runs sized so that none passes a high-water mark
+(:meth:`ThreadedRuntime._source_runs`) and sleeps between runs while any
+of its output edges is paused, and an operator thread pulls no pages
+while paused -- both wake when the consumer's *resume*
 flow-control punctuation is drained.  See :mod:`repro.engine.runtime` for
 the shared watermark/signalling mechanism and ``docs/backpressure.md``
 for the deadlock-avoidance rules.
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.engine.plan import QueryPlan
 from repro.engine.runtime import RunResult, RuntimeCore
@@ -200,10 +202,43 @@ class ThreadedRuntime(RuntimeCore):
             else max(0.0, deadline - self.clock.now())
         )
 
-    def _source_body(self, source: SourceOperator) -> None:
+    def _source_runs(self, source: SourceOperator) -> Iterator[list]:
+        """Cut ``source``'s timeline into runs, pulled outside the plan lock.
+
+        A run is consecutive tuples, or one punctuation or marker on its
+        own.  Its length is bounded by
+        :meth:`~repro.engine.runtime.RuntimeCore.source_run_room`, read
+        without the lock when the run's first tuple is pulled: only this
+        thread shrinks the open page's room, and the consumer can only
+        widen the room to high water, so a stale read errs short.  Under
+        ``emulate_costs`` every element is charged its own sleep, so runs
+        are of one.
+        """
+        run: list = []
+        room = 0
         for _arrival, element in self.source_events(source):
+            if element.is_punctuation:
+                if run:
+                    yield run
+                    run = []
+                yield [element]
+                continue
+            if not run:
+                room = (
+                    1 if self.emulate_costs
+                    else self.source_run_room(source)
+                )
+            run.append(element)
+            if len(run) >= room:
+                yield run
+                run = []
+        if run:
+            yield run
+
+    def _source_body(self, source: SourceOperator) -> None:
+        for run in self._source_runs(source):
             if self.emulate_costs:
-                cost = source.cost_of(element)
+                cost = source.cost_of(run[0])
                 if cost > 0.0:
                     time.sleep(cost)  # outside the lock: sources overlap
                     source.metrics.busy_time += cost
@@ -218,7 +253,7 @@ class ThreadedRuntime(RuntimeCore):
                     if self._abort_error is not None:
                         return
                     self.drain_control(source)
-                self.dispatch_source_element(source, element)
+                self.dispatch_source_run(source, run)
                 self.check_pressure(source)
                 self._wakeup.notify_all()
         with self._lock:

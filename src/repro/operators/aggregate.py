@@ -383,7 +383,7 @@ class WindowAggregate(Operator):
         if not self._window_guards:
             return False
         probe = self._output_values(window_id, group, None)
-        return any(g.matches(probe) for g in self._window_guards)
+        return any(g.matcher(probe) for g in self._window_guards)
 
     # ---------------------------------------------------------- punctuation
 
@@ -482,9 +482,10 @@ class WindowAggregate(Operator):
     def _close_groups(self, input_pattern: Pattern) -> None:
         """A group is complete on the input: close all its windows."""
         group_atoms = [input_pattern.atoms[i] for i in self._group_indices]
+        tests = [atom.predicate() for atom in group_atoms]
         closable = [
             key for key in self._state
-            if all(a.matches(v) for a, v in zip(group_atoms, key[1]))
+            if all(test(v) for test, v in zip(tests, key[1]))
         ]
         for key in sorted(closable):
             self._emit_window(key)
@@ -623,10 +624,11 @@ class WindowAggregate(Operator):
             return [ExploitAction.GUARD_OUTPUT]
         # G <- pairs whose partial aggregate already satisfies the bound;
         # their final value is certain to match, so they are dead weight.
+        satisfied = value_atom.predicate()
         group_set = [
             key for key, state in self._state.items()
             if state.value(self.kind) is not None
-            and value_atom.matches(state.value(self.kind))
+            and satisfied(state.value(self.kind))
         ]
         if not group_set:
             return [ExploitAction.GUARD_OUTPUT]

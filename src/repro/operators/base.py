@@ -432,10 +432,10 @@ class Operator(abc.ABC):
         """Guard-filter one run of data tuples and hand survivors to
         :meth:`on_page`.
 
-        Guard evaluation is batched (:meth:`~repro.core.guards.GuardSet.
-        filter_batch`): the constrained columns of each guard pattern are
-        hoisted once per run instead of re-dispatching ``Pattern.matches``
-        per element -- the single largest cost on guard-heavy chains.
+        One :meth:`~repro.core.guards.GuardSet.filter_batch` pass per run:
+        each guard is its pattern's compiled matcher, the same test
+        ``Pattern.matches`` applies, so a guard costs what a query
+        predicate costs and a dropped tuple costs nothing further.
         """
         metrics = self.metrics
         metrics.tuples_in += len(batch)
@@ -443,8 +443,7 @@ class Operator(abc.ABC):
             kept, dropped = guards.filter_batch(batch)
             if dropped:
                 metrics.input_guard_drops += len(dropped)
-                for element in dropped:
-                    self.on_guarded_drop(port_index, element)
+                self.on_guarded_drops(port_index, dropped)
         else:
             kept = batch
         if kept:
@@ -486,8 +485,8 @@ class Operator(abc.ABC):
         """
         self.emit_punctuation(punct)
 
-    def on_guarded_drop(self, port_index: int, tup: StreamTuple) -> None:
-        """Hook invoked when an input guard suppressed a tuple."""
+    def on_guarded_drops(self, port_index: int, dropped: list) -> None:
+        """Hook invoked with the tuples of one run an input guard suppressed."""
 
     def on_guards_expired(
         self, port_index: int, punct: Punctuation, released: list
@@ -1032,7 +1031,8 @@ class SourceOperator(Operator):
 
     Subclasses implement :meth:`events`, yielding ``(arrival_time,
     element)`` pairs in non-decreasing arrival order; the engine replays
-    them onto the output queue at those virtual times.  Assumed feedback
+    them onto the output queue at those virtual times, handing
+    consecutive tuples to :meth:`emit_many` as one run.  Assumed feedback
     reaching a source installs an output guard, which suppresses matching
     tuples *before they enter the plan* -- the cheapest possible
     exploitation point.
@@ -1051,7 +1051,19 @@ class SourceOperator(Operator):
 
     @abc.abstractmethod
     def events(self) -> Iterator[tuple[float, Any]]:
-        """Yield ``(arrival_time, element)`` pairs in arrival order."""
+        """Yield ``(arrival_time, element)`` pairs in arrival order.
+
+        This iterator is the whole source contract: every engine, the
+        checkpoint coordinator and the benchmarks pull it.  Arrivals must
+        not decrease.  A source built over a finished timeline checks
+        that up front (:class:`~repro.operators.source.ListSource`,
+        :class:`~repro.operators.source.PunctuatedSource`); a lazy one
+        (:class:`~repro.operators.source.GeneratorSource`,
+        :class:`~repro.operators.source.AsyncIterableSource`) cannot be
+        checked before it runs, so the virtual-time engine clamps a late
+        arrival to its clock -- the element enters when it shows up, time
+        never rewinds.
+        """
 
     def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
         raise PlanError(f"source {self.name} cannot receive tuples")

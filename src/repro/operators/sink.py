@@ -271,11 +271,11 @@ class PushSink(AwaitableSink):
     """An always-on delivery sink that pushes results as they arrive.
 
     Where :class:`AwaitableSink` hands over the *complete* result set at
-    end of stream, a push sink calls ``publish(tup)`` the moment each
-    result is produced -- the delivery half of the serving layer, with
-    ``publish`` typically bound to :meth:`repro.stream.Broadcast.publish`
-    so results fan out to live SSE/websocket subscribers
-    (``docs/serving.md``).
+    end of stream, a push sink calls ``publish(page)`` with each page of
+    results the moment it is produced -- the delivery half of the serving
+    layer, with ``publish`` typically bound to
+    :meth:`repro.stream.Broadcast.publish_page` so results fan out to
+    live SSE/websocket subscribers (``docs/serving.md``).
 
     To keep memory bounded over unbounded runs the locally retained
     ``results``/``arrivals`` lists are trimmed to the last ``retain``
@@ -332,9 +332,8 @@ class PushSink(AwaitableSink):
 
     def on_page(self, port_index: int, batch: list) -> None:
         batch = self._record_arrivals(batch)
-        if self.publish is not None:
-            for tup in batch:
-                self.publish(tup)
+        if batch and self.publish is not None:
+            self.publish(batch)
         self._trim()
 
 

@@ -1,18 +1,26 @@
 """Stream sources: replayed, generated, punctuated and async inputs.
 
-Sources yield ``(arrival_time, element)`` pairs that the engine replays at
-those virtual times.  Because :class:`~repro.operators.base.SourceOperator`
-is feedback-aware, assumed feedback that propagates all the way to a source
-suppresses tuples before they enter the plan -- the best case of the
-paper's "avoidance of unnecessary work".
+Sources yield ``(arrival_time, element)`` pairs, in non-decreasing arrival
+order, that the engine replays at those virtual times; that iterator
+(:meth:`~repro.operators.base.SourceOperator.events`) is all a source has
+to provide.  The engine takes consecutive tuples off it as a *run* and
+emits the run at once (``emit_many``: one output-guard pass, one
+``put_many`` per edge), cutting runs so that nothing downstream can tell
+(:meth:`~repro.engine.runtime.RuntimeCore.dispatch_source_run`).  Because
+:class:`~repro.operators.base.SourceOperator` is feedback-aware, assumed
+feedback that propagates all the way to a source suppresses tuples before
+they enter the plan -- the best case of the paper's "avoidance of
+unnecessary work".  An async source's feed
+(:meth:`AsyncIterableSource.aevents`) may do the grouping itself and
+yield a list of tuples as one event.
 
 Sources are also where backpressure terminates: when a bounded downstream
 queue signals *pause*, the engine stops replaying the source's timeline
-(the simulator and the asyncio engine stash the in-flight event, the
-threaded runtime sleeps the source thread) until the matching *resume*
-arrives, so input is admitted no faster than the plan can absorb it.
-Sources need no code for this -- the engines honour it on their behalf
-(see :mod:`repro.engine.runtime`).
+(the simulator and the asyncio engine stash the one element they have
+pulled but not admitted, the threaded runtime sleeps the source thread)
+until the matching *resume* arrives, so input is admitted no faster than
+the plan can absorb it.  Sources need no code for this -- the engines
+honour it on their behalf (see :mod:`repro.engine.runtime`).
 """
 
 from __future__ import annotations
@@ -34,6 +42,23 @@ __all__ = [
 ]
 
 
+def _ordered_timeline(name: str, timeline: Sequence[tuple[float, Any]]) -> list:
+    """``timeline`` as a list, refused when its arrivals ever decrease.
+
+    A list is replayed in place, not copied: a finished plan waiting for
+    the garbage collector would otherwise pin a private copy of its whole
+    input.  Do not mutate it while a source built over it may still run.
+    """
+    previous = float("-inf")
+    for arrival, _ in timeline:
+        if arrival < previous:
+            raise WorkloadError(
+                f"{name}: timeline arrival times must be non-decreasing"
+            )
+        previous = arrival
+    return timeline if isinstance(timeline, list) else list(timeline)
+
+
 class ListSource(SourceOperator):
     """Replays a pre-built list of ``(arrival_time, element)`` pairs.
 
@@ -49,14 +74,7 @@ class ListSource(SourceOperator):
         **kwargs: Any,
     ) -> None:
         super().__init__(name, output_schema, **kwargs)
-        previous = float("-inf")
-        for arrival, _ in timeline:
-            if arrival < previous:
-                raise WorkloadError(
-                    f"{name}: timeline arrival times must be non-decreasing"
-                )
-            previous = arrival
-        self._timeline = list(timeline)
+        self._timeline = _ordered_timeline(name, timeline)
 
     def events(self) -> Iterator[tuple[float, Any]]:
         return iter(self._timeline)
@@ -97,7 +115,7 @@ class AsyncIterableSource(SourceOperator):
 
     The synchronous :meth:`events` bridge keeps the source runnable on
     the simulator and the threaded runtime: it pumps a private event
-    loop one element at a time.  That private loop cannot be nested
+    loop one event at a time and hands a run out element by element.  That private loop cannot be nested
     inside an already-running one, so from async client code, drive
     these sources with the asyncio engine.
     """
@@ -135,7 +153,13 @@ class AsyncIterableSource(SourceOperator):
         return self._idle_flush is not None and self._idle_flush()
 
     def aevents(self) -> AsyncIterable[tuple[float, Any]]:
-        """The async iterator of events (consumed by the asyncio engine)."""
+        """The async iterator of events (consumed by the asyncio engine).
+
+        An event's element may be a *run* -- a list of tuples the feed
+        had ready together, as ``Flow.ingest``'s channel yields them --
+        which the asyncio engine admits as one source event; punctuation
+        always travels as a single element.
+        """
         iterable = self._factory()
         if not hasattr(iterable, "__aiter__"):
             raise WorkloadError(
@@ -151,9 +175,15 @@ class AsyncIterableSource(SourceOperator):
         try:
             while True:
                 try:
-                    yield loop.run_until_complete(iterator.__anext__())
+                    event = loop.run_until_complete(iterator.__anext__())
                 except StopAsyncIteration:
                     break
+                arrival, element = event
+                if isinstance(element, list):  # a run: same arrival
+                    for tup in element:
+                        yield arrival, tup
+                else:
+                    yield event
         finally:
             # Runs on early abandonment too (GeneratorExit at the yield
             # when an engine aborts mid-stream): an async generator whose
@@ -176,6 +206,7 @@ class PunctuatedSource(SourceOperator):
     emitting ``[... <= boundary ...]`` punctuation as the stream advances,
     plus a final all-covering punctuation at end of stream.  This is the
     standard NiagaraST-style input: data plus embedded progress markers.
+    Arrival times must be non-decreasing.
     """
 
     def __init__(
@@ -190,7 +221,7 @@ class PunctuatedSource(SourceOperator):
         **kwargs: Any,
     ) -> None:
         super().__init__(name, output_schema, **kwargs)
-        self._timeline = list(timeline)
+        self._timeline = _ordered_timeline(name, timeline)
         self._punctuate_on = punctuate_on
         self._interval = punctuation_interval
         self._grace = grace
@@ -203,10 +234,19 @@ class PunctuatedSource(SourceOperator):
             grace=self._grace,
             source=self.name,
         )
-        last_arrival = 0.0
+        index = self.output_schema.index_of(self._punctuate_on)
+        grace = punctuator.grace
+        boundary = punctuator.next_boundary
         for arrival, tup in self._timeline:
-            last_arrival = arrival
             yield arrival, tup
-            for punct in punctuator.observe(tup[self._punctuate_on]):
-                yield arrival, punct
-        yield last_arrival, punctuator.final()
+            # The punctuator's own test, made here so that it is only
+            # called -- watermark and all -- for a value that crosses.
+            value = tup.values[index]
+            if float(value) - grace >= boundary:
+                for punct in punctuator.observe(value):
+                    yield arrival, punct
+                boundary = punctuator.next_boundary
+        yield (
+            self._timeline[-1][0] if self._timeline else 0.0,
+            punctuator.final(),
+        )

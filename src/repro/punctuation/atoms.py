@@ -26,7 +26,7 @@ again the safe direction.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import PatternError
 
@@ -94,6 +94,11 @@ def _compare(a: Any, b: Any) -> int | None:
     return None
 
 
+def _match_any(value: Any) -> bool:
+    """The wildcard's test."""
+    return True
+
+
 class Atom:
     """Base class for pattern atoms.
 
@@ -114,25 +119,80 @@ class Atom:
 
     def matches(self, value: Any) -> bool:
         """True when ``value`` satisfies this atom."""
-        if self._members is not None:
-            try:
-                return value in self._members
-            except TypeError:
-                return False
+        return self.predicate()(value)
+
+    def predicate(self) -> Callable[[Any], bool]:
+        """This atom's test, resolved once into a one-argument callable.
+
+        What :meth:`matches` evaluates; callers that test many values
+        (a pattern's matcher) resolve it once and keep it.  A finite-set
+        atom becomes a set-membership test and an order atom a chained
+        comparison; ``None``, NaN and values the bounds cannot be
+        compared with (or that cannot be hashed) answer False, never
+        raise.
+        """
+        members = self._members
+        if members is not None:
+            def in_members(value: Any) -> bool:
+                try:
+                    return value in members
+                except TypeError:  # unhashable
+                    return False
+            return in_members
         lo, lo_inc, hi, hi_inc = self._bounds  # type: ignore[misc]
-        if value is None and not self.is_wildcard:
-            return False
         if lo is NEG_INF and hi is POS_INF:
-            return True
-        if value is None:
-            return False
-        cmp_lo = _compare(value, lo)
-        if cmp_lo is None or cmp_lo < 0 or (cmp_lo == 0 and not lo_inc):
-            return False
-        cmp_hi = _compare(value, hi)
-        if cmp_hi is None or cmp_hi > 0 or (cmp_hi == 0 and not hi_inc):
-            return False
-        return True
+            return _match_any
+        if lo is NEG_INF:
+            if hi_inc:
+                def in_range(value: Any) -> bool:
+                    try:
+                        return value is not None and value <= hi
+                    except TypeError:
+                        return False
+            else:
+                def in_range(value: Any) -> bool:
+                    try:
+                        return value is not None and value < hi
+                    except TypeError:
+                        return False
+        elif hi is POS_INF:
+            if lo_inc:
+                def in_range(value: Any) -> bool:
+                    try:
+                        return value is not None and lo <= value
+                    except TypeError:
+                        return False
+            else:
+                def in_range(value: Any) -> bool:
+                    try:
+                        return value is not None and lo < value
+                    except TypeError:
+                        return False
+        elif lo_inc and hi_inc:
+            def in_range(value: Any) -> bool:
+                try:
+                    return value is not None and lo <= value <= hi
+                except TypeError:
+                    return False
+        elif lo_inc:
+            def in_range(value: Any) -> bool:
+                try:
+                    return value is not None and lo <= value < hi
+                except TypeError:
+                    return False
+        elif hi_inc:
+            def in_range(value: Any) -> bool:
+                try:
+                    return value is not None and lo < value <= hi
+                except TypeError:
+                    return False
+        else:
+            def in_range(value: Any) -> bool:
+                try:
+                    return value is not None and lo < value < hi
+                except TypeError:
+                    return False
+        return in_range
 
     # -- structure --------------------------------------------------------------
 
@@ -173,7 +233,7 @@ class Atom:
         if other.is_wildcard:
             return False
         if other._members is not None:
-            return all(self.matches(v) for v in other._members)
+            return all(map(self.predicate(), other._members))
         if self._members is not None:
             # A finite set subsumes an interval only if that interval is a
             # single point contained in the set.
@@ -202,10 +262,10 @@ class Atom:
             common = self._members & other._members
             return InSet(common) if common else None
         if self._members is not None:
-            kept = frozenset(v for v in self._members if other.matches(v))
+            kept = frozenset(filter(other.predicate(), self._members))
             return InSet(kept) if kept else None
         if other._members is not None:
-            kept = frozenset(v for v in other._members if self.matches(v))
+            kept = frozenset(filter(self.predicate(), other._members))
             return InSet(kept) if kept else None
         s_lo, s_lo_inc, s_hi, s_hi_inc = self._bounds  # type: ignore[misc]
         o_lo, o_lo_inc, o_hi, o_hi_inc = other._bounds  # type: ignore[misc]

@@ -13,7 +13,7 @@ the pointwise rule is exact, not just sufficient).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import PatternError
 from repro.punctuation.atoms import Atom, WILDCARD, atom_from_literal
@@ -31,7 +31,7 @@ class Pattern:
     and are used inside the algebra and the propagation planner.
     """
 
-    __slots__ = ("atoms", "schema", "_hash")
+    __slots__ = ("atoms", "schema", "_hash", "_matcher")
 
     def __init__(
         self, atoms: Iterable[Atom], schema: Schema | None = None
@@ -49,6 +49,7 @@ class Pattern:
         object.__setattr__(self, "atoms", atom_tuple)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_hash", hash(atom_tuple))
+        object.__setattr__(self, "_matcher", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Pattern is immutable")
@@ -56,7 +57,8 @@ class Pattern:
     # Immutability blocks the default slot-state unpickling (it goes
     # through ``setattr``), so patterns restore their slots explicitly --
     # they must cross process boundaries inside serialized feedback and
-    # punctuation (see repro.engine.multiprocess).
+    # punctuation (see repro.engine.multiprocess).  The compiled matcher
+    # is derived state: it stays behind and is rebuilt on first use.
     def __getstate__(self) -> tuple:
         return (self.atoms, self.schema)
 
@@ -65,6 +67,7 @@ class Pattern:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_hash", hash(atoms))
+        object.__setattr__(self, "_matcher", None)
 
     # -- construction ----------------------------------------------------------
 
@@ -105,15 +108,45 @@ class Pattern:
 
     # -- matching ---------------------------------------------------------------
 
+    @property
+    def matcher(self) -> Callable[[Sequence[Any]], bool]:
+        """The pattern compiled to one test over a tuple's value sequence.
+
+        Built on first use from each constrained atom's
+        :meth:`~repro.punctuation.atoms.Atom.predicate` (wildcards cost
+        nothing) and kept for the pattern's lifetime: every evaluation of
+        a pattern -- :meth:`matches`, :meth:`filter`, guards -- is a call
+        to it.  A value sequence of the wrong arity raises
+        :class:`~repro.errors.PatternError`.
+        """
+        matcher = self._matcher
+        if matcher is None:
+            matcher = self._compile()
+            object.__setattr__(self, "_matcher", matcher)
+        return matcher
+
+    def _compile(self) -> Callable[[Sequence[Any]], bool]:
+        arity = len(self.atoms)
+        tests = tuple((i, a.predicate()) for i, a in self.constrained())
+
+        def matcher(values: Sequence[Any]) -> bool:
+            if len(values) != arity:
+                raise PatternError(
+                    f"pattern arity {arity} does not match value "
+                    f"arity {len(values)}"
+                )
+            for index, test in tests:
+                if not test(values[index]):
+                    return False
+            return True
+
+        return matcher
+
     def matches(self, element: StreamTuple | Sequence[Any]) -> bool:
         """True when every atom matches the corresponding value."""
-        values = element.values if isinstance(element, StreamTuple) else element
-        if len(values) != len(self.atoms):
-            raise PatternError(
-                f"pattern arity {len(self.atoms)} does not match value "
-                f"arity {len(values)}"
-            )
-        return all(a.matches(v) for a, v in zip(self.atoms, values))
+        return self.matcher(
+            element.values if isinstance(element, StreamTuple) else element
+        )
 
     def filter(self, elements: Iterable[StreamTuple]) -> list[StreamTuple]:
         """The paper's ``subset(stream, punctuation)`` over a finite stream."""
@@ -138,10 +171,9 @@ class Pattern:
         """The non-wildcard atoms with their positions.
 
         This is the column view of a pattern: each entry names one value
-        column and the atom constraining it.  Batch evaluators (the guard
-        batch filter, the columnar page codec's consumers) hoist this once
-        and then test only the constrained columns per element, skipping
-        the wildcard sweeps :meth:`matches` performs.
+        column and the atom constraining it -- what the matcher tests,
+        and what the optimizer's guard pushdown rephrases column by
+        column.
         """
         return tuple(
             (i, a) for i, a in enumerate(self.atoms) if not a.is_wildcard

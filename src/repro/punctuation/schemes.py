@@ -136,6 +136,16 @@ class ProgressPunctuator:
         """Largest attribute value observed so far, or None initially."""
         return self._high_watermark
 
+    @property
+    def next_boundary(self) -> float:
+        """The boundary the next punctuation will close.
+
+        :meth:`observe` returns punctuation exactly when ``value - grace``
+        reaches it; a value that does not cannot change what any later
+        call returns, so a caller may skip it.
+        """
+        return self._next_boundary
+
     def observe(self, value: Any) -> list[Punctuation]:
         """Record one observed value; return punctuations now due.
 

@@ -1,7 +1,7 @@
 """Load generator: N simulated clients at T msg/s against one flow.
 
 The "heavy traffic" scenario as a measurable harness
-(BENCH_serving.json): ``run_load`` opens one websocket *ingest*
+(``benchmarks/test_serving_bench.py``): ``run_load`` opens one websocket *ingest*
 connection per simulated client plus a single *subscribe* connection
 collecting every pushed result, paces each client at the target rate,
 and stamps a send-side ``perf_counter`` into every payload so end-to-end

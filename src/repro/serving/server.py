@@ -55,6 +55,8 @@ from repro.serving.wire import (
     ws_encode,
     ws_read,
 )
+from repro.stream.channels import Subscription
+from repro.stream.tuples import StreamTuple
 
 __all__ = ["ServingConfig", "StreamServer", "serve"]
 
@@ -327,11 +329,11 @@ class StreamServer:
         managed = self.supervisor._managed(flow)
         schema = managed.flow.channel().schema
         tuples = tuples_from_body(schema, request.body)
-        for tup in tuples:
-            # The full admission chain awaits here (token bucket, hub
-            # gate, bounded channel), so an overloaded flow defers this
-            # client's *response* -- HTTP-shaped backpressure.
-            await self.supervisor.ingest(flow, tup)
+        # The full admission chain awaits here, once for the whole body
+        # (token bucket, hub gate, bounded channel), so an overloaded
+        # flow defers this client's *response* -- HTTP-shaped
+        # backpressure.
+        await self.supervisor.ingest(flow, tuples)
         self.counters["ingested_total"] += len(tuples)
         writer.write(
             response_bytes(
@@ -354,36 +356,30 @@ class StreamServer:
             )
         )
         sent = 0
-        iterator = subscription.__aiter__()
         # Watch the read side too: a subscriber of a quiet flow that
         # disconnects would otherwise park this handler (and leak its
         # subscription) until the next event tries to write.
         disconnect = asyncio.ensure_future(reader.read(1))
         try:
-            while True:
-                advance = asyncio.ensure_future(iterator.__anext__())
-                done, _pending = await asyncio.wait(
-                    {advance, disconnect},
-                    return_when=asyncio.FIRST_COMPLETED,
+            while (limit is None or sent < limit) and not disconnect.done():
+                if not subscription.buffer:
+                    # Nothing to write: one task for this idle wait,
+                    # raced against the disconnect watch.
+                    idle = asyncio.ensure_future(subscription.ready())
+                    await asyncio.wait(
+                        {idle, disconnect},
+                        return_when=asyncio.FIRST_COMPLETED,
+                    )
+                    if not idle.done():
+                        idle.cancel()
+                        await asyncio.gather(idle, return_exceptions=True)
+                        break
+                    if not idle.result():
+                        break
+                sent += await self._write_buffered(
+                    subscription, writer, _sse_frame,
+                    None if limit is None else limit - sent,
                 )
-                if disconnect in done:
-                    advance.cancel()
-                    await asyncio.gather(advance, return_exceptions=True)
-                    break
-                try:
-                    tup = advance.result()
-                except StopAsyncIteration:
-                    break
-                writer.write(sse_event(tuple_to_json(tup)))
-                # drain() blocks once the client stops reading and the
-                # small write buffer fills: the subscription stops being
-                # consumed, its hub buffer grows to high_water, and the
-                # gate closes -- backpressure reached the socket.
-                await writer.drain()
-                self.counters["pushed_total"] += 1
-                sent += 1
-                if limit is not None and sent >= limit:
-                    break
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -391,6 +387,36 @@ class StreamServer:
             await asyncio.gather(disconnect, return_exceptions=True)
             subscription.close()
         return True
+
+    async def _write_buffered(
+        self,
+        subscription: Subscription,
+        writer: asyncio.StreamWriter,
+        frame: Callable[[StreamTuple], bytes],
+        limit: int | None,
+    ) -> int:
+        """Send what the subscription has buffered as one socket write.
+
+        Results are framed and popped up to ``write_buffer_high`` encoded
+        bytes (and ``limit`` results): what one write may put in the
+        transport's buffer before ``drain()`` can block.  ``drain()``
+        does block once the client stops reading: the subscription stops
+        being consumed, its hub buffer grows to ``high_water``, and the
+        gate closes -- backpressure reached the socket.
+        """
+        budget = self.config.write_buffer_high
+        frames: list[bytes] = []
+        for tup in subscription.buffer:
+            data = frame(tup)
+            frames.append(data)
+            budget -= len(data)
+            if budget <= 0 or len(frames) == limit:
+                break
+        subscription.take(len(frames))
+        writer.write(b"".join(frames))
+        await writer.drain()
+        self.counters["pushed_total"] += len(frames)
+        return len(frames)
 
     # -- websocket ---------------------------------------------------------------
 
@@ -478,11 +504,10 @@ class StreamServer:
                     )
                     await writer.drain()
                     continue
-                for tup in tuples:
-                    # Awaiting here stops this coroutine reading more
-                    # frames: kernel buffers fill and the client's
-                    # sends block -- websocket-shaped backpressure.
-                    await self.supervisor.ingest(flow, tup)
+                # Awaiting here stops this coroutine reading more
+                # frames: kernel buffers fill and the client's sends
+                # block -- websocket-shaped backpressure.
+                await self.supervisor.ingest(flow, tuples)
                 self.counters["ingested_total"] += len(tuples)
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -495,12 +520,24 @@ class StreamServer:
 
     async def _ws_push(self, subscription, writer) -> None:
         try:
-            async for tup in subscription:
-                writer.write(ws_encode(tuple_to_json(tup)))
-                await writer.drain()
-                self.counters["pushed_total"] += 1
+            while await subscription.ready():
+                await self._write_buffered(
+                    subscription, writer, _ws_frame, None
+                )
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+
+# The codec names are looked up when a result is framed, not bound here:
+# a tracer that rebinds them in this module's namespace sees every call.
+
+
+def _sse_frame(tup: StreamTuple) -> bytes:
+    return sse_event(tuple_to_json(tup))
+
+
+def _ws_frame(tup: StreamTuple) -> bytes:
+    return ws_encode(tuple_to_json(tup))
 
 
 def _error_response(status: int, message: str, keep_alive: bool) -> bytes:

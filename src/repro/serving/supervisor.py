@@ -260,14 +260,17 @@ class FlowSupervisor:
         *,
         channel: str | None = None,
     ) -> int:
-        """Admit one element into a flow's ingest channel.
+        """Admit one element, or a list of them, into a flow's channel.
 
         The full admission chain, in order: the tenant's token bucket
-        (over-rate ⇒ sleep out the conforming delay), the flow's
-        delivery-hub gates (a slow subscriber ⇒ wait for the hub to
-        re-open), then the bounded channel itself (a paused plan ⇒
-        ``put`` awaits).  Every stage converts overload into delay for
-        *this caller only*; nothing is dropped.
+        (one token per element; over-rate ⇒ sleep out the conforming
+        delay of the last), the flow's delivery-hub gates (a slow
+        subscriber ⇒ wait for the hub to re-open), then the bounded
+        channel itself (a paused plan ⇒ the part of a list that does not
+        fit awaits space, and the gates are looked at again after every
+        such wait).  Every stage converts overload into delay for *this
+        caller only*; nothing is dropped.  Returns the admission sequence
+        number of the last element.
         """
         managed = self._managed(name)
         if managed.state in (FlowState.FAILED, FlowState.STOPPED):
@@ -275,13 +278,17 @@ class FlowSupervisor:
                 f"flow {name!r} is {managed.state.value}; not accepting "
                 f"input"
             )
-        delay = self.admission.reserve(managed.tenant, self._clock())
+        run = element if isinstance(element, list) else (element,)
+        now = self._clock()
+        delay = 0.0
+        for _ in run:
+            delay = self.admission.reserve(managed.tenant, now)
         if delay > 0.0:
             await asyncio.sleep(delay)
-        for hub in managed.hubs.values():
-            await hub.wait_open()
-        seq = await managed.flow.channel(channel).put(element)
-        managed.ingested += 1
+        seq = await managed.flow.channel(channel).put_run(
+            run, gates=managed.hubs.values()
+        )
+        managed.ingested += len(run)
         return seq
 
     def subscribe(self, name: str, *, hub: str | None = None) -> Subscription:

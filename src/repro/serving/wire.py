@@ -186,6 +186,19 @@ def websocket_accept(key: str) -> str:
     return base64.b64encode(digest).decode()
 
 
+def _mask(payload: bytes, key: bytes) -> bytes:
+    """XOR ``payload`` with the 4-byte ``key`` repeated (RFC 6455 §5.3).
+
+    Masking is its own inverse.  One big-integer XOR over the whole
+    payload instead of one Python-level XOR per byte.
+    """
+    n = len(payload)
+    return (
+        int.from_bytes(payload, "big")
+        ^ int.from_bytes((key * (n // 4 + 1))[:n], "big")
+    ).to_bytes(n, "big")
+
+
 def ws_encode(
     payload: bytes | str, *, opcode: int = WS_TEXT, mask: bool = False
 ) -> bytes:
@@ -210,7 +223,7 @@ def ws_encode(
     if mask:
         key = os.urandom(4)
         head += key
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = _mask(payload, key)
     return bytes(head) + payload
 
 
@@ -243,7 +256,7 @@ async def ws_read(
         key = await reader.readexactly(4) if masked else b""
         payload = await reader.readexactly(n)
         if masked:
-            payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+            payload = _mask(payload, key)
         if opcode >= WS_CLOSE:  # control frame: FIN always set
             return opcode, payload
         if opcode != WS_CONT:

@@ -6,13 +6,13 @@ always-on dataflow on the other.  This module is the seam between them,
 deliberately placed in the engine-agnostic stream substrate:
 
 * :class:`Channel` is the *ingest* adapter -- a bounded, closable,
-  multi-producer channel whose :meth:`Channel.stream` async generator
+  multi-producer channel whose :meth:`Channel.runs` async generator
   plugs straight into :class:`~repro.operators.source.
   AsyncIterableSource` (``Flow.ingest``).  When the plan's interior
   queues cross their high-water marks, the engine's pause
   :class:`~repro.core.feedback.FlowControlPunctuation` parks the source's
   pump task, the channel fills to its own capacity, and
-  :meth:`Channel.put` awaits -- which suspends the socket handler and
+  :meth:`Channel.put_run` awaits -- which suspends the socket handler and
   stops it reading, so backpressure reaches the client's TCP connection
   without a single dropped element.
 
@@ -26,6 +26,16 @@ deliberately placed in the engine-agnostic stream substrate:
   consumer converts into upstream delay, exactly like the engine's
   in-plan watermarks.
 
+Both move *runs*: a producer admits a list in one call
+(:meth:`Channel.put_run`), the plan takes whatever is buffered as one
+source event (:meth:`Channel.runs`), a sink publishes a page
+(:meth:`Broadcast.publish_page`) and a delivery handler takes what its
+subscription holds (:meth:`Subscription.take`).  A run is only ever what
+is already there -- nothing waits to fill one -- and the one-element
+forms (:meth:`Channel.put`, :meth:`Channel.stream`,
+:meth:`Broadcast.publish`, ``Subscription.__anext__``) are views of the
+run forms.
+
 Both classes are single-event-loop objects (the serving layer multiplexes
 every flow on one loop); producers and consumers must share that loop.
 They survive engine restarts: a supervisor that rebuilds a crashed flow
@@ -37,9 +47,10 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, AsyncIterator
+from typing import Any, AsyncIterator, Awaitable, Iterable, Sequence
 
 from repro.errors import ServingError
+from repro.stream.pages import DEFAULT_PAGE_SIZE
 from repro.stream.schema import Schema
 
 __all__ = ["Broadcast", "Channel", "Subscription"]
@@ -88,43 +99,57 @@ class Channel:
         """True when every admitted element has been taken by the plan."""
         return not self._buffer
 
-    async def put(self, element: Any) -> int:
+    def put(self, element: Any) -> Awaitable[int]:
         """Admit one element, awaiting while the channel is full.
 
-        Returns the element's 1-based admission sequence number.  Raises
-        :class:`~repro.errors.ServingError` on a closed channel -- the
-        caller (a socket handler) turns that into a client error.
+        Awaited, returns the element's 1-based admission sequence number
+        or raises :class:`~repro.errors.ServingError` on a closed channel
+        -- the caller (a socket handler) turns that into a client error.
+        A run of one: this *is* :meth:`put_run`'s awaitable.
         """
+        return self.put_run((element,))
+
+    async def put_run(
+        self,
+        run: Sequence[Any],
+        *,
+        gates: Iterable["Broadcast"] = (),
+    ) -> int:
+        """Admit a run of elements in order, as much at a time as fits.
+
+        What fits goes in at once; the rest awaits space, so a producer
+        (a socket handler) is suspended with the part of its run the
+        channel cannot hold yet.  ``gates`` are delivery hubs whose gate
+        must be open (:meth:`Broadcast.wait_open`) before each part goes
+        in -- a slow subscriber may have closed one during a wait for
+        space, so they are looked at again after every such wait.  Returns the sequence number of the
+        last element admitted; raises on a closed channel like
+        :meth:`put`, the elements admitted before the close staying
+        admitted.
+        """
+        buffer = self._buffer
         while True:
+            for hub in gates:
+                await hub.wait_open()
             if self._closed:
                 raise ServingError(
                     f"channel {self.name!r} is closed to new input"
                 )
-            if len(self._buffer) < self.capacity:
-                break
+            room = self.capacity - len(buffer)
+            if room >= len(run):
+                part, run = run, ()
+            else:
+                part, run = run[:room], run[room:]
+            if part:
+                buffer.extend(part)
+                self.admitted += len(part)
+                if len(buffer) > self.peak_backlog:
+                    self.peak_backlog = len(buffer)
+                self._data.set()
+            if not run:
+                return self.admitted
             self._space.clear()
             await self._space.wait()
-        self._buffer.append(element)
-        self.admitted += 1
-        if len(self._buffer) > self.peak_backlog:
-            self.peak_backlog = len(self._buffer)
-        self._data.set()
-        return self.admitted
-
-    def offer(self, element: Any) -> bool:
-        """Non-blocking :meth:`put`: False when the channel is full."""
-        if self._closed:
-            raise ServingError(
-                f"channel {self.name!r} is closed to new input"
-            )
-        if len(self._buffer) >= self.capacity:
-            return False
-        self._buffer.append(element)
-        self.admitted += 1
-        if len(self._buffer) > self.peak_backlog:
-            self.peak_backlog = len(self._buffer)
-        self._data.set()
-        return True
 
     def close(self) -> None:
         """End the stream: no new input; the backlog still drains."""
@@ -132,26 +157,46 @@ class Channel:
         self._data.set()
         self._space.set()  # parked producers wake and observe the close
 
-    async def stream(self) -> AsyncIterator[tuple[float, Any]]:
-        """The ``(arrival, element)`` async iterator a source consumes.
+    async def runs(self) -> AsyncIterator[tuple[float, list]]:
+        """The ``(arrival, run)`` async iterator a source consumes.
 
-        Designed as the ``events_factory`` of
-        :meth:`repro.api.Flow.from_async_iterable` (which is exactly what
-        ``Flow.ingest`` wires up): arrival is the admission sequence
-        number, giving bridged engines a monotone virtual timeline.  May
+        A run is whatever is buffered when the consumer asks, at most one
+        default-sized page of it (a longer run would only be cut again at
+        the source's output page, and would sit outside ``capacity``
+        while it waited there); the generator parks only while the buffer
+        is empty and never waits to fill a run, so one element in is a
+        run of one out.  This is the ``events_factory`` ``Flow.ingest``
+        wires into :class:`~repro.operators.source.AsyncIterableSource`:
+        arrival is the admission sequence number of the run's last
+        element, giving bridged engines a monotone virtual timeline.  May
         be called again after a run died -- the new iterator picks up the
         surviving backlog.
         """
+        buffer = self._buffer
         while True:
-            while not self._buffer:
+            while not buffer:
                 if self._closed:
                     return
                 self._data.clear()
                 await self._data.wait()
-            element = self._buffer.popleft()
-            self.delivered += 1
+            run = [
+                buffer.popleft()
+                for _ in range(min(len(buffer), DEFAULT_PAGE_SIZE))
+            ]
+            self.delivered += len(run)
             self._space.set()
-            yield float(self.delivered), element
+            yield float(self.delivered), run
+
+    async def stream(self) -> AsyncIterator[tuple[float, Any]]:
+        """:meth:`runs`, one ``(arrival, element)`` at a time.
+
+        The element-wise view for consumers that want single elements;
+        it reads ahead by the run it is handing out.
+        """
+        async for arrival, run in self.runs():
+            arrival -= len(run)
+            for offset, element in enumerate(run, 1):
+                yield arrival + offset, element
 
 
 class Subscription:
@@ -185,17 +230,35 @@ class Subscription:
     def __aiter__(self) -> "Subscription":
         return self
 
-    async def __anext__(self) -> Any:
+    async def ready(self) -> bool:
+        """Park until something is buffered; False once the stream is over.
+
+        Over means the hub closed (or this subscription was cancelled)
+        and the backlog has drained.
+        """
         while not self.buffer:
             if self._closed or self.hub.closed:
                 self.close()
-                raise StopAsyncIteration
+                return False
             self._data.clear()
             await self._data.wait()
-        element = self.buffer.popleft()
-        self.received += 1
+        return True
+
+    def take(self, count: int) -> list:
+        """Pop the first ``count`` buffered elements (there must be that
+        many); the hub's gate is looked at once for all of them."""
+        popleft = self.buffer.popleft
+        taken: list = []
+        for _ in range(count):
+            taken.append(popleft())
+        self.received += count
         self.hub._drained()
-        return element
+        return taken
+
+    async def __anext__(self) -> Any:
+        if not self.buffer and not await self.ready():
+            raise StopAsyncIteration
+        return self.take(1)[0]
 
 
 class Broadcast:
@@ -273,11 +336,23 @@ class Broadcast:
 
     def publish(self, element: Any) -> None:
         """Deliver ``element`` to every subscriber (synchronous)."""
-        self.published += 1
+        self.publish_page((element,))
+
+    def publish_page(self, page: Sequence[Any]) -> None:
+        """Deliver a page of elements to every subscriber (synchronous).
+
+        One buffer extension and one wake-up per subscriber, and one look
+        at the gate: it closes when the page brings any buffer to
+        ``high_water``, so a buffer can pass the mark by one page.
+        """
+        self.published += len(page)
+        backlog = 0
         for subscription in self._subscribers:
-            subscription.buffer.append(element)
+            buffer = subscription.buffer
+            buffer.extend(page)
             subscription._data.set()
-        backlog = self.backlog
+            if len(buffer) > backlog:
+                backlog = len(buffer)
         if backlog > self.peak_backlog:
             self.peak_backlog = backlog
         if backlog >= self.high_water and self._gate.is_set():

@@ -372,6 +372,20 @@ class DataQueue:
         """True when occupancy has drained to the low-water mark."""
         return self._occupancy <= self.low_water
 
+    def quiet_room(self) -> int:
+        """How many tuples the next ``put_many`` may carry unobserved.
+
+        The put that fills the open page, or brings occupancy to the
+        high-water mark, is one an engine must stamp or answer at that
+        tuple's own time -- so a producer batching its emissions may
+        carry at most this many in one call (the last of them being the
+        one that is noticed).  Zero or less when already at high water.
+        """
+        room = self.page_size - len(self._open_page)
+        if self.capacity is not None:
+            room = min(room, self.capacity - self._occupancy)
+        return room
+
     @property
     def exhausted(self) -> bool:
         """True when closed and fully drained."""

@@ -168,8 +168,8 @@ class TestFeedbackPlumbing:
         seen = []
 
         class Watchful(Select):
-            def on_guarded_drop(self, port_index, t):
-                seen.append(t)
+            def on_guarded_drops(self, port_index, dropped):
+                seen.extend(dropped)
 
         op = Watchful("w", SCHEMA, lambda t: True)
         harness = OperatorHarness(op)

@@ -176,3 +176,198 @@ class TestGuardExpirationProperty:
                         point = (v0, v1, v2)
                         if guard_pattern.matches(point):
                             assert punct_pattern.matches(point)
+
+
+# -- the compiled matcher -------------------------------------------------------
+#
+# A pattern is evaluated through one compiled matcher built from per-atom
+# predicates.  The reference below is the interpretive ``Atom.matches`` the
+# matcher replaced, kept here so that the fast path is pinned to it.
+
+import math
+import pickle
+
+import pytest
+
+from repro.errors import PatternError
+from repro.punctuation.atoms import NEG_INF, POS_INF
+
+
+def _reference_compare(a, b):
+    if a is NEG_INF:
+        return 0 if b is NEG_INF else -1
+    if b is NEG_INF:
+        return 1
+    if a is POS_INF:
+        return 0 if b is POS_INF else 1
+    if b is POS_INF:
+        return -1
+    try:
+        if a == b:
+            return 0
+        if a < b:
+            return -1
+        if a > b:
+            return 1
+    except TypeError:
+        return None
+    return None
+
+
+def reference_matches(atom, value):
+    """``Atom.matches`` as it was before atoms supplied predicates."""
+    if atom._members is not None:
+        try:
+            return value in atom._members
+        except TypeError:
+            return False
+    lo, lo_inc, hi, hi_inc = atom._bounds
+    if value is None and not atom.is_wildcard:
+        return False
+    if lo is NEG_INF and hi is POS_INF:
+        return True
+    if value is None:
+        return False
+    cmp_lo = _reference_compare(value, lo)
+    if cmp_lo is None or cmp_lo < 0 or (cmp_lo == 0 and not lo_inc):
+        return False
+    cmp_hi = _reference_compare(value, hi)
+    if cmp_hi is None or cmp_hi > 0 or (cmp_hi == 0 and not hi_inc):
+        return False
+    return True
+
+
+bounds = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.floats(min_value=-5, max_value=5, allow_nan=False),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+#: What a stream may carry in one attribute: the comparable, the
+#: incomparable, the missing, NaN and the unhashable.
+any_value = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.floats(min_value=-6, max_value=6),
+    st.sampled_from([math.nan, -math.inf, math.inf, -0.0]),
+    st.none(),
+    st.text(alphabet="ab", max_size=2),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+)
+
+
+@st.composite
+def any_atoms(draw):
+    """Every atom shape: wildcard, point, finite set, one-sided order
+    atoms, and intervals in all four inclusivity combinations (with and
+    without an infinite end)."""
+    kind = draw(st.sampled_from(
+        ["wild", "eq", "in", "lt", "le", "gt", "ge", "interval", "half"]
+    ))
+    if kind == "wild":
+        return WILDCARD
+    if kind == "eq":
+        return Equals(draw(st.one_of(bounds, st.none(), st.text("ab", max_size=1))))
+    if kind == "in":
+        return InSet(draw(st.sets(
+            st.one_of(bounds, st.none(), st.text("ab", max_size=1)),
+            min_size=1, max_size=4,
+        )))
+    if kind in ("lt", "le", "gt", "ge"):
+        cls = {"lt": LessThan, "le": AtMost, "gt": GreaterThan,
+               "ge": AtLeast}[kind]
+        return cls(draw(st.one_of(bounds, st.text("ab", max_size=1))))
+    lo_inc, hi_inc = draw(st.booleans()), draw(st.booleans())
+    if kind == "half":
+        bound = draw(bounds)
+        lo, hi = draw(st.sampled_from([(NEG_INF, bound), (bound, POS_INF)]))
+        return Interval(lo, hi, lo_inclusive=lo_inc, hi_inclusive=hi_inc)
+    lo = draw(bounds)
+    hi = draw(bounds)
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo == hi:
+        lo_inc = hi_inc = True  # the only non-empty interval at a point
+    return Interval(lo, hi, lo_inclusive=lo_inc, hi_inclusive=hi_inc)
+
+
+class TestCompiledMatcher:
+    @given(any_atoms(), any_value)
+    def test_atom_predicate_agrees_with_reference(self, atom, value):
+        expected = reference_matches(atom, value)
+        assert atom.predicate()(value) is expected
+        assert atom.matches(value) is expected
+
+    @given(st.lists(any_atoms(), min_size=1, max_size=4), st.data())
+    def test_matcher_agrees_with_reference(self, atom_list, data):
+        pattern = Pattern(atom_list)
+        point = [data.draw(any_value) for _ in atom_list]
+        expected = all(
+            reference_matches(a, v) for a, v in zip(atom_list, point)
+        )
+        assert pattern.matcher(point) is expected
+        assert pattern.matches(point) is expected
+        assert pattern.matches(tuple(point)) is expected
+        assert pattern.filter([point]) == ([point] if expected else [])
+
+    @given(st.lists(any_atoms(), min_size=1, max_size=3), st.data())
+    def test_arity_mismatch_raises(self, atom_list, data):
+        pattern = Pattern(atom_list)
+        short = [data.draw(any_value) for _ in atom_list[1:]]
+        with pytest.raises(PatternError):
+            pattern.matcher(short)
+        with pytest.raises(PatternError):
+            pattern.matches(short + [0, 0])
+
+    @given(st.lists(any_atoms(), min_size=1, max_size=3), st.data())
+    def test_matcher_is_not_part_of_the_patterns_identity(self, atom_list, data):
+        """Compiling changes nothing a pattern pickles to, equals or
+        hashes to, and an unpickled pattern compiles its own."""
+        fresh = Pattern(atom_list)
+        used = Pattern(atom_list)
+        point = [data.draw(any_value) for _ in atom_list]
+        verdict = used.matcher(point)
+        assert used == fresh and hash(used) == hash(fresh)
+        for protocol in (2, 4, 5):
+            blob = pickle.dumps(used, protocol=protocol)
+            assert blob == pickle.dumps(fresh, protocol=protocol)
+            clone = pickle.loads(blob)
+            assert clone == used and hash(clone) == hash(used)
+            assert clone in {used}
+            assert clone.matcher(point) is verdict
+
+    def test_pickled_bytes_are_what_they_were_before_the_matcher(self):
+        """The wire form is pinned: ``(atoms, schema)`` and nothing else,
+        byte for byte what the class wrote before it had a matcher."""
+        pattern = Pattern([
+            WILDCARD, Equals(3), Interval(0, 5, hi_inclusive=False),
+            AtMost(2.5),
+        ])
+        pattern.matcher  # compile, then look at the state
+        assert pattern.__getstate__() == (pattern.atoms, None)
+        assert pickle.loads(pickle.dumps(pattern))._matcher is None
+        assert pickle.dumps(pattern, protocol=2).hex() == (
+            "800263726570726f2e70756e6374756174696f6e2e7061747465726e730a5061"
+            "747465726e0a7100298171012863726570726f2e70756e6374756174696f6e2e"
+            "61746f6d730a57696c64636172640a71022981710363726570726f2e70756e63"
+            "74756174696f6e2e61746f6d730a457175616c730a7104298171054e7d710628"
+            "58080000005f6d656d626572737107635f5f6275696c74696e5f5f0a66726f7a"
+            "656e7365740a71085d71094b036185710a52710b580500000076616c7565710c"
+            "4b037586710d6263726570726f2e70756e6374756174696f6e2e61746f6d730a"
+            "496e74657276616c0a710e2981710f4e7d711058070000005f626f756e647371"
+            "11284b00884b0589747112738671136263726570726f2e70756e637475617469"
+            "6f6e2e61746f6d730a41744d6f73740a7114298171154e7d7116286811286372"
+            "6570726f2e70756e6374756174696f6e2e61746f6d730a4e45475f494e460a71"
+            "178947400400000000000088747118680c474004000000000000758671196274"
+            "711a4e86711b622e"
+        )
+        assert pickle.dumps(pattern, protocol=4).hex() == (
+            "800495fd000000000000008c1a726570726f2e70756e6374756174696f6e2e70"
+            "61747465726e73948c075061747465726e949394298194288c17726570726f2e"
+            "70756e6374756174696f6e2e61746f6d73948c0857696c646361726494939429"
+            "819468048c06457175616c739493942981944e7d94288c085f6d656d62657273"
+            "94284b0391948c0576616c7565944b037586946268048c08496e74657276616c"
+            "9493942981944e7d948c075f626f756e647394284b00884b0589749473869462"
+            "68048c0641744d6f73749493942981944e7d942868142868048c074e45475f49"
+            "4e4694939489474004000000000000887494680e474004000000000000758694"
+            "6274944e8694622e"
+        )

@@ -178,7 +178,7 @@ def push_flow(published, bomb_at=None, *, retain, n=400):
          .where(pred, name="stage")
          .select("sensor", "value", name="drop_ts")
          .push("out", retain=retain,
-               configure=lambda op: setattr(op, "publish", published.append)))
+               configure=lambda op: setattr(op, "publish", published.extend)))
     return flow
 
 
@@ -259,7 +259,7 @@ class TestTrimmedSinkRecovery:
                 handle.select("sensor", "value").push(
                     name, retain=None,
                     configure=lambda op, out=out: setattr(
-                        op, "publish", out.append
+                        op, "publish", out.extend
                     ),
                 )
             return built

@@ -1,0 +1,543 @@
+"""The served path in runs: admit a run, feed a run, publish a page, one write.
+
+A served tuple used to cross every hop at the socket on its own (one
+``ingest``, one pump round trip, one ``publish``, one task, one ``send``);
+each hop now carries whatever is already there.  Pinned here is everything
+that batching could silently change:
+
+* masking: the one big-integer XOR equals the per-byte reference;
+* admission: a list of any size is delivered once and in order, the
+  channel never holds more than its capacity, a closed gate still stalls
+  the producer and drops nothing;
+* the engine: a pause in the middle of a run stashes exactly the rest of
+  it, and a checkpointed flow fed runs records the epochs and offsets it
+  records fed singles, recovering exactly-once;
+* delivery: ``?limit=N`` is exact, a vanished client releases its
+  subscription, and a single tuple into an idle flow comes out with no
+  further input -- nothing waits to fill a batch;
+* structure: one ``FlowSupervisor.ingest``, no task per result.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import inspect
+import os
+import struct
+from collections import Counter
+
+import pytest
+
+from repro import AsyncioEngine, CollectSink, QueryPlan, Select
+from repro.api import Flow
+from repro.durability import MemoryCheckpointStore
+from repro.operators.source import AsyncIterableSource
+from repro.serving import (
+    FlowState,
+    FlowSupervisor,
+    StreamServer,
+    TenantPolicy,
+)
+from repro.serving.client import post_json, sse_subscribe
+from repro.serving.wire import WS_CONT, WS_PING, WS_TEXT, ws_encode, ws_read
+from repro.stream import Attribute, Schema, StreamTuple
+
+SCHEMA = Schema([
+    Attribute("client", "str"),
+    Attribute("seq", "int"),
+    Attribute("value", "float"),
+])
+OPEN = TenantPolicy(rate=1e9, burst=1e9, max_flows=4)
+
+
+def tuples(start: int, count: int, client: str = "c") -> list[StreamTuple]:
+    return [
+        StreamTuple(SCHEMA, (client, seq, seq / 2.0))
+        for seq in range(start, start + count)
+    ]
+
+
+def echo_flow(name: str, *, capacity: int, high_water: int, predicate=None):
+    flow = Flow(name)
+    handle = flow.ingest(SCHEMA, name="in", capacity=capacity)
+    if predicate is not None:
+        handle = handle.where(predicate, name="keep")
+    handle.push("out", high_water=high_water)
+    return flow
+
+
+async def wait_until(condition, *, timeout: float = 10.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        if asyncio.get_running_loop().time() > deadline:
+            raise AssertionError("condition not reached in time")
+        await asyncio.sleep(0.01)
+
+
+# -- masking -------------------------------------------------------------------
+
+
+def reference_mask(payload: bytes, key: bytes) -> bytes:
+    """RFC 6455 section 5.3, one byte at a time."""
+    return bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+
+
+def reference_frame(payload: bytes, opcode: int, fin: bool, key: bytes) -> bytes:
+    head = bytes([(0x80 if fin else 0) | opcode])
+    n = len(payload)
+    if n < 126:
+        head += bytes([0x80 | n])
+    else:
+        head += bytes([0x80 | 126]) + struct.pack("!H", n)
+    return head + key + reference_mask(payload, key)
+
+
+def read_all(wire: bytes, count: int) -> list:
+    async def drain():
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        return [await ws_read(reader) for _ in range(count)]
+
+    return asyncio.run(drain())
+
+
+class TestUnmaskWithOneXor:
+    KEYS = [bytes([0x37, 0xFA, 0x21, 0x3D]), b"\x00\x00\x00\x00",
+            b"\xff\x01\x80\x7f"]
+
+    def test_whole_frames_of_every_length(self):
+        payloads = [os.urandom(n) for n in range(301)]
+        wire = b"".join(
+            reference_frame(payload, WS_TEXT, True, self.KEYS[n % 3])
+            for n, payload in enumerate(payloads)
+        )
+        assert read_all(wire, len(payloads)) == [
+            (WS_TEXT, payload) for payload in payloads
+        ]
+
+    @pytest.mark.parametrize("alignment", [0, 1, 2, 3])
+    def test_fragments_restart_the_key_at_every_alignment(self, alignment):
+        """A fragment of length 4k + alignment leaves the key mid-cycle;
+        the next frame's key starts over at its own first byte."""
+        frames, expected = [], []
+        for n in range(alignment, 301, 7):
+            payload = os.urandom(n)
+            cut = alignment + 4 * ((n - alignment) // 8)
+            frames.append(reference_frame(
+                payload[:alignment], WS_PING, True, self.KEYS[1]))
+            frames.append(reference_frame(
+                payload[:cut], WS_TEXT, False, self.KEYS[0]))
+            frames.append(reference_frame(
+                payload[cut:], WS_CONT, True, self.KEYS[2]))
+            expected += [(WS_PING, payload[:alignment]), (WS_TEXT, payload)]
+        assert read_all(b"".join(frames), len(expected)) == expected
+
+    def test_encode_masks_as_the_reference_does(self):
+        for n in range(301):
+            payload = os.urandom(n)
+            frame = ws_encode(payload, mask=True)
+            head = 2 if n < 126 else 4
+            key, body = frame[head:head + 4], frame[head + 4:]
+            assert reference_mask(body, key) == payload
+            assert read_all(frame, 1) == [(WS_TEXT, payload)]
+
+
+# -- admit a run ---------------------------------------------------------------
+
+
+class TestIngestRuns:
+    def test_lists_of_every_size_arrive_once_and_in_order(self):
+        async def main():
+            flow = echo_flow("runs", capacity=256, high_water=4096)
+            supervisor = FlowSupervisor(queue_capacity=64)
+            managed = supervisor.admit(flow, policy=OPEN)
+            supervisor.start_all()
+            subscription = supervisor.subscribe("runs")
+            received = []
+
+            async def collect():
+                async for tup in subscription:
+                    received.append((tup["client"], tup["seq"]))
+
+            collector = asyncio.ensure_future(collect())
+            sent = 0
+            for size in (1, 63, 64, 65, 1000, 1):
+                last = await supervisor.ingest("runs", tuples(sent, size))
+                sent += size
+                assert last == sent  # the last element's sequence number
+                await asyncio.sleep(0)  # let the pump see this run's shape
+            assert await supervisor.ingest("runs", []) == sent
+            await supervisor.ingest("runs", tuples(sent, 1)[0])  # a tuple
+            sent += 1
+            await supervisor.drain()
+            await asyncio.wait_for(collector, 10)
+            assert received == [("c", seq) for seq in range(sent)]
+            assert managed.ingested == sent
+            channel = flow.channel()
+            assert channel.admitted == channel.delivered == sent
+            assert channel.peak_backlog <= channel.capacity
+
+        asyncio.run(main())
+
+    def test_a_reader_that_stops_closes_the_gate_and_nothing_is_lost(self):
+        async def main():
+            flow = echo_flow("stall", capacity=8, high_water=8)
+            supervisor = FlowSupervisor(queue_capacity=8)
+            managed = supervisor.admit(flow, policy=OPEN)
+            supervisor.start_all()
+            subscription = supervisor.subscribe("stall")
+            hub, channel = flow.hub(), flow.channel()
+            total = 1000
+            ingest = asyncio.ensure_future(
+                supervisor.ingest("stall", tuples(0, total))
+            )
+            await wait_until(lambda: not hub.gate_open)
+            stalled = managed.ingested
+            await asyncio.sleep(0.2)
+            assert not ingest.done() and not hub.gate_open
+            assert managed.ingested == stalled == 0  # counted when all are in
+            assert channel.admitted < total
+            # high water + what was in flight behind the gate: the channel,
+            # one run in the pump and the plan's queues -- nowhere near 1000.
+            assert hub.peak_backlog <= 8 + 8 + 8 + 8 + 8
+            received = []
+            while len(received) < total:
+                assert await asyncio.wait_for(subscription.ready(), 10)
+                received += subscription.take(len(subscription))
+            await asyncio.wait_for(ingest, 10)
+            assert [tup["seq"] for tup in received] == list(range(total))
+            assert managed.ingested == total
+            assert channel.peak_backlog <= channel.capacity
+            assert hub.pauses >= 1 and hub.pauses == hub.resumes
+            await supervisor.stop()
+
+        asyncio.run(main())
+
+    def test_rate_limit_debits_one_token_per_element(self):
+        async def main():
+            flow = echo_flow("paced", capacity=64, high_water=64)
+            clock = [100.0]
+            supervisor = FlowSupervisor(clock=lambda: clock[0])
+            supervisor.admit(
+                flow, policy=TenantPolicy(rate=1000.0, burst=10.0, max_flows=1)
+            )
+            supervisor.start_all()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await supervisor.ingest("paced", tuples(0, 30))
+            elapsed = loop.time() - started
+            state = supervisor.admission.snapshot()["default"]
+            # 30 tokens from a bucket of 10 at 1000/s: 20 ms of delay,
+            # slept once.
+            assert elapsed >= 0.018
+            assert state["delayed"] == 20
+            await supervisor.stop()
+
+        asyncio.run(main())
+
+
+# -- feed a run ----------------------------------------------------------------
+
+
+class TestPauseMidRun:
+    def test_the_stash_is_exactly_the_rest_of_the_run(self):
+        """A capacity-4 edge takes a fed run four tuples at a time; each
+        cut reaches high water, the pause lands before the remainder's
+        turn, and the remainder -- all of it, nothing else -- waits in the
+        stash for the resume."""
+        first, second = tuples(0, 40), tuples(40, 5)
+        stashes = []
+
+        class Watched(AsyncioEngine):
+            def _handle_source(self, payload):
+                super()._handle_source(payload)
+                pending = self._paused_source_pending.get("src")
+                if pending is not None:
+                    stashes.append(
+                        (payload[0].metrics.tuples_out, list(pending))
+                    )
+
+        async def feed():
+            yield 1.0, first
+            yield 2.0, second
+
+        plan = QueryPlan("pause-mid-run")
+        source = plan.add(AsyncIterableSource("src", SCHEMA, feed))
+        keep = plan.add(Select("keep", SCHEMA, lambda tup: True))
+        sink = plan.add(CollectSink("sink", SCHEMA))
+        plan.connect(source, keep, page_size=64, capacity=4)
+        plan.connect(keep, sink)
+        result = Watched(plan, timeout=10.0).run()
+
+        assert [tup["seq"] for tup in sink.results] == list(range(45))
+        assert result.metrics.operator_metrics["keep"].pauses_issued >= 9
+        assert stashes, "the run was never interrupted"
+        for emitted, pending in stashes:
+            rest_of_run = first[emitted:] if emitted < 40 else second[emitted - 40:]
+            assert pending == rest_of_run
+        assert result.metrics.queue_metrics[
+            "src->keep[0]"
+        ].peak_occupancy <= 4
+        assert result.metrics.events_processed >= 45
+
+    def test_a_run_under_emulated_costs_enters_element_by_element(self):
+        async def feed():
+            yield 1.0, tuples(0, 6)
+
+        plan = QueryPlan("costed")
+        source = plan.add(
+            AsyncIterableSource("src", SCHEMA, feed, tuple_cost=0.001)
+        )
+        sink = plan.add(CollectSink("sink", SCHEMA))
+        plan.connect(source, sink)
+        AsyncioEngine(plan, timeout=10.0, emulate_costs=True).run()
+        assert [tup["seq"] for tup in sink.results] == list(range(6))
+        assert source.metrics.busy_time == pytest.approx(0.006)
+
+    @pytest.mark.parametrize("engine", ["simulated", "threaded"])
+    def test_bridged_engines_see_a_run_element_by_element(self, engine):
+        async def feed():
+            yield 1.0, tuples(0, 3)
+            yield 2.0, tuples(3, 1)[0]
+            yield 3.0, tuples(4, 70)
+
+        flow = Flow("bridged")
+        flow.from_async_iterable(SCHEMA, feed, name="in").collect("sink")
+        result = flow.run(engine)
+        assert [t["seq"] for t in result.sink("sink").results] == list(
+            range(74)
+        )
+
+
+class TestCheckpointedRuns:
+    SIZES = (1, 63, 64, 65, 37)   # 230 tuples: epochs at 50..200
+
+    def served(self, store, *, bomb_at=None, recover=False, singles=False):
+        """Feed the same 230 tuples, as runs or one by one, through a
+        checkpointing supervisor; return what a subscriber saw."""
+        calls = {"n": 0}
+
+        def keep(tup):
+            calls["n"] += 1
+            if bomb_at is not None and calls["n"] >= bomb_at:
+                raise RuntimeError("injected crash")
+            return True
+
+        async def main():
+            flow = echo_flow(
+                "durable", capacity=1024, high_water=4096, predicate=keep
+            )
+            options = {"checkpoint_every": 50}
+            options["recover_from" if recover else "checkpoint_store"] = store
+            supervisor = FlowSupervisor(
+                queue_capacity=64, restart_limit=0, engine_options=options
+            )
+            managed = supervisor.admit(flow, policy=OPEN)
+            supervisor.start_all()
+            subscription = supervisor.subscribe("durable")
+            sent = 0
+            for size in self.SIZES:
+                run = tuples(sent, size)
+                sent += size
+                if managed.state is FlowState.FAILED:
+                    break
+                if singles:
+                    for tup in run:
+                        await supervisor.ingest("durable", tup)
+                        await asyncio.sleep(0)
+                else:
+                    await supervisor.ingest("durable", run)
+                    await asyncio.sleep(0)
+            if bomb_at is None:
+                await supervisor.drain()
+            else:
+                await wait_until(lambda: managed.state is FlowState.FAILED)
+            return [
+                tup["seq"] for tup in subscription.take(len(subscription))
+            ]
+
+        return asyncio.run(main())
+
+    def recorded(self, store):
+        return {
+            "epochs": store.epochs(),
+            "offsets": [store.load_offset(e, "in") for e in store.epochs()],
+            "finished": store.load_finished("in"),
+            "log": [tup["seq"] for _at, tup in store.read_delivery_log("out")],
+        }
+
+    def test_runs_record_what_singles_record(self):
+        by_runs, by_singles = MemoryCheckpointStore(), MemoryCheckpointStore()
+        assert self.served(by_runs) == list(range(230))
+        assert self.served(by_singles, singles=True) == list(range(230))
+        assert self.recorded(by_runs) == self.recorded(by_singles)
+        assert self.recorded(by_runs)["offsets"] == [50, 100, 150, 200]
+        assert self.recorded(by_runs)["finished"] == 230
+
+    def test_kill_and_resume_is_exactly_once(self):
+        store = MemoryCheckpointStore()
+        before = self.served(store, bomb_at=140)
+        assert 0 < len(before) < 230
+        after = self.served(store, recover=True, singles=True)
+        assert Counter(before + after) == Counter(range(230))
+        log = [tup["seq"] for _at, tup in store.read_delivery_log("out")]
+        assert Counter(log) == Counter(range(230))
+
+
+# -- deliver a write -----------------------------------------------------------
+
+
+async def serving(name: str, *, capacity: int = 1024, high_water: int = 1024):
+    flow = echo_flow(name, capacity=capacity, high_water=high_water)
+    supervisor = FlowSupervisor(queue_capacity=64)
+    supervisor.admit(flow, policy=OPEN)
+    server = StreamServer(supervisor)
+    host, port = await server.start()
+    return flow, server, host, port
+
+
+def rows(count: int, pad: str = "p") -> list[dict]:
+    return [{"client": pad, "seq": i, "value": 0.0} for i in range(count)]
+
+
+class TestDelivery:
+    @pytest.mark.parametrize("limit", [1, 64, 65])
+    def test_limit_is_exact(self, limit):
+        async def main():
+            flow, server, host, port = await serving("lim")
+            events = []
+
+            async def subscriber():
+                async for event in sse_subscribe(
+                    host, port, f"/v1/flows/lim/stream?limit={limit}"
+                ):
+                    events.append(event["seq"])
+
+            reading = asyncio.ensure_future(subscriber())
+            await wait_until(lambda: flow.hub().subscribers == 1)
+            status, _ = await post_json(
+                host, port, "/v1/flows/lim/ingest", rows(200)
+            )
+            assert status == 202
+            await asyncio.wait_for(reading, 10)  # the server ended the stream
+            assert events == list(range(limit))
+            await wait_until(lambda: flow.hub().subscribers == 0)
+            assert server.counters["pushed_total"] == limit
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+    def test_one_tuple_into_an_idle_flow_comes_out_alone(self):
+        async def main():
+            flow, server, host, port = await serving("idle")
+            events = []
+
+            async def subscriber():
+                async for event in sse_subscribe(
+                    host, port, "/v1/flows/idle/stream?limit=1"
+                ):
+                    events.append(event["seq"])
+
+            reading = asyncio.ensure_future(subscriber())
+            await wait_until(lambda: flow.hub().subscribers == 1)
+            await asyncio.sleep(0.1)  # everything parked
+            await post_json(host, port, "/v1/flows/idle/ingest", rows(1))
+            await asyncio.wait_for(reading, 2)  # no flush timer to wait for
+            assert events == [0]
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+    def test_a_client_gone_mid_batch_releases_its_subscription(self):
+        async def main():
+            flow, server, host, port = await serving("gone")
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"GET /v1/flows/gone/stream HTTP/1.1\r\n"
+                f"host: {host}:{port}\r\n\r\n".encode()
+            )
+            await reader.readuntil(b"\r\n\r\n")
+            await wait_until(lambda: flow.hub().subscribers == 1)
+            post = asyncio.ensure_future(post_json(
+                host, port, "/v1/flows/gone/ingest", rows(900, "x" * 400)
+            ))
+            await reader.readuntil(b"\n\n")  # mid-stream ...
+            writer.transport.abort()         # ... and gone
+            status, body = await asyncio.wait_for(post, 10)
+            assert (status, body) == (202, {"admitted": 900})
+            await wait_until(lambda: flow.hub().subscribers == 0)
+            assert flow.hub().gate_open
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+    def test_results_share_writes_and_tasks(self):
+        """500 results reach the subscriber in far fewer tasks than
+        results: the per-result path creates none."""
+
+        async def main():
+            flow, server, host, port = await serving("few")
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def factory(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            events = []
+
+            async def subscriber():
+                async for event in sse_subscribe(
+                    host, port, "/v1/flows/few/stream?limit=500"
+                ):
+                    events.append(event["seq"])
+
+            reading = asyncio.ensure_future(subscriber())
+            await wait_until(lambda: flow.hub().subscribers == 1)
+            loop.set_task_factory(factory)
+            try:
+                await post_json(host, port, "/v1/flows/few/ingest", rows(500))
+                await asyncio.wait_for(reading, 10)
+            finally:
+                loop.set_task_factory(None)
+            assert events == list(range(500))
+            assert len(created) < 50, Counter(created)
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+
+class TestStructure:
+    def test_one_ingest_method(self):
+        assert [
+            name for name in dir(FlowSupervisor) if "ingest" in name
+        ] == ["ingest"]
+
+    def test_the_per_result_path_creates_no_task(self):
+        for path in (StreamServer._write_buffered, StreamServer._ws_push):
+            body = inspect.getsource(path)
+            assert "ensure_future" not in body
+            assert "create_task" not in body
+            assert "asyncio.wait" not in body
+
+    def test_the_one_element_forms_are_views_of_the_run_forms(self):
+        from repro.stream.channels import Broadcast, Channel, Subscription
+
+        for view, run_form in (
+            (Channel.put, "put_run"),
+            (Channel.stream, "runs"),
+            (Broadcast.publish, "publish_page"),
+            (Subscription.__anext__, "take"),
+        ):
+            assert f"self.{run_form}(" in inspect.getsource(view)
+        assert not hasattr(Channel, "offer")
+
+    def test_push_sink_hands_over_its_page(self):
+        from repro.engine.harness import OperatorHarness
+        from repro.operators.sink import PushSink
+
+        pages = []
+        sink = PushSink("out", SCHEMA, publish=pages.append)
+        OperatorHarness(sink, outputs=0).push_page(tuples(0, 5))
+        assert pages == [tuples(0, 5)]
