@@ -11,16 +11,21 @@ pattern, no future tuple can match the guard, so the guard is released.
 :class:`GuardSet` maintains active guards, answers ``blocks(tuple)``,
 expires guards against punctuation, and keeps drop counters for metrics.
 
-A guard costs what a query predicate costs: its pattern is compiled once
-into a matcher over a tuple's value sequence
-(:attr:`~repro.punctuation.patterns.Pattern.matcher` -- set membership and
-chained comparisons on the constrained columns only), and every question a
-guard set answers -- per element or per page -- is a call to it.
+A guard costs what a query predicate costs: its pattern is one generated
+function over a tuple's value sequence
+(:attr:`~repro.punctuation.patterns.Pattern.matcher` -- a single
+``and``-chain of set membership and chained comparisons on the constrained
+columns, compiled once per pattern *shape* with this pattern's constants
+bound in), and every question a guard set answers -- per element or per
+page -- is a call to it.  A value a guard cannot hash or compare answers
+False (the tuple is *not* dropped); a tuple of the wrong arity raises
+:class:`~repro.errors.PatternError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Iterator
 
 from repro.core.feedback import FeedbackPunctuation
@@ -122,31 +127,36 @@ class GuardSet:
         return any(guard.matcher(values) for guard in self._guards)
 
     def filter_batch(self, batch: list) -> tuple[list, list]:
-        """Split a run of data tuples into ``(kept, dropped)`` in one pass.
+        """Split a run of data tuples into ``(kept, dropped)``, guard by guard.
 
         The batch counterpart of :meth:`blocks`, with the same semantics:
-        each tuple's values go to each guard's compiled matcher, and the
-        first matching guard (in installation order) takes the drop and
-        its counter.  The batch comes back as-is when no guard is active.
+        each guard's compiled matcher makes one pass over the run, and
+        the first matching guard (in installation order) takes the drop
+        and its counter -- a later guard is not asked about a tuple an
+        earlier one dropped.  Both lists keep stream order; the batch
+        comes back as-is -- the same list, uncopied -- when no guard
+        matched anything in it.
         """
-        guards = self._guards
-        if not guards:
-            return batch, []
-        kept: list = []
-        dropped: list = []
-        keep = kept.append
-        drop = dropped.append
-        for element in batch:
-            values = element.values
-            for guard in guards:
-                if guard.matcher(values):
-                    guard.drops += 1
-                    drop(element)
-                    break
+        hit: list | None = None  # per tuple: has a guard dropped it?
+        for guard in self._guards:
+            matcher = guard.matcher
+            if hit is None:
+                mine = [matcher(e.values) for e in batch]
             else:
-                keep(element)
+                mine = [
+                    not h and matcher(e.values) for h, e in zip(hit, batch)
+                ]
+            count = mine.count(True)
+            if count:
+                guard.drops += count
+                hit = mine if hit is None else [
+                    h or m for h, m in zip(hit, mine)
+                ]
+        if hit is None:
+            return batch, []
+        dropped = list(compress(batch, hit))
         self.total_drops += len(dropped)
-        return kept, dropped
+        return [e for e, h in zip(batch, hit) if not h], dropped
 
     # -- expiration -----------------------------------------------------------------
 

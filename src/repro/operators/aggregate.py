@@ -84,16 +84,6 @@ class _WindowState:
     minimum: float | None = None
     partial_emitted: bool = False
 
-    def add(self, value: float | None) -> None:
-        self.count += 1
-        if value is None:
-            return
-        self.total += value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-
     def value(self, kind: str) -> float | None:
         if kind == AggregateKind.COUNT:
             return self.count
@@ -346,42 +336,74 @@ class WindowAggregate(Operator):
         return [window_id, *group, value]
 
     def on_page(self, port_index: int, batch: list) -> None:
-        """Accumulate a run of tuples with hoisted lookups.
+        """Accumulate a run of tuples: one loop, no per-tuple method call.
 
         Pure state accumulation (windows emit on punctuation or finish,
-        never here), so bulk processing is trivially order-safe; the
-        attribute-index, state-dict and guard lookups are hoisted out of
-        the loop.  Window guards can only change via control (feedback)
-        or punctuation, both of which are delivered outside a run, so
-        the hoisted guard check is exact.
+        never here), so bulk processing is trivially order-safe.  The
+        window arithmetic is :meth:`window_ids` written out -- the same
+        two ``floor`` expressions, so a float-edge timestamp picks the
+        same windows -- and the accumulator is folded into the loop;
+        counters are settled once per run.  Window guards can only change
+        via control (feedback) or punctuation, both of which are
+        delivered outside a run, so a ``(window, group)`` pair's guard
+        verdict is asked once per run and remembered.
         """
         ts_index = self._ts_index
         value_index = self._value_index
         group_indices = self._group_indices
+        group_index = group_indices[0] if len(group_indices) == 1 else None
+        origin = self.origin
+        width = self.width
+        slide = self.slide
+        floor = math.floor
         state = self._state
-        metrics = self.metrics
-        window_ids = self.window_ids
         guarded = self._window_guarded if self._window_guards else None
+        verdicts: dict[tuple[int, tuple], bool] = {}
+        grown = 0
+        skipped = 0
         for tup in batch:
             values = tup.values
-            timestamp = float(values[ts_index])
-            group = tuple(values[i] for i in group_indices)
+            offset = float(values[ts_index]) - origin
+            last = floor(offset / slide)
+            window_id = floor((offset - width) / slide) + 1
+            if window_id < 0:
+                window_id = 0
+            if group_index is not None:
+                group = (values[group_index],)
+            else:
+                group = tuple([values[i] for i in group_indices])
             value = None if value_index is None else values[value_index]
-            for window_id in window_ids(timestamp):
-                if guarded is not None and guarded(window_id, group):
-                    self.windows_skipped += 1
-                    continue
+            if value is not None:
+                value = float(value)
+            while window_id <= last:
                 key = (window_id, group)
+                window_id += 1
+                if guarded is not None:
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        verdict = verdicts[key] = guarded(*key)
+                    if verdict:
+                        skipped += 1
+                        continue
                 window_state = state.get(key)
                 if window_state is None:
-                    window_state = _WindowState()
-                    state[key] = window_state
-                    metrics.grow_state()
-                window_state.add(None if value is None else float(value))
+                    window_state = state[key] = _WindowState()
+                    grown += 1
+                window_state.count += 1
+                if value is None:
+                    continue
+                window_state.total += value
+                maximum = window_state.maximum
+                if maximum is None or value > maximum:
+                    window_state.maximum = value
+                minimum = window_state.minimum
+                if minimum is None or value < minimum:
+                    window_state.minimum = value
+        if grown:
+            self.metrics.grow_state(grown)
+        self.windows_skipped += skipped
 
     def _window_guarded(self, window_id: int, group: tuple) -> bool:
-        if not self._window_guards:
-            return False
         probe = self._output_values(window_id, group, None)
         return any(g.matcher(probe) for g in self._window_guards)
 

@@ -358,17 +358,32 @@ class Operator(abc.ABC):
         """
         metrics = self.metrics
         metrics.pages_in += 1
-        elements = page.elements if isinstance(page, Page) else list(page)
+        if isinstance(page, Page):
+            elements = page.elements
+            punctuated = page.has_punctuation
+        else:
+            elements = list(page)
+            punctuated = None
         if meter is None:
             metrics.pages_batched += 1
-            self._deliver(port_index, elements)
+            self._deliver(port_index, elements, punctuated)
             return
         for element in elements:
             meter(element)
-            self._deliver(port_index, [element])
+            self._deliver(port_index, [element], element.is_punctuation)
 
-    def _deliver(self, port_index: int, elements: list) -> None:
+    def _deliver(
+        self,
+        port_index: int,
+        elements: list,
+        punctuated: bool | None = None,
+    ) -> None:
         """Walk a list of elements: every data-plane protocol rule, once.
+
+        ``punctuated`` says whether ``elements`` holds a punctuation or a
+        marker -- a :class:`~repro.stream.pages.Page` knows
+        (:attr:`~repro.stream.pages.Page.has_punctuation`); None, for a
+        bare list (the harness, a fused link, a drained stash), scans.
 
         In order: a port blocked by checkpoint alignment stashes the
         elements raw (metrics are charged when the stash drains);
@@ -385,12 +400,16 @@ class Operator(abc.ABC):
             return
         guards = self.input_port(port_index).guards
         # Zero-copy fast path: a punctuation-free page hands its own
-        # element list straight to the run dispatcher -- no re-buffering.
-        # (Queue-built pages can only carry a punctuation at the tail,
-        # but hand-built and codec-decoded pages may interleave them, so
-        # the split below stays fully general.  Checkpoint markers are
-        # punctuation, so they can never slip through this fast path.)
-        if not any(e.is_punctuation for e in elements):
+        # element list straight to the run dispatcher -- no re-buffering,
+        # and no look at the elements either: the page's flag, kept as
+        # the page was filled, answers for them.  (Queue-built pages can
+        # only carry a punctuation at the tail, but hand-built and
+        # codec-decoded pages may interleave them, so the split below
+        # stays fully general.  Checkpoint markers are punctuation, so
+        # they set the flag and can never slip through this fast path.)
+        if punctuated is None:
+            punctuated = any(e.is_punctuation for e in elements)
+        if not punctuated:
             if elements:
                 self._dispatch_batch(port_index, guards, elements)
             return

@@ -46,15 +46,22 @@ class Select(Operator):
             #: The declarative form, when given: the optimizer's guard
             #: pushdown can only reason about pattern predicates.
             self.pattern: Pattern | None = predicate
-            self._predicate: Callable[[StreamTuple], bool] = predicate.matches
         else:
             self.pattern = None
-            self._predicate = predicate
+            self._predicate: Callable[[StreamTuple], bool] = predicate
 
     def on_page(self, port_index: int, batch: list) -> None:
-        """One predicate pass, one bulk emission."""
-        predicate = self._predicate
-        self.emit_many([t for t in batch if predicate(t)])
+        """One predicate pass, one bulk emission.
+
+        A pattern predicate is its compiled matcher over each tuple's
+        values -- the very function a guard for that pattern would call.
+        """
+        if self.pattern is not None:
+            matcher = self.pattern.matcher
+            self.emit_many([t for t in batch if matcher(t.values)])
+        else:
+            predicate = self._predicate
+            self.emit_many([t for t in batch if predicate(t)])
 
     def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
         """Add the punctuation to the select condition (an input guard)."""

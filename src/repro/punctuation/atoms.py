@@ -26,6 +26,7 @@ again the safe direction.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, Iterable
 
 from repro.errors import PatternError
@@ -94,9 +95,77 @@ def _compare(a: Any, b: Any) -> int | None:
     return None
 
 
-def _match_any(value: Any) -> bool:
-    """The wildcard's test."""
-    return True
+def _term_source(subject: str, kind: Any, first: int) -> tuple[str, int]:
+    """One atom shape as a boolean expression over ``subject``.
+
+    ``kind`` is what :meth:`Atom._term` returns: ``"in"`` for a finite
+    set, else ``(lo_op, hi_op)`` with each op ``"<"``, ``"<="`` or None
+    for an infinite end.  Constants are the names ``c<first>``,
+    ``c<first+1>``, ... in the order :meth:`Atom._term` lists them;
+    returns the expression and the next free constant number.
+    """
+    if kind == "in":
+        return f"{subject} in c{first}", first + 1
+    lo_op, hi_op = kind
+    if lo_op is None and hi_op is None:
+        return "True", first
+    chain = subject
+    if lo_op is not None:
+        chain = f"c{first} {lo_op} {chain}"
+        first += 1
+    if hi_op is not None:
+        chain = f"{chain} {hi_op} c{first}"
+        first += 1
+    return f"({subject} is not None and {chain})", first
+
+
+@lru_cache(maxsize=256)
+def compiled_test(arity: int | None, shape: tuple) -> Callable[..., Callable]:
+    """The factory of tests for one *shape* of conjunction.
+
+    ``shape`` is a tuple of ``(position, kind)`` terms.  With an
+    ``arity`` the test takes a value sequence, checks its length
+    (:class:`~repro.errors.PatternError` on a mismatch) and reads each
+    term's subject at its position; with ``arity`` None there is one
+    term and the test takes the bare value (:meth:`Atom.predicate`).
+    The body is one ``and``-chain inside one ``try``: a value that
+    cannot be hashed or compared answers False.
+
+    Only the shape goes into the source -- integers and operators,
+    never a constant -- so ``compile()`` (~80 us) is paid once per shape
+    and cached here (an LRU: a plan uses a handful of shapes, a code
+    object is a few hundred bytes); the returned factory binds a
+    pattern's constants as closure cells in well under a microsecond.
+    """
+    terms = []
+    free = 0
+    for position, kind in shape:
+        subject = "value" if arity is None else f"value[{position}]"
+        term, free = _term_source(subject, kind, free)
+        terms.append(term)
+    lines = [
+        f"def bind({', '.join(f'c{k}' for k in range(free))}):",
+        "    def test(value):",
+    ]
+    if arity is not None:
+        lines += [
+            f"        if len(value) != {arity}:",
+            "            raise PatternError(",
+            f"                'pattern arity {arity} does not match value '",
+            "                'arity %d' % len(value)",
+            "            )",
+        ]
+    lines += [
+        "        try:",
+        f"            return {' and '.join(terms) or 'True'}",
+        "        except TypeError:",
+        "            return False",
+        "    return test",
+    ]
+    namespace: dict[str, Any] = {"PatternError": PatternError}
+    exec(compile("\n".join(lines), f"<pattern shape {shape}>", "exec"),
+         namespace)
+    return namespace["bind"]
 
 
 class Atom:
@@ -124,75 +193,31 @@ class Atom:
     def predicate(self) -> Callable[[Any], bool]:
         """This atom's test, resolved once into a one-argument callable.
 
-        What :meth:`matches` evaluates; callers that test many values
-        (a pattern's matcher) resolve it once and keep it.  A finite-set
-        atom becomes a set-membership test and an order atom a chained
-        comparison; ``None``, NaN and values the bounds cannot be
-        compared with (or that cannot be hashed) answer False, never
+        What :meth:`matches` evaluates: the one-term instance of the
+        generated test a pattern's matcher is (:func:`compiled_test`).
+        A finite-set atom is a set-membership test and an order atom a
+        chained comparison; ``None``, NaN and values the bounds cannot
+        be compared with (or that cannot be hashed) answer False, never
         raise.
+        """
+        kind, constants = self._term()
+        return compiled_test(None, ((None, kind),))(*constants)
+
+    def _term(self) -> tuple[Any, tuple]:
+        """``(kind, constants)``: this atom as one term of a compiled test.
+
+        ``kind`` is the part that shapes the source (see
+        :func:`_term_source`); ``constants`` are the values it binds.
         """
         members = self._members
         if members is not None:
-            def in_members(value: Any) -> bool:
-                try:
-                    return value in members
-                except TypeError:  # unhashable
-                    return False
-            return in_members
+            return "in", (members,)
         lo, lo_inc, hi, hi_inc = self._bounds  # type: ignore[misc]
-        if lo is NEG_INF and hi is POS_INF:
-            return _match_any
-        if lo is NEG_INF:
-            if hi_inc:
-                def in_range(value: Any) -> bool:
-                    try:
-                        return value is not None and value <= hi
-                    except TypeError:
-                        return False
-            else:
-                def in_range(value: Any) -> bool:
-                    try:
-                        return value is not None and value < hi
-                    except TypeError:
-                        return False
-        elif hi is POS_INF:
-            if lo_inc:
-                def in_range(value: Any) -> bool:
-                    try:
-                        return value is not None and lo <= value
-                    except TypeError:
-                        return False
-            else:
-                def in_range(value: Any) -> bool:
-                    try:
-                        return value is not None and lo < value
-                    except TypeError:
-                        return False
-        elif lo_inc and hi_inc:
-            def in_range(value: Any) -> bool:
-                try:
-                    return value is not None and lo <= value <= hi
-                except TypeError:
-                    return False
-        elif lo_inc:
-            def in_range(value: Any) -> bool:
-                try:
-                    return value is not None and lo <= value < hi
-                except TypeError:
-                    return False
-        elif hi_inc:
-            def in_range(value: Any) -> bool:
-                try:
-                    return value is not None and lo < value <= hi
-                except TypeError:
-                    return False
-        else:
-            def in_range(value: Any) -> bool:
-                try:
-                    return value is not None and lo < value < hi
-                except TypeError:
-                    return False
-        return in_range
+        lo_op = None if lo is NEG_INF else "<=" if lo_inc else "<"
+        hi_op = None if hi is POS_INF else "<=" if hi_inc else "<"
+        return (lo_op, hi_op), tuple(
+            bound for bound, op in ((lo, lo_op), (hi, hi_op)) if op
+        )
 
     # -- structure --------------------------------------------------------------
 

@@ -9,6 +9,12 @@ Patterns are *boxes* (per-attribute conjunctions), so subsumption and
 intersection decompose pointwise: box ``A`` subsumes box ``B`` iff every atom
 of ``A`` subsumes the corresponding atom of ``B`` (atoms are never empty, so
 the pointwise rule is exact, not just sufficient).
+
+Evaluation is compiled: a pattern is one generated function over a tuple's
+value sequence (:attr:`Pattern.matcher`), its source built once per pattern
+*shape* and this pattern's constants bound in.  Incomparable and
+unhashable values answer False; a value sequence of the wrong arity raises
+:class:`~repro.errors.PatternError`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,12 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import PatternError
-from repro.punctuation.atoms import Atom, WILDCARD, atom_from_literal
+from repro.punctuation.atoms import (
+    Atom,
+    WILDCARD,
+    atom_from_literal,
+    compiled_test,
+)
 from repro.stream.schema import Schema
 from repro.stream.tuples import StreamTuple
 
@@ -112,11 +123,20 @@ class Pattern:
     def matcher(self) -> Callable[[Sequence[Any]], bool]:
         """The pattern compiled to one test over a tuple's value sequence.
 
-        Built on first use from each constrained atom's
-        :meth:`~repro.punctuation.atoms.Atom.predicate` (wildcards cost
-        nothing) and kept for the pattern's lifetime: every evaluation of
-        a pattern -- :meth:`matches`, :meth:`filter`, guards -- is a call
-        to it.  A value sequence of the wrong arity raises
+        One generated function whose body is a single ``and``-chain over
+        the constrained columns (wildcards cost nothing), built on first
+        use and kept for the pattern's lifetime: every evaluation of a
+        pattern -- :meth:`matches`, :meth:`filter`, guards, a ``Select``
+        over a pattern -- is a call to it.  The source is compiled once
+        per *shape* (arity, constrained positions, atom kinds, bound
+        inclusivity -- :func:`~repro.punctuation.atoms.compiled_test`);
+        this pattern's constants are bound into it as closure cells, so
+        two patterns of one shape share code and nothing else.
+
+        A value that cannot be hashed or compared (``None`` against an
+        order atom, a string against a number, a list against a set)
+        answers False -- for a guard, *not dropping*, the safe direction;
+        a value sequence of the wrong arity raises
         :class:`~repro.errors.PatternError`.
         """
         matcher = self._matcher
@@ -126,25 +146,18 @@ class Pattern:
         return matcher
 
     def _compile(self) -> Callable[[Sequence[Any]], bool]:
-        arity = len(self.atoms)
-        tests = tuple((i, a.predicate()) for i, a in self.constrained())
-
-        def matcher(values: Sequence[Any]) -> bool:
-            if len(values) != arity:
-                raise PatternError(
-                    f"pattern arity {arity} does not match value "
-                    f"arity {len(values)}"
-                )
-            for index, test in tests:
-                if not test(values[index]):
-                    return False
-            return True
-
-        return matcher
+        shape = []
+        constants: list = []
+        for position, atom in self.constrained():
+            kind, bound = atom._term()
+            shape.append((position, kind))
+            constants += bound
+        return compiled_test(len(self.atoms), tuple(shape))(*constants)
 
     def matches(self, element: StreamTuple | Sequence[Any]) -> bool:
         """True when every atom matches the corresponding value."""
-        return self.matcher(
+        matcher = self._matcher or self.matcher
+        return matcher(
             element.values if isinstance(element, StreamTuple) else element
         )
 

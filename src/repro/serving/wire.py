@@ -233,10 +233,22 @@ async def ws_read(
     """Read one websocket *message* (reassembling fragments).
 
     Returns ``(opcode, payload)``; ``None`` on EOF.  Control frames
-    (ping/pong/close) are returned as-is -- they are never fragmented.
+    (ping/pong/close) are returned as-is -- they are never fragmented,
+    but RFC 6455 section 5.4 lets a peer send one *between* the fragments
+    of a message: the fragments read so far then wait on ``reader`` (the
+    connection's own state) and the next call carries on from them.
     """
-    message = bytearray()
-    message_opcode: int | None = None
+    # Only read here: giving every reader an extra attribute (or popping
+    # from its ``__dict__``) takes CPython's shared-key instances off
+    # their fast path and costs ``readexactly`` ~20% -- so the attribute
+    # exists only from an interleaved control frame to the next call.
+    partial = getattr(reader, "_ws_partial", None)
+    if partial is None:
+        message_opcode: int | None = None
+        message = bytearray()
+    else:
+        message_opcode, message = partial
+        del reader._ws_partial  # type: ignore[attr-defined]
     while True:
         try:
             b1, b2 = await reader.readexactly(2)
@@ -258,6 +270,10 @@ async def ws_read(
         if masked:
             payload = _mask(payload, key)
         if opcode >= WS_CLOSE:  # control frame: FIN always set
+            if message_opcode is not None:
+                reader._ws_partial = (  # type: ignore[attr-defined]
+                    message_opcode, message
+                )
             return opcode, payload
         if opcode != WS_CONT:
             message_opcode = opcode

@@ -48,7 +48,8 @@ class Page:
     :class:`~repro.errors.EngineError`.
     """
 
-    __slots__ = ("capacity", "elements", "_complete", "available_at")
+    __slots__ = ("capacity", "elements", "_complete", "available_at",
+                 "_punctuated", "_vetted")
 
     def __init__(self, capacity: int = DEFAULT_PAGE_SIZE) -> None:
         if capacity < 1:
@@ -56,6 +57,11 @@ class Page:
         self.capacity = capacity
         self.elements: List[Any] = []
         self._complete = False
+        # Whether a punctuation is among the first ``_vetted`` elements:
+        # kept by every method that adds elements, so a consumer need not
+        # scan the page (see :attr:`has_punctuation`).
+        self._punctuated = False
+        self._vetted = 0
         #: Virtual time at which the page became visible downstream.
         #: Stamped by the engine when the producer flushes it; None until
         #: then.  Consumers never start a page before this time.
@@ -70,7 +76,11 @@ class Page:
         if self._complete:
             raise EngineError("cannot append to a complete page")
         self.elements.append(element)
-        if element.is_punctuation or len(self.elements) >= self.capacity:
+        self._vetted += 1
+        if element.is_punctuation:
+            self._punctuated = True
+            self._complete = True
+        elif len(self.elements) >= self.capacity:
             self._complete = True
         return self._complete
 
@@ -87,6 +97,7 @@ class Page:
         room = self.capacity - len(self.elements)
         chunk = elements[start:start + room]
         self.elements.extend(chunk)
+        self._vetted += len(chunk)
         if len(self.elements) >= self.capacity:
             self._complete = True
         return start + len(chunk)
@@ -98,6 +109,21 @@ class Page:
     @property
     def empty(self) -> bool:
         return not self.elements
+
+    @property
+    def has_punctuation(self) -> bool:
+        """Whether any element is a punctuation (or a marker), without a scan.
+
+        Recorded as elements are added through :meth:`append`,
+        :meth:`take_from` and :func:`decode_page`, so a consumer asks once
+        per page instead of testing every element on every hop.  A page
+        whose ``elements`` list was filled directly (hand-built in a
+        test) has elements the record does not cover and is scanned.
+        """
+        elements = self.elements
+        if self._vetted != len(elements):
+            return any(e.is_punctuation for e in elements)
+        return self._punctuated
 
     def seal(self) -> None:
         """Mark the page complete regardless of fill level (explicit flush)."""
@@ -246,8 +272,10 @@ def decode_page(encoded: tuple) -> Page:
             elements.extend(unchecked(schema, row) for row in rows)
         elif kind == "p":
             elements.append(segment[1])
+            page._punctuated = True
         else:
             raise EngineError(f"unknown page segment kind {kind!r}")
+    page._vetted = len(elements)
     page._complete = bool(complete)
     page.available_at = available_at
     return page

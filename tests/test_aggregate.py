@@ -1,12 +1,24 @@
 """Unit tests for windowed aggregates: windows, punctuation, feedback."""
 
+import math
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ExploitAction, FeedbackPunctuation
 from repro.engine.harness import OperatorHarness
 from repro.errors import PlanError
 from repro.operators import AggregateKind, WindowAggregate
-from repro.punctuation import AtLeast, AtMost, Interval, Pattern, Punctuation
+from repro.operators.aggregate import _WindowState
+from repro.punctuation import (
+    AtLeast,
+    AtMost,
+    InSet,
+    Interval,
+    Pattern,
+    Punctuation,
+)
 from repro.stream import Schema, StreamTuple
 
 SCHEMA = Schema([
@@ -378,3 +390,185 @@ class TestDemandedAndPolling:
         )
         out = harness.emitted_tuples()
         assert len(out) == 1 and out[0]["seg"] == 1
+
+
+# -- the accumulation kernel ----------------------------------------------------
+#
+# ``WindowAggregate.on_page`` accumulates a run in one loop with the window
+# arithmetic and the accumulator written out.  The reference below is the
+# per-tuple loop it replaced -- ``window_ids()`` per tuple, ``add()`` per
+# window, counters touched as it goes -- kept here so the kernel stays
+# pinned to it.
+
+KERNEL_SCHEMA = Schema([
+    ("ts", "timestamp", True), ("seg", "int"), ("lane", "int"),
+    ("speed", "float"),
+])
+WIDTHS = (0.1, 0.3, 1 / 3, 1.0, 7.5)
+
+
+def reference_add(state, value):
+    state.count += 1
+    if value is None:
+        return
+    state.total += value
+    if state.maximum is None or value > state.maximum:
+        state.maximum = value
+    if state.minimum is None or value < state.minimum:
+        state.minimum = value
+
+
+def reference_on_page(op, batch):
+    for tup in batch:
+        values = tup.values
+        timestamp = float(values[op._ts_index])
+        group = tuple(values[i] for i in op._group_indices)
+        value = (
+            None if op._value_index is None else values[op._value_index]
+        )
+        for window_id in op.window_ids(timestamp):
+            if op._window_guards and op._window_guarded(window_id, group):
+                op.windows_skipped += 1
+                continue
+            key = (window_id, group)
+            window_state = op._state.get(key)
+            if window_state is None:
+                window_state = _WindowState()
+                op._state[key] = window_state
+                op.metrics.grow_state()
+            reference_add(
+                window_state, None if value is None else float(value)
+            )
+
+
+def kernel_operator(kind, width, slide, origin, group_by, *, reference):
+    op = WindowAggregate(
+        "agg", KERNEL_SCHEMA, kind=kind, window_attribute="ts",
+        width=width, slide=slide, origin=origin, group_by=group_by,
+        value_attribute=None if kind == AggregateKind.COUNT else "speed",
+    )
+    if reference:
+        op.on_page = lambda port, batch: reference_on_page(op, batch)
+    return OperatorHarness(op)
+
+
+@st.composite
+def kernel_cases(draw):
+    width = draw(st.sampled_from(WIDTHS))
+    slide = draw(st.sampled_from([None, width / 2, width / 3, width * 0.7]))
+    origin = draw(st.sampled_from([0.0, 0.25, -1.0, 100.0]))
+    step = width if slide is None else slide
+    timestamps = st.one_of(
+        # float edges: exact multiples of the width / slide, both sides
+        # of the origin, as a product and as a running sum would give them
+        st.integers(min_value=-3, max_value=40).map(lambda k: k * width),
+        st.integers(min_value=-3, max_value=40).map(
+            lambda k: origin + k * step),
+        st.floats(min_value=-2.0, max_value=40 * width, allow_nan=False),
+        st.integers(min_value=-2, max_value=12),
+    )
+    speeds = st.one_of(
+        st.integers(min_value=-5, max_value=200),
+        st.floats(min_value=-50.0, max_value=200.0, allow_nan=False),
+        st.none(),
+    )
+    rows = draw(st.lists(
+        st.tuples(timestamps, st.integers(0, 3), st.integers(0, 1), speeds),
+        max_size=80,
+    ))
+    group_by = draw(st.sampled_from([(), ("seg",), ("seg", "lane")]))
+    windows = st.one_of(
+        st.just("*"),
+        st.integers(min_value=0, max_value=12),
+        st.builds(Interval, st.integers(0, 4), st.integers(4, 12)),
+        st.integers(min_value=0, max_value=12).map(AtLeast),
+        st.sets(st.integers(0, 12), min_size=1, max_size=3).map(InSet),
+    )
+    guards = draw(st.lists(
+        st.tuples(
+            windows,
+            st.one_of(st.just("*"), st.integers(0, 3),
+                      st.sets(st.integers(0, 3), min_size=1).map(InSet)),
+        ),
+        max_size=2,
+    ))
+    return (
+        draw(st.sampled_from(AggregateKind.ALL)), width, slide, origin,
+        group_by, rows, guards, draw(st.integers(0, len(rows))),
+    )
+
+
+def observed(harness):
+    op = harness.operator
+    return (
+        dict(op._state), op.windows_skipped,
+        op.metrics.state_size, op.metrics.peak_state_size,
+        op.metrics.input_guard_drops,
+    )
+
+
+class TestAccumulationKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_on_page_is_the_per_tuple_loop(self, case):
+        kind, width, slide, origin, group_by, rows, guards, cut = case
+        stream = [StreamTuple(KERNEL_SCHEMA, row) for row in rows]
+
+        def run(run_length, *, reference=False):
+            harness = kernel_operator(
+                kind, width, slide, origin, group_by, reference=reference
+            )
+            schema = harness.operator.output_schema
+
+            def feed(tuples):
+                for start in range(0, len(tuples), run_length):
+                    harness.push_page(tuples[start:start + run_length])
+
+            feed(stream[:cut])
+            for window, seg in guards:  # guards change between runs
+                spec = {"window": window}
+                if group_by:
+                    spec["seg"] = seg
+                pattern = Pattern.from_mapping(schema, spec)
+                if not pattern.is_all_wildcard:
+                    harness.feedback(FeedbackPunctuation.assumed(pattern))
+            feed(stream[cut:])
+            return harness
+
+        expected = run(1, reference=True)
+        for run_length in (1, 7, 64):
+            harness = run(run_length)
+            assert observed(harness) == observed(expected)
+            # the snapshot carries the same state through a pickle
+            clone = kernel_operator(
+                kind, width, slide, origin, group_by, reference=False
+            )
+            clone.operator.restore_state(pickle.loads(pickle.dumps(
+                harness.operator.snapshot_state()
+            )))
+            assert clone.operator._state == expected.operator._state
+            assert (clone.operator.windows_skipped
+                    == expected.operator.windows_skipped)
+            harness.finish()
+        expected.finish()
+        assert (
+            [t.values for t in harness.emitted_tuples()]
+            == [t.values for t in expected.emitted_tuples()]
+        )
+
+    @pytest.mark.parametrize("width", [0.1, 0.3, 1 / 3])
+    @pytest.mark.parametrize("slide", [None, 0.5])
+    def test_inlined_window_arithmetic_is_window_ids(self, width, slide):
+        """``0.3 / 0.1`` is 2.9999999999999996: the kernel must put a
+        float-edge timestamp where the public helper says it goes."""
+        slide = None if slide is None else width * slide
+        for origin in (0.0, 0.7):
+            op = make(width=width, slide=slide, origin=origin,
+                      group_by=())
+            for k in range(-3, 400):
+                for ts in (k * width, origin + k * width,
+                           math.nextafter(k * width, math.inf)):
+                    op._state.clear()
+                    op.on_page(0, [tup(ts)])
+                    assert (sorted(w for w, _ in op._state)
+                            == list(op.window_ids(ts))), (ts, origin)

@@ -357,7 +357,13 @@ class TestSharingTheLoop:
 
     def test_saturating_source_does_not_starve_the_loop(self):
         """A heartbeat beside a 50k-tuple synchronous replay keeps
-        ticking: the driver yields once per time slice."""
+        ticking: the driver yields once per time slice.
+
+        Gaps are read off this process's CPU clock: what the driver owes
+        the loop is that it never *computes* for long without yielding.
+        A wall-clock gap also counts the time a loaded box keeps the
+        whole process off the CPU, which no scheduler of ours controls.
+        """
         engine = create_engine(
             "asyncio", linear_flow(50_000).build(), timeout=60.0
         )
@@ -366,24 +372,24 @@ class TestSharingTheLoop:
             gaps = []
 
             async def heartbeat():
-                last = time.perf_counter()
+                last = time.process_time()
                 while True:
                     await asyncio.sleep(0.001)
-                    now = time.perf_counter()
+                    now = time.process_time()
                     gaps.append(now - last)
                     last = now
 
             beat = asyncio.ensure_future(heartbeat())
-            start = time.perf_counter()
+            start = time.process_time()
             result = await engine.arun()
-            wall = time.perf_counter() - start
+            busy = time.process_time() - start
             beat.cancel()
-            return result, wall, gaps
+            return result, busy, gaps
 
-        result, wall, gaps = asyncio.run(main())
+        result, busy, gaps = asyncio.run(main())
         assert len(result.sink("sink").results) == 50_000
         assert max(gaps) < 0.1
-        assert len(gaps) >= wall / 0.010  # a tick per 10 ms, on average
+        assert len(gaps) >= busy / 0.010  # a tick per 10 ms, on average
 
     def test_idle_feed_costs_no_events(self):
         """A feed that sleeps between elements parks its pump; the

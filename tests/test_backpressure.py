@@ -16,6 +16,9 @@ sends resume.  These tests cover
 * ``PriorityBuffer``'s absorb-while-held behaviour.
 """
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.api import Flow
@@ -230,37 +233,73 @@ class TestBoundedOccupancy:
 # ----------------------------------------------------------- engine parity
 
 
+def gated_flow(n, paused, *, page_size):
+    """``source -> keep -> hold -> sink`` in which ``keep`` *must* be paused.
+
+    Nothing here sleeps to make a pause likely; ``paused`` (an ``Event``)
+    makes it a fact.  ``hold`` lets no tuple through until the event is
+    set, so ``keep``'s bounded output edge can only fill; the source stops
+    half-way until the event is set, so ``keep`` cannot finish first (a
+    pause toward a finished operator is dropped); and the event is set by
+    ``keep`` receiving its first pause.  A wait that times out lets the run
+    go on and the caller's ``pauses_received`` assertion fail.
+    """
+    data = timeline(n)
+
+    def events():
+        yield from data[:n // 2]
+        paused.wait(20.0)
+        yield from data[n // 2:]
+
+    def release_when_paused(keep):
+        keep.on_pause = lambda punct, from_edge: paused.set()
+
+    flow = Flow("bp-gated", page_size=page_size)
+    (flow.generate(SCHEMA, events, name="source")
+         .where(lambda t: True, name="keep", configure=release_when_paused)
+         .where(lambda t: paused.wait(20.0), name="hold")
+         .collect("sink"))
+    return flow
+
+
 class TestEngineParity:
     def test_pause_resume_identical_sink_output(self):
-        """Backpressure changes timing, never content or order."""
+        """Backpressure changes timing, never content or order.
+
+        The two cooperative legs are decided by event order, not by the
+        wall clock: every source tuple is due at time zero, so the source
+        runs until its bounded edge is at high water before any consumer
+        is scheduled.  The two preemptive legs race real threads and
+        processes, so they run :func:`gated_flow`, where the consumer
+        waits for the pause instead of sleeping and hoping for one.
+        """
         runs = {}
         for engine, paused_op, options in (
             ("simulated", "source", {"queue_capacity": 16}),
-            ("threaded", "source",
+            ("threaded", "keep",
              {"queue_capacity": 16, "timeout": 30.0}),
-            # The asyncio leg emulates the consumer's cost: cooperative
-            # scheduling alone drains too evenly to cross the high-water
-            # mark, but a modeled-slow consumer must trigger real pauses.
+            # The asyncio leg emulates the consumer's cost: a consumer
+            # that is never busy is drained by the same step that filled
+            # it, but a modeled-slow consumer must trigger real pauses.
             ("asyncio", "source",
              {"queue_capacity": 16, "timeout": 30.0,
               "emulate_costs": True}),
             # The multiprocess leg exercises pause/resume *across the
-            # process boundary*: the slow sink sits alone in its worker,
-            # its bounded inbox trips, and the pause rides a control frame
-            # back to ``keep``'s worker.  (A cost-free *source* can drain
-            # before a cross-process pause lands -- the shipping queue is
-            # unbounded by design -- so the asserted target is the paced
-            # cross-edge producer, which is provably still running.)
+            # process boundary*: ``hold`` and the sink sit in their own
+            # worker, the bounded inbox there trips, and the pause rides a
+            # control frame back to ``keep``'s worker, which sets the
+            # fork-inherited event both workers wait on.
             *([("multiprocess", "keep",
                 {"queue_capacity": 16, "timeout": 60.0,
-                 "groups": [["source", "keep"], ["sink"]]})]
+                 "groups": [["source", "keep"], ["hold", "sink"]]})]
               if fork_available() else []),
         ):
-            if engine == "multiprocess":
-                # Paced producer, slower remote consumer: the sink's
-                # bounded inbox must fill while ``keep`` is still running.
-                flow = linear_flow(
-                    200, page_size=4, sink_cost=0.001, collect_cost=0.002
+            if engine == "threaded":
+                flow = gated_flow(200, threading.Event(), page_size=4)
+            elif engine == "multiprocess":
+                flow = gated_flow(
+                    200, multiprocessing.get_context("fork").Event(),
+                    page_size=4,
                 )
             else:
                 flow = linear_flow(200, page_size=4, sink_cost=0.002)
@@ -271,6 +310,7 @@ class TestEngineParity:
                 tuple(t.values) for t in result.sink("sink").results
             ]
         reference = runs.pop("simulated")
+        assert len(reference) == 200
         for engine, rows in runs.items():
             assert rows == reference, f"{engine}: diverged from simulated"
 

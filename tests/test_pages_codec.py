@@ -38,7 +38,13 @@ def roundtrip(page: Page) -> Page:
     return decode_page(wire)
 
 
+def scan(page: Page) -> bool:
+    """What ``Page.has_punctuation`` records, looked up the slow way."""
+    return any(e.is_punctuation for e in page.elements)
+
+
 def assert_pages_equal(original: Page, decoded: Page) -> None:
+    assert decoded.has_punctuation is scan(decoded) is scan(original)
     assert decoded.capacity == original.capacity
     assert decoded.available_at == original.available_at
     assert decoded.complete == original.complete
@@ -205,3 +211,13 @@ class TestPropertyRoundTrips:
     def test_roundtrip_is_idempotent(self, elements):
         once = roundtrip(make_page(elements))
         assert_pages_equal(once, roundtrip(once))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements=st.lists(elements_strategy(), max_size=24))
+    def test_decoded_flag_is_recorded_not_scanned(self, elements):
+        """A decoded page answers from what the decoder saw: its record
+        covers every element, interleaved punctuation included."""
+        decoded = roundtrip(make_page(elements))
+        assert decoded._vetted == len(decoded.elements)
+        assert decoded._punctuated is scan(decoded)

@@ -57,6 +57,100 @@ class TestPage:
             Page(capacity=0)
 
 
+def scan(page):
+    return any(e.is_punctuation for e in page.elements)
+
+
+class TestPunctuationFlag:
+    """``Page.has_punctuation`` is a scan's answer without the scan."""
+
+    def test_appended_pages(self, schema):
+        page = Page(capacity=4)
+        assert page.has_punctuation is False  # empty
+        page.append(tup(schema, 1))
+        page.append(tup(schema, 2))
+        assert page.has_punctuation is scan(page) is False
+        page.append(punct(schema, 2))
+        assert page.has_punctuation is scan(page) is True
+
+    def test_a_lone_punctuation(self, schema):
+        page = Page(capacity=4)
+        page.append(punct(schema, 0))
+        assert page.has_punctuation is True
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 9])
+    def test_take_from_filled_and_sealed_pages(self, schema, n):
+        batch = [tup(schema, i) for i in range(n)]
+        page = Page(capacity=4)
+        page.take_from(batch, 0)
+        assert page.has_punctuation is scan(page) is False
+        page.seal()
+        assert page.has_punctuation is False
+
+    def test_take_from_then_punctuation(self, schema):
+        page = Page(capacity=8)
+        page.take_from([tup(schema, i) for i in range(3)], 0)
+        page.append(punct(schema, 3))
+        assert page.has_punctuation is scan(page) is True
+
+    def test_every_page_a_queue_builds(self, schema):
+        queue = DataQueue("q", page_size=4)
+        queue.put_many([tup(schema, i) for i in range(6)])
+        queue.put(punct(schema, 6))
+        queue.put(tup(schema, 7))
+        queue.put_many([tup(schema, i) for i in range(8, 11)])
+        queue.put(punct(schema, 11))
+        queue.put(tup(schema, 12))
+        queue.close()
+        flags = []
+        while (page := queue.get_page()) is not None:
+            assert page.has_punctuation is scan(page)
+            flags.append(page.has_punctuation)
+        assert flags == [False, True, False, True, False]
+
+    def test_elements_placed_directly_are_scanned(self, schema):
+        """A page filled behind ``append``'s back has no record to
+        trust; it answers by looking, interleavings included."""
+        page = Page(capacity=8)
+        page.elements.extend(
+            [tup(schema, 1), punct(schema, 1), tup(schema, 2)]
+        )
+        assert page.has_punctuation is True
+        clean = Page(capacity=8)
+        clean.elements.extend([tup(schema, 1), tup(schema, 2)])
+        assert clean.has_punctuation is False
+        clean.elements.append(punct(schema, 2))
+        assert clean.has_punctuation is True
+
+    def test_hand_built_pages_deliver_as_before(self, schema):
+        """Through ``process_page``: appended, directly filled (with an
+        interleaved punctuation) and bare-list pages all reach the
+        operator as the same runs and punctuations."""
+        from repro.engine.harness import OperatorHarness
+        from repro.operators import PassThrough
+
+        elements = [tup(schema, 1), tup(schema, 2), punct(schema, 2)]
+        interleaved = [tup(schema, 1), punct(schema, 1), tup(schema, 2)]
+
+        def delivered(page):
+            harness = OperatorHarness(PassThrough("p", schema))
+            harness.operator.process_page(0, page)
+            harness.finish()
+            return harness.emitted()
+
+        appended = Page(capacity=8)
+        for element in elements:
+            appended.append(element)
+        direct = Page(capacity=8)
+        direct.elements.extend(elements)
+        assert delivered(appended) == delivered(direct) == delivered(
+            list(elements)) == elements
+        direct = Page(capacity=8)
+        direct.elements.extend(interleaved)
+        assert delivered(direct) == delivered(
+            list(interleaved)) == interleaved
+
+
 class TestDataQueue:
     def test_put_until_page_ready(self, schema):
         q = DataQueue(page_size=3)

@@ -190,7 +190,7 @@ import pickle
 import pytest
 
 from repro.errors import PatternError
-from repro.punctuation.atoms import NEG_INF, POS_INF
+from repro.punctuation.atoms import NEG_INF, POS_INF, compiled_test
 
 
 def _reference_compare(a, b):
@@ -371,3 +371,117 @@ class TestCompiledMatcher:
             "4e4694939489474004000000000000887494680e474004000000000000758694"
             "6274944e8694622e"
         )
+
+
+# -- one generated function per shape -----------------------------------------
+#
+# The matcher's source is compiled once per *shape* -- arity, constrained
+# positions, atom kinds, bound inclusivity -- and a pattern binds its own
+# constants into it.  Sharing code must never mean sharing a constant.
+
+def shape_of(pattern):
+    return tuple((i, a._term()[0]) for i, a in pattern.constrained())
+
+
+def same_shape_other_constants(atom, data):
+    """An atom that compiles to ``atom``'s source over freshly drawn
+    constants."""
+    kind, _constants = atom._term()
+    if kind == "in":
+        return InSet(data.draw(st.sets(
+            st.one_of(bounds, st.none(), st.text("ab", max_size=1)),
+            min_size=1, max_size=4,
+        )))
+    lo_op, hi_op = kind
+    if lo_op is None and hi_op is None:
+        return WILDCARD
+    lo = data.draw(bounds) if lo_op else NEG_INF
+    hi = data.draw(bounds) if hi_op else POS_INF
+    if lo_op and hi_op:  # keep it non-empty whatever the inclusivity
+        lo = data.draw(st.integers(min_value=-5, max_value=5))
+        hi = lo + data.draw(st.integers(min_value=1, max_value=5))
+    return Interval(
+        lo, hi, lo_inclusive=lo_op == "<=", hi_inclusive=hi_op == "<="
+    )
+
+
+class TestOneFunctionPerShape:
+    @given(st.lists(any_atoms(), min_size=1, max_size=4), st.data())
+    def test_patterns_of_one_shape_share_code_never_constants(
+        self, atom_list, data
+    ):
+        first = Pattern(atom_list)
+        second = Pattern(
+            [same_shape_other_constants(a, data) for a in atom_list]
+        )
+        assert shape_of(first) == shape_of(second)
+        assert first.matcher.__code__ is second.matcher.__code__
+        assert first.matcher is not second.matcher
+        point = [data.draw(any_value) for _ in atom_list]
+        for pattern in (first, second):
+            expected = all(
+                reference_matches(a, v) for a, v in zip(pattern.atoms, point)
+            )
+            assert pattern.matcher(point) is expected
+
+    def test_same_shape_different_constants_by_hand(self):
+        low = Pattern([WILDCARD, InSet({1, 2}), Interval(0, 5, hi_inclusive=False)])
+        high = Pattern([WILDCARD, InSet({7}), Interval(10, 15, hi_inclusive=False)])
+        assert low.matcher.__code__ is high.matcher.__code__
+        assert low.matches((0, 1, 3)) and not high.matches((0, 1, 3))
+        assert high.matches((0, 7, 12)) and not low.matches((0, 7, 12))
+        # Inclusivity is shape, not constant: a closed interval is other code.
+        closed = Pattern([WILDCARD, InSet({7}), Interval(10, 15)])
+        assert closed.matcher.__code__ is not high.matcher.__code__
+        assert closed.matches((0, 7, 15)) and not high.matches((0, 7, 15))
+
+    def test_constants_are_bound_not_written_into_source(self):
+        """A constant whose ``repr`` is not an expression (or is a hostile
+        one) still compiles, because it never reaches the source."""
+
+        class Odd:
+            def __repr__(self):
+                return "__import__('os').abort()"
+
+            def __hash__(self):
+                return 7
+
+            def __eq__(self, other):
+                return isinstance(other, Odd)
+
+        pattern = Pattern([Equals(Odd()), AtMost("it's")])
+        assert pattern.matches((Odd(), "is"))
+        assert not pattern.matches((Odd(), "jar"))
+        assert pattern.matcher.__code__.co_consts == Pattern(
+            [Equals(0), AtMost(1)]).matcher.__code__.co_consts
+
+    def test_atom_predicate_is_the_one_term_instance(self):
+        assert (
+            AtMost(3).predicate().__code__
+            is AtMost("z").predicate().__code__
+            is compiled_test(None, ((None, (None, "<=")),))(0).__code__
+        )
+        assert WILDCARD.predicate()(object()) is True
+
+    def test_shape_cache_stays_bounded(self):
+        limit = compiled_test.cache_info().maxsize
+        assert limit is not None and limit <= 1024
+        members = frozenset([5])
+        for arity in range(1, 10_001):
+            test = compiled_test(arity, ((0, "in"),))(members)
+            assert test((5,) * arity) and not test((4,) * arity)
+            assert compiled_test.cache_info().currsize <= limit
+        # An evicted shape compiles again and answers the same.
+        again = Pattern([Equals(5)])
+        assert again.matches([5]) and not again.matches([4])
+
+    def test_the_per_atom_loop_is_gone(self):
+        import inspect
+
+        from repro.punctuation import atoms as atoms_module
+        from repro.punctuation import patterns as patterns_module
+
+        assert "def in_range" not in inspect.getsource(atoms_module)
+        compile_source = inspect.getsource(patterns_module.Pattern._compile)
+        assert ".predicate()" not in compile_source
+        assert "for index, test in" not in inspect.getsource(patterns_module)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import itertools
 import os
 import struct
 from collections import Counter
@@ -39,7 +40,14 @@ from repro.serving import (
     TenantPolicy,
 )
 from repro.serving.client import post_json, sse_subscribe
-from repro.serving.wire import WS_CONT, WS_PING, WS_TEXT, ws_encode, ws_read
+from repro.serving.wire import (
+    WS_CONT,
+    WS_PING,
+    WS_PONG,
+    WS_TEXT,
+    ws_encode,
+    ws_read,
+)
 from repro.stream import Attribute, Schema, StreamTuple
 
 SCHEMA = Schema([
@@ -132,6 +140,53 @@ class TestUnmaskWithOneXor:
                 payload[cut:], WS_CONT, True, self.KEYS[2]))
             expected += [(WS_PING, payload[:alignment]), (WS_TEXT, payload)]
         assert read_all(b"".join(frames), len(expected)) == expected
+
+    @pytest.mark.parametrize("pieces", [2, 3])
+    def test_control_frames_between_fragments_lose_nothing(self, pieces):
+        """RFC 6455 section 5.4: a ping or pong may arrive between the
+        fragments of a message.  Each is handed over as it comes and the
+        message still arrives whole -- at every split of the payload."""
+        payload = bytes(range(12))
+        for cut in itertools.combinations(
+            range(len(payload) + 1), pieces - 1
+        ):
+            bounds = (0, *cut, len(payload))
+            parts = [payload[a:b] for a, b in zip(bounds, bounds[1:])]
+            for control in (WS_PING, WS_PONG):
+                frames, expected = [], []
+                for index, part in enumerate(parts):
+                    if index:
+                        frames.append(reference_frame(
+                            b"hb", control, True, self.KEYS[1]))
+                        expected.append((control, b"hb"))
+                    frames.append(reference_frame(
+                        part, WS_CONT if index else WS_TEXT,
+                        index == len(parts) - 1, self.KEYS[index % 3]))
+                expected.append((WS_TEXT, payload))
+                expected.append((WS_TEXT, b"next"))
+                frames.append(reference_frame(
+                    b"next", WS_TEXT, True, self.KEYS[0]))
+                assert read_all(b"".join(frames), len(expected)) == expected
+
+    def test_partial_messages_belong_to_their_connection(self):
+        async def interleave():
+            readers = [asyncio.StreamReader(), asyncio.StreamReader()]
+            for reader, word in zip(readers, (b"left", b"right")):
+                reader.feed_data(
+                    reference_frame(word[:2], WS_TEXT, False, self.KEYS[0])
+                    + reference_frame(b"", WS_PING, True, self.KEYS[1])
+                    + reference_frame(word[2:], WS_CONT, True, self.KEYS[2])
+                )
+                reader.feed_eof()
+            first = [await ws_read(reader) for reader in readers]
+            second = [await ws_read(reader) for reader in readers]
+            third = [await ws_read(reader) for reader in readers]
+            return first, second, third
+
+        first, second, third = asyncio.run(interleave())
+        assert first == [(WS_PING, b""), (WS_PING, b"")]
+        assert second == [(WS_TEXT, b"left"), (WS_TEXT, b"right")]
+        assert third == [None, None]
 
     def test_encode_masks_as_the_reference_does(self):
         for n in range(301):
