@@ -47,6 +47,7 @@ from repro.serving.wire import (
     WS_PING,
     WS_PONG,
     WS_TEXT,
+    FrameBuffer,
     HttpRequest,
     read_request,
     response_bytes,
@@ -477,38 +478,55 @@ class StreamServer:
             )
             if subscription is not None else None
         )
+        # One socket read may bring many frames: they are parsed from
+        # this buffer and their tuples admitted as one run -- before the
+        # socket is awaited again, before anything is written back, and
+        # at end of stream, so nothing is ever held across a wait.
+        buffered = FrameBuffer(reader)
+        batch: list[StreamTuple] = []
+
+        async def admit() -> None:
+            # Awaiting here stops this coroutine reading more frames:
+            # kernel buffers fill and the client's sends block --
+            # websocket-shaped backpressure.
+            nonlocal batch
+            if batch:
+                run, batch = batch, []
+                await self.supervisor.ingest(flow, run)
+                self.counters["ingested_total"] += len(run)
+
         try:
             while True:
-                frame = await ws_read(
-                    reader, max_message=self.config.max_body
-                )
+                if batch and not buffered.frame_ready():
+                    await admit()
+                try:
+                    frame = await ws_read(
+                        buffered, max_message=self.config.max_body
+                    )
+                except ServingError:
+                    await admit()  # what came before the bad frame counts
+                    raise
                 if frame is None:
+                    await admit()
                     break
                 opcode, payload = frame
+                if opcode == WS_TEXT and mode != "subscribe":
+                    try:
+                        batch += tuples_from_body(schema, payload)
+                        continue
+                    except ServingError as exc:
+                        self.counters["client_errors_total"] += 1
+                        payload = json.dumps({"error": str(exc)})
+                elif opcode == WS_PING:
+                    opcode = WS_PONG
+                elif opcode != WS_CLOSE:
+                    continue
+                # A reply: the error, the pong, or the close echoed back.
+                await admit()
+                writer.write(ws_encode(payload, opcode=opcode))
+                await writer.drain()
                 if opcode == WS_CLOSE:
-                    writer.write(ws_encode(payload, opcode=WS_CLOSE))
-                    await writer.drain()
                     break
-                if opcode == WS_PING:
-                    writer.write(ws_encode(payload, opcode=WS_PONG))
-                    await writer.drain()
-                    continue
-                if opcode != WS_TEXT or mode == "subscribe":
-                    continue
-                try:
-                    tuples = tuples_from_body(schema, payload)
-                except ServingError as exc:
-                    self.counters["client_errors_total"] += 1
-                    writer.write(
-                        ws_encode(json.dumps({"error": str(exc)}))
-                    )
-                    await writer.drain()
-                    continue
-                # Awaiting here stops this coroutine reading more
-                # frames: kernel buffers fill and the client's sends
-                # block -- websocket-shaped backpressure.
-                await self.supervisor.ingest(flow, tuples)
-                self.counters["ingested_total"] += len(tuples)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

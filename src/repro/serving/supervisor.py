@@ -263,14 +263,15 @@ class FlowSupervisor:
         """Admit one element, or a list of them, into a flow's channel.
 
         The full admission chain, in order: the tenant's token bucket
-        (one token per element; over-rate ⇒ sleep out the conforming
-        delay of the last), the flow's delivery-hub gates (a slow
-        subscriber ⇒ wait for the hub to re-open), then the bounded
-        channel itself (a paused plan ⇒ the part of a list that does not
-        fit awaits space, and the gates are looked at again after every
-        such wait).  Every stage converts overload into delay for *this
-        caller only*; nothing is dropped.  Returns the admission sequence
-        number of the last element.
+        (one token per element, reserved for the whole run at once;
+        over-rate ⇒ sleep out the conforming delay of the last), the
+        flow's delivery-hub gates (a slow subscriber ⇒ wait for the hub
+        to re-open), then the bounded channel itself (a paused plan ⇒
+        the part of a list that does not fit awaits space, and the gates
+        are looked at again after every such wait).  Every stage
+        converts overload into delay for *this caller only*; nothing is
+        dropped.  Returns the admission sequence number of the last
+        element.
         """
         managed = self._managed(name)
         if managed.state in (FlowState.FAILED, FlowState.STOPPED):
@@ -279,12 +280,12 @@ class FlowSupervisor:
                 f"input"
             )
         run = element if isinstance(element, list) else (element,)
-        now = self._clock()
-        delay = 0.0
-        for _ in run:
-            delay = self.admission.reserve(managed.tenant, now)
-        if delay > 0.0:
-            await asyncio.sleep(delay)
+        if run:
+            delay = self.admission.reserve(
+                managed.tenant, self._clock(), len(run)
+            )
+            if delay > 0.0:
+                await asyncio.sleep(delay)
         seq = await managed.flow.channel(channel).put_run(
             run, gates=managed.hubs.values()
         )

@@ -28,6 +28,7 @@ the property the hypothesis suite asserts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -86,15 +87,18 @@ class TokenBucket:
             return 0.0
         return (1.0 - tokens) / self.rate
 
-    def reserve(self, now: float) -> float:
-        """Debit one token; return seconds until the request conforms.
+    def reserve(self, now: float, n: int = 1) -> float:
+        """Debit ``n`` tokens; return seconds until the last one conforms.
 
         Always admits: a depleted bucket goes negative, so concurrent
-        over-rate requests are serialised FIFO at exactly ``rate``.
+        over-rate requests are serialised FIFO at exactly ``rate``.  A
+        run of ``n`` is ``n`` requests arriving together: the bucket ends
+        where ``n`` single reservations at ``now`` would leave it, and
+        the delay is that of the last of them.
         """
         self._refill(now)
-        self.tokens -= 1.0
-        self.reservations += 1
+        self.tokens -= n
+        self.reservations += n
         if self.tokens >= 0.0:
             return 0.0
         return -self.tokens / self.rate
@@ -220,28 +224,29 @@ class AdmissionController:
 
     # -- rate admission ----------------------------------------------------------
 
-    def reserve(self, tenant: str, now: float) -> float:
-        """Reserve one ingest slot; returns the conforming delay.
+    def reserve(self, tenant: str, now: float, n: int = 1) -> float:
+        """Reserve ``n`` ingest slots; returns the last one's delay.
 
-        Logs the pause punctuation when this reservation pushes the
-        tenant's bucket into exhaustion, and the matching resume when a
-        later reservation finds it refilled.
+        Counts and logs what ``n`` single reservations at ``now`` would:
+        every element that found the bucket empty is ``delayed`` by its
+        own conforming delay, the resume punctuation is logged when the
+        first of them finds the bucket refilled, and the pause when one
+        pushes it into exhaustion.
         """
         state = self._state(tenant)
-        delay = state.bucket.reserve(now)
+        bucket = state.bucket
+        delay = bucket.reserve(now, n)
+        late = 0
         if delay > 0.0:
-            state.delayed += 1
-            state.delay_total += delay
-        exhausted = state.bucket.exhausted
-        if exhausted and not state.paused:
-            state.paused = True
-            self.control_log.append(
-                FlowControlPunctuation.pause(
-                    f"{tenant}->{self.name}", issuer=self.name,
-                    issued_at=now, occupancy=state.delayed,
-                )
-            )
-        elif not exhausted and state.paused:
+            # The last element waits out the whole debt, the one before
+            # it one token less, ... down to the first that found no
+            # token left.
+            debt = -bucket.tokens
+            late = min(n, math.ceil(debt))
+            state.delay_total += (
+                late * debt - late * (late - 1) / 2
+            ) / bucket.rate
+        if late < n and state.paused:
             state.paused = False
             self.control_log.append(
                 FlowControlPunctuation.resume(
@@ -249,6 +254,15 @@ class AdmissionController:
                     issued_at=now,
                 )
             )
+        if late and not state.paused:
+            state.paused = True
+            self.control_log.append(
+                FlowControlPunctuation.pause(
+                    f"{tenant}->{self.name}", issuer=self.name,
+                    issued_at=now, occupancy=state.delayed + 1,
+                )
+            )
+        state.delayed += late
         return delay
 
     # -- reporting ---------------------------------------------------------------

@@ -5,8 +5,16 @@ serving layer needs only a narrow slice of each protocol: parse one
 request line + headers, answer with framed responses, stream
 ``text/event-stream`` chunks, and exchange websocket data frames.  This
 module implements exactly that slice over asyncio stream reader/writer
-pairs -- ~200 lines instead of a framework dependency, and every byte
+pairs -- ~300 lines instead of a framework dependency, and every byte
 on the wire is visible to the tests.
+
+One function per direction knows each protocol: :func:`read_request` for
+HTTP, :func:`ws_read` / :func:`ws_encode` for websocket frames (what a
+frame may be -- masking, fragmentation, the control-frame limits of RFC
+6455 section 5.5 -- is decided in ``ws_read`` and nowhere else).
+:class:`FrameBuffer` sits under ``ws_read`` on the server so that the
+frames one socket read brought are parsed without going back to the
+socket.
 
 Scope notes (deliberate): HTTP/1.1 with ``Content-Length`` bodies only
 (no chunked ingest), no TLS (front a real deployment with a terminating
@@ -26,6 +34,7 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 from repro.errors import ServingError
 
 __all__ = [
+    "FrameBuffer",
     "HttpRequest",
     "WS_CLOSE",
     "WS_PONG",
@@ -39,6 +48,7 @@ __all__ = [
 ]
 
 MAX_HEADER_BYTES = 16 * 1024
+MAX_CONTROL_PAYLOAD = 125  # RFC 6455 section 5.5
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 # Websocket opcodes (RFC 6455 §5.2).
@@ -227,8 +237,68 @@ def ws_encode(
     return bytes(head) + payload
 
 
+class FrameBuffer:
+    """What one socket read brought, handed to :func:`ws_read` piecewise.
+
+    ``ws_read`` awaits ``readexactly`` three or four times a frame.  On a
+    bare ``StreamReader`` every one of them trims the stream's buffer and
+    looks at the transport's flow control, and a handler cannot tell
+    whether the next frame is already here or a wait away.  This holds
+    the bytes of one ``reader.read()`` instead: ``readexactly`` slices
+    them and goes back to the socket only when they run out, and
+    :meth:`frame_ready` says whether ``ws_read`` could return its next
+    message without waiting -- which is what lets a handler collect the
+    frames of one wake-up and admit them as one run.  It holds bytes, not
+    protocol rules: it knows where a frame ends, not what a frame may be.
+    """
+
+    __slots__ = ("_reader", "_data", "_pos", "_ws_partial")
+
+    READ_SIZE = 65536
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._data = b""
+        self._pos = 0
+
+    async def readexactly(self, n: int) -> bytes:
+        """``StreamReader.readexactly``, refilling one read at a time."""
+        end = self._pos + n
+        while end > len(self._data):
+            chunk = await self._reader.read(self.READ_SIZE)
+            rest = self._data[self._pos:]
+            if not chunk:
+                self._data, self._pos = b"", 0
+                raise asyncio.IncompleteReadError(rest, n)
+            self._data, self._pos, end = rest + chunk, 0, n
+        data = self._data[self._pos:end]
+        self._pos = end
+        return data
+
+    def frame_ready(self) -> bool:
+        """True when the next :func:`ws_read` would not touch the socket:
+        every frame up to the next final or control frame is buffered."""
+        data, pos = self._data, self._pos
+        while len(data) - pos >= 2:
+            b1, b2 = data[pos], data[pos + 1]
+            pos += 2
+            n = b2 & 0x7F
+            if n >= 126:
+                width = 2 if n == 126 else 8
+                n = int.from_bytes(data[pos:pos + width], "big")
+                pos += width
+            pos += n + (4 if b2 & 0x80 else 0)  # payload and masking key
+            if pos > len(data):
+                return False
+            if b1 & 0x80 or b1 & 0x0F >= WS_CLOSE:
+                return True
+        return False
+
+
 async def ws_read(
-    reader: asyncio.StreamReader, *, max_message: int = 1 << 20
+    reader: "asyncio.StreamReader | FrameBuffer",
+    *,
+    max_message: int = 1 << 20,
 ) -> tuple[int, bytes] | None:
     """Read one websocket *message* (reassembling fragments).
 
@@ -237,6 +307,15 @@ async def ws_read(
     but RFC 6455 section 5.4 lets a peer send one *between* the fragments
     of a message: the fragments read so far then wait on ``reader`` (the
     connection's own state) and the next call carries on from them.
+
+    ``reader`` is anything with ``StreamReader``'s ``readexactly`` -- the
+    server hands in a :class:`FrameBuffer` so that the reads of one
+    frame, and of every frame that arrived with it, are served from one
+    socket read.  This is the only place that knows what a frame may and
+    may not be: a control frame that is fragmented or longer than 125
+    bytes (section 5.5) and a new data frame inside an unfinished message
+    (section 5.4) raise :class:`~repro.errors.ServingError`, as does
+    anything over ``max_message``.
     """
     # Only read here: giving every reader an extra attribute (or popping
     # from its ``__dict__``) takes CPython's shared-key instances off
@@ -265,17 +344,30 @@ async def ws_read(
                 f"websocket frame of {n} bytes exceeds the "
                 f"{max_message}-byte limit"
             )
+        if opcode >= WS_CLOSE:  # refused before the payload is read
+            if not fin:
+                raise ServingError("websocket control frame is fragmented")
+            if n > MAX_CONTROL_PAYLOAD:
+                raise ServingError(
+                    f"websocket control frame of {n} bytes exceeds the "
+                    f"{MAX_CONTROL_PAYLOAD}-byte limit"
+                )
         key = await reader.readexactly(4) if masked else b""
         payload = await reader.readexactly(n)
         if masked:
             payload = _mask(payload, key)
-        if opcode >= WS_CLOSE:  # control frame: FIN always set
+        if opcode >= WS_CLOSE:
             if message_opcode is not None:
                 reader._ws_partial = (  # type: ignore[attr-defined]
                     message_opcode, message
                 )
             return opcode, payload
         if opcode != WS_CONT:
+            if message_opcode is not None:
+                raise ServingError(
+                    "websocket data frame inside an unfinished fragmented "
+                    "message"
+                )
             message_opcode = opcode
         if message_opcode is None:
             raise ServingError("websocket continuation without a start frame")

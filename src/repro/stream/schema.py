@@ -66,7 +66,7 @@ class Schema:
     which lets schemas serve as dictionary keys in operator registries.
     """
 
-    __slots__ = ("_attributes", "_index", "_hash")
+    __slots__ = ("_attributes", "_index", "_hash", "names")
 
     def __init__(self, attributes: Iterable[Attribute | tuple | str]) -> None:
         attrs: list[Attribute] = []
@@ -84,6 +84,9 @@ class Schema:
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate attribute names: {dupes}")
         self._attributes: tuple[Attribute, ...] = tuple(attrs)
+        #: Attribute names in order -- read on every tuple comparison and
+        #: at the wire codec, so stored once rather than derived per access.
+        self.names: tuple[str, ...] = tuple(names)
         self._index: dict[str, int] = {a.name: i for i, a in enumerate(attrs)}
         # Also index by unqualified base name when unambiguous, so that a
         # pattern written against ``speed`` still resolves on a schema whose
@@ -132,10 +135,6 @@ class Schema:
         return f"Schema({inner})"
 
     # -- lookup ----------------------------------------------------------------
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self._attributes)
 
     @property
     def attributes(self) -> tuple[Attribute, ...]:

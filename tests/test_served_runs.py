@@ -15,6 +15,10 @@ that batching could silently change:
 * delivery: ``?limit=N`` is exact, a vanished client releases its
   subscription, and a single tuple into an idle flow comes out with no
   further input -- nothing waits to fill a batch;
+* reading: the frames one socket read brought are one admission, however
+  the bytes were cut on the way -- same tuples, same replies, same order,
+  nothing held while the socket is awaited -- and the three frames RFC
+  6455 forbids end the connection after what preceded them is admitted;
 * structure: one ``FlowSupervisor.ingest``, no task per result.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import itertools
+import json
 import os
 import struct
 from collections import Counter
@@ -33,18 +38,23 @@ from repro import AsyncioEngine, CollectSink, QueryPlan, Select
 from repro.api import Flow
 from repro.durability import MemoryCheckpointStore
 from repro.operators.source import AsyncIterableSource
+from repro.errors import ServingError
 from repro.serving import (
     FlowState,
     FlowSupervisor,
     StreamServer,
     TenantPolicy,
 )
+from repro.serving import server as server_module
 from repro.serving.client import post_json, sse_subscribe
 from repro.serving.wire import (
+    WS_CLOSE,
     WS_CONT,
     WS_PING,
     WS_PONG,
     WS_TEXT,
+    FrameBuffer,
+    websocket_accept,
     ws_encode,
     ws_read,
 )
@@ -558,6 +568,426 @@ class TestDelivery:
                 loop.set_task_factory(None)
             assert events == list(range(500))
             assert len(created) < 50, Counter(created)
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+
+# -- read a run ----------------------------------------------------------------
+
+KEY = bytes([0x37, 0xFA, 0x21, 0x3D])
+
+
+def text_frame(seq: int) -> bytes:
+    body = json.dumps({"client": "c", "seq": seq, "value": 0.5}).encode()
+    return reference_frame(body, WS_TEXT, True, KEY)
+
+
+class Chunks:
+    """A reader that hands out exactly these reads, then end of stream."""
+
+    def __init__(self, chunks) -> None:
+        self.chunks = [chunk for chunk in chunks if chunk]
+
+    async def read(self, _n: int) -> bytes:
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def read_messages(make_reader) -> list:
+    """Every message ``ws_read`` finds, then ``None`` or the refusal."""
+
+    async def drain():
+        reader = make_reader()
+        seen = []
+        while True:
+            try:
+                seen.append(await ws_read(reader))
+            except (ServingError, asyncio.IncompleteReadError) as exc:
+                return seen + [(type(exc), str(exc))]
+            if seen[-1] is None:
+                return seen
+
+    return asyncio.run(drain())
+
+
+def bare(wire: bytes):
+    def make() -> asyncio.StreamReader:
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        return reader
+
+    return make
+
+
+def buffered(*chunks: bytes):
+    return lambda: FrameBuffer(Chunks(chunks))
+
+
+#: One of everything a connection may carry, in an order that matters:
+#: two malformed bodies (the second fragmented around a ping), a message
+#: in three fragments around another ping, frames the server ignores.
+SEQUENCE = (
+    text_frame(0) + text_frame(1)
+    + reference_frame(b"a", WS_PING, True, KEY)
+    + reference_frame(b'{"client": "c", "seq"', WS_TEXT, True, KEY)
+    + text_frame(2)
+    + reference_frame(b'{"client": "\xff', WS_TEXT, False, KEY)
+    + reference_frame(b"b", WS_PING, True, KEY)
+    + reference_frame(b'"}', WS_CONT, True, KEY)
+    + reference_frame(b'{"client": "c", ', WS_TEXT, False, KEY)
+    + reference_frame(b'"seq": 3, ', WS_CONT, False, KEY)
+    + reference_frame(b"c", WS_PING, True, KEY)
+    + reference_frame(b'"value": 0.5}', WS_CONT, True, KEY)
+    + reference_frame(b"unasked", WS_PONG, True, KEY)
+    + reference_frame(os.urandom(200), 0x2, True, KEY)
+    + text_frame(4)
+    + reference_frame(b"\x03\xe8", WS_CLOSE, True, KEY)
+)
+AFTER_CLOSE = text_frame(5)
+
+
+class TestFrameBuffer:
+    def test_any_cut_of_the_bytes_reads_as_the_whole_does(self):
+        whole = read_messages(bare(SEQUENCE))
+        assert whole[-1] is None and len(whole) == 14
+        cuts = [[k] for k in range(1, len(SEQUENCE))]
+        cuts += [list(range(1, len(SEQUENCE))), [7, 8, 9, 300], []]
+        for cut in cuts:
+            bounds = [0, *cut, len(SEQUENCE)]
+            pieces = [SEQUENCE[a:b] for a, b in zip(bounds, bounds[1:])]
+            assert read_messages(buffered(*pieces)) == whole, cut
+
+    def test_frame_ready_means_the_next_message_needs_no_read(self):
+        for step in (1, 3, 50, len(SEQUENCE)):
+            source = Chunks(
+                SEQUENCE[a:a + step] for a in range(0, len(SEQUENCE), step)
+            )
+            reader = FrameBuffer(source)
+
+            async def drain():
+                while True:
+                    ready, left = reader.frame_ready(), len(source.chunks)
+                    frame = await ws_read(reader)
+                    if frame is None:
+                        return
+                    assert ready == (len(source.chunks) == left), frame
+
+            asyncio.run(drain())
+
+    def test_end_of_stream_inside_a_frame_is_an_incomplete_read(self):
+        frame = text_frame(0)
+        for reader in (bare(frame[:9]), buffered(frame[:5], frame[5:9])):
+            (kind, _message), = read_messages(reader)
+            assert kind is asyncio.IncompleteReadError
+        assert read_messages(buffered(b"\x81")) == [None]
+
+    def test_a_frame_too_long_to_arrive_is_never_ready(self):
+        head = bytes([0x81, 0x80 | 127]) + (1 << 62).to_bytes(8, "big") + KEY
+        reader = FrameBuffer(Chunks([text_frame(0) + head]))
+
+        async def main():
+            assert not reader.frame_ready()     # nothing read yet
+            assert (await ws_read(reader))[0] == WS_TEXT
+            assert not reader.frame_ready()     # a head, no payload
+            with pytest.raises(ServingError, match="exceeds"):
+                await ws_read(reader)
+
+        asyncio.run(main())
+
+
+#: What RFC 6455 forbids and ``ws_read`` used to take.
+FORBIDDEN = {
+    "a control frame over 125 bytes": (
+        reference_frame(b"p" * 126, WS_PING, True, KEY),
+        "control frame of 126 bytes exceeds the 125-byte limit",
+    ),
+    "a megabyte of ping, refused unread": (
+        bytes([0x89, 0x80 | 127]) + (1 << 20).to_bytes(8, "big") + KEY,
+        "control frame of 1048576 bytes exceeds the 125-byte limit",
+    ),
+    "a control frame without FIN": (
+        reference_frame(b"hb", WS_PING, False, KEY),
+        "control frame is fragmented",
+    ),
+    "a close frame without FIN": (
+        reference_frame(b"", WS_CLOSE, False, KEY),
+        "control frame is fragmented",
+    ),
+    "a data frame inside an unfinished message": (
+        reference_frame(b"ab", WS_TEXT, False, KEY)
+        + reference_frame(b"cd", WS_TEXT, True, KEY),
+        "data frame inside an unfinished fragmented message",
+    ),
+    "... even behind an interleaved ping": (
+        reference_frame(b"ab", WS_TEXT, False, KEY)
+        + reference_frame(b"", WS_PING, True, KEY)
+        + reference_frame(b"cd", 0x2, True, KEY),
+        "data frame inside an unfinished fragmented message",
+    ),
+}
+
+
+class TestFrameRules:
+    @pytest.mark.parametrize("case", FORBIDDEN)
+    def test_forbidden_frames_are_refused_at_the_wire(self, case):
+        wire, message = FORBIDDEN[case]
+        for reader in (bare(text_frame(0) + wire),
+                       buffered(text_frame(0) + wire)):
+            seen = read_messages(reader)
+            assert seen[0][0] == WS_TEXT
+            assert seen[-1] == (ServingError, "websocket " + message)
+            assert all(frame[0] == WS_PING for frame in seen[1:-1])
+
+    def test_the_largest_control_frame_still_passes(self):
+        wire = reference_frame(b"p" * 125, WS_PING, True, KEY)
+        assert read_messages(bare(wire)) == [(WS_PING, b"p" * 125), None]
+
+    @pytest.mark.parametrize("case", FORBIDDEN)
+    def test_over_a_socket_they_end_the_connection_and_lose_nothing(
+        self, case, monkeypatch
+    ):
+        wire, _message = FORBIDDEN[case]
+
+        async def main():
+            flow, server, host, port = await serving("strict")
+            taps = tap_server(monkeypatch, server)
+            reader, writer = await open_websocket(host, port, "strict")
+            writer.write(text_frame(0) + text_frame(1) + wire + text_frame(2))
+            frames = []
+            while (frame := await asyncio.wait_for(ws_read(reader), 5)):
+                frames.append(frame)
+            # The server hung up; what preceded the frame was admitted,
+            # what followed it was not.
+            assert all(opcode == WS_PONG for opcode, _ in frames)
+            assert [e for e in taps[-1].events if e[0] == "run"] == [
+                ("run", [0, 1])
+            ]
+            assert flow.channel().admitted == 2
+            writer.close()
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+
+class Tap:
+    """One websocket connection as its handler saw it."""
+
+    def __init__(self) -> None:
+        self.reads: list[int] = []      # bytes each socket read returned
+        self.waiting = False            # parked in a socket read
+        self.events: list[tuple] = []   # ("run", seqs) / ("reply", ...)
+
+    @property
+    def consumed(self) -> int:
+        return sum(self.reads)
+
+    def in_order(self) -> list:
+        """Events with every run spelled tuple by tuple."""
+        flat = []
+        for event in self.events:
+            if event[0] == "run":
+                flat += [("tuple", seq) for seq in event[1]]
+            else:
+                flat.append(event)
+        return flat
+
+
+class TappedReader:
+    def __init__(self, reader: asyncio.StreamReader, tap: Tap) -> None:
+        self.reader, self.tap = reader, tap
+
+    async def read(self, n: int) -> bytes:
+        self.tap.waiting = True
+        try:
+            chunk = await self.reader.read(n)
+        finally:
+            self.tap.waiting = False
+        self.tap.reads.append(len(chunk))
+        return chunk
+
+
+def tap_server(monkeypatch, server: StreamServer) -> list[Tap]:
+    """Record, per websocket connection, each socket read, each run
+    admitted and each reply framed -- in the order the handler did them.
+    The three names are patched where the handler looks them up."""
+    taps: list[Tap] = []
+
+    def buffer(reader):
+        taps.append(Tap())
+        return FrameBuffer(TappedReader(reader, taps[-1]))
+
+    def encode(payload, *, opcode=WS_TEXT):
+        taps[-1].events.append(("reply", opcode, payload))
+        return ws_encode(payload, opcode=opcode)
+
+    admit = server.supervisor.ingest
+
+    async def ingest(name, run):
+        taps[-1].events.append(("run", [tup["seq"] for tup in run]))
+        return await admit(name, run)
+
+    monkeypatch.setattr(server_module, "FrameBuffer", buffer)
+    monkeypatch.setattr(server_module, "ws_encode", encode)
+    monkeypatch.setattr(server.supervisor, "ingest", ingest)
+    return taps
+
+
+async def open_websocket(host, port, flow, mode="ingest"):
+    reader, writer = await asyncio.open_connection(host, port)
+    key = "cmVhZC1hLXJ1bi10ZXN0cw=="
+    writer.write(
+        f"GET /v1/flows/{flow}/ws?mode={mode} HTTP/1.1\r\n"
+        f"host: {host}:{port}\r\nupgrade: websocket\r\n"
+        f"connection: Upgrade\r\nsec-websocket-version: 13\r\n"
+        f"sec-websocket-key: {key}\r\n\r\n".encode()
+    )
+    head = await reader.readuntil(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 101") and (
+        websocket_accept(key).encode() in head
+    )
+    return reader, writer
+
+
+class TestReadARun:
+    async def deliver(self, host, port, taps, wire, cuts, tail=b""):
+        """Send ``wire`` cut at ``cuts``, each piece only once the handler
+        has taken the one before and is back waiting on the socket
+        (``tail`` rides with the last piece); returns what the handler
+        did and the frames it sent back, both in order."""
+        connections = len(taps)
+        reader, writer = await open_websocket(host, port, "cuts")
+        while len(taps) == connections:
+            await asyncio.sleep(0)
+        tap = taps[-1]
+        bounds = [0, *cuts, len(wire)]
+        for a, b in zip(bounds, bounds[1:]):
+            last = b == len(wire)
+            writer.write(wire[a:b] + (tail if last else b""))
+            while not last and not (tap.waiting and tap.consumed == b):
+                await asyncio.sleep(0)
+        replies = []
+        while (frame := await asyncio.wait_for(ws_read(reader), 5)):
+            replies.append(frame)
+        writer.close()
+        return tap, replies
+
+    def test_however_the_bytes_are_cut_the_handler_does_the_same(
+        self, monkeypatch
+    ):
+        async def main():
+            flow, server, host, port = await serving("cuts")
+            taps = tap_server(monkeypatch, server)
+            whole, replies = await self.deliver(
+                host, port, taps, SEQUENCE, [], AFTER_CLOSE
+            )
+            refused = [
+                json.dumps({"error": message}) for message in (
+                    "ingest body is not valid JSON: Expecting ':' delimiter: "
+                    "line 1 column 22 (char 21)",
+                    "ingest body is not valid JSON: 'utf-8' codec can't "
+                    "decode byte 0xff in position 12: invalid start byte",
+                )
+            ]
+            assert whole.in_order() == [
+                ("tuple", 0), ("tuple", 1),
+                ("reply", WS_PONG, b"a"),
+                ("reply", WS_TEXT, refused[0]),
+                ("tuple", 2),
+                ("reply", WS_PONG, b"b"),
+                ("reply", WS_TEXT, refused[1]),
+                ("reply", WS_PONG, b"c"),
+                ("tuple", 3), ("tuple", 4),
+                ("reply", WS_CLOSE, b"\x03\xe8"),
+            ]
+            assert replies == [
+                (event[1], event[2].encode() if event[1] == WS_TEXT
+                 else event[2])
+                for event in whole.events if event[0] == "reply"
+            ]
+            assert whole.reads == [len(SEQUENCE + AFTER_CLOSE)]
+            # One read, so one admission per stretch between replies.
+            assert [e[1] for e in whole.events if e[0] == "run"] == [
+                [0, 1], [2], [3, 4]
+            ]
+            cuts = [[k] for k in range(1, len(SEQUENCE))]
+            cuts.append(list(range(1, len(SEQUENCE))))   # byte by byte
+            for cut in cuts:
+                tap, got = await self.deliver(
+                    host, port, taps, SEQUENCE, cut, AFTER_CLOSE
+                )
+                assert tap.in_order() == whole.in_order(), cut
+                assert got == replies, cut
+                assert len(tap.reads) == len(cut) + 1, cut
+            # Nothing after a close frame was admitted, on any delivery.
+            assert flow.channel().admitted == 5 * (len(cuts) + 1)
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+    def test_whole_frames_are_delivered_while_half_a_frame_waits(self):
+        async def main():
+            flow, server, host, port = await serving("half")
+            results, subscriber = await open_websocket(
+                host, port, "half", "subscribe"
+            )
+            await wait_until(lambda: flow.hub().subscribers == 1)
+            _unused, writer = await open_websocket(host, port, "half")
+
+            async def received(count):
+                return [
+                    json.loads((await asyncio.wait_for(
+                        ws_read(results), 5))[1])["seq"]
+                    for _ in range(count)
+                ]
+
+            for k in (1, 7):
+                frames = [text_frame(seq) for seq in range(k + 1)]
+                half = len(frames[k]) // 2
+                writer.write(b"".join(frames[:k]) + frames[k][:half])
+                # The k results are the event: they arrive although the
+                # frame behind them is still half on the client's side.
+                assert await received(k) == list(range(k))
+                admitted = flow.channel().admitted
+                writer.write(frames[k][half:])
+                assert await received(1) == [k]
+                assert flow.channel().admitted == admitted + 1
+            writer.close()
+            subscriber.close()
+            await server.aclose(drain=True)
+
+        asyncio.run(main())
+
+    def test_one_admission_per_wake_up_not_per_frame(self, monkeypatch):
+        async def main():
+            flow, server, host, port = await serving("wake")
+            taps = tap_server(monkeypatch, server)
+            _unused, writer = await open_websocket(host, port, "wake")
+            while not taps:
+                await asyncio.sleep(0)
+            tap = taps[-1]
+            frames = [text_frame(seq) for seq in range(90)]
+            ends = list(itertools.accumulate(map(len, frames)))
+            sent = 0
+            for burst in (frames[:1], frames[1:41], frames[41:]):
+                writer.write(b"".join(burst))
+                sent += sum(map(len, burst))
+                while not (tap.waiting and tap.consumed == sent):
+                    await asyncio.sleep(0)
+            # Whatever the kernel made of three writes: each read that
+            # completed any frame is one run of all it completed.
+            expected, start = [], 0
+            for size in tap.reads:
+                done = [seq for seq, end in enumerate(ends)
+                        if start < end <= start + size]
+                start += size
+                if done:
+                    expected.append(done)
+            assert [e[1] for e in tap.events] == expected
+            assert len(expected) <= len(tap.reads) < len(frames)
+            assert expected[0] == [0]     # one frame is a run of one
+            assert flow.channel().admitted == 90
+            writer.close()
             await server.aclose(drain=True)
 
         asyncio.run(main())
