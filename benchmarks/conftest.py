@@ -1,21 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper reproductions.
 
-Every benchmark regenerates one table or figure of the paper (or one
-``BENCH_*.json`` artifact at the repo root) and asserts the qualitative
-claims (who wins, by roughly what factor, where crossovers fall).  Scale
-knobs come from the environment:
+Every module here regenerates one table or figure of the paper (Tables
+1-2, Figures 5-7) or one ablation of a design choice, on the simulated
+engine, and asserts the qualitative claims: who wins, by roughly what
+factor, where crossovers fall.  Nothing here measures this
+implementation's speed -- that is ``bench/run.py``'s job.  Two knobs
+scale the reproductions:
 
 * ``REPRO_EXP1_TUPLES``  -- Experiment 1 stream length (default 5000,
   the paper's size);
 * ``REPRO_EXP2_HOURS``   -- Experiment 2 horizon (default 2.0; the paper
-  ran 18 h -- set ``REPRO_EXP2_HOURS=18`` for full scale);
-* ``REPRO_BENCH_*``      -- per-benchmark sizes (see each module); the CI
-  ``bench-smoke`` job sets these tiny so the harnesses stay runnable
-  without timing claims.
-
-Artifact regeneration is wired through :func:`record_bench`: run with
-``REPRO_BENCH_RECORD=1`` to rewrite the committed ``BENCH_*.json`` files
-(``REPRO_BENCH_RECORD=1 pytest benchmarks/ -q``).
+  ran 18 h -- set ``REPRO_EXP2_HOURS=18`` for full scale).
 
 Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
 rendered figures inline.
@@ -23,45 +18,7 @@ rendered figures inline.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-from pathlib import Path
-
 import pytest
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def _environment_stamp() -> dict:
-    """The hardware/interpreter facts a timing number is meaningless
-    without: logical CPU count and the exact Python version."""
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-    }
-
-
-def record_bench(filename: str, payload: dict) -> bool:
-    """Write one ``BENCH_*.json`` artifact when recording is enabled.
-
-    The single switch every benchmark shares: ``REPRO_BENCH_RECORD=1``
-    rewrites the artifact at the repo root; otherwise the payload is
-    computed (and asserted on) but nothing on disk changes.  Returns
-    whether the file was written.
-
-    Every recorded payload is stamped with the recording environment
-    (``environment``: cpu_count, python version) -- parallel-speedup
-    artifacts especially cannot be interpreted without it.
-    """
-    if os.environ.get("REPRO_BENCH_RECORD") != "1":
-        return False
-    out = REPO_ROOT / filename
-    stamped = dict(payload)
-    stamped["environment"] = _environment_stamp()
-    out.write_text(json.dumps(stamped, indent=2) + "\n")
-    return True
 
 
 def pytest_configure(config):
@@ -90,12 +47,6 @@ def run_once(benchmark, fn):
     repeats identical work -- so a single round is both honest and fast.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-@pytest.fixture
-def record_artifact():
-    """Inject :func:`record_bench` without cross-conftest imports."""
-    return record_bench
 
 
 @pytest.fixture

@@ -22,8 +22,9 @@ Quickstart -- the fluent surface (``repro.api``)::
 
 Flows compile to :class:`QueryPlan` (the stable IR -- hand-wiring via
 ``QueryPlan``/``plan.chain`` remains fully supported) and run on any
-engine registered in ``repro.engine.registry``.  See DESIGN.md for the
-system inventory and EXPERIMENTS.md for the paper-versus-measured record.
+engine registered in ``repro.engine.registry``; the system inventory is
+in ``docs/architecture.md``, the paper-versus-measured record is what
+``python -m repro.experiments.report`` prints.
 """
 
 from repro.core import (

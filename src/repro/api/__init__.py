@@ -1,4 +1,4 @@
-"""Fluent dataflow API (system S10 in DESIGN.md).
+"""Fluent dataflow API (system S10 in ``docs/architecture.md``).
 
 ``Flow`` builds plans verb by verb and runs them on any engine registered
 in :mod:`repro.engine.registry`::

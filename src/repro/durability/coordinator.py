@@ -5,16 +5,16 @@ One :class:`CheckpointCoordinator` rides inside each
 (``flow.run(checkpoint_every=..., checkpoint_store=...,
 recover_from=...)``).  It owns the four jobs the runtime delegates:
 
-* **marker injection** -- :meth:`wrap_events` / :meth:`wrap_aevents`
-  wrap a source's event iterator, counting emitted elements and yielding
-  a :class:`~repro.core.feedback.CheckpointPunctuation` every
-  ``checkpoint_every`` elements (recording the source's offset for that
-  epoch at the same instant);
+* **marker injection** -- the runtime's one source entry tells
+  :meth:`advance` how many elements a run put out; the run that brings a
+  source's offset to a multiple of ``checkpoint_every`` is followed by a
+  :class:`~repro.core.feedback.CheckpointPunctuation` (its offset
+  recorded at the same instant), and no run crosses :meth:`epoch_room`;
 * **snapshots** -- :meth:`snapshot` pickles an operator's
   ``snapshot_state`` into the store when the marker passes it, charging
   the per-operator checkpoint counters;
-* **replay** -- the same event wrappers skip a source's first
-  ``replay_offsets[name]`` elements on a recovery run, which re-drives
+* **replay** -- on a recovery run the engines drop a source's first
+  ``replay_offsets[name]`` elements, which re-drives
   the source's own generator (punctuators and all) while suppressing
   emission of the already-consumed prefix -- any deterministic source is
   therefore replayable with no source-side code;
@@ -38,7 +38,7 @@ from __future__ import annotations
 import pickle
 import time
 from collections import Counter
-from typing import Any, AsyncIterator, Iterable, Iterator
+from typing import Any
 
 from repro.core.feedback import CheckpointPunctuation
 from repro.engine.plan import QueryPlan
@@ -103,74 +103,65 @@ class CheckpointCoordinator:
         self.policy = policy
         #: Elements each source must skip on this run (recovery rewind).
         self.replay_offsets: dict[str, int] = {}
-        #: Live per-source emission counts (for terminal finished records).
+        #: Live per-source emission counts (epoch closes, finished records).
         self.live_offsets: dict[str, int] = {}
         #: Epoch the current run was restored from (None = fresh run).
         self.recovered_epoch: int | None = None
         #: Upstream CHECKPOINT acknowledgements per epoch (sink -> source).
         self.acks: Counter[int] = Counter()
+        #: Per source, a marker waiting out a pause (see :meth:`advance`).
+        self.held: dict[str, CheckpointPunctuation] = {}
 
     # -- marker injection ---------------------------------------------------------
 
-    def wrap_events(
-        self, source: SourceOperator, events: Iterable[tuple[float, Any]]
-    ) -> Iterator[tuple[float, Any]]:
-        """Offset-count ``events``, skipping the replayed prefix and
-        injecting one checkpoint marker every ``checkpoint_every``
-        elements."""
-        skip = self.replay_offsets.get(source.name, 0)
-        every = self.every
-        count = 0
-        self.live_offsets[source.name] = skip
-        for arrival, element in events:
-            count += 1
-            if count <= skip:
-                continue
-            yield arrival, element
-            self.live_offsets[source.name] = count
-            if every and count % every == 0:
-                yield arrival, self._marker(source, count, arrival)
+    def offset(self, source: SourceOperator) -> int:
+        """Elements ``source`` has put out, a recovery's skipped prefix included."""
+        name = source.name
+        return self.live_offsets.get(name, self.replay_offsets.get(name, 0))
 
-    async def wrap_aevents(
-        self,
-        source: SourceOperator,
-        aevents: Any,
-    ) -> AsyncIterator[tuple[float, Any]]:
-        """Async twin of :meth:`wrap_events` for ``aevents`` adapters.
+    def epoch_room(self, source: SourceOperator) -> int:
+        """The longest run ``source`` may put out next: up to the element
+        that closes its open epoch, or one while a marker is held (the
+        dispatch that releases it flushes a page, so it cannot be sat on)."""
+        if source.name in self.held:
+            return 1
+        return self.every - self.offset(source) % self.every
 
-        A feed's event may be a run (a list of tuples): it is counted
-        element by element, loses whatever part of it is replayed prefix,
-        and is split after the element that closes an epoch, so markers
-        land at the offsets they would have with single elements.
+    def advance(
+        self, source: SourceOperator, count: int, pause_lands_now: bool
+    ) -> None:
+        """``source`` has just put out ``count`` more elements.
+
+        When that closes an epoch, the offset is recorded and the marker
+        starts its sweep behind the run, at the same clock (bypassing
+        ``emit_punctuation``, whose guards expect schema punctuation) --
+        unless the run filled a bounded edge and the pause is due at once:
+        the marker is one more element, so it is held for :meth:`release`.
         """
-        skip = self.replay_offsets.get(source.name, 0)
+        name = source.name
+        offset = self.live_offsets[name] = self.offset(source) + count
         every = self.every
-        count = 0
-        self.live_offsets[source.name] = skip
-        async for arrival, event in aevents:
-            batched = isinstance(event, list)
-            run = event if batched else [event]
-            if count < skip:
-                replayed = min(len(run), skip - count)
-                count += replayed
-                run = run[replayed:]
-            while run:
-                part = run[:every - count % every] if every else run
-                run = run[len(part):]
-                count += len(part)
-                yield arrival, part if batched else part[0]
-                self.live_offsets[source.name] = count
-                if every and count % every == 0:
-                    yield arrival, self._marker(source, count, arrival)
-
-    def _marker(
-        self, source: SourceOperator, offset: int, arrival: float
-    ) -> CheckpointPunctuation:
-        epoch = offset // self.every
-        self.store.record_offset(epoch, source.name, offset)
-        return CheckpointPunctuation(
-            epoch, source=source.name, offset=offset, issued_at=arrival
+        if not every or offset % every:
+            return
+        epoch = offset // every
+        self.store.record_offset(epoch, name, offset)
+        marker = CheckpointPunctuation(
+            epoch, source=name, offset=offset, issued_at=source.now()
         )
+        if pause_lands_now and any(
+            edge.queue.above_high_water for edge in source.outputs
+        ):
+            self.held[name] = marker
+        else:
+            source._ckpt_complete(marker)
+
+    def release(self, source: Operator) -> None:
+        """Send off the marker ``source`` holds, if any: at its resume, at
+        its finish, or ahead of its next run when the pause has not landed
+        by then (it queues behind control still in flight)."""
+        marker = self.held.pop(source.name, None)
+        if marker is not None:
+            source._ckpt_complete(marker)
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -211,10 +202,7 @@ class CheckpointCoordinator:
         flushes its delivery-log tail so a completed run's log is whole.
         """
         if isinstance(operator, SourceOperator):
-            self.store.record_finished(
-                operator.name,
-                self.live_offsets.get(operator.name, 0),
-            )
+            self.store.record_finished(operator.name, self.offset(operator))
             return
         writer = getattr(operator, "_ckpt_writer", None)
         if writer is not None:

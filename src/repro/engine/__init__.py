@@ -1,4 +1,4 @@
-"""Execution engines (systems S5, S6, S9 in DESIGN.md).
+"""Execution engines (S5, S6, S9, S13, S15 in ``docs/architecture.md``).
 
 The runtime architecture of the paper's section 5 (NiagaraST): operators
 connected by page queues, out-of-band high-priority control, one

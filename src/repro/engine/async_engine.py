@@ -194,8 +194,14 @@ class AsyncioEngine(Simulator):
         once, for the page it completed.  Anything else due first (a
         pause for this source, a consumer's page) keeps its turn.
         """
+        skip = self.replayed_prefix(source)
         try:
-            async for _arrival, event in self.source_aevents(source, aevents):
+            async for _arrival, event in aevents:
+                if skip:  # recovery run: not what was consumed before
+                    run = event if isinstance(event, list) else [event]
+                    event, skip = run[skip:], max(0, skip - len(run))
+                    if not event:
+                        continue
                 singly = self.emulate_costs and isinstance(event, list)
                 for element in event if singly else (event,):
                     request.clear()

@@ -8,8 +8,8 @@ The experiments report three kinds of numbers, all sourced here:
 * **feedback accounting** -- counts of feedback produced / exploited /
   relayed plus guard drop counters, used for the savings breakdowns;
 * **flow-control accounting** -- pause/resume signals issued and received,
-  time spent paused, and per-queue occupancy high-water marks, used by the
-  backpressure benchmark (``BENCH_backpressure.json``).
+  time spent paused, and per-queue occupancy high-water marks (bounded
+  in ``tests/test_virtual_time_results.py``).
 """
 
 from __future__ import annotations

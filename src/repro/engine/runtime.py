@@ -78,14 +78,11 @@ control kinds forward hop-by-hop through both boundary operators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.feedback import (
-    CheckpointPunctuation,
-    FeedbackPunctuation,
-    FlowControlPunctuation,
-)
+from repro.core.feedback import FeedbackPunctuation, FlowControlPunctuation
 from repro.core.roles import FeedbackLog
 from repro.engine.metrics import (
     PlanMetrics,
@@ -531,6 +528,8 @@ class RuntimeCore:
                 since = self._paused_since.pop(operator.name, None)
                 if since is not None:
                     operator.metrics.time_paused += max(0.0, at - since)
+                if self.checkpoints is not None:
+                    self.checkpoints.release(operator)
                 self._on_resumed(operator, at)
             elif operator.lane_flow_control and not self.is_paused(operator):
                 # Other lanes are still paused, but flushing this lane's
@@ -585,6 +584,8 @@ class RuntimeCore:
         operator.finished = True
         at = self._activity_time(operator)
         operator.set_now(at)
+        if self.checkpoints is not None:
+            self.checkpoints.release(operator)
         operator.on_finish()
         for edge in operator.outputs:
             edge.queue.close()
@@ -606,52 +607,51 @@ class RuntimeCore:
 
         The one way source elements enter a plan, on every engine.  A run
         is consecutive plain tuples -- one output-guard pass, one
-        ``put_many`` per edge -- or a single punctuation or checkpoint
-        marker on its own.  Engines cut runs with :meth:`source_run_room`
-        so that batching stays invisible to everything downstream.
+        ``put_many`` per edge -- or a single punctuation on its own.
+        Engines cut runs with :meth:`source_run_room` so that batching
+        stays invisible to everything downstream.  The run that closes a
+        checkpoint epoch is followed by the epoch's marker.
         """
         source.set_now(self.clock.now())
+        checkpoints = self.checkpoints
+        if checkpoints is not None:
+            checkpoints.release(source)
         head = run[0]
         if not head.is_punctuation:
             source.emit_many(run)
-        elif isinstance(head, CheckpointPunctuation):
-            # A checkpoint marker injected by the coordinator's event
-            # wrapper: snapshot the source and start the marker's sweep
-            # downstream (bypassing ``emit_punctuation``, whose pattern
-            # guards expect schema punctuation).
-            source._ckpt_complete(head)
         else:
             source.emit_punctuation(head)
+        if checkpoints is not None:
+            checkpoints.advance(source, len(run), self.control_latency == 0.0)
 
     def source_run_room(self, source: SourceOperator) -> int:
         """The longest run of tuples ``source`` may emit in one dispatch.
 
         At least one.  A longer run ends no later than the tuple that
         fills an output edge's open page (the page's ``available_at``
-        stays that tuple's arrival) and no later than the tuple that
-        brings a bounded edge to high water (the pause fires at the same
-        element as it would tuple by tuple).
+        stays that tuple's arrival), the tuple that brings a bounded edge
+        to high water (the pause fires at the same element as it would
+        tuple by tuple) or the tuple that closes a checkpoint epoch (the
+        marker leaves behind it), whichever comes first.
         """
-        return max(1, min(
+        room = min(
             (edge.queue.quiet_room() for edge in source.outputs), default=1
-        ))
+        )
+        checkpoints = self.checkpoints
+        if checkpoints is not None and checkpoints.every:
+            room = min(room, checkpoints.epoch_room(source))
+        return max(1, room)
+
+    def replayed_prefix(self, source: SourceOperator) -> int:
+        """Elements of ``source`` a recovery run must not emit again."""
+        if self.checkpoints is None:
+            return 0
+        return self.checkpoints.replay_offsets.get(source.name, 0)
 
     def source_events(self, source: SourceOperator) -> Any:
-        """The source's event iterator, checkpoint-wrapped when active.
-
-        Every engine pulls source timelines through here so marker
-        injection and recovery rewind need no per-engine code.
-        """
-        events = source.events()
-        if self.checkpoints is None:
-            return events
-        return self.checkpoints.wrap_events(source, events)
-
-    def source_aevents(self, source: SourceOperator, aevents: Any) -> Any:
-        """Async twin of :meth:`source_events` (asyncio engine)."""
-        if self.checkpoints is None:
-            return aevents
-        return self.checkpoints.wrap_aevents(source, aevents)
+        """``source.events()``, past the prefix a recovery run skips."""
+        events, skip = source.events(), self.replayed_prefix(source)
+        return itertools.islice(events, skip, None) if skip else events
 
     # -- results ---------------------------------------------------------------------
 

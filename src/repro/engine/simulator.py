@@ -27,16 +27,17 @@ clock**:
 
 Determinism: events are ordered by ``(time, priority, seq)`` where ``seq``
 is a global counter, so runs are exactly reproducible.  This engine is the
-substitution for the paper's 2.8 GHz Pentium 4 testbed (see DESIGN.md):
-cost *ratios* are preserved while removing host-machine noise.  Because
-every operator advances its own ``busy_until`` horizon, the virtual clock
-models one CPU *per operator* (NiagaraST's thread-per-operator
-architecture) -- so a sharded plan's makespan shrinks near-linearly with
-the fanout on CPU-bound pipelines (``BENCH_shard.json``), and a
-``Partition``'s stable hash keeps replica runs byte-reproducible.
+substitution for the paper's 2.8 GHz Pentium 4 testbed ("Timing model" in
+``docs/architecture.md``): cost *ratios* are preserved while removing
+host-machine noise.  Because every operator advances its own
+``busy_until`` horizon, the virtual clock models one CPU *per operator*
+(NiagaraST's thread-per-operator architecture) -- so a sharded plan's
+makespan shrinks near-linearly with the fanout on CPU-bound pipelines
+(``tests/test_virtual_time_results.py``), and a ``Partition``'s stable
+hash keeps replica runs byte-reproducible.
 
 Architecturally the simulator is a *policy* layer over
-:class:`~repro.engine.runtime.RuntimeCore` (see DESIGN.md section 3): the
+:class:`~repro.engine.runtime.RuntimeCore` (``docs/architecture.md``): the
 core owns control draining, completion bookkeeping and operator finish;
 this module owns the event heap, the virtual clock, and the cost model.
 Pages are handed to operators through
@@ -237,8 +238,8 @@ class Simulator(RuntimeCore):
         self._start_operators()
         for source in self.plan.sources():
             self._open_source(source)
-        for time, action, _owner in self._actions:
-            self._push(time, _PRIO_ACTION, "action", action)
+        for when, action, _owner in self._actions:
+            self._push(when, _PRIO_ACTION, "action", action)
         if self.elastic is not None:
             self._push(
                 self.elastic.config.interval, _PRIO_ACTION, "elastic", None
@@ -307,8 +308,8 @@ class Simulator(RuntimeCore):
         emitting it would be *quiet* -- it completes no page and reaches
         no high-water mark (:meth:`~repro.engine.runtime.RuntimeCore.
         source_run_room`), so it stamps nothing and schedules nobody --
-        and is cut before a punctuation or marker, before any other
-        event's turn, and at the end of the timeline.
+        and is cut before a punctuation, before any other event's turn,
+        and at the end of the timeline.
         """
         source, element = payload
         if element is None:  # exhausted: close downstream
@@ -575,7 +576,11 @@ class Simulator(RuntimeCore):
 
     def _finalise(self) -> RunResult:
         metrics = self.collect_metrics()
-        metrics.events_processed = self._events_processed
+        # A checkpoint marker counts as one event, like the source element
+        # it follows: one per snapshot a source took.
+        metrics.events_processed = self._events_processed + sum(
+            source.metrics.checkpoints for source in self.plan.sources()
+        )
         metrics.makespan = max(
             [self.clock.now()] + list(self._busy_until.values())
         )

@@ -15,9 +15,9 @@ it, processes the page -- emitting into per-queue-mutex-guarded
 the completion/watermark bookkeeping.  Operators on disjoint data
 therefore execute concurrently; with GIL-releasing work (hashing, C
 extensions) or ``emulate_costs`` sleeps, the plan scales across the shard
-replicas of a ``Partition``/``ShardMerge`` region (see
-``BENCH_shard.json``).  Per-operator structures (guards, hash tables,
-window state) need no locks: every mutation happens on the owning
+replicas of a ``Partition``/``ShardMerge`` region (a wall-clock claim:
+``bench/run.py``'s to measure).  Per-operator structures (guards, hash
+tables, window state) need no locks: every mutation happens on the owning
 operator's thread -- feedback is drained by the receiver's own thread,
 and a queue has exactly one producer and one consumer thread.
 Timing-sensitive experiments use the simulator; this runtime exists to
@@ -25,7 +25,7 @@ show the feedback framework is not simulator-bound and to exercise real
 concurrency.
 
 Like the simulator, this engine is a *policy* layer over
-:class:`~repro.engine.runtime.RuntimeCore` (see DESIGN.md section 3): the
+:class:`~repro.engine.runtime.RuntimeCore` (``docs/architecture.md``): the
 core owns control draining (including ``control_latency`` arrival
 semantics, which this runtime honours on the wall clock), completion
 bookkeeping and operator finish; this module owns the threads and their
@@ -205,8 +205,8 @@ class ThreadedRuntime(RuntimeCore):
     def _source_runs(self, source: SourceOperator) -> Iterator[list]:
         """Cut ``source``'s timeline into runs, pulled outside the plan lock.
 
-        A run is consecutive tuples, or one punctuation or marker on its
-        own.  Its length is bounded by
+        A run is consecutive tuples, or one punctuation on its own.  Its
+        length is bounded by
         :meth:`~repro.engine.runtime.RuntimeCore.source_run_room`, read
         without the lock when the run's first tuple is pulled: only this
         thread shrinks the open page's room, and the consumer can only
@@ -415,8 +415,8 @@ class ThreadedRuntime(RuntimeCore):
             )
             threads.append(thread)
         timers: list[threading.Timer] = []
-        for time, action, _owner in self._actions:
-            timer = threading.Timer(time, self._run_action, args=(action,))
+        for when, action, _owner in self._actions:
+            timer = threading.Timer(when, self._run_action, args=(action,))
             timer.daemon = True
             timers.append(timer)
         ticker: threading.Thread | None = None

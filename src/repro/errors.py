@@ -60,7 +60,7 @@ class FeedbackError(ReproError):
 
     Raised for feedback whose pattern does not match the receiving schema
     and for attempts to retract enacted feedback (retraction is not part of
-    the paper's model; see DESIGN.md section 7).
+    the paper's model; see "Limitations" in ``docs/architecture.md``).
     """
 
 

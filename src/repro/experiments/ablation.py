@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices the paper calls out.
 
 Three ablations, each isolating one design decision of the paper:
 

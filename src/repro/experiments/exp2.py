@@ -28,7 +28,7 @@ F3    AVERAGE relays the feedback to the quality filter, which
       unaware PARSE stage, which is the floor on savings
 ====  ==========================================================
 
-Cost-model calibration (documented in EXPERIMENTS.md): the paper's testbed
+Cost-model calibration: the paper's testbed
 constants are unknown, so the three per-stage costs are set to land F1's
 reduction at the published ~50 % and F2's at ~61 %; F3's ~65 % then
 *follows* from plan structure rather than tuning.  What the benchmark

@@ -2,11 +2,11 @@
 
 ``python -m repro.experiments.report`` (or the installed ``repro-reproduce``
 script) runs Experiment 1, Experiment 2, renders Tables 1-2 and the
-ablations, and prints a self-contained report mirroring EXPERIMENTS.md --
+ablations, and prints a self-contained paper-versus-measured report --
 the "did it reproduce on my machine?" artifact for downstream users.
 
 Scale knobs: ``REPRO_EXP1_TUPLES`` and ``REPRO_EXP2_HOURS`` (see
-EXPERIMENTS.md).
+``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Punctuation mini-language (system S8 in DESIGN.md)."""
+"""Punctuation mini-language (system S8 in ``docs/architecture.md``)."""
 
 from repro.lang.query import Catalog, compile_flow, compile_query
 from repro.lang.punctlang import (

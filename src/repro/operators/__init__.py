@@ -1,4 +1,4 @@
-"""Operator library (system S4 in DESIGN.md).
+"""Operator library (system S4 in ``docs/architecture.md``).
 
 Stateless operators (Select, Project, Duplicate, Union) and stateful ones
 (PACE, Impute, the join family, windowed aggregates, PriorityBuffer) built

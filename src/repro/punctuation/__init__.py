@@ -1,4 +1,4 @@
-"""Pattern and punctuation algebra (system S2 in DESIGN.md).
+"""Pattern and punctuation algebra (system S2 in ``docs/architecture.md``).
 
 Exports the atom vocabulary, :class:`Pattern`, embedded
 :class:`Punctuation`, punctuation schemes and the progress punctuator.

@@ -18,8 +18,7 @@ codecs) → :mod:`~repro.serving.codec` (JSON ⇄ StreamTuple) →
 :mod:`~repro.serving.tenancy` (pure admission policy) →
 :mod:`~repro.serving.supervisor` (flow lifecycle, socket-free) →
 :mod:`~repro.serving.server` (network front-end) with
-:mod:`~repro.serving.client` / :mod:`~repro.serving.loadgen` as the
-matching client side.
+:mod:`~repro.serving.client` as the matching client side.
 """
 
 from repro.serving._deps import install_uvloop, require, uvloop_available
@@ -28,7 +27,6 @@ from repro.serving.codec import (
     tuple_to_json,
     tuples_from_body,
 )
-from repro.serving.loadgen import LoadReport, run_load
 from repro.serving.metrics import render_prometheus
 from repro.serving.server import ServingConfig, StreamServer, serve
 from repro.serving.supervisor import FlowState, FlowSupervisor, ManagedFlow
@@ -42,7 +40,6 @@ __all__ = [
     "AdmissionController",
     "FlowState",
     "FlowSupervisor",
-    "LoadReport",
     "ManagedFlow",
     "ServingConfig",
     "StreamServer",
@@ -51,7 +48,6 @@ __all__ = [
     "install_uvloop",
     "render_prometheus",
     "require",
-    "run_load",
     "serve",
     "tuple_from_json",
     "tuple_to_json",

@@ -1,7 +1,7 @@
 """Stream substrate: schemas, tuples, pages, queues, control, clocks.
 
-This package is the foundation layer (system S1 in DESIGN.md): the
-inter-operator connection structure of the paper's Figure 3 -- page
+This package is the foundation layer (S1 in ``docs/architecture.md``):
+the inter-operator connection structure of the paper's Figure 3 -- page
 queues (section 5, now optionally watermark-bounded for backpressure)
 paired with bidirectional out-of-band control channels.  Everything here
 is engine-agnostic and carries no query or feedback semantics of its

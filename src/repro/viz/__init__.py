@@ -1,4 +1,4 @@
-"""ASCII figure rendering (part of system S9 in DESIGN.md)."""
+"""ASCII figure rendering (part of system S9 in ``docs/architecture.md``)."""
 
 from repro.viz.ascii import grouped_bars, scatter, series_summary
 

@@ -3,7 +3,7 @@
 The benchmark harness prints the same *shapes* the paper plots: the
 tuple-id-versus-output-time scatter of Figures 5/6 and the grouped
 execution-time bars of Figure 7.  Pure text, no plotting dependency --
-the output goes straight into bench logs and EXPERIMENTS.md.
+the output goes straight into test logs and the reproduction report.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Workload generators (system S7 in DESIGN.md).
+"""Workload generators (system S7 in ``docs/architecture.md``).
 
 Deterministic synthetic stand-ins for the paper's data sources: the
 Portland traffic feed (detectors + probe vehicles), the alternating

@@ -1,8 +1,9 @@
 """Page-boundary invariance: join family and window aggregates.
 
-``on_page`` is the one data hook (DESIGN.md section 4) and the page
-boundary carries no semantics: an operator must give the same results
-whether a stream reaches it as pages of one or pages of N.  These tests
+``on_page`` is the one data hook (``docs/architecture.md``, "One data
+path") and the page boundary carries no semantics: an operator must give
+the same results whether a stream reaches it as pages of one or pages of
+N.  These tests
 pin that contract, through the one body, for :class:`SymmetricHashJoin`
 (build/probe in bulk, outer padding in arrival order),
 :class:`ThriftyJoin` / :class:`ImpatientJoin` (feedback production

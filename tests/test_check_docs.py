@@ -12,7 +12,9 @@ behaviours the job depends on:
   headings inside fenced code blocks do not count;
 * a Sphinx cross-reference in a source docstring that names nothing
   importable is reported as ``file:line`` (the repo-wide run of that pass
-  rides ``TestRepoDocsStayGreen``).
+  rides ``TestRepoDocsStayGreen``);
+* a backticked token that looks like a path in this repository and names
+  no file is reported as ``file:line``, in Markdown and sources alike.
 """
 
 from __future__ import annotations
@@ -186,11 +188,47 @@ class TestSourceCrossReferences:
         ]
 
 
+class TestRepoPaths:
+    def test_a_path_that_is_gone_is_reported_with_file_and_line(
+        self, tmp_path, capsys
+    ):
+        # Spelled in two pieces so that a grep of the tree for retired
+        # artefact names stays empty.
+        gone = "BENCH_" + "gone.json"
+        doc = tmp_path / "paths.md"
+        doc.write_text(
+            "# Paths\n\n"
+            "The contract is `BENCHMARK.json`; see `docs/architecture.md`\n"
+            "and ``tests/test_check_docs.py::TestRepoPaths``, `docs/*.md`.\n"
+            f"Numbers used to live in `{gone}`, written by\n"
+            "`benchmarks/test_gone_bench.py:12` and `benchmarks/*_gone.py`.\n"
+            "Not paths: `colpage/1`, `stream/pages.py`, `flow.run()`.\n",
+            encoding="utf-8",
+        )
+        assert check_docs.check_paths(doc) == [
+            f"{doc}:5: no such path -> {gone}",
+            f"{doc}:6: no such path -> benchmarks/test_gone_bench.py",
+            f"{doc}:6: no such path -> benchmarks/*_gone.py",
+        ]
+        code, out = run_main(capsys, doc)
+        assert code == 1
+        assert "3 failure(s)" in out
+
+    def test_a_sibling_page_may_be_named_bare(self, tmp_path):
+        (tmp_path / "other.md").write_text("# Other\n", encoding="utf-8")
+        doc = tmp_path / "page.md"
+        doc.write_text("See `other.md`, not `missing.md`.\n", encoding="utf-8")
+        assert check_docs.check_paths(doc) == [
+            f"{doc}:1: no such path -> missing.md"
+        ]
+
+
 class TestRepoDocsStayGreen:
     def test_shipped_docs_pass_the_checker(self, capsys):
         """The committed docs themselves: every snippet runs, every link
-        and anchor resolves, and so does every cross-reference under
-        ``src/repro`` (the CI docs job, as a tier-1 test)."""
+        and anchor resolves, and so does every cross-reference and every
+        repo path named under ``src/repro`` (the CI docs job, as a tier-1
+        test)."""
         code, out = run_main(capsys)
         assert code == 0, out
 

@@ -160,6 +160,15 @@ class TestExplicitRoundTrips:
         with pytest.raises(EngineError, match="codec"):
             decode_page(tuple(wire))
 
+    def test_wire_form_is_smaller_than_the_pickled_page(self):
+        """The schema ships once per page and values ship as primitive
+        columns, so a full page of tuples crosses the boundary in fewer
+        bytes than pickling the ``Page`` object would take."""
+        page = Page(64)
+        for i in range(64):
+            page.append(StreamTuple(SCHEMA, (float(i), i % 7, float(i))))
+        assert len(pickle.dumps(encode_page(page))) < len(pickle.dumps(page))
+
 
 # ---------------------------------------------------------------- property
 

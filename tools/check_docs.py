@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Docs checker: every fenced python snippet must run, every link resolve.
 
-The docs job in CI runs this over ``docs/*.md``, ``README.md`` and
-``DESIGN.md``, and then over the docstrings under ``src/repro``:
+The docs job in CI runs this over ``docs/*.md`` and ``README.md``, and
+then over the sources under ``src/repro``:
 
 * every fenced ```` ```python ```` block is executed (doctest-style) in a
   fresh namespace with ``src/`` importable.  A raised exception is
@@ -23,11 +23,18 @@ The docs job in CI runs this over ``docs/*.md``, ``README.md`` and
   imports: the dotted target as written, or relative to the module it
   appears in, a class visible in that module, or a package enclosing it
   (short names are the packages' exports).  A target that does not
-  resolve is reported as ``file:line``.
+  resolve is reported as ``file:line``;
+* every backticked token that looks like a path in this repository --
+  ``tests/....py``, ``benchmarks/....py``, ``bench/...``, ``docs/....md``,
+  ``examples/....py``, ``tools/....py``, ``src/...`` or a root-level
+  ``NAME.json`` / ``NAME.md`` -- must exist, in the Markdown files and in
+  the sources alike (a ``::test`` or ``:line`` suffix is ignored, a
+  ``*`` must match at least one file).  A path that is gone is reported
+  as ``file:line``.
 
-Usage: ``python tools/check_docs.py [files...]`` (defaults to README.md,
-DESIGN.md and docs/*.md from the repo root plus the ``src/repro``
-cross-reference pass; explicit files are checked as Markdown only).
+Usage: ``python tools/check_docs.py [files...]`` (defaults to README.md
+and docs/*.md from the repo root plus the ``src/repro`` cross-reference
+and path passes; explicit files are checked as Markdown only).
 """
 
 from __future__ import annotations
@@ -52,12 +59,16 @@ HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
 # :role:`target`, :role:`~target` or :role:`title <target>`; a long
 # target may be wrapped after a dot, so whitespace inside it is dropped.
 XREF = re.compile(r":(?:class|meth|func|mod):`(?:[^`<]*<)?~?([^`>]+)>?`")
+# `token` or ``token`` whose head is a path under one of the repo's
+# top-level directories, or a bare root-level NAME.json / NAME.md.
+REPO_PATH = re.compile(
+    r"`((?:(?:tests|benchmarks|bench|docs|examples|tools|src)/[\w./*-]+"
+    r"|[\w*-]+\.(?:json|md))\b)[^`\n]*`"
+)
 
 
 def default_files() -> list[Path]:
-    files = [REPO / "README.md", REPO / "DESIGN.md"]
-    files.extend(sorted((REPO / "docs").glob("*.md")))
-    return [f for f in files if f.exists()]
+    return [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 
 
 def snippets(text: str) -> list[tuple[int, str]]:
@@ -214,6 +225,25 @@ def check_xrefs(path: Path, module_name: str) -> list[str]:
     return errors
 
 
+def check_paths(path: Path) -> list[str]:
+    """``file:line`` for each backticked repo path in ``path`` that is gone.
+
+    A bare ``NAME.md`` may also name a sibling of the file mentioning it
+    (the pages under ``docs/`` refer to each other that way).
+    """
+    text = path.read_text(encoding="utf-8")
+    errors = []
+    for match in REPO_PATH.finditer(text):
+        token = match.group(1)
+        if not any(
+            next(base.glob(token), None) is not None
+            for base in (REPO, path.parent)
+        ):
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(f"{short(path)}:{line}: no such path -> {token}")
+    return errors
+
+
 def source_modules() -> list[tuple[Path, str]]:
     """Every module under ``src/repro`` with its dotted import name."""
     root = REPO / "src"
@@ -231,10 +261,12 @@ def main(argv: list[str]) -> int:
     if not argv:
         for path, module_name in source_modules():
             failures.extend(check_xrefs(path, module_name))
+            failures.extend(check_paths(path))
     ran = 0
     for path in files:
         text = path.read_text(encoding="utf-8")
         failures.extend(check_links(path, text))
+        failures.extend(check_paths(path))
         for line, source in snippets(text):
             label = f"{short(path)}:{line}"
             error = run_snippet(source, label)
