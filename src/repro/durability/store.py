@@ -189,7 +189,9 @@ class MemoryCheckpointStore(CheckpointStore):
 class _DirectoryDeliveryWriter(DeliveryWriter):
     """Buffered pickle-frame appender onto one log file.
 
-    Each flush opens the file, appends and closes it: flushes happen once
+    Each flush appends what was buffered as *one* frame -- a list of
+    entries, so a run's shared schema is pickled once, not once per
+    entry -- opening the file and closing it again: flushes happen once
     per epoch (plus clean finish and abort), so the writer holds no
     descriptor between them -- a process running many checkpointed flows,
     or restarting one under a supervisor, leaks none -- and a writer
@@ -208,8 +210,7 @@ class _DirectoryDeliveryWriter(DeliveryWriter):
         if not self._buffer:
             return
         with open(self._path, "ab") as log:
-            for entry in self._buffer:
-                pickle.dump(entry, log, protocol=_PICKLE_PROTOCOL)
+            pickle.dump(self._buffer, log, protocol=_PICKLE_PROTOCOL)
         self._buffer.clear()
 
 
@@ -222,7 +223,7 @@ class DirectoryCheckpointStore(CheckpointStore):
         <root>/epoch-<n>/state-<op>.pkl      pickled snapshot_state dict
         <root>/epoch-<n>/offset-<src>.json   {"source": ..., "offset": n}
         <root>/finished-<src>.json           terminal source offset
-        <root>/delivery-<sink>.log           concatenated pickle frames
+        <root>/delivery-<sink>.log           one pickled list per flush
 
     Every state/offset write is atomic (temp file + ``os.replace``), so a
     kill mid-write can only lose the record being written -- which leaves
@@ -311,11 +312,14 @@ class DirectoryCheckpointStore(CheckpointStore):
         with handle:
             while True:
                 try:
-                    entries.append(pickle.load(handle))
+                    entries.extend(pickle.load(handle))
                 except EOFError:
                     break
                 except pickle.UnpicklingError:
-                    break  # torn tail frame from a kill mid-flush
+                    # Torn tail frame from a kill mid-flush.  Its epoch's
+                    # state record is only written after the flush
+                    # returns, so no recoverable cut lies inside it.
+                    break
         return entries
 
 

@@ -87,15 +87,15 @@ class AsyncioEngine(Simulator):
         plan to drain, mirroring the threaded runtime's join watchdog.
         ``None`` disables it for always-on serving flows whose sources
         never end until drained by a supervisor.
-    control_latency:
-        Wall-clock seconds between sending a control message and its
-        arrival (the simulator's feedback propagation delay; default 0).
     emulate_costs:
         Charge each operator's cost model (``tuple_cost`` and friends)
         on the wall clock as a busy horizon, so modeled CPU cost
         parallelises across operators the way it does across the
         threaded engine's threads.  Charged cost is recorded as
         ``busy_time``.
+    core_options:
+        ``control_latency`` (wall-clock seconds here) and the feature
+        options of :class:`~repro.engine.runtime.RuntimeCore`.
     """
 
     clock_class = WallClock
@@ -105,22 +105,10 @@ class AsyncioEngine(Simulator):
         plan: QueryPlan,
         *,
         timeout: float | None = 60.0,
-        control_latency: float = 0.0,
         emulate_costs: bool = False,
-        checkpoint_every: int | None = None,
-        checkpoint_store: Any = None,
-        recover_from: Any = None,
-        ingestion_policy: str = "exactly-once",
-        elastic: Any = None,
+        **core_options: Any,
     ) -> None:
-        super().__init__(
-            plan, control_latency=control_latency,
-            checkpoint_every=checkpoint_every,
-            checkpoint_store=checkpoint_store,
-            recover_from=recover_from,
-            ingestion_policy=ingestion_policy,
-            elastic=elastic,
-        )
+        super().__init__(plan, **core_options)
         self.timeout = timeout
         self.emulate_costs = emulate_costs
         #: Set by every push; the driver sleeps on it when nothing is due.

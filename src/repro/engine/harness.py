@@ -26,7 +26,12 @@ from repro.core.feedback import FeedbackPunctuation
 from repro.core.roles import ExploitAction
 from repro.operators.base import Operator, OutputEdge
 from repro.punctuation.embedded import Punctuation
-from repro.stream.control import ControlChannel, ControlMessageKind
+from repro.stream.control import (
+    ControlChannel,
+    ControlMessage,
+    ControlMessageKind,
+    Direction,
+)
 from repro.stream.queues import DataQueue
 from repro.stream.tuples import StreamTuple
 
@@ -91,6 +96,30 @@ class OperatorHarness:
         self.tick(0.0)
         self.operator.process_page(port, elements)
 
+    def control(
+        self,
+        kind: ControlMessageKind,
+        payload: Any = None,
+        *,
+        direction: Direction = Direction.UPSTREAM,
+        from_output: int = 0,
+    ) -> Any:
+        """Deliver one control message the way an engine's drain does.
+
+        An upstream message arrives on output edge ``from_output`` (a
+        consumer sent it); a downstream one is a notice from a producer.
+        """
+        self.tick(0.0)
+        message = ControlMessage(
+            kind, direction, payload=payload, sender="harness",
+            sent_at=self._clock,
+        )
+        return self.operator._receive(
+            message,
+            self.edges[from_output]
+            if direction is Direction.UPSTREAM else None,
+        )
+
     def feedback(
         self,
         feedback: FeedbackPunctuation,
@@ -98,20 +127,14 @@ class OperatorHarness:
         from_output: int = 0,
     ) -> list[ExploitAction]:
         """Deliver feedback as if sent by the consumer on one output edge."""
-        self.tick(0.0)
-        return self.operator.receive_feedback(
-            feedback, from_edge=self.edges[from_output]
+        return self.control(
+            ControlMessageKind.FEEDBACK, feedback, from_output=from_output
         )
 
     def finish(self) -> None:
         """Declare every input done and run the finish hook."""
-        for index in range(self.operator.n_inputs):
-            port = self.operator.inputs[index]
-            if port is not None:
-                port.done = True
-                self.operator.on_input_done(index)
-        self.operator.finished = True
-        self.operator.on_finish()
+        self.operator._close_inputs(declared=True)
+        self.operator._finish()
 
     # -- observation --------------------------------------------------------------
 
@@ -138,7 +161,7 @@ class OperatorHarness:
         collected: list[FeedbackPunctuation] = []
         control = self._in_controls[port]
         while (message := control.receive_upstream()) is not None:
-            if message.kind is ControlMessageKind.FEEDBACK:
+            if isinstance(message.payload, FeedbackPunctuation):
                 collected.append(message.payload)
         return collected
 

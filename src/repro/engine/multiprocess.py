@@ -247,12 +247,15 @@ class MultiprocessEngine(RuntimeCore):
         Coordinator watchdog: maximum wall-clock seconds to wait for all
         workers; hung workers are terminated and the run raises.  Also
         passed to each worker's internal thread watchdog.
-    control_latency:
-        Seconds between sending a control message and its arrival,
-        measured on the wall clock shared by every worker.
     emulate_costs:
         Charge operator cost models as wall-clock sleeps, exactly as on
         the threaded runtime.
+    elastic:
+        Declined with a recorded reason (see the constructor).
+    core_options:
+        ``control_latency`` (seconds on the wall clock every worker
+        shares) and the durability options of
+        :class:`~repro.engine.runtime.RuntimeCore`.
     """
 
     def __init__(
@@ -261,13 +264,9 @@ class MultiprocessEngine(RuntimeCore):
         *,
         groups: Sequence[Sequence[str]] | None = None,
         timeout: float = 60.0,
-        control_latency: float = 0.0,
         emulate_costs: bool = False,
-        checkpoint_every: int | None = None,
-        checkpoint_store: Any = None,
-        recover_from: Any = None,
-        ingestion_policy: str = "exactly-once",
         elastic: Any = None,
+        **core_options: Any,
     ) -> None:
         if not fork_available():
             raise EngineError(
@@ -280,13 +279,7 @@ class MultiprocessEngine(RuntimeCore):
         # ``elastic`` is deliberately NOT passed down: this engine
         # declines elasticity (recorded below) rather than arming a
         # controller whose rebalance records cannot cross the fork.
-        super().__init__(
-            plan, WallClock(), control_latency=control_latency,
-            checkpoint_every=checkpoint_every,
-            checkpoint_store=checkpoint_store,
-            recover_from=recover_from,
-            ingestion_policy=ingestion_policy,
-        )
+        super().__init__(plan, WallClock(), **core_options)
         if elastic is not None:
             # The optimizer's decline convention: record why, run static.
             self.elastic_declines.append(
@@ -395,14 +388,6 @@ class MultiprocessEngine(RuntimeCore):
         super().at(time, action, owner=owner)
 
     # -- run -------------------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        self._begin()
-        try:
-            return self._run()
-        except BaseException as error:
-            self._notify_run_aborted(error)
-            raise
 
     def _run(self) -> RunResult:
         # Restart the shared epoch at run start so worker timestamps and

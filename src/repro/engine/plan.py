@@ -86,14 +86,14 @@ def describe_region_lines(
 
 
 def checkpoint_capable(op_type: type) -> bool:
-    """True when ``op_type`` overrides the operator snapshot seam.
+    """True when ``op_type`` has state a checkpoint could carry.
 
-    Capability is a property of the *class*: an operator that never
-    overrides :meth:`~repro.operators.base.Operator.snapshot_state` has
-    no state a checkpoint could carry.  The renderers use this for the
-    opt-in ``checkpoints=`` annotation.
+    Capability is a property of the *class*
+    (:meth:`~repro.operators.base.Operator.carries_state`: it declares
+    ``state_fields`` or overrides the snapshot seam).  The renderers use
+    this for the opt-in ``checkpoints=`` annotation.
     """
-    return op_type.snapshot_state is not Operator.snapshot_state
+    return op_type.carries_state()
 
 
 def checkpoint_annotation(op_type: type, enabled: bool) -> str:

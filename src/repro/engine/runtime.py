@@ -5,11 +5,17 @@ connected by page queues, with out-of-band high-priority control -- and
 several scheduling policies could sit on top of it.  This module is that
 split made explicit:
 
-* :class:`RuntimeCore` owns the **mechanism**: control-message draining
-  (including ``control_latency`` arrival semantics), input-completion and
-  ``on_input_done`` bookkeeping, operator finish plus queue closure, and
+* :class:`RuntimeCore` owns the **mechanism**: *when* a control message
+  has arrived (``control_latency``) and that it is taken before data --
+  what it means is the operator's :meth:`~repro.operators.base.Operator.
+  _receive` -- the pause bookkeeping, when inputs are complete and an
+  operator finishes (the lifecycle itself is the operator's
+  ``_close_inputs`` / ``_finish``), the run envelope (:meth:`RuntimeCore.
+  run`: begin, the policy's ``_run``, abort notification), the feature
+  options every engine takes (checkpointing, recovery, elasticity), and
   the runtime surface operators see (``now`` / ``notify_control`` /
-  ``notify_data`` / the feedback log);
+  ``apply_flow_control`` / ``is_paused`` / ``checkpoints`` / the
+  feedback log);
 * engines subclass it with a **policy**: the deterministic
   :class:`~repro.engine.simulator.Simulator` (event heap + virtual
   clock), the :class:`~repro.engine.async_engine.AsyncioEngine` (the same
@@ -21,9 +27,9 @@ split made explicit:
   control/completion/finish protocol, and all share one
   :meth:`RuntimeCore.at` for scheduled client actions.
 
-Policy hooks a subclass may override:
+A policy implements ``_run`` and these hooks:
 
-``notify_control`` / ``notify_data``
+``notify_control``
     How a wake-up reaches the operator (heap event vs. condition notify).
 ``_activity_time``
     The timestamp stamped on lifecycle callbacks (virtual busy horizon vs.
@@ -82,7 +88,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.feedback import FeedbackPunctuation, FlowControlPunctuation
+from repro.core.feedback import FlowControlPunctuation
 from repro.core.roles import FeedbackLog
 from repro.engine.metrics import (
     PlanMetrics,
@@ -136,6 +142,23 @@ class RuntimeCore:
     Subclasses provide the scheduling policy; this class provides the
     control/completion/finish protocol and is also the runtime surface
     operators see (``operator.runtime`` points at the engine itself).
+
+    The options every engine takes are declared here, once; an engine's
+    constructor adds its own and forwards the rest.
+
+    Parameters
+    ----------
+    control_latency:
+        Seconds (on the engine's clock) between sending a control
+        message and its arrival -- feedback propagation delay; default 0.
+    checkpoint_every, checkpoint_store, recover_from, ingestion_policy:
+        Durability (``docs/durability.md``): a marker every so many
+        source elements, where snapshots go, the store to resume from,
+        and ``"exactly-once"`` or ``"at-least-once"`` replay.  Setting
+        any of the first three activates the coordinator.
+    elastic:
+        An :class:`~repro.elasticity.ElasticConfig` arming the
+        autoscaling controller (``docs/elasticity.md``).
     """
 
     def __init__(
@@ -211,10 +234,6 @@ class RuntimeCore:
         """A control message was queued for ``operator``; wake it."""
         raise NotImplementedError
 
-    def notify_data(self, operator: Operator) -> None:
-        """New data is ready for ``operator``; wake it."""
-        raise NotImplementedError
-
     def at(
         self,
         time: float,
@@ -263,6 +282,20 @@ class RuntimeCore:
 
     # -- lifecycle -------------------------------------------------------------------
 
+    def run(self) -> RunResult:
+        """Run the plan to completion: the engine's :meth:`_run`, once,
+        with every unfinished operator told if it fails."""
+        self._begin()
+        try:
+            return self._run()
+        except BaseException as error:
+            self._notify_run_aborted(error)
+            raise
+
+    def _run(self) -> RunResult:
+        """The scheduling policy's whole run (engines implement this)."""
+        raise NotImplementedError
+
     def _begin(self) -> None:
         if self._started:
             raise EngineError(
@@ -279,10 +312,11 @@ class RuntimeCore:
     def _notify_run_aborted(self, error: BaseException) -> None:
         """Tell every unfinished operator the run died under it.
 
-        Engines call this from their failure paths so operators holding
-        external parties (an :class:`~repro.operators.sink.AwaitableSink`
-        with parked client coroutines) fail fast instead of waiting on an
-        ``on_finish`` that will never come.  Operator hooks must not mask
+        :meth:`run` (and the asyncio engine's ``arun``) calls this when
+        the run fails, so operators holding external parties (an
+        :class:`~repro.operators.sink.AwaitableSink` with parked client
+        coroutines) fail fast instead of waiting on an ``on_finish``
+        that will never come.  Operator hooks must not mask
         the original error, so their own exceptions are swallowed here.
         """
         for op in self.plan:
@@ -334,8 +368,11 @@ class RuntimeCore:
         """Deliver pending, arrived control for ``operator``; True if any.
 
         This is the single implementation of NiagaraST's "control messages
-        are given high priority and processed before pending tuples": both
-        engines call it before handing an operator a data page.
+        are given high priority and processed before pending tuples": every
+        engine calls it before handing an operator a data page.  What a
+        message *means* is the operator's to say
+        (:meth:`~repro.operators.base.Operator._receive`); the runtime
+        decides only when it has arrived and what taking it costs.
         """
         delivered = False
         while True:
@@ -343,49 +380,8 @@ class RuntimeCore:
             if message is None:
                 return delivered
             delivered = True
-            operator.metrics.control_messages += 1
             self._charge_control(operator)
-            if message.kind is ControlMessageKind.FEEDBACK:
-                if isinstance(message.payload, FeedbackPunctuation):
-                    operator.receive_feedback(
-                        message.payload, from_edge=from_edge
-                    )
-                else:
-                    # A feedback payload this runtime predates (a future
-                    # punctuation kind): forward it rather than dropping
-                    # it on the floor, so it still reaches an operator
-                    # (or client) that understands it.
-                    operator.forward_control(message)
-            elif message.kind is ControlMessageKind.FLOW_CONTROL:
-                self._apply_flow_control(
-                    operator, message.payload, from_edge
-                )
-            elif message.kind is ControlMessageKind.RESULT_REQUEST:
-                operator.on_result_request(message.payload)
-            elif message.kind is ControlMessageKind.CHECKPOINT:
-                # A sink's epoch-completion acknowledgement travelling
-                # back upstream hop by hop; it terminates at a source
-                # (nothing further up to tell).
-                if isinstance(operator, SourceOperator):
-                    if self.checkpoints is not None:
-                        self.checkpoints.acknowledge(
-                            operator, message.payload
-                        )
-                else:
-                    operator.forward_control(message)
-            elif message.kind is ControlMessageKind.REBALANCE:
-                # Elastic re-partitioning: the partition handles both
-                # directions (the controller's command and the merge's
-                # acknowledgement); every other operator relays hop by
-                # hop, walking the ack back up the lane.
-                if not operator.on_rebalance_control(message):
-                    operator.forward_control(message)
-            else:
-                # END_OF_STREAM / SHUTDOWN are normally carried via queue
-                # closure; explicit messages of those kinds -- and any
-                # kind this runtime predates -- are forwarded so every
-                # operator on the path still hears them.
-                operator.forward_control(message)
+            operator._receive(message, from_edge)
 
     # -- flow control (backpressure) -----------------------------------------------
 
@@ -491,7 +487,7 @@ class RuntimeCore:
             )
             self.notify_control(producer, at=now)
 
-    def _apply_flow_control(
+    def apply_flow_control(
         self,
         operator: Operator,
         punct: FlowControlPunctuation,
@@ -499,6 +495,7 @@ class RuntimeCore:
     ) -> None:
         """Deliver one pause/resume to the producer it throttles.
 
+        Reached from :meth:`~repro.operators.base.Operator._receive`.
         Every operator participates regardless of ``feedback_aware``:
         flow control is a runtime protocol, not a semantic hint, so the
         paper's incremental-deployment story (feedback-unaware operators
@@ -543,32 +540,7 @@ class RuntimeCore:
 
         Returns True when every input is done.
         """
-        all_done = True
-        progressed = True
-        while progressed:
-            progressed = False
-            all_done = True
-            for port in operator.inputs:
-                if port is None:
-                    continue
-                if (
-                    not port.done
-                    and port.queue.exhausted
-                    and not operator._ckpt_port_busy(port.index)
-                ):
-                    # A port still mid-checkpoint-alignment (a marker head
-                    # pending, or stashed elements behind one) is not done
-                    # yet even though its queue is exhausted: the stash
-                    # must be delivered before ``on_input_done`` (a join
-                    # would otherwise pad early).  The release hook below
-                    # may drain sibling ports' stashes, so re-scan.
-                    port.done = True
-                    operator.set_now(self._activity_time(operator))
-                    operator._ckpt_port_done(port.index)
-                    operator.on_input_done(port.index)
-                    progressed = True
-                all_done = all_done and port.done
-        return all_done
+        return operator._close_inputs(self._activity_time(operator))
 
     def check_input_completion(self, operator: Operator) -> None:
         """Finish ``operator`` once all of its inputs are closed and drained."""
@@ -581,14 +553,11 @@ class RuntimeCore:
         """Run ``on_finish`` and close the operator's output queues."""
         if operator.finished:
             return
-        operator.finished = True
         at = self._activity_time(operator)
         operator.set_now(at)
         if self.checkpoints is not None:
             self.checkpoints.release(operator)
-        operator.on_finish()
-        for edge in operator.outputs:
-            edge.queue.close()
+        operator._finish()
         # A paused operator may finish (its inputs are exhausted; holding
         # it hostage to a resume that depends on downstream progress could
         # deadlock -- rule 2 of 3).  Settle its paused-time accounting.

@@ -83,11 +83,11 @@ class Simulator(RuntimeCore):
 
     Parameters
     ----------
-    control_latency:
-        Virtual seconds between sending a control message and its arrival
-        (feedback propagation delay; default 0).
     max_events:
         Safety valve against runaway plans.
+    core_options:
+        ``control_latency`` (virtual seconds here) and the feature
+        options of :class:`~repro.engine.runtime.RuntimeCore`.
     """
 
     #: The clock the event heap is ordered on.
@@ -100,22 +100,10 @@ class Simulator(RuntimeCore):
         self,
         plan: QueryPlan,
         *,
-        control_latency: float = 0.0,
         max_events: int = 50_000_000,
-        checkpoint_every: int | None = None,
-        checkpoint_store: Any = None,
-        recover_from: Any = None,
-        ingestion_policy: str = "exactly-once",
-        elastic: Any = None,
+        **core_options: Any,
     ) -> None:
-        super().__init__(
-            plan, self.clock_class(), control_latency=control_latency,
-            checkpoint_every=checkpoint_every,
-            checkpoint_store=checkpoint_store,
-            recover_from=recover_from,
-            ingestion_policy=ingestion_policy,
-            elastic=elastic,
-        )
+        super().__init__(plan, self.clock_class(), **core_options)
         self.max_events = max_events
         self._events: list[tuple[float, int, int, str, Any]] = []
         self._seq = itertools.count()
@@ -173,9 +161,6 @@ class Simulator(RuntimeCore):
     def notify_control(self, operator: Operator, at: float | None = None) -> None:
         self.schedule_control(operator, at=at)
 
-    def notify_data(self, operator: Operator) -> None:
-        self.schedule_work(operator)
-
     def _activity_time(self, operator: Operator) -> float:
         return max(self._busy_until[operator.name], self.clock.now())
 
@@ -206,16 +191,6 @@ class Simulator(RuntimeCore):
             self.schedule_work(operator)
 
     # ------------------------------------------------------------------ run
-
-    def run(self) -> RunResult:
-        self._begin()
-        try:
-            return self._run()
-        except BaseException as error:
-            # Fail anyone parked on an unfinished operator (an
-            # AwaitableSink awaited concurrently from another thread).
-            self._notify_run_aborted(error)
-            raise
 
     def _run(self) -> RunResult:
         self._prime()

@@ -29,8 +29,8 @@ Like the simulator, this engine is a *policy* layer over
 core owns control draining (including ``control_latency`` arrival
 semantics, which this runtime honours on the wall clock), completion
 bookkeeping and operator finish; this module owns the threads and their
-wake-ups.  Every core policy hook (``notify_control`` / ``notify_data``
-/ ``_on_finished`` / ``_on_paused`` / ``_on_resumed``) is a
+wake-ups.  Every core policy hook (``notify_control`` / ``_on_finished``
+/ / ``_on_paused`` / ``_on_resumed``) is a
 ``notify_all`` on one ``threading.Condition``, and a control message
 still in flight under ``control_latency`` becomes a per-operator wake-up
 deadline, recomputed on every drain, that bounds that operator's next
@@ -83,10 +83,6 @@ class ThreadedRuntime(RuntimeCore):
         Run-level watchdog: maximum wall-clock seconds to wait for each
         operator thread to finish (worker waits themselves are untimed and
         purely notification-driven).
-    control_latency:
-        Wall-clock seconds between sending a control message and its
-        arrival, mirroring the simulator's feedback propagation delay
-        (default 0: messages are visible immediately).
     emulate_costs:
         Charge each operator's cost model (``tuple_cost`` and friends)
         on the wall clock: the summed admission cost of a page is slept
@@ -97,6 +93,13 @@ class ThreadedRuntime(RuntimeCore):
         operator threads exactly as NiagaraST's real per-operator CPU
         time would, independent of the host's core count.  Slept cost is
         recorded as ``busy_time``.
+    clock:
+        Lets a coordinating engine share one wall-clock epoch across
+        several runtimes (the multiprocess engine constructs it before
+        forking, so every worker's timestamps are comparable).
+    core_options:
+        ``control_latency`` (wall-clock seconds here) and the feature
+        options of :class:`~repro.engine.runtime.RuntimeCore`.
     """
 
     def __init__(
@@ -104,26 +107,13 @@ class ThreadedRuntime(RuntimeCore):
         plan: QueryPlan,
         *,
         timeout: float = 60.0,
-        control_latency: float = 0.0,
         emulate_costs: bool = False,
         clock: WallClock | None = None,
-        checkpoint_every: int | None = None,
-        checkpoint_store: Any = None,
-        recover_from: Any = None,
-        ingestion_policy: str = "exactly-once",
-        elastic: Any = None,
+        **core_options: Any,
     ) -> None:
-        # ``clock`` lets a coordinating engine share one wall-clock epoch
-        # across several runtimes (the multiprocess engine constructs it
-        # before forking, so every worker's timestamps are comparable).
         super().__init__(
             plan, clock if clock is not None else WallClock(),
-            control_latency=control_latency,
-            checkpoint_every=checkpoint_every,
-            checkpoint_store=checkpoint_store,
-            recover_from=recover_from,
-            ingestion_policy=ingestion_policy,
-            elastic=elastic,
+            **core_options,
         )
         self.timeout = timeout
         self.emulate_costs = emulate_costs
@@ -161,9 +151,6 @@ class ThreadedRuntime(RuntimeCore):
         # ``at`` is a virtual-time hint only the heap scheduler needs;
         # arrival gating happens in the core's drain via
         # ``control_latency``.
-        self._waiter.notify_all()
-
-    def notify_data(self, operator: Operator) -> None:
         self._waiter.notify_all()
 
     def _on_finished(self, operator: Operator, at: float) -> None:
@@ -373,16 +360,6 @@ class ThreadedRuntime(RuntimeCore):
         its owned group (remote operators run in their owning workers).
         """
         return list(self.plan)
-
-    def run(self) -> RunResult:
-        self._begin()
-        try:
-            return self._run()
-        except BaseException as error:
-            # Fail anyone parked on an unfinished operator (an
-            # AwaitableSink's waiting client coroutines).
-            self._notify_run_aborted(error)
-            raise
 
     def _run(self) -> RunResult:
         executed = self._executed_operators()

@@ -72,9 +72,7 @@ class ServingError(ReproError):
     """The network serving layer was misconfigured or misused.
 
     Raised for ingest into closed channels, admission-control violations
-    (tenant over its concurrent-flow cap), malformed client payloads, and
-    requests for optional serving dependencies (uvloop) that are not
-    installed in this environment.
+    (tenant over its concurrent-flow cap) and malformed client payloads.
     """
 
 

@@ -189,24 +189,10 @@ class WindowAggregate(Operator):
         # Highest window id already asserted complete downstream.
         self._last_punct_window: int | None = None
 
-    # -------------------------------------------------------------- durability
-
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["window_state"] = dict(self._state)
-        state["window_guards"] = list(self._window_guards)
-        state["windows_skipped"] = self.windows_skipped
-        state["result_buffer"] = list(self._result_buffer)
-        state["last_punct_window"] = self._last_punct_window
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._state = dict(state["window_state"])
-        self._window_guards[:] = state["window_guards"]
-        self.windows_skipped = state["windows_skipped"]
-        self._result_buffer[:] = state["result_buffer"]
-        self._last_punct_window = state["last_punct_window"]
+    state_fields = (
+        "_state", "_window_guards", "windows_skipped", "_result_buffer",
+        "_last_punct_window",
+    )
 
     # ------------------------------------------------- elastic rebalancing
 

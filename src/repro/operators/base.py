@@ -105,11 +105,19 @@ class OutputEdge:
 
 
 class _DetachedRuntime:
-    """Placeholder runtime so operators are usable before plan wiring.
+    """The runtime surface operators see, with no scheduler behind it.
 
-    Unit tests drive operators directly through this stub; the engines
-    replace it at start-up with a live runtime exposing the same surface.
+    These names are everything an operator asks of ``self.runtime``.
+    Unit tests and the :class:`~repro.engine.harness.OperatorHarness`
+    drive operators directly through this stub, and the stages of a
+    fused composite run on one; the engines replace it at start-up with
+    the live :class:`~repro.engine.runtime.RuntimeCore`, which answers
+    to the same names.
     """
+
+    #: No checkpoint coordinator and no plan outside a run.
+    checkpoints = None
+    plan = None
 
     def __init__(self) -> None:
         self.feedback_log = FeedbackLog()
@@ -122,8 +130,17 @@ class _DetachedRuntime:
     ) -> None:
         """A control message was queued for ``operator``; engines schedule it."""
 
-    def notify_data(self, operator: "Operator") -> None:
-        """New data is ready for ``operator``; engines schedule it."""
+    def is_paused(self, operator: "Operator") -> bool:
+        return False
+
+    def apply_flow_control(
+        self, operator: "Operator", punct: Any, from_edge: "OutputEdge | None"
+    ) -> None:
+        """Nobody to stall: the operator only hears of the pause or resume."""
+        if punct.is_pause:
+            operator.on_pause(punct, from_edge)
+        else:
+            operator.on_resume(punct, from_edge)
 
 
 class Operator(abc.ABC):
@@ -302,21 +319,79 @@ class Operator(abc.ABC):
         fail them instead of leaving them parked forever.  Default: no-op.
         """
 
-    def snapshot_state(self) -> dict[str, Any]:
-        """Client-visible state to ship back from a worker process.
+    def _close_inputs(
+        self, at: float | None = None, *, declared: bool = False
+    ) -> bool:
+        """Mark ended input ports done, firing :meth:`on_input_done` once
+        for each; True when every connected input is done.
 
-        The multiprocess engine runs each operator in one worker; after
-        the run it merges every worker's snapshots onto the coordinator's
-        plan copy (via :meth:`restore_state`) so call sites that inspect
-        operators on the returned ``RunResult`` -- a sink's ``results``,
-        a merge's region counters -- see the worker's final state.
-        Operators with such state override both hooks; the default is
-        stateless.  Entries must be picklable.
+        A port has ended when its queue is exhausted -- or, with
+        ``declared``, because the caller says the stream is over (the
+        harness, a composite ending its stages).  A port still
+        mid-checkpoint-alignment (a marker head pending, or stashed
+        elements behind one) is not done yet even so: the stash must be
+        delivered before ``on_input_done`` (a join would otherwise pad
+        early).  Marking one port may release sibling ports' stashes,
+        hence the re-scan.  ``at`` stamps the operator's clock first.
         """
-        return {}
+        all_done = True
+        progressed = True
+        while progressed:
+            progressed = False
+            all_done = True
+            for port in self.inputs:
+                if port is None:
+                    continue
+                if (
+                    not port.done
+                    and (declared or port.queue.exhausted)
+                    and not self._ckpt_port_busy(port.index)
+                ):
+                    port.done = True
+                    if at is not None:
+                        self.set_now(at)
+                    self._ckpt_port_done(port.index)
+                    self.on_input_done(port.index)
+                    progressed = True
+                all_done = all_done and port.done
+        return all_done
+
+    def _finish(self) -> None:
+        """End of stream: :meth:`on_finish` runs once, already
+        ``finished``, and the outputs close behind its last emissions."""
+        self.finished = True
+        self.on_finish()
+        for edge in self.outputs:
+            edge.queue.close()
+
+    #: Names of the attributes that are this operator's state: what a
+    #: checkpoint carries and a worker process ships back.  A subclass
+    #: extends its parent's (``Parent.state_fields + (...)``).
+    state_fields: tuple[str, ...] = ()
+
+    def snapshot_state(self) -> dict[str, Any]:
+        """The operator's state, by attribute name (:attr:`state_fields`).
+
+        Both customers pickle the dict at once -- the checkpoint
+        coordinator when a marker passes, the multiprocess engine when a
+        worker ships its final state back for the coordinator's plan
+        copy -- so it holds the live containers, not copies.  Override
+        (chaining to ``super()``) only where a value must be translated
+        on the way out or in.
+        """
+        return {name: getattr(self, name) for name in self.state_fields}
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot_state` dict onto this instance."""
+        """Apply an unpickled :meth:`snapshot_state` dict onto this instance."""
+        for name in self.state_fields:
+            setattr(self, name, state[name])
+
+    @classmethod
+    def carries_state(cls) -> bool:
+        """Whether a checkpoint of this class has anything to carry."""
+        return bool(cls.state_fields) or (
+            cls.snapshot_state is not Operator.snapshot_state
+        )
 
     # --------------------------------------------------------- data handling
 
@@ -586,7 +661,7 @@ class Operator(abc.ABC):
         ends: the epoch is complete plan-wide, so a CHECKPOINT
         acknowledgement travels back upstream to the sources.
         """
-        checkpoints = getattr(self.runtime, "checkpoints", None)
+        checkpoints = self.runtime.checkpoints
         if checkpoints is not None:
             checkpoints.snapshot(self, marker)
         if self.outputs:
@@ -628,7 +703,7 @@ class Operator(abc.ABC):
         if self.n_inputs > 1:
             return "multi-input operator inside a shard lane"
         if (
-            type(self).snapshot_state is not Operator.snapshot_state
+            self.carries_state()
             and type(self).extract_keyed_state
             is Operator.extract_keyed_state
         ):
@@ -892,6 +967,54 @@ class Operator(abc.ABC):
     def request_results(self, pattern: Pattern | None = None) -> None:
         """Send a RESULT_REQUEST upstream on every input (Example 4)."""
         self._send_upstream(ControlMessageKind.RESULT_REQUEST, pattern)
+
+    # ------------------------------------------------------- control: receive
+
+    def _receive(
+        self, message: ControlMessage, from_edge: "OutputEdge | None" = None
+    ) -> Any:
+        """Take one control message: every control-kind rule, once.
+
+        What :meth:`_deliver` is to data.  Whoever holds an *arrived*
+        message hands it here -- :meth:`~repro.engine.runtime.
+        RuntimeCore.drain_control` on every engine, a composite's pump
+        for its stages, the harness -- with the output edge it came up
+        on (None for a notice from a producer).  Returns what the kind's
+        hook answered (the exploit actions, for feedback).
+        """
+        self.metrics.control_messages += 1
+        kind, payload = message.kind, message.payload
+        if kind is ControlMessageKind.FEEDBACK and isinstance(
+            payload, FeedbackPunctuation
+        ):
+            return self.receive_feedback(payload, from_edge=from_edge)
+        if kind is ControlMessageKind.FLOW_CONTROL:
+            # A runtime protocol, not a semantic hint: who is stalled is
+            # the scheduler's to keep, whatever ``feedback_aware`` says.
+            self.runtime.apply_flow_control(self, payload, from_edge)
+        elif kind is ControlMessageKind.RESULT_REQUEST:
+            self.on_result_request(payload)
+        elif kind is ControlMessageKind.CHECKPOINT and isinstance(
+            self, SourceOperator
+        ):
+            # A sink's epoch-completion acknowledgement, relayed hop by
+            # hop, ends at a source: nothing further up to tell.
+            if self.runtime.checkpoints is not None:
+                self.runtime.checkpoints.acknowledge(self, payload)
+        elif (
+            kind is not ControlMessageKind.REBALANCE
+            or not self.on_rebalance_control(message)
+        ):
+            # Nobody here consumes it, so it keeps travelling: a
+            # checkpoint acknowledgement on its way up, a rebalance
+            # command or acknowledgement the partition has not claimed
+            # (every other operator walks it along the lane), explicit
+            # END_OF_STREAM / SHUTDOWN (normally carried by queue
+            # closure), a feedback payload or a whole kind this operator
+            # predates.  Dropping it on the floor would strand it at the
+            # first operator that does not understand it.
+            self.forward_control(message)
+        return None
 
     # ----------------------------------------------------- feedback: receive
 

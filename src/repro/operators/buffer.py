@@ -125,22 +125,7 @@ class PriorityBuffer(Operator):
         self.metrics.shrink_state()
         self.emit(tup)
 
-    # -- durability --------------------------------------------------------------
-
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["pending"] = list(self._pending)
-        state["desires"] = list(self._desires)
-        state["held"] = self._held
-        state["priority_releases"] = self.priority_releases
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._pending = deque(state["pending"])
-        self._desires = deque(state["desires"])
-        self._held = state["held"]
-        self.priority_releases = state["priority_releases"]
+    state_fields = ("_pending", "_desires", "_held", "priority_releases")
 
     # -- flow control ------------------------------------------------------------
 
@@ -160,8 +145,7 @@ class PriorityBuffer(Operator):
         With several output edges the hold lasts until the *last* pause
         is lifted (the runtime tracks the paused-edge set).
         """
-        is_paused = getattr(self.runtime, "is_paused", None)
-        self._held = bool(is_paused(self)) if is_paused is not None else False
+        self._held = self.runtime.is_paused(self)
         while not self._held and len(self._pending) >= self.capacity:
             self._release_one()
 

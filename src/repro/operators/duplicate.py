@@ -22,7 +22,52 @@ from repro.operators.base import Operator, OutputEdge
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import Schema, SchemaMapping
 
-__all__ = ["Duplicate"]
+__all__ = ["Duplicate", "agreed_patterns"]
+
+
+def agreed_patterns(
+    declared: dict[int, list[Pattern]],
+    edges: list[OutputEdge],
+    pattern: Pattern,
+    from_edge: OutputEdge | None,
+) -> list[Pattern]:
+    """Record ``pattern`` as assumed on ``from_edge``; return what every
+    consumer now agrees is unneeded.
+
+    The result is the non-empty intersections of ``pattern`` with the
+    regions every *other* edge has declared.  With one output edge the
+    pattern itself is agreed; with an unknown origin, conservatively,
+    nothing is.
+
+    ``declared`` (per edge, keyed by ``id``) is kept *frontier-style*
+    (UNION's rule): a new pattern drops the declarations it subsumes and
+    is skipped when already covered, so a long-running plan's periodic
+    feedback keeps the per-edge lists -- and the intersection scan --
+    bounded by the number of maximal regions, not the number of feedback
+    events.
+    """
+    if len(edges) <= 1:
+        return [pattern]
+    if from_edge is None:
+        return []
+    mine = declared.setdefault(id(from_edge), [])
+    if not any(seen.subsumes(pattern) for seen in mine):
+        mine[:] = [p for p in mine if not pattern.subsumes(p)]
+        mine.append(pattern)
+    agreed = [pattern]
+    for edge in edges:
+        if edge is from_edge:
+            continue
+        theirs = declared.get(id(edge), ())
+        agreed = [
+            joint
+            for candidate in agreed
+            for other in theirs
+            if (joint := candidate.intersect(other)) is not None
+        ]
+        if not agreed:
+            return []
+    return agreed
 
 
 class Duplicate(Operator):
@@ -43,37 +88,10 @@ class Duplicate(Operator):
 
     # -- feedback reconciliation ---------------------------------------------
 
-    def _agreed_patterns(self, pattern: Pattern, from_edge: OutputEdge | None) -> list[Pattern]:
-        """Intersections of ``pattern`` with every other edge's declarations.
-
-        Returns the non-empty intersections that are now unneeded by *all*
-        consumers.  With one output edge, the pattern itself is agreed.
-        """
-        if len(self.outputs) <= 1:
-            return [pattern]
-        if from_edge is None:
-            # Unknown origin: be conservative, nothing is agreed.
-            return []
-        self._declared.setdefault(id(from_edge), []).append(pattern)
-        agreed = [pattern]
-        for edge in self.outputs:
-            if edge is from_edge:
-                continue
-            other_declared = self._declared.get(id(edge), [])
-            narrowed: list[Pattern] = []
-            for candidate in agreed:
-                for other in other_declared:
-                    joint = candidate.intersect(other)
-                    if joint is not None:
-                        narrowed.append(joint)
-            agreed = narrowed
-            if not agreed:
-                return []
-        return agreed
-
     def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        agreed = self._agreed_patterns(
-            feedback.pattern, self.feedback_source_edge
+        agreed = agreed_patterns(
+            self._declared, self.outputs, feedback.pattern,
+            self.feedback_source_edge,
         )
         if not agreed:
             return []  # null response until all consumers agree

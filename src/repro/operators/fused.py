@@ -16,20 +16,24 @@ plumbing with synchronous shims:
   PROJECT absorbing a lossy pattern, a MAP widening onto carried
   attributes) and guard expiry all run exactly the materialized chain's
   code;
-* **control** -- a :class:`_LinkControl` carries feedback, result
-  requests and unknown-kind forwards hop by hop through the stages (same
-  per-stage exploit/relay hooks, same metrics), queued on the composite
-  and pumped breadth-first so delivery *order* matches the materialized
-  chain; at the head/tail the message is re-stamped and re-emitted on the
-  composite's real ports;
+* **control** -- the stages are on the ordinary control walk: a message
+  that reaches the composite goes, as it is, onto the end of the chain it
+  arrived at, and every stage takes what reaches it through
+  :meth:`~repro.operators.base.Operator._receive`, so the same hooks fire
+  and the same metrics move as in the materialized chain.  An internal
+  link is a plain :class:`~repro.stream.control.ControlChannel`; a
+  :class:`_BoundaryControl` at each end re-stamps what leaves the chain
+  and re-emits it on the composite's real ports;
 * **checkpoints** -- ``CheckpointPunctuation`` markers are intercepted at
   the composite boundary by the inherited :class:`Operator` machinery
   (stages are stateless by the fusion criteria, so the composite's empty
   snapshot is exactly the union of the stages' empty snapshots), which
   keeps ``checkpoint_every=`` composing with ``optimize=True``;
-* **flow control** -- engines pause/resume the composite as a unit; the
-  internal links never buffer, so a paused composite holds exactly as
-  many in-flight elements as a paused materialized chain's head.
+* **flow control** -- a pause on the composite's output is the last
+  stage's to take, and stalls the composite as a unit
+  (:class:`_StageRuntime`); the internal links never buffer, so a paused
+  composite holds exactly as many in-flight elements as a paused
+  materialized chain's head.
 
 Known, documented divergence: with ``control_latency > 0`` a message
 crosses the composite in zero time (one boundary hop instead of N
@@ -38,15 +42,12 @@ internal hops); with the default latency of 0 delivery is identical.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Sequence
 
-from repro.core.feedback import FeedbackPunctuation
 from repro.errors import PlanError
-from repro.operators.base import Operator, OutputEdge
+from repro.operators.base import Operator, OutputEdge, _DetachedRuntime
 from repro.punctuation.embedded import Punctuation
-from repro.punctuation.patterns import Pattern
-from repro.stream.control import ControlMessage, ControlMessageKind, Direction
+from repro.stream.control import ControlChannel, ControlMessage, Direction
 from repro.stream.queues import DataQueue
 
 __all__ = ["FusedOperator", "fused_name"]
@@ -63,33 +64,30 @@ def fused_name(stages: Sequence[Operator]) -> str:
     return "+".join(stage.name for stage in stages)
 
 
-class _StageRuntime:
-    """The runtime surface stages see inside a composite.
+class _StageRuntime(_DetachedRuntime):
+    """The detached runtime, as a stage inside a composite sees it.
 
-    Clock and logs defer to the composite's live runtime; notifications
-    are no-ops (internal links dispatch synchronously, so there is nothing
-    to wake).  Deliberately *without* a ``checkpoints`` attribute: markers
-    are handled at the composite boundary and must never be re-snapshotted
-    per stage.
+    A stage runs on the stub a harness-driven operator does, joined to
+    the run at three points: feedback events land in the plan's one log,
+    control sent over an internal link has the composite pump before it
+    returns, and a pause or resume taken by the last stage stalls or
+    releases the composite, the unit the engine schedules.
+    ``checkpoints`` stays None: markers are handled at the composite
+    boundary and must never be re-snapshotted per stage.
     """
 
-    __slots__ = ("_fused",)
-
     def __init__(self, fused: "FusedOperator") -> None:
+        self.feedback_log = fused.runtime.feedback_log
         self._fused = fused
 
-    def now(self) -> float:
-        return self._fused.now()
-
-    @property
-    def feedback_log(self) -> Any:
-        return self._fused.runtime.feedback_log
-
     def notify_control(self, operator: Operator, at: float | None = None) -> None:
-        pass
+        self._fused._control_waiting = True
 
-    def notify_data(self, operator: Operator) -> None:
-        pass
+    def apply_flow_control(
+        self, operator: Operator, punct: Any, from_edge: OutputEdge | None
+    ) -> None:
+        super().apply_flow_control(operator, punct, from_edge)
+        self._fused.runtime.apply_flow_control(self._fused, punct, None)
 
 
 class _LinkQueue:
@@ -149,50 +147,26 @@ class _TailQueue:
         pass
 
 
-class _LinkControl:
-    """Control shim for one internal (or boundary) link.
+class _BoundaryControl(ControlChannel):
+    """The control channel on the chain's first input or last output.
 
-    ``send`` enqueues the message on the composite's pending deque keyed
-    with the stage it targets; the composite pumps the deque breadth-first
-    after every entry point, so hop-by-hop delivery order matches the
-    materialized chain.  ``producer``/``consumer`` are the link's two
-    stages; ``None`` marks the composite boundary in that direction.
+    A message sent *outward* has crossed the composite: it leaves,
+    re-stamped, on the composite's real ports.  One sent inward queues
+    for the stage at this end, like on any channel.
     """
 
-    __slots__ = ("name", "fused", "producer", "consumer", "producer_edge")
+    __slots__ = ("_outward", "_leave")
 
-    def __init__(
-        self,
-        name: str,
-        fused: "FusedOperator",
-        producer: Operator | None,
-        consumer: Operator | None,
-    ) -> None:
-        self.name = name
-        self.fused = fused
-        self.producer = producer
-        self.consumer = consumer
-        #: The producer stage's output edge over this link (for
-        #: ``receive_feedback(from_edge=...)`` fidelity); set after wiring.
-        self.producer_edge: OutputEdge | None = None
+    def __init__(self, name: str, outward: Direction, leave: Any) -> None:
+        super().__init__(name)
+        self._outward = outward
+        self._leave = leave
 
     def send(self, message: ControlMessage) -> None:
-        if message.direction is Direction.UPSTREAM:
-            if self.producer is None:
-                # Crossed the head: re-emit on the composite's real ports.
-                self.fused._send_upstream(message.kind, message.payload)
-            else:
-                self.fused._ctl_pending.append(
-                    (self.producer, message, self.producer_edge)
-                )
+        if message.direction is self._outward:
+            self._leave(message.kind, message.payload)
         else:
-            if self.consumer is None:
-                # Crossed the tail: re-emit on the composite's real edges.
-                self.fused._send_downstream(message.kind, message.payload)
-            else:
-                self.fused._ctl_pending.append(
-                    (self.consumer, message, None)
-                )
+            super().send(message)
 
 
 class FusedOperator(Operator):
@@ -225,50 +199,36 @@ class FusedOperator(Operator):
         #: The wrapped stages, upstream to downstream (public: renderers
         #: and the metrics rollup duck-type on this attribute).
         self.fused_stages: tuple[Operator, ...] = stages
+        self.stage_names = tuple(stage.name for stage in stages)
         self._stages = stages
         self._head = stages[0]
         self._tail = stages[-1]
-        # The composite answers feedback exactly as its tail would have:
-        # a feedback-unaware tail (PassThrough) ignores and stops it,
-        # matching the materialized chain.
-        self.feedback_aware = self._tail.feedback_aware
-        #: Pending internal control deliveries (stage, message, from_edge),
-        #: pumped breadth-first -- the materialized chain's hop order.
-        self._ctl_pending: deque = deque()
+        #: Set when a stage was sent control over an internal link; every
+        #: entry point pumps before it returns.
+        self._control_waiting = False
         self._wire_stages()
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        return tuple(stage.name for stage in self._stages)
-
-    def stage_metrics(self) -> dict[str, Any]:
-        """Per-stage metrics, the composite's folded report."""
-        return {stage.name: stage.metrics for stage in self._stages}
 
     # ------------------------------------------------------------------ wiring
 
     def _wire_stages(self) -> None:
-        head_ctl = _LinkControl(
-            f"{self.name}::<head>", self, None, self._head
+        head_name = f"{self.name}::<head>"
+        head_control = _BoundaryControl(
+            head_name, Direction.UPSTREAM, self._send_upstream
         )
-        self._head.attach_input(
-            0, DataQueue(f"{self.name}::<head>"), head_ctl, None
-        )
+        self._head.attach_input(0, DataQueue(head_name), head_control, None)
         for producer, consumer in zip(self._stages, self._stages[1:]):
             link_name = f"{self.name}::{producer.name}->{consumer.name}"
             queue = _LinkQueue(link_name, consumer)
-            control = _LinkControl(link_name, self, producer, consumer)
-            edge = OutputEdge(queue, control, consumer, 0)
-            control.producer_edge = edge
-            producer.attach_output(edge)
+            control = ControlChannel(link_name)
+            producer.attach_output(OutputEdge(queue, control, consumer, 0))
             consumer.attach_input(0, queue, control, producer)
         tail_name = f"{self.name}::<tail>"
-        tail_ctl = _LinkControl(tail_name, self, self._tail, None)
-        tail_edge = OutputEdge(
-            _TailQueue(tail_name, self), tail_ctl, self, 0
+        tail_control = _BoundaryControl(
+            tail_name, Direction.DOWNSTREAM, self._send_downstream
         )
-        tail_ctl.producer_edge = tail_edge
-        self._tail.attach_output(tail_edge)
+        self._tail.attach_output(
+            OutputEdge(_TailQueue(tail_name, self), tail_control, self, 0)
+        )
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -285,18 +245,14 @@ class FusedOperator(Operator):
             stage.on_start()
 
     def on_finish(self) -> None:
-        # Drive each stage's end-of-stream lifecycle in chain order, so a
+        # Each stage ends the way every operator does, in chain order: a
         # stage's final emissions (none, for the stateless whitelist, but
         # the protocol stands) reach its successors before *their* finish.
         for stage in self._stages:
-            stage._now = self._now
-            port = stage.inputs[0]
-            if port is not None:
-                port.done = True
-            stage.on_input_done(0)
-            stage.on_finish()
-            stage.finished = True
-        self._pump_control()
+            stage._close_inputs(declared=True)
+            stage._finish()
+        if self._control_waiting:
+            self._pump_control()
 
     def on_run_aborted(self, error: BaseException) -> None:
         for stage in self._stages:
@@ -307,68 +263,50 @@ class FusedOperator(Operator):
 
     def on_page(self, port_index: int, batch: list) -> None:
         self._head.process_page(0, batch)
-        if self._ctl_pending:
+        if self._control_waiting:
             self._pump_control()
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
         self._head.process_page(0, [punct])
-        if self._ctl_pending:
+        if self._control_waiting:
             self._pump_control()
 
     # ------------------------------------------------------------- control path
 
+    def _receive(
+        self, message: ControlMessage, from_edge: OutputEdge | None = None
+    ) -> None:
+        """A composite has no control rule of its own.
+
+        The message goes, as it arrived, onto the end of the chain it
+        came in at, and the stages take it from there: feedback relays
+        stage by stage, each running its own exploit hooks; a pause is
+        the last stage's; whatever escapes an end leaves on the
+        composite's real ports.
+        """
+        self.metrics.control_messages += 1
+        if message.direction is Direction.UPSTREAM:
+            self._tail.outputs[0].control.send(message)
+        else:
+            self._head.inputs[0].control.send(message)
+        self._control_waiting = True
+        self._pump_control()
+
     def _pump_control(self) -> None:
-        """Deliver queued internal control, breadth-first.
-
-        Mirrors ``RuntimeCore.drain_control``'s dispatch-by-kind, one
-        stage hop per iteration; a delivery may enqueue the next hop.
+        """Every stage takes the control that has reached it, until none
+        is waiting: what ``RuntimeCore.drain_control`` is to a plan.
+        Internal links have no latency, so whatever is queued has
+        arrived; sweeping from the tail moves an upstream message the
+        whole chain in one pass, in the materialized chain's hop order.
         """
-        pending = self._ctl_pending
-        while pending:
-            stage, message, from_edge = pending.popleft()
-            stage.metrics.control_messages += 1
-            stage._now = self._now
-            if message.kind is ControlMessageKind.FEEDBACK and isinstance(
-                message.payload, FeedbackPunctuation
-            ):
-                stage.receive_feedback(message.payload, from_edge=from_edge)
-            elif message.kind is ControlMessageKind.RESULT_REQUEST:
-                stage.on_result_request(message.payload)
-            else:
-                stage.forward_control(message)
-
-    def receive_feedback(
-        self,
-        feedback: FeedbackPunctuation,
-        from_edge: OutputEdge | None = None,
-    ) -> list:
-        """Feedback enters at the tail and relays stage by stage.
-
-        Each stage runs its own exploit hooks (input guards for SELECT,
-        back-mapped guards for PROJECT/MAP, ignore-and-stop for a
-        feedback-unaware PASSTHROUGH) and its own relay; whatever escapes
-        the head leaves on the composite's real input ports.
-        """
-        self.feedback_source_edge = from_edge
-        self.metrics.feedback_received += 1
-        actions = self._tail.receive_feedback(feedback, from_edge=None)
-        self._pump_control()
-        return actions
-
-    def on_result_request(self, pattern: Pattern | None) -> None:
-        self._tail.on_result_request(pattern)
-        self._pump_control()
-
-    def forward_control(self, message: ControlMessage) -> None:
-        """Unknown kinds traverse the stages as the materialized chain."""
-        self.metrics.control_forwarded += 1
-        entry = (
-            self._tail
-            if message.direction is Direction.UPSTREAM
-            else self._head
-        )
-        entry.forward_control(message)
-        self._pump_control()
+        while self._control_waiting:
+            self._control_waiting = False
+            for stage in reversed(self._stages):
+                edge, port = stage.outputs[0], stage.inputs[0]
+                while (message := edge.control.receive_upstream()) is not None:
+                    stage._receive(message, edge)
+                while (message := port.control.receive_downstream()) is not None:
+                    stage._receive(message, None)
 
     # ------------------------------------------------------- elastic rebalancing
 
@@ -376,27 +314,16 @@ class FusedOperator(Operator):
         """Delegate to the stages: the composite migrates iff all do.
 
         The fusion whitelist is stateless, so every stage answers None
-        today; the delegation keeps the composite honest should the
-        whitelist ever widen.  Rebalance markers themselves are handled
-        at the composite boundary by the inherited machinery -- the
-        internal links never buffer, so boundary handling is exactly
-        equivalent to the materialized chain's hop-by-hop sweep.
+        today.  Rebalance markers themselves are handled at the
+        composite boundary by the inherited machinery -- the internal
+        links never buffer, so that equals the materialized chain's
+        hop-by-hop sweep.
         """
         for stage in self._stages:
             reason = stage.rebalance_migratable(key_names)
             if reason is not None:
                 return f"{stage.name}: {reason}"
         return None
-
-    # ------------------------------------------------------------- flow control
-
-    def on_pause(self, punct: Any, from_edge: OutputEdge | None) -> None:
-        for stage in self._stages:
-            stage.on_pause(punct, None)
-
-    def on_resume(self, punct: Any, from_edge: OutputEdge | None) -> None:
-        for stage in self._stages:
-            stage.on_resume(punct, None)
 
     # ------------------------------------------------------------------- repr
 

@@ -40,16 +40,9 @@ class ImpatientJoin(SymmetricHashJoin):
         self._requested_keys: set[tuple] = set()
         self.desired_sent = 0
 
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["requested_keys"] = set(self._requested_keys)
-        state["desired_sent"] = self.desired_sent
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._requested_keys = set(state["requested_keys"])
-        self.desired_sent = state["desired_sent"]
+    state_fields = SymmetricHashJoin.state_fields + (
+        "_requested_keys", "desired_sent",
+    )
 
     def on_page(self, port_index: int, batch: list) -> None:
         """Request new keys for the run, then join it in bulk.

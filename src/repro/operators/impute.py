@@ -109,14 +109,7 @@ class Impute(Operator):
         )
         self.imputed_count = 0
 
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["imputed_count"] = self.imputed_count
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.imputed_count = state["imputed_count"]
+    state_fields = ("imputed_count",)
 
     def cost_of(self, element: Any) -> float:
         if element.is_punctuation:

@@ -126,23 +126,7 @@ class SymmetricHashJoin(Operator):
         # Right-side purge patterns that make null-padding unsafe.
         self._suppressed_key_patterns: list[Pattern] = []
 
-    # ------------------------------------------------------------- durability
-
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["tables"] = tuple(dict(table) for table in self._tables)
-        state["key_frontiers"] = tuple(list(f) for f in self._key_frontiers)
-        state["suppressed_key_patterns"] = list(self._suppressed_key_patterns)
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        for table, saved in zip(self._tables, state["tables"]):
-            table.clear()
-            table.update(saved)
-        for frontier, saved in zip(self._key_frontiers, state["key_frontiers"]):
-            frontier[:] = saved
-        self._suppressed_key_patterns[:] = state["suppressed_key_patterns"]
+    state_fields = ("_tables", "_key_frontiers", "_suppressed_key_patterns")
 
     # ------------------------------------------------------------- keys
 

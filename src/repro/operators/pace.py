@@ -101,32 +101,11 @@ class Pace(Union):
         self.timely_tuples = 0
         self.timely_by_port = [0] * arity
 
-    # -- durability --------------------------------------------------------------
-
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["assumed_bound"] = self._assumed_bound
-        state["high_watermark"] = self.high_watermark
-        state["input_watermarks"] = list(self._input_watermarks)
-        state["last_feedback_bound"] = self._last_feedback_bound
-        state["last_punct_bound"] = self._last_punct_bound
-        state["late_drops"] = self.late_drops
-        state["late_drops_by_port"] = list(self.late_drops_by_port)
-        state["timely_tuples"] = self.timely_tuples
-        state["timely_by_port"] = list(self.timely_by_port)
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._assumed_bound = state["assumed_bound"]
-        self.high_watermark = state["high_watermark"]
-        self._input_watermarks = list(state["input_watermarks"])
-        self._last_feedback_bound = state["last_feedback_bound"]
-        self._last_punct_bound = state["last_punct_bound"]
-        self.late_drops = state["late_drops"]
-        self.late_drops_by_port = list(state["late_drops_by_port"])
-        self.timely_tuples = state["timely_tuples"]
-        self.timely_by_port = list(state["timely_by_port"])
+    state_fields = Union.state_fields + (
+        "_assumed_bound", "high_watermark", "_input_watermarks",
+        "_last_feedback_bound", "_last_punct_bound", "late_drops",
+        "late_drops_by_port", "timely_tuples", "timely_by_port",
+    )
 
     # -- data --------------------------------------------------------------------
 

@@ -57,6 +57,7 @@ from repro.elasticity.rebalance import (
 )
 from repro.errors import PlanError
 from repro.operators.base import Operator, OutputEdge
+from repro.operators.duplicate import agreed_patterns
 from repro.operators.union import Union
 from repro.punctuation.atoms import Equals, InSet
 from repro.punctuation.embedded import Punctuation
@@ -150,40 +151,28 @@ class Partition(Operator):
         self.keys_migrated = 0
         self.tuples_held = 0
 
+    state_fields = (
+        "_paused_lanes", "_stash", "_relay_pending", "tuples_stashed",
+        "lane_pauses", "key_routed_feedback",
+    )
+
     def snapshot_state(self) -> dict[str, Any]:
         # ``_declared`` is keyed by ``id(edge)`` -- remap to lane indices,
         # which survive pickling and a rebuilt plan.
-        declared: dict[int, list[Pattern]] = {}
-        for lane, edge in enumerate(self.outputs):
-            patterns = self._declared.get(id(edge))
-            if patterns:
-                declared[lane] = list(patterns)
         state = super().snapshot_state()
-        state["paused_lanes"] = set(self._paused_lanes)
-        state["stash"] = {
-            lane: list(pending) for lane, pending in self._stash.items()
+        state["declared"] = {
+            lane: patterns
+            for lane, edge in enumerate(self.outputs)
+            if (patterns := self._declared.get(id(edge)))
         }
-        state["declared"] = declared
-        state["relay_pending"] = self._relay_pending
-        state["tuples_stashed"] = self.tuples_stashed
-        state["lane_pauses"] = self.lane_pauses
-        state["key_routed_feedback"] = self.key_routed_feedback
         return state
 
     def restore_state(self, state: dict[str, Any]) -> None:
         super().restore_state(state)
-        self._paused_lanes = set(state["paused_lanes"])
-        self._stash = {
-            lane: list(pending) for lane, pending in state["stash"].items()
+        self._declared = {
+            id(self.outputs[lane]): patterns
+            for lane, patterns in state["declared"].items()
         }
-        self._declared = {}
-        for lane, patterns in state["declared"].items():
-            edge = self.outputs[lane]
-            self._declared[id(edge)] = list(patterns)
-        self._relay_pending = state["relay_pending"]
-        self.tuples_stashed = state["tuples_stashed"]
-        self.lane_pauses = state["lane_pauses"]
-        self.key_routed_feedback = state["key_routed_feedback"]
 
     # ------------------------------------------------------------------ lanes
 
@@ -418,7 +407,7 @@ class Partition(Operator):
         return False
 
     def _shard_group(self) -> Any | None:
-        plan = getattr(self.runtime, "plan", None)
+        plan = self.runtime.plan
         if plan is None:
             return None
         for group in plan.shard_groups:
@@ -554,46 +543,6 @@ class Partition(Operator):
                 return None
         return {self.lane_of_key(*combo) for combo in combos}
 
-    def _agreed_patterns(
-        self, pattern: Pattern, from_edge: OutputEdge | None
-    ) -> list[Pattern]:
-        """DUPLICATE-style reconciliation across all lanes.
-
-        Returns the non-empty intersections of ``pattern`` with regions
-        every *other* lane has declared -- the subsets no replica's
-        consumer needs.  (The merged downstream consumer is shared, so a
-        broadcast feedback reaches every lane and agreement converges.)
-
-        Declarations are kept *frontier-style* (UNION's rule): a new
-        pattern drops the declarations it subsumes and is skipped when
-        already covered, so a long-running plan's periodic feedback keeps
-        the per-lane lists -- and the intersection scan -- bounded by the
-        number of maximal regions, not the number of feedback events.
-        """
-        if len(self.outputs) <= 1:
-            return [pattern]
-        if from_edge is None:
-            return []  # unknown origin: be conservative
-        declared = self._declared.setdefault(id(from_edge), [])
-        if not any(seen.subsumes(pattern) for seen in declared):
-            declared[:] = [p for p in declared if not pattern.subsumes(p)]
-            declared.append(pattern)
-        agreed = [pattern]
-        for edge in self.outputs:
-            if edge is from_edge:
-                continue
-            other_declared = self._declared.get(id(edge), [])
-            narrowed: list[Pattern] = []
-            for candidate in agreed:
-                for other in other_declared:
-                    joint = candidate.intersect(other)
-                    if joint is not None:
-                        narrowed.append(joint)
-            agreed = narrowed
-            if not agreed:
-                return []
-        return agreed
-
     def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
         edge = self.feedback_source_edge
         lane = (
@@ -613,7 +562,12 @@ class Partition(Operator):
             )
             self._relay_pending = feedback.pattern
             return [ExploitAction.GUARD_INPUT, ExploitAction.GUARD_OUTPUT]
-        agreed = self._agreed_patterns(feedback.pattern, edge)
+        # DUPLICATE's reconciliation across all lanes.  (The merged
+        # downstream consumer is shared, so a broadcast feedback reaches
+        # every lane and agreement converges.)
+        agreed = agreed_patterns(
+            self._declared, self.outputs, feedback.pattern, edge
+        )
         if not agreed:
             return []  # null response until all replicas agree
         actions: list[ExploitAction] = []
@@ -695,18 +649,9 @@ class ShardMerge(Union):
         self._rebalance_installs: dict[int, int] = {}
         self.rebalances_completed = 0
 
-    def snapshot_state(self) -> dict[str, Any]:
-        # Chains Union's snapshot: the per-lane frontiers are what decides
-        # whether a held region releases, so they must survive recovery.
-        state = super().snapshot_state()
-        state["regions_held"] = self.regions_held
-        state["regions_released"] = self.regions_released
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.regions_held = state["regions_held"]
-        self.regions_released = state["regions_released"]
+    # Union's per-lane frontiers decide whether a held region releases,
+    # so they must survive recovery along with the counters.
+    state_fields = Union.state_fields + ("regions_held", "regions_released")
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
         self._advance_frontier(port_index, punct.pattern)

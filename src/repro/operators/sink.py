@@ -133,6 +133,8 @@ class CollectSink(Operator):
                 # a store error; the log simply stays at its last cut.
                 pass
 
+    state_fields = ("punctuations",)
+
     def snapshot_state(self) -> dict[str, Any]:
         """The cut, plus the lists only when no delivery log holds them.
 
@@ -146,18 +148,16 @@ class CollectSink(Operator):
         # holds the deliveries still to be swallowed: they lie past
         # this cut, not before it.
         replaying = sum((self._ckpt_dedup or {}).values())
-        state = {
-            "delivered": self.delivered - replaying,
-            "punctuations": self.punctuations,
-        }
+        state = super().snapshot_state()
+        state["delivered"] = self.delivered - replaying
         if self._ckpt_writer is None:
             state["results"] = self.results
             state["arrivals"] = self.arrivals
         return state
 
     def restore_state(self, state: dict[str, Any]) -> None:
+        super().restore_state(state)
         self.delivered = state["delivered"]
-        self.punctuations = state["punctuations"]
         if "results" in state:
             self.results = state["results"]
             self.arrivals = state["arrivals"]
@@ -349,16 +349,7 @@ class OnDemandSink(CollectSink):
         self.polls = 0
         self.demands = 0
 
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["polls"] = self.polls
-        state["demands"] = self.demands
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.polls = state["polls"]
-        self.demands = state["demands"]
+    state_fields = CollectSink.state_fields + ("polls", "demands")
 
     def poll(self, pattern: Pattern | None = None) -> None:
         """Ask upstream operators to release buffered results."""

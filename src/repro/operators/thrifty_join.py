@@ -51,14 +51,9 @@ class ThriftyJoin(SymmetricHashJoin):
         self.probe_inputs = probe_inputs
         self.empty_windows_detected = 0
 
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["empty_windows_detected"] = self.empty_windows_detected
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.empty_windows_detected = state["empty_windows_detected"]
+    state_fields = SymmetricHashJoin.state_fields + (
+        "empty_windows_detected",
+    )
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
         if port_index in self.probe_inputs:

@@ -73,17 +73,7 @@ class Union(Operator):
         )
         self._advance_frontier(port_index, everything)
 
-    # -- durability ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict[str, Any]:
-        state = super().snapshot_state()
-        state["frontiers"] = [list(f) for f in self._frontiers]
-        return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        for frontier, saved in zip(self._frontiers, state["frontiers"]):
-            frontier[:] = saved
+    state_fields = ("_frontiers",)
 
     # -- frontier bookkeeping ---------------------------------------------------
 

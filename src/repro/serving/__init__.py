@@ -8,10 +8,7 @@ restarts, graceful drain) and served over one listening socket by a
 :class:`StreamServer` -- HTTP POST ingest, SSE and websocket push
 delivery, ``/metrics`` in Prometheus text, ``/healthz`` readiness.
 
-The stack is pure stdlib asyncio; uvloop is the one optional
-acceleration, behind the import gate in :mod:`repro.serving._deps`
-(requesting it when absent raises a clear
-:class:`~repro.errors.ServingError`).
+The stack is pure stdlib asyncio.
 
 Layering, bottom up: :mod:`~repro.serving.wire` (HTTP/SSE/RFC 6455
 codecs) → :mod:`~repro.serving.codec` (JSON ⇄ StreamTuple) →
@@ -21,7 +18,6 @@ codecs) → :mod:`~repro.serving.codec` (JSON ⇄ StreamTuple) →
 :mod:`~repro.serving.client` as the matching client side.
 """
 
-from repro.serving._deps import install_uvloop, require, uvloop_available
 from repro.serving.codec import (
     tuple_from_json,
     tuple_to_json,
@@ -45,12 +41,9 @@ __all__ = [
     "StreamServer",
     "TenantPolicy",
     "TokenBucket",
-    "install_uvloop",
     "render_prometheus",
-    "require",
     "serve",
     "tuple_from_json",
     "tuple_to_json",
     "tuples_from_body",
-    "uvloop_available",
 ]

@@ -21,12 +21,6 @@ Routes::
     GET  /v1/flows/{flow}/ws       websocket: ingest frames in,
                                    pushed results out (?mode=ingest|
                                    subscribe|duplex)
-
-uvloop is the one optional acceleration: ``ServingConfig(uvloop=True)``
-demands it through the import gate (:mod:`repro.serving._deps`) and
-refuses to *silently* run on the stdlib loop -- use :func:`serve` (which
-installs the policy before the loop starts) or raise the flag only
-under uvloop.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from dataclasses import dataclass
 from typing import Awaitable, Callable
 
 from repro.errors import ServingError
-from repro.serving._deps import install_uvloop
 from repro.serving.codec import tuple_to_json, tuples_from_body
 from repro.serving.metrics import render_prometheus
 from repro.serving.supervisor import FlowSupervisor
@@ -68,7 +61,6 @@ class ServingConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                    # 0 = ephemeral (tests, examples)
-    uvloop: bool = False             # optional-dep gated acceleration
     max_body: int = 1 << 20          # per-request ingest bound (bytes)
     write_buffer_high: int = 16_384  # socket write buffer before drain()
                                      # blocks -- small, so slow-consumer
@@ -113,17 +105,6 @@ class StreamServer:
         """
         if self._server is not None:
             raise ServingError("server already started")
-        if self.config.uvloop:
-            uvloop = install_uvloop()  # raises when not installed
-            loop = asyncio.get_running_loop()
-            if "uvloop" not in type(loop).__module__:
-                raise ServingError(
-                    "ServingConfig(uvloop=True) but the current event "
-                    "loop is not a uvloop loop; start the process with "
-                    "repro.serving.serve() so the policy is installed "
-                    "before the loop exists"
-                )
-            del uvloop
         self.supervisor.start_all()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
@@ -579,14 +560,7 @@ def _int_query(request: HttpRequest, name: str) -> int | None:
 def serve(
     server: StreamServer, *, ready: Callable[[str, int], None] | None = None
 ) -> None:
-    """Run a server until interrupted (blocking convenience entry).
-
-    Installs the uvloop policy *before* creating the loop when the
-    config asks for it -- the only ordering under which the opt-in can
-    actually take effect.
-    """
-    if server.config.uvloop:
-        install_uvloop()
+    """Run a server until interrupted (blocking convenience entry)."""
 
     async def main() -> None:
         host, port = await server.start()

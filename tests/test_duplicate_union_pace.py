@@ -5,6 +5,7 @@ import pytest
 from repro.core import ExploitAction, FeedbackPunctuation
 from repro.engine.harness import OperatorHarness
 from repro.operators import Duplicate, Pace, Union
+from repro.operators.duplicate import agreed_patterns
 from repro.punctuation import AtMost, Pattern, Punctuation
 from repro.stream import Schema, StreamTuple
 
@@ -84,6 +85,77 @@ class TestDuplicate:
         relayed = harness.upstream_feedback(0)
         assert len(relayed) == 1
         assert relayed[0].pattern.matches((0.0, 2))
+
+
+    def test_periodic_feedback_keeps_declarations_bounded(self, schema):
+        """Two viewers that each re-declare a growing region every period
+        (Experiment 2's F3): 1,000 feedbacks leave one declaration per
+        maximal region, not one per feedback, and the agreed region is
+        what the walk over every declaration ever made would find."""
+        dup = Duplicate("dup", schema)
+        OperatorHarness(dup, outputs=2)
+        history = ([], [])  # every pattern each consumer ever declared
+
+        def unpruned(pattern, from_output):
+            return [
+                joint for other in history[1 - from_output]
+                if (joint := pattern.intersect(other)) is not None
+            ]
+
+        def maximal(patterns):
+            return {
+                p for p in patterns
+                if not any(q != p and q.subsumes(p) for q in patterns)
+            }
+
+        feedbacks = 0
+        latest = {}  # (consumer, seg) -> bound last declared
+        for step in range(250):
+            for from_output in (0, 1):
+                # Each declaration subsumes the consumer's previous one;
+                # the consumers run half a period apart.
+                bound = float(2 * step + from_output)
+                for seg in (1, 2):
+                    pattern = Pattern.from_mapping(
+                        schema, {"seg": seg, "ts": AtMost(bound)}
+                    )
+                    agreed = agreed_patterns(
+                        dup._declared, dup.outputs, pattern,
+                        dup.outputs[from_output],
+                    )
+                    feedbacks += 1
+                    if step < 15:  # the reference walk is quadratic
+                        assert set(agreed) == maximal(
+                            unpruned(pattern, from_output)
+                        )
+                        history[from_output].append(pattern)
+                    other = latest.get((1 - from_output, seg))
+                    assert agreed == ([] if other is None else [
+                        Pattern.from_mapping(
+                            schema,
+                            {"seg": seg, "ts": AtMost(min(bound, other))},
+                        )
+                    ])
+                    latest[from_output, seg] = bound
+        assert feedbacks == 1000
+        # Two maximal regions (seg 1, seg 2) per consumer.
+        assert [len(d) for d in dup._declared.values()] == [2, 2]
+
+    def test_operator_agreement_goes_through_the_bounded_walk(self, schema):
+        dup = Duplicate("dup", schema)
+        harness = OperatorHarness(dup, outputs=2)
+        for bound in range(20):
+            for from_output in (0, 1):
+                harness.feedback(
+                    FeedbackPunctuation.assumed(Pattern.from_mapping(
+                        schema, {"seg": 1, "ts": AtMost(float(bound))}
+                    )),
+                    from_output=from_output,
+                )
+        assert [len(d) for d in dup._declared.values()] == [1, 1]
+        harness.push(tup(schema, 19.0, seg=1))   # inside the agreed region
+        harness.push(tup(schema, 19.5, seg=1))   # past it
+        assert [t["ts"] for t in harness.emitted_tuples(output=1)] == [19.5]
 
 
 class TestUnion:

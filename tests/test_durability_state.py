@@ -13,15 +13,17 @@ ShardMerge's inherited union frontiers).
 
 from __future__ import annotations
 
+import inspect
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.operators
 from repro import Flow
 from repro.durability import MemoryCheckpointStore
 from repro.engine.harness import OperatorHarness
-from repro.engine.plan import checkpoint_capable
+from repro.engine.plan import checkpoint_annotation, checkpoint_capable
 from repro.operators import (
     AggregateKind,
     CollectSink,
@@ -36,6 +38,7 @@ from repro.operators import (
 )
 from repro.operators.base import Operator
 from repro.operators.partition import ShardMerge
+from repro.optimizer.fusion import fusible_reason
 from repro.punctuation import Equals, Pattern, Punctuation, WILDCARD
 from repro.stream import Schema, StreamTuple
 
@@ -412,3 +415,68 @@ class TestCapabilityProbe:
 
     def test_base_operator_is_not(self):
         assert not checkpoint_capable(Operator)
+
+
+#: Every operator class the package exports, and whether a checkpoint of
+#: it has anything to carry.  State is declared (``state_fields``) or,
+#: where a value needs translating, snapshotted by hand; which of the two
+#: a class does must not change what it answers here.
+STATEFUL = {
+    "AwaitableSink", "CollectSink", "ImpatientJoin", "Impute",
+    "OnDemandSink", "Pace", "Partition", "PriorityBuffer", "PushSink",
+    "ShardMerge", "SymmetricHashJoin", "ThriftyJoin", "Union",
+    "WindowAggregate",
+}
+OPERATOR_TYPES = sorted(
+    (
+        member for member in vars(repro.operators).values()
+        if isinstance(member, type) and issubclass(member, Operator)
+    ),
+    key=lambda op_type: op_type.__name__,
+)
+
+
+class TestStateIsDeclaredOnce:
+    @pytest.mark.parametrize(
+        "op_type", OPERATOR_TYPES, ids=lambda op_type: op_type.__name__
+    )
+    def test_capability_answers(self, op_type):
+        stateful = op_type.__name__ in STATEFUL
+        assert checkpoint_capable(op_type) is stateful
+        assert checkpoint_annotation(op_type, True) == (
+            " ⌖" if stateful else ""
+        )
+        assert checkpoint_annotation(op_type, False) == ""
+        # The base shard-lane decline reads the same capability: state
+        # migrates only through a keyed-state seam.
+        if (
+            op_type.rebalance_migratable is Operator.rebalance_migratable
+            and not inspect.isabstract(op_type)
+        ):
+            bare = object.__new__(op_type)
+            keyed = (
+                op_type.extract_keyed_state
+                is not Operator.extract_keyed_state
+            )
+            assert (bare.rebalance_migratable(("k",)) is not None) is (
+                op_type.n_inputs > 1 or (stateful and not keyed)
+            )
+
+    def test_the_fusion_decline_reads_it_too(self):
+        join = SymmetricHashJoin(
+            "join", SCHEMA, RIGHT, [("seg", "seg")], how="inner"
+        )
+        assert "stateful" in fusible_reason(join, set())
+        sink = CollectSink("sink", SCHEMA)
+        OperatorHarness(sink)
+        assert fusible_reason(sink, set()) is not None
+
+    def test_only_translating_classes_write_the_pair_by_hand(self):
+        by_hand = {
+            op_type.__name__ for op_type in OPERATOR_TYPES
+            if "snapshot_state" in vars(op_type)
+            or "restore_state" in vars(op_type)
+        }
+        # The partition remaps id(edge) keys to lanes; the collect sink
+        # stores its cut into the delivery log.  (Operator is the seam.)
+        assert by_hand == {"Operator", "Partition", "CollectSink"}

@@ -16,6 +16,7 @@ epochs so the recovered epoch varies across positions in the stream.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 from collections import Counter
 
@@ -417,6 +418,38 @@ class TestDirectoryStore:
         whole = log_path.read_bytes()
         log_path.write_bytes(whole + b"\x80\x04torn")
         assert store.read_delivery_log("sink") == [(0.1, "a")]
+
+    def test_a_flush_is_one_frame_and_a_torn_one_is_dropped_whole(
+        self, tmp_path
+    ):
+        """One pickle frame per flush, so a run's schema is written once;
+        the reader flattens frames, and a flush cut short at any byte
+        leaves exactly the flushes before it."""
+        schema = Schema([("ts", "timestamp", True), ("k", "int")])
+        store = DirectoryCheckpointStore(tmp_path / "s")
+        writer = store.delivery_writer("sink")
+        entries = [
+            (0.1 * i, StreamTuple(schema, (float(i), i))) for i in range(7)
+        ]
+        for entry in entries[:3]:
+            writer.append(entry)
+        writer.flush()
+        log_path = next((tmp_path / "s").glob("delivery-*.log"))
+        first = log_path.read_bytes()
+        with open(log_path, "rb") as log:
+            assert pickle.load(log) == entries[:3]  # the whole flush
+            assert log.read() == b""
+        for entry in entries[3:]:
+            writer.append(entry)
+        writer.flush()
+        whole = log_path.read_bytes()
+        assert store.read_delivery_log("sink") == entries
+        # The second frame shares nothing with the first, yet is smaller
+        # per entry than seven frames of one would be.
+        assert len(whole) < 7 * len(first) // 3
+        for cut in range(len(first), len(whole)):
+            log_path.write_bytes(whole[:cut])
+            assert store.read_delivery_log("sink") == entries[:3], cut
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"

@@ -38,7 +38,6 @@ from repro.serving import (
     ServingConfig,
     StreamServer,
     TenantPolicy,
-    uvloop_available,
 )
 from repro.serving.client import (
     WebSocketClient,
@@ -200,23 +199,6 @@ class TestServingBasics:
             assert server.counters["client_errors_total"] >= 2
 
             await server.aclose(drain=True)
-
-        asyncio.run(main())
-
-    def test_uvloop_gate_raises_when_absent(self):
-        if uvloop_available():
-            pytest.skip("uvloop installed; the absent-gate leg covers this")
-
-        async def main():
-            flow, _schema = echo_flow("uv")
-            supervisor = FlowSupervisor(queue_capacity=8)
-            supervisor.admit(flow)
-            server = StreamServer(
-                supervisor, config=ServingConfig(uvloop=True)
-            )
-            with pytest.raises(ServingError, match="uvloop"):
-                await server.start()
-            await supervisor.stop()
 
         asyncio.run(main())
 
