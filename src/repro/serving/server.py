@@ -459,11 +459,13 @@ class StreamServer:
             )
             if subscription is not None else None
         )
-        # One socket read may bring many frames: they are parsed from
-        # this buffer and their tuples admitted as one run -- before the
-        # socket is awaited again, before anything is written back, and
-        # at end of stream, so nothing is ever held across a wait.
+        # One socket read may bring many frames: they are taken from this
+        # buffer without awaiting and their tuples admitted as one run --
+        # before the socket is awaited again, before anything is written
+        # back, and at end of stream, so nothing is ever held across a
+        # wait.
         buffered = FrameBuffer(reader)
+        take, max_message = buffered.take, self.config.max_body
         batch: list[StreamTuple] = []
 
         async def admit() -> None:
@@ -478,18 +480,16 @@ class StreamServer:
 
         try:
             while True:
-                if batch and not buffered.frame_ready():
-                    await admit()
                 try:
-                    frame = await ws_read(
-                        buffered, max_message=self.config.max_body
-                    )
+                    frame = take(max_message)
                 except ServingError:
                     await admit()  # what came before the bad frame counts
                     raise
                 if frame is None:
                     await admit()
-                    break
+                    frame = await ws_read(buffered, max_message=max_message)
+                    if frame is None:
+                        break
                 opcode, payload = frame
                 if opcode == WS_TEXT and mode != "subscribe":
                     try:

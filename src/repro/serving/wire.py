@@ -9,12 +9,13 @@ pairs -- ~300 lines instead of a framework dependency, and every byte
 on the wire is visible to the tests.
 
 One function per direction knows each protocol: :func:`read_request` for
-HTTP, :func:`ws_read` / :func:`ws_encode` for websocket frames (what a
-frame may be -- masking, fragmentation, the control-frame limits of RFC
-6455 section 5.5 -- is decided in ``ws_read`` and nowhere else).
-:class:`FrameBuffer` sits under ``ws_read`` on the server so that the
-frames one socket read brought are parsed without going back to the
-socket.
+HTTP, :func:`ws_read` / :func:`ws_encode` for websocket frames.  Incoming
+frames are walked two ways -- :meth:`FrameBuffer.take` cuts messages
+synchronously out of the bytes one socket read brought (the server's
+path), ``ws_read`` on a bare ``StreamReader`` reads frame by frame (the
+clients') -- but what a frame may be (the message size limit,
+fragmentation, the control-frame limits of RFC 6455 section 5.5) is
+decided by ``_check_head`` and ``_add_fragment``, and nowhere else.
 
 Scope notes (deliberate): HTTP/1.1 with ``Content-Length`` bodies only
 (no chunked ingest), no TLS (front a real deployment with a terminating
@@ -209,6 +210,11 @@ def _mask(payload: bytes, key: bytes) -> bytes:
     ).to_bytes(n, "big")
 
 
+#: The two header bytes of every unmasked final frame under 126 bytes,
+#: at ``opcode << 7 | length``: what a server sends most.
+_SHORT_HEADS = [bytes([0x80 | i >> 7, i & 0x7F]) for i in range(16 << 7)]
+
+
 def ws_encode(
     payload: bytes | str, *, opcode: int = WS_TEXT, mask: bool = False
 ) -> bytes:
@@ -219,9 +225,11 @@ def ws_encode(
     """
     if isinstance(payload, str):
         payload = payload.encode()
+    n = len(payload)
+    if n < 126 and not mask:
+        return _SHORT_HEADS[opcode << 7 | n] + payload
     head = bytearray([0x80 | opcode])
     mask_bit = 0x80 if mask else 0
-    n = len(payload)
     if n < 126:
         head.append(mask_bit | n)
     elif n < 1 << 16:
@@ -237,22 +245,72 @@ def ws_encode(
     return bytes(head) + payload
 
 
-class FrameBuffer:
-    """What one socket read brought, handed to :func:`ws_read` piecewise.
+# What a frame may be.  Both readers -- :meth:`FrameBuffer.take` and the
+# ``StreamReader`` path of :func:`ws_read` -- walk the bytes their own way
+# and call these two for every decision.
 
-    ``ws_read`` awaits ``readexactly`` three or four times a frame.  On a
-    bare ``StreamReader`` every one of them trims the stream's buffer and
-    looks at the transport's flow control, and a handler cannot tell
-    whether the next frame is already here or a wait away.  This holds
-    the bytes of one ``reader.read()`` instead: ``readexactly`` slices
-    them and goes back to the socket only when they run out, and
-    :meth:`frame_ready` says whether ``ws_read`` could return its next
-    message without waiting -- which is what lets a handler collect the
-    frames of one wake-up and admit them as one run.  It holds bytes, not
-    protocol rules: it knows where a frame ends, not what a frame may be.
+
+def _check_head(b1: int, n: int, max_message: int) -> None:
+    """Refuse a frame on its header alone, before its payload is read:
+    anything over ``max_message``, and a control frame that is fragmented
+    or longer than 125 bytes (RFC 6455 section 5.5)."""
+    if n > max_message:
+        raise ServingError(
+            f"websocket frame of {n} bytes exceeds the "
+            f"{max_message}-byte limit"
+        )
+    if b1 & 0x0F >= WS_CLOSE:
+        if not b1 & 0x80:
+            raise ServingError("websocket control frame is fragmented")
+        if n > MAX_CONTROL_PAYLOAD:
+            raise ServingError(
+                f"websocket control frame of {n} bytes exceeds the "
+                f"{MAX_CONTROL_PAYLOAD}-byte limit"
+            )
+
+
+def _add_fragment(
+    message_opcode: int | None,
+    message: bytearray,
+    opcode: int,
+    payload: bytes,
+    max_message: int,
+) -> int:
+    """Append a data frame to the message it belongs to and return that
+    message's opcode.  A new data frame inside an unfinished message and a
+    continuation without a start are refused (RFC 6455 section 5.4), as is
+    a message grown over ``max_message``."""
+    if opcode != WS_CONT:
+        if message_opcode is not None:
+            raise ServingError(
+                "websocket data frame inside an unfinished fragmented "
+                "message"
+            )
+        message_opcode = opcode
+    if message_opcode is None:
+        raise ServingError("websocket continuation without a start frame")
+    message += payload
+    if len(message) > max_message:
+        raise ServingError(
+            f"websocket message exceeds the {max_message}-byte limit"
+        )
+    return message_opcode
+
+
+class FrameBuffer:
+    """The bytes one socket read brought, cut into messages without awaiting.
+
+    :meth:`take` walks what is buffered and returns the next complete
+    message, or ``None`` when the buffer holds none -- so a handler takes
+    every message of one wake-up synchronously, admits their tuples as one
+    run, and goes back to the socket (:meth:`fill`, one ``reader.read()``)
+    only when :meth:`take` comes back empty.  Fragments taken so far stay
+    here between calls, so a control frame between them (RFC 6455 section
+    5.4) is handed over as it comes.  A frame's header is refused as soon
+    as it is buffered, its payload not awaited.
     """
 
-    __slots__ = ("_reader", "_data", "_pos", "_ws_partial")
+    __slots__ = ("_reader", "_data", "_pos", "_opcode", "_message")
 
     READ_SIZE = 65536
 
@@ -260,39 +318,63 @@ class FrameBuffer:
         self._reader = reader
         self._data = b""
         self._pos = 0
+        self._opcode: int | None = None  # of the message being reassembled
+        self._message = bytearray()
 
-    async def readexactly(self, n: int) -> bytes:
-        """``StreamReader.readexactly``, refilling one read at a time."""
-        end = self._pos + n
-        while end > len(self._data):
-            chunk = await self._reader.read(self.READ_SIZE)
-            rest = self._data[self._pos:]
-            if not chunk:
-                self._data, self._pos = b"", 0
-                raise asyncio.IncompleteReadError(rest, n)
-            self._data, self._pos, end = rest + chunk, 0, n
-        data = self._data[self._pos:end]
-        self._pos = end
-        return data
-
-    def frame_ready(self) -> bool:
-        """True when the next :func:`ws_read` would not touch the socket:
-        every frame up to the next final or control frame is buffered."""
+    def take(self, max_message: int = 1 << 20) -> tuple[int, bytes] | None:
+        """The next complete ``(opcode, payload)`` message, or ``None``."""
         data, pos = self._data, self._pos
-        while len(data) - pos >= 2:
+        end = len(data)
+        while end - pos >= 2:
             b1, b2 = data[pos], data[pos + 1]
-            pos += 2
-            n = b2 & 0x7F
+            at, n = pos + 2, b2 & 0x7F
             if n >= 126:
                 width = 2 if n == 126 else 8
-                n = int.from_bytes(data[pos:pos + width], "big")
-                pos += width
-            pos += n + (4 if b2 & 0x80 else 0)  # payload and masking key
-            if pos > len(data):
-                return False
-            if b1 & 0x80 or b1 & 0x0F >= WS_CLOSE:
-                return True
-        return False
+                if end - at < width:
+                    return None
+                n = int.from_bytes(data[at:at + width], "big")
+                at += width
+            _check_head(b1, n, max_message)
+            if b2 & 0x80:
+                stop = at + 4 + n
+                if stop > end:
+                    return None
+                payload = _mask(data[at + 4:stop], data[at:at + 4])
+            else:
+                stop = at + n
+                if stop > end:
+                    return None
+                payload = data[at:stop]
+            self._pos = pos = stop
+            opcode = b1 & 0x0F
+            if opcode >= WS_CLOSE:
+                return opcode, payload
+            if b1 & 0x80 and opcode and self._opcode is None:
+                return opcode, payload  # a whole message: nothing to refuse
+            self._opcode = _add_fragment(
+                self._opcode, self._message, opcode, payload, max_message
+            )
+            if b1 & 0x80:
+                whole = self._opcode, bytes(self._message)
+                self._opcode = None
+                self._message.clear()
+                return whole
+        return None
+
+    async def fill(self) -> bool:
+        """Append one socket read; ``False`` at end of stream between
+        frames.  End of stream inside a frame raises
+        :class:`asyncio.IncompleteReadError`."""
+        chunk = await self._reader.read(self.READ_SIZE)
+        rest = self._data[self._pos:]
+        self._pos = 0
+        if chunk:
+            self._data = rest + chunk
+            return True
+        self._data = b""
+        if len(rest) < 2:
+            return False
+        raise asyncio.IncompleteReadError(rest, None)
 
 
 async def ws_read(
@@ -308,15 +390,17 @@ async def ws_read(
     of a message: the fragments read so far then wait on ``reader`` (the
     connection's own state) and the next call carries on from them.
 
-    ``reader`` is anything with ``StreamReader``'s ``readexactly`` -- the
-    server hands in a :class:`FrameBuffer` so that the reads of one
-    frame, and of every frame that arrived with it, are served from one
-    socket read.  This is the only place that knows what a frame may and
-    may not be: a control frame that is fragmented or longer than 125
-    bytes (section 5.5) and a new data frame inside an unfinished message
-    (section 5.4) raise :class:`~repro.errors.ServingError`, as does
-    anything over ``max_message``.
+    On a :class:`FrameBuffer` this is :meth:`FrameBuffer.take`, going
+    back to the socket only while the buffer holds no whole message; any
+    other ``reader`` is read frame by frame with ``readexactly``.  Either
+    way :func:`_check_head` and :func:`_add_fragment` decide what a frame
+    may be, and a refused frame raises :class:`~repro.errors.ServingError`.
     """
+    if isinstance(reader, FrameBuffer):
+        while (message := reader.take(max_message)) is None:
+            if not await reader.fill():
+                return None
+        return message
     # Only read here: giving every reader an extra attribute (or popping
     # from its ``__dict__``) takes CPython's shared-key instances off
     # their fast path and costs ``readexactly`` ~20% -- so the attribute
@@ -333,48 +417,25 @@ async def ws_read(
             b1, b2 = await reader.readexactly(2)
         except asyncio.IncompleteReadError:
             return None
-        fin, opcode = b1 & 0x80, b1 & 0x0F
-        masked, n = b2 & 0x80, b2 & 0x7F
+        n = b2 & 0x7F
         if n == 126:
             (n,) = struct.unpack("!H", await reader.readexactly(2))
         elif n == 127:
             (n,) = struct.unpack("!Q", await reader.readexactly(8))
-        if n > max_message:
-            raise ServingError(
-                f"websocket frame of {n} bytes exceeds the "
-                f"{max_message}-byte limit"
-            )
-        if opcode >= WS_CLOSE:  # refused before the payload is read
-            if not fin:
-                raise ServingError("websocket control frame is fragmented")
-            if n > MAX_CONTROL_PAYLOAD:
-                raise ServingError(
-                    f"websocket control frame of {n} bytes exceeds the "
-                    f"{MAX_CONTROL_PAYLOAD}-byte limit"
-                )
-        key = await reader.readexactly(4) if masked else b""
+        _check_head(b1, n, max_message)  # before the payload is read
+        key = await reader.readexactly(4) if b2 & 0x80 else b""
         payload = await reader.readexactly(n)
-        if masked:
+        if key:
             payload = _mask(payload, key)
+        opcode = b1 & 0x0F
         if opcode >= WS_CLOSE:
             if message_opcode is not None:
                 reader._ws_partial = (  # type: ignore[attr-defined]
                     message_opcode, message
                 )
             return opcode, payload
-        if opcode != WS_CONT:
-            if message_opcode is not None:
-                raise ServingError(
-                    "websocket data frame inside an unfinished fragmented "
-                    "message"
-                )
-            message_opcode = opcode
-        if message_opcode is None:
-            raise ServingError("websocket continuation without a start frame")
-        message += payload
-        if len(message) > max_message:
-            raise ServingError(
-                f"websocket message exceeds the {max_message}-byte limit"
-            )
-        if fin:
+        message_opcode = _add_fragment(
+            message_opcode, message, opcode, payload, max_message
+        )
+        if b1 & 0x80:
             return message_opcode, bytes(message)

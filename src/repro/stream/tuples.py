@@ -37,8 +37,8 @@ class StreamTuple:
 
     def __init__(self, schema: Schema, values: Sequence[Any]) -> None:
         schema.check_arity(values)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "values", tuple(values))
+        _set_schema(self, schema)
+        _set_values(self, tuple(values))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("StreamTuple is immutable")
@@ -52,8 +52,8 @@ class StreamTuple:
         return (self.schema, self.values)
 
     def __setstate__(self, state: tuple) -> None:
-        object.__setattr__(self, "schema", state[0])
-        object.__setattr__(self, "values", state[1])
+        _set_schema(self, state[0])
+        _set_values(self, state[1])
 
     # -- construction ----------------------------------------------------------
 
@@ -77,8 +77,8 @@ class StreamTuple:
         table.
         """
         tup = object.__new__(cls)
-        object.__setattr__(tup, "schema", schema)
-        object.__setattr__(tup, "values", values)
+        _set_schema(tup, schema)
+        _set_values(tup, values)
         return tup
 
     # -- access ------------------------------------------------------------------
@@ -139,3 +139,10 @@ class StreamTuple:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v!r}" for n, v in zip(self.schema.names, self.values))
         return f"<{inner}>"
+
+
+# The slots are filled through their member descriptors, which is what
+# ``object.__setattr__`` ends up calling after an attribute lookup on the
+# type; bound once here, a build skips that lookup.
+_set_schema = StreamTuple.schema.__set__
+_set_values = StreamTuple.values.__set__

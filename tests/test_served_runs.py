@@ -658,7 +658,8 @@ class TestFrameBuffer:
             pieces = [SEQUENCE[a:b] for a, b in zip(bounds, bounds[1:])]
             assert read_messages(buffered(*pieces)) == whole, cut
 
-    def test_frame_ready_means_the_next_message_needs_no_read(self):
+    def test_a_message_is_taken_without_a_read_or_needs_one(self):
+        whole = read_messages(bare(SEQUENCE))
         for step in (1, 3, 50, len(SEQUENCE)):
             source = Chunks(
                 SEQUENCE[a:a + step] for a in range(0, len(SEQUENCE), step)
@@ -666,14 +667,19 @@ class TestFrameBuffer:
             reader = FrameBuffer(source)
 
             async def drain():
+                seen = []
                 while True:
-                    ready, left = reader.frame_ready(), len(source.chunks)
-                    frame = await ws_read(reader)
+                    frame = reader.take()
                     if frame is None:
-                        return
-                    assert ready == (len(source.chunks) == left), frame
+                        left = len(source.chunks)
+                        frame = await ws_read(reader)
+                        # Nothing to take means the socket was needed.
+                        assert len(source.chunks) < left or not left
+                    seen.append(frame)
+                    if frame is None:
+                        return seen
 
-            asyncio.run(drain())
+            assert asyncio.run(drain()) == whole, step
 
     def test_end_of_stream_inside_a_frame_is_an_incomplete_read(self):
         frame = text_frame(0)
@@ -682,16 +688,18 @@ class TestFrameBuffer:
             assert kind is asyncio.IncompleteReadError
         assert read_messages(buffered(b"\x81")) == [None]
 
-    def test_a_frame_too_long_to_arrive_is_never_ready(self):
+    def test_a_frame_too_long_to_arrive_is_never_taken_but_refused(self):
         head = bytes([0x81, 0x80 | 127]) + (1 << 62).to_bytes(8, "big") + KEY
         reader = FrameBuffer(Chunks([text_frame(0) + head]))
 
         async def main():
-            assert not reader.frame_ready()     # nothing read yet
+            assert reader.take() is None        # nothing read yet
             assert (await ws_read(reader))[0] == WS_TEXT
-            assert not reader.frame_ready()     # a head, no payload
+            # A head, no payload: under a limit it fits, nothing to take...
+            assert reader.take(max_message=1 << 63) is None
+            # ... and under the real one it is refused without its payload.
             with pytest.raises(ServingError, match="exceeds"):
-                await ws_read(reader)
+                reader.take()
 
         asyncio.run(main())
 

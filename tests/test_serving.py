@@ -117,7 +117,7 @@ class TestServingBasics:
                     events.append(event)
 
             subscription = asyncio.ensure_future(subscriber())
-            await asyncio.sleep(0.05)  # subscribe before ingesting
+            await wait_until(lambda: flow.hub().subscribers == 1)
 
             payload = [
                 {"client": "a", "seq": i, "value": i * 0.5} for i in range(3)
@@ -254,7 +254,7 @@ class TestBackpressureToSocket:
             )
             await writer.drain()
             await reader.readuntil(b"\r\n\r\n")
-            await asyncio.sleep(0.05)  # subscription attached
+            await wait_until(lambda: flow.hub().subscribers == 1)
 
             padding = "x" * 256  # ~300B per SSE event
             payload = [
@@ -481,7 +481,7 @@ class TestDrainParity:
                     received.append((event["client"], event["seq"]))
 
             subscription = asyncio.ensure_future(subscriber())
-            await asyncio.sleep(0.05)
+            await wait_until(lambda: flow.hub().subscribers == 1)
 
             sent = [
                 {"client": "d", "seq": i, "value": i / 2.0}
