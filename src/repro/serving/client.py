@@ -21,6 +21,7 @@ from repro.serving.wire import (
     WS_PING,
     WS_PONG,
     WS_TEXT,
+    FrameBuffer,
     websocket_accept,
     ws_encode,
     ws_read,
@@ -161,7 +162,7 @@ class WebSocketClient:
         self.host = host
         self.port = port
         self.path = path
-        self._reader: asyncio.StreamReader | None = None
+        self._frames: FrameBuffer | None = None
         self._writer: asyncio.StreamWriter | None = None
 
     async def __aenter__(self) -> "WebSocketClient":
@@ -173,7 +174,7 @@ class WebSocketClient:
 
     async def connect(self) -> None:
         reader, writer = await asyncio.open_connection(self.host, self.port)
-        self._reader, self._writer = reader, writer
+        self._writer = writer
         key = "c2VydmluZy10ZXN0LWtleQ=="  # static 16-byte nonce, base64
         writer.write(
             f"GET {self.path} HTTP/1.1\r\n"
@@ -193,6 +194,7 @@ class WebSocketClient:
         expected = websocket_accept(key)
         if headers.get("sec-websocket-accept") != expected:
             raise ServingError("websocket handshake accept-key mismatch")
+        self._frames = FrameBuffer(reader)
 
     async def send_json(self, payload: Any) -> None:
         assert self._writer is not None, "connect() first"
@@ -203,9 +205,9 @@ class WebSocketClient:
 
     async def receive_json(self) -> Any | None:
         """The next pushed JSON message; ``None`` when the peer closed."""
-        assert self._reader is not None, "connect() first"
+        assert self._frames is not None, "connect() first"
         while True:
-            frame = await ws_read(self._reader)
+            frame = await ws_read(self._frames)
             if frame is None:
                 return None
             opcode, payload = frame

@@ -12,10 +12,12 @@ One function per direction knows each protocol: :func:`read_request` for
 HTTP, :func:`ws_read` / :func:`ws_encode` for websocket frames.  Incoming
 frames are walked two ways -- :meth:`FrameBuffer.take` cuts messages
 synchronously out of the bytes one socket read brought (the server's
-path), ``ws_read`` on a bare ``StreamReader`` reads frame by frame (the
-clients') -- but what a frame may be (the message size limit,
-fragmentation, the control-frame limits of RFC 6455 section 5.5) is
-decided by ``_check_head`` and ``_add_fragment``, and nowhere else.
+path and :class:`~repro.serving.client.WebSocketClient`'s), ``ws_read``
+on a bare ``StreamReader`` reads frame by frame (``bench/ladder.py``'s
+``serving.ws_read_ns`` row) -- but what a frame may be (the message
+size limit, fragmentation, the control-frame limits of RFC 6455 section
+5.5) is decided by ``_check_head`` and ``_add_fragment``, and nowhere
+else.
 
 Scope notes (deliberate): HTTP/1.1 with ``Content-Length`` bodies only
 (no chunked ingest), no TLS (front a real deployment with a terminating
