@@ -104,11 +104,6 @@ class FeedbackLog:
     def with_action(self, action: ExploitAction) -> list[FeedbackEvent]:
         return [e for e in self._events if action in e.actions]
 
-    def produced(self) -> list[FeedbackEvent]:
-        """Events where feedback originated (hop count zero)."""
-        return [e for e in self._events if e.feedback.hops == 0
-                and ExploitAction.PROPAGATE not in e.actions]
-
     def summary(self) -> str:
         """Human-readable digest used by example scripts."""
         if not self._events:

@@ -26,6 +26,12 @@ crashes inside one process) and :class:`DirectoryCheckpointStore`
 (kill-and-resume across processes; the only store the multiprocess
 engine accepts, since a fork-copied in-memory store would silently drop
 every worker-side write).
+
+**Trust boundary.** State blobs and delivery logs are pickles, and
+unpickling runs code.  A checkpoint directory, a delivery log and the
+multiprocess engine's worker pipe are *trusted* input: never pass
+``recover_from=`` (or open a :class:`DirectoryCheckpointStore` on) a
+directory this code did not write.
 """
 
 from __future__ import annotations

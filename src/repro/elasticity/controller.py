@@ -40,11 +40,7 @@ from repro.elasticity.rebalance import (
     scale_assignments,
 )
 from repro.errors import EngineError
-from repro.stream.control import (
-    ControlMessage,
-    ControlMessageKind,
-    Direction,
-)
+from repro.stream.control import ControlMessageKind, Direction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import ShardGroup
@@ -221,17 +217,11 @@ class ElasticController:
     def _send(
         self, partition: "Partition", command: RebalanceCommand, now: float
     ) -> None:
-        port = partition.input_port(0)
-        port.control.send(
-            ControlMessage(
-                ControlMessageKind.REBALANCE,
-                Direction.DOWNSTREAM,
-                payload=command,
-                sender=self.SENDER,
-                sent_at=now,
-            )
+        partition.input_port(0).control.stamp(
+            ControlMessageKind.REBALANCE, Direction.DOWNSTREAM, command,
+            sender=self.SENDER, at=now, runtime=self.runtime,
+            reader=partition,
         )
-        self.runtime.notify_control(partition, at=now)
 
     # -- adaptive watermarks ---------------------------------------------------------
 

@@ -114,9 +114,6 @@ class RebalanceRouter:
             )
         return cls([s % fanout for s in range(fanout * slots_per_lane)])
 
-    def slot_of_key(self, *key_values: Any) -> int:
-        return key_digest(key_values) % self.num_slots
-
     def lane_of_key(self, *key_values: Any) -> int:
         return self.table[key_digest(key_values) % self.num_slots]
 

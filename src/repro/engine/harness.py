@@ -167,6 +167,3 @@ class OperatorHarness:
 
     def input_guard_count(self, port: int = 0) -> int:
         return self.operator.input_port(port).guards.active
-
-    def output_guard_count(self) -> int:
-        return self.operator.output_guards.active

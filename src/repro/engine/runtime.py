@@ -88,7 +88,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.feedback import FlowControlPunctuation
+from repro.core.feedback import FlowControlKind, FlowControlPunctuation
 from repro.core.roles import FeedbackLog
 from repro.engine.metrics import (
     PlanMetrics,
@@ -98,7 +98,7 @@ from repro.engine.metrics import (
 )
 from repro.engine.plan import QueryPlan
 from repro.errors import EngineError
-from repro.operators.base import Operator, OutputEdge, SourceOperator
+from repro.operators.base import InputPort, Operator, OutputEdge, SourceOperator
 from repro.stream.clock import Clock
 from repro.stream.control import (
     ControlMessage,
@@ -436,22 +436,9 @@ class RuntimeCore:
             if queue.pressure_signalled or not queue.above_high_water:
                 continue
             queue.pressure_signalled = True
-            consumer = edge.consumer
-            consumer.metrics.pauses_issued += 1
-            punct = FlowControlPunctuation.pause(
-                queue.name, issuer=consumer.name, issued_at=now,
-                occupancy=queue.occupancy,
+            self._signal_flow(
+                FlowControlKind.PAUSE, edge, edge.consumer, producer, now
             )
-            edge.control.send(
-                ControlMessage(
-                    ControlMessageKind.FLOW_CONTROL,
-                    Direction.UPSTREAM,
-                    payload=punct,
-                    sender=consumer.name,
-                    sent_at=now,
-                )
-            )
-            self.notify_control(producer, at=now)
 
     def check_relief(self, consumer: Operator, at: float | None = None) -> None:
         """Signal *resume* on any of ``consumer``'s inputs at low water.
@@ -471,21 +458,34 @@ class RuntimeCore:
             producer = port.producer
             if producer is None or producer.finished:
                 continue
+            self._signal_flow(
+                FlowControlKind.RESUME, port, consumer, producer, now
+            )
+
+    def _signal_flow(
+        self,
+        kind: FlowControlKind,
+        link: OutputEdge | InputPort,
+        consumer: Operator,
+        producer: Operator,
+        at: float,
+    ) -> None:
+        """Send one pause or resume about ``link``'s queue upstream, on
+        behalf of its consumer: what :meth:`check_pressure` and
+        :meth:`check_relief` signal, once."""
+        if kind is FlowControlKind.PAUSE:
+            consumer.metrics.pauses_issued += 1
+        else:
             consumer.metrics.resumes_issued += 1
-            punct = FlowControlPunctuation.resume(
-                queue.name, issuer=consumer.name, issued_at=now,
-                occupancy=queue.occupancy,
-            )
-            port.control.send(
-                ControlMessage(
-                    ControlMessageKind.FLOW_CONTROL,
-                    Direction.UPSTREAM,
-                    payload=punct,
-                    sender=consumer.name,
-                    sent_at=now,
-                )
-            )
-            self.notify_control(producer, at=now)
+        queue = link.queue
+        punct = FlowControlPunctuation(
+            kind, queue.name, issuer=consumer.name, issued_at=at,
+            occupancy=queue.occupancy,
+        )
+        link.control.stamp(
+            ControlMessageKind.FLOW_CONTROL, Direction.UPSTREAM, punct,
+            sender=consumer.name, at=at, runtime=self, reader=producer,
+        )
 
     def apply_flow_control(
         self,

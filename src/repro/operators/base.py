@@ -889,16 +889,19 @@ class Operator(abc.ABC):
         feedback: FeedbackPunctuation,
         *,
         input_indices: Sequence[int] | None = None,
+        note: str = "produced",
     ) -> None:
         """Issue feedback upstream on the given inputs (default: all).
 
         The feedback pattern must be phrased in terms of the target input's
         stream schema -- for unary operators that is this operator's input
         schema; producers of cross-input feedback pass explicit indices.
+        The one place feedback originates: ``note`` says who asked for it
+        (``"injected"`` by a client event, ``"demanded by client"``).
         """
         self.metrics.feedback_produced += 1
         self.runtime.feedback_log.record(
-            self.now(), self.name, feedback, (), note="produced"
+            self.now(), self.name, feedback, (), note=note
         )
         self._send_upstream(
             ControlMessageKind.FEEDBACK, feedback, input_indices
@@ -910,42 +913,26 @@ class Operator(abc.ABC):
         payload: Any,
         input_indices: Sequence[int] | None = None,
     ) -> None:
-        """Send one control message upstream and wake the producers.
-
-        The single place an upstream message is stamped (``sender``,
-        ``sent_at`` -- per-hop ``control_latency`` counts from here) and
-        queued.  Goes to the given inputs, or to every connected input.
-        """
-        message = ControlMessage(
-            kind,
-            Direction.UPSTREAM,
-            payload=payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
+        """Send one control message to the given inputs (default: every
+        connected input), stamped now, and wake their producers."""
         ports = (
             self.inputs if input_indices is None
             else [self.input_port(index) for index in input_indices]
         )
         for port in ports:
-            if port is None:
-                continue
-            port.control.send(message)
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
+            if port is not None:
+                port.control.stamp(
+                    kind, Direction.UPSTREAM, payload, sender=self.name,
+                    at=self.now(), runtime=self.runtime, reader=port.producer,
+                )
 
     def _send_downstream(self, kind: ControlMessageKind, payload: Any) -> None:
         """Send one control message to every consumer and wake them."""
-        message = ControlMessage(
-            kind,
-            Direction.DOWNSTREAM,
-            payload=payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
         for edge in self.outputs:
-            edge.control.send(message)
-            self.runtime.notify_control(edge.consumer, at=self.now())
+            edge.control.stamp(
+                kind, Direction.DOWNSTREAM, payload, sender=self.name,
+                at=self.now(), runtime=self.runtime, reader=edge.consumer,
+            )
 
     def inject_feedback(self, feedback: FeedbackPunctuation) -> None:
         """Send client-originated feedback upstream from this operator.
@@ -958,11 +945,7 @@ class Operator(abc.ABC):
         # Injection happens at engine-clock time (a client action), which
         # may be ahead of this operator's last processing step.
         self.set_now(max(self._now, self.runtime.now()))
-        self.metrics.feedback_produced += 1
-        self.runtime.feedback_log.record(
-            self.now(), self.name, feedback, (), note="injected"
-        )
-        self._send_upstream(ControlMessageKind.FEEDBACK, feedback)
+        self.produce_feedback(feedback, note="injected")
 
     def request_results(self, pattern: Pattern | None = None) -> None:
         """Send a RESULT_REQUEST upstream on every input (Example 4)."""

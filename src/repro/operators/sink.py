@@ -27,7 +27,6 @@ from repro.errors import EngineError
 from repro.operators.base import Operator
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
-from repro.stream.control import ControlMessageKind
 from repro.stream.schema import Schema
 from repro.stream.tuples import StreamTuple
 
@@ -361,11 +360,9 @@ class OnDemandSink(CollectSink):
         """Issue ``![pattern]``: partial results now beat exact later."""
         self.set_now(max(self._now, self.runtime.now()))
         self.demands += 1
-        feedback = FeedbackPunctuation.demanded(
-            pattern, issuer=self.name, issued_at=self.now()
+        self.produce_feedback(
+            FeedbackPunctuation.demanded(
+                pattern, issuer=self.name, issued_at=self.now()
+            ),
+            note="demanded by client",
         )
-        self.metrics.feedback_produced += 1
-        self.runtime.feedback_log.record(
-            self.now(), self.name, feedback, (), note="demanded by client"
-        )
-        self._send_upstream(ControlMessageKind.FEEDBACK, feedback)

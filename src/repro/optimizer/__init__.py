@@ -64,24 +64,16 @@ class OptimizationReport:
         return bool(self.fused or self.pushed or self.pruned)
 
 
-def optimize(
-    plan: QueryPlan,
-    *,
-    fuse: bool = True,
-    pushdown: bool = True,
-    prune: bool = True,
-) -> OptimizationReport:
+def optimize(plan: QueryPlan) -> OptimizationReport:
     """Rewrite ``plan`` in place; return what happened.
 
     Pass order matters: pushdown first (it moves SELECTs into positions
     pruning and fusion then see), pruning second (composed projections
     make longer fusible chains), fusion last (it freezes the chain shape).
+    To run one pass alone, call it with an :class:`OptimizationReport`.
     """
     report = OptimizationReport()
-    if pushdown:
-        push_guards(plan, report)
-    if prune:
-        prune_projections(plan, report)
-    if fuse:
-        fuse_chains(plan, report)
+    push_guards(plan, report)
+    prune_projections(plan, report)
+    fuse_chains(plan, report)
     return report

@@ -50,10 +50,6 @@ class PunctuationScheme:
             names = {schema.attribute(n).name for n in names}
         self._delimited = frozenset(names)
 
-    @property
-    def delimited_attributes(self) -> frozenset[str]:
-        return self._delimited
-
     def is_delimited(self, attribute: str) -> bool:
         """True when ``attribute`` is covered by embedded punctuation."""
         return self.schema.attribute(attribute).name in self._delimited

@@ -18,7 +18,7 @@ it with synthetic ones.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = ["render_prometheus"]
 
@@ -233,10 +233,3 @@ def render_prometheus(
         )
 
     return out.render()
-
-
-def iter_metric_lines(text: str) -> Iterable[str]:
-    """The sample lines of a rendered scrape (test helper)."""
-    return [
-        line for line in text.splitlines() if not line.startswith("#")
-    ]

@@ -349,9 +349,6 @@ class FlowSupervisor:
     def flows(self) -> list[ManagedFlow]:
         return list(self._flows.values())
 
-    def flow_names(self) -> list[str]:
-        return sorted(self._flows)
-
     def status(self) -> dict[str, Any]:
         return {
             name: managed.summary()

@@ -12,7 +12,9 @@ messages in *both* directions (paper Figure 3):
 Control messages are out-of-band and high priority: engines always deliver
 pending control before pending data pages.  Feedback punctuation is *not*
 part of the stream (paper section 3.2); it travels here, serialised as the
-message payload.
+message payload.  Every message is built and sent by one function,
+:meth:`ControlChannel.stamp`, and taken by one,
+:meth:`~repro.operators.base.Operator._receive`.
 """
 
 from __future__ import annotations
@@ -98,6 +100,36 @@ class ControlChannel:
         self._downstream: deque[ControlMessage] = deque()
         self.upstream_sent = 0
         self.downstream_sent = 0
+
+    def stamp(
+        self,
+        kind: ControlMessageKind,
+        direction: Direction,
+        payload: Any,
+        *,
+        sender: str,
+        at: float,
+        runtime: Any,
+        reader: Any,
+    ) -> ControlMessage:
+        """Build one outgoing control message, queue it, wake its reader.
+
+        The one place control is sent: an operator's upstream and
+        downstream sends, the runtime's pause and resume, and the elastic
+        controller's rebalance commands all come through here.  The
+        message is stamped ``sender`` and ``sent_at=at`` (per-hop
+        ``control_latency`` counts from it) and queued on the side its
+        direction names; ``reader`` -- the operator that takes that side,
+        or None when no operator does -- is woken on ``runtime`` at
+        ``at``.  Returns the message.
+        """
+        message = ControlMessage(
+            kind, direction, payload=payload, sender=sender, sent_at=at
+        )
+        self.send(message)
+        if reader is not None:
+            runtime.notify_control(reader, at=at)
+        return message
 
     def send(self, message: ControlMessage) -> None:
         """Enqueue ``message`` on the side given by its direction."""

@@ -143,17 +143,6 @@ class Page:
         """Number of embedded punctuations on the page."""
         return sum(1 for e in self.elements if e.is_punctuation)
 
-    # -- columnar serialization ----------------------------------------------
-
-    def encode(self) -> tuple:
-        """Columnar wire form of this page (see :func:`encode_page`)."""
-        return encode_page(self)
-
-    @classmethod
-    def decode(cls, encoded: tuple) -> "Page":
-        """Rebuild a page from its columnar wire form (:func:`decode_page`)."""
-        return decode_page(encoded)
-
     def __repr__(self) -> str:
         state = "complete" if self._complete else "open"
         return (

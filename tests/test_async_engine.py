@@ -411,9 +411,25 @@ class TestSharingTheLoop:
 
     def test_one_driver_and_one_pump_per_async_source(self):
         """No task per operator, per action or per elastic tick."""
+        started = []
+        both_started = asyncio.Event()
+        release = asyncio.Event()
+
+        def gated_feed(name):
+            async def events():
+                # Pumping has begun; hold the feed open until the census.
+                started.append(name)
+                if len(started) == 2:
+                    both_started.set()
+                await release.wait()
+                for i in range(5):
+                    yield float(i), tup(i)
+
+            return events
+
         flow = Flow("tasks")
-        a = flow.from_async_iterable(SCHEMA, feed(5, delay=0.01), name="a")
-        b = flow.from_async_iterable(SCHEMA, feed(5, delay=0.01), name="b")
+        a = flow.from_async_iterable(SCHEMA, gated_feed("a"), name="a")
+        b = flow.from_async_iterable(SCHEMA, gated_feed("b"), name="b")
         c = flow.source(SCHEMA, timeline(5), name="c")
         a.union(b, c).where(lambda t: True, name="keep").collect("sink")
         engine = create_engine("asyncio", flow.build(), timeout=30.0)
@@ -422,17 +438,25 @@ class TestSharingTheLoop:
         async def main():
             before = asyncio.all_tasks()
             run = asyncio.ensure_future(engine.arun())
-            await asyncio.sleep(0.02)
+            await asyncio.wait_for(both_started.wait(), timeout=30.0)
             during = asyncio.all_tasks() - before - {run}
-            await run
-            return sorted(task.get_name() for task in during)
+            release.set()
+            result = await run
+            return sorted(task.get_name() for task in during), result
 
-        assert asyncio.run(main()) == ["pump-a", "pump-b"]
+        names, result = asyncio.run(main())
+        assert names == ["pump-a", "pump-b"]
+        assert len(result.sink("sink").results) == 15
 
     def test_cancelling_arun_cancels_every_pump(self):
         aborted = []
+        arrived = asyncio.Event()
 
         class Probe(CollectSink):
+            def on_page(self, port_index, batch):
+                super().on_page(port_index, batch)
+                arrived.set()
+
             def on_run_aborted(self, error):
                 aborted.append((self.name, type(error)))
 
@@ -446,7 +470,7 @@ class TestSharingTheLoop:
         async def main():
             before = asyncio.all_tasks()
             run = asyncio.ensure_future(engine.arun())
-            await asyncio.sleep(0.02)
+            await asyncio.wait_for(arrived.wait(), timeout=30.0)
             run.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await run

@@ -1,8 +1,9 @@
-"""One control walk.
+"""One control walk, one control-out site.
 
 ``Operator._receive`` is to control what ``Operator._deliver`` is to
-data: the one function that knows what a control kind means.  Pinned
-here:
+data: the one function that knows what a control kind means.  And
+``ControlChannel.stamp`` is the one function that builds and sends a
+control message.  Pinned here:
 
 * the structure -- nothing else in ``src/`` compares a message's kind to
   dispatch it, a fused composite does not know the kinds at all, every
@@ -12,13 +13,19 @@ here:
   same arguments, and counts once, whether the operator sits in a plan
   under ``drain_control``, is a stage of a ``FusedOperator``, or is
   driven by the ``OperatorHarness``; and the three places that end an
-  operator's stream run one lifecycle.
+  operator's stream run one lifecycle;
+* the way out -- only the stamp builds a message to send, pause and
+  resume share one signalling body, feedback originates in
+  ``produce_feedback`` alone, and on every single-process engine each
+  stamped message is either taken by ``_receive`` or still pending at a
+  finished operator.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,7 +39,9 @@ from repro import (
     Schema,
     StreamTuple,
 )
+from repro.api import avg, count
 from repro.core.feedback import CheckpointPunctuation, FlowControlPunctuation
+from repro.elasticity import ElasticConfig, GreedySlotPolicy
 from repro.engine import (
     AsyncioEngine,
     MultiprocessEngine,
@@ -42,11 +51,22 @@ from repro.engine import (
     ThreadedRuntime,
 )
 from repro.engine.harness import OperatorHarness
-from repro.operators import CollectSink, FusedOperator, ListSource, PassThrough
+from repro.operators import (
+    CollectSink,
+    FusedOperator,
+    ListSource,
+    OnDemandSink,
+    PassThrough,
+)
 from repro.operators.base import Operator
 from repro.optimizer import optimize
 from repro.stream.clock import VirtualClock
-from repro.stream.control import ControlMessage, ControlMessageKind, Direction
+from repro.stream.control import (
+    ControlChannel,
+    ControlMessage,
+    ControlMessageKind,
+    Direction,
+)
 
 SRC = Path(repro.__file__).resolve().parent
 SCHEMA = Schema([("ts", "timestamp", True), ("k", "int"), ("v", "float")])
@@ -60,40 +80,83 @@ FEATURE_OPTIONS = (
 # -- structure -----------------------------------------------------------------
 
 
-def kind_comparisons(*kinds):
-    """``(file, function)`` of every comparison against one of ``kinds``."""
+def owners(matches):
+    """``(file, Class.function)`` around every node in ``src/`` that
+    ``matches`` (``<module>`` for one outside any function)."""
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        parents = {
+            child: node
+            for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if not matches(node):
                 continue
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Compare):
-                    continue
-                for side in [node.left, *node.comparators]:
-                    if (
-                        isinstance(side, ast.Attribute)
-                        and side.attr in kinds
-                        and isinstance(side.value, ast.Name)
-                        and side.value.id == "ControlMessageKind"
-                    ):
-                        found.add(
-                            (str(path.relative_to(SRC)), function.name)
-                        )
+            names = []
+            while node in parents:
+                node = parents[node]
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.append(node.name)
+            found.add((
+                str(path.relative_to(SRC)),
+                ".".join(reversed(names)) or "<module>",
+            ))
     return found
+
+
+def kind_attribute(node, *kinds):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in kinds
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ControlMessageKind"
+    )
+
+
+def kind_comparisons(*kinds):
+    """Where a message kind is compared against one of ``kinds``."""
+    return owners(lambda node: isinstance(node, ast.Compare) and any(
+        kind_attribute(side, *kinds)
+        for side in [node.left, *node.comparators]
+    ))
+
+
+def calls_to(name):
+    """Where ``name(...)`` or ``<anything>.name(...)`` is called."""
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+    return owners(matches)
+
+
+def log_records(node):
+    func = getattr(node, "func", None)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(func, ast.Attribute)
+        and func.attr == "record"
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "feedback_log"
+    )
 
 
 class TestStructure:
     def test_feedback_and_result_request_are_compared_in_one_function(self):
         assert kind_comparisons("FEEDBACK", "RESULT_REQUEST") == {
-            ("operators/base.py", "_receive")
+            ("operators/base.py", "Operator._receive")
         }
 
     def test_no_other_function_dispatches_on_a_kind(self):
         every_kind = [kind.name for kind in ControlMessageKind]
         assert kind_comparisons(*every_kind) == {
-            ("operators/base.py", "_receive")
+            ("operators/base.py", "Operator._receive")
         }
 
     def test_a_composite_does_not_know_the_kinds(self):
@@ -463,3 +526,197 @@ class TestOneFinishLifecycle:
             ("on_input_done", 1, [True, True], False),
             ("on_finish", True),
         ]
+
+
+# -- one control-out site ---------------------------------------------------------------
+
+
+class TestOneWayOut:
+    def test_one_function_builds_a_message_to_send(self):
+        # The harness builds one too, but hands it straight to _receive.
+        assert calls_to("ControlMessage") == {
+            ("stream/control.py", "ControlChannel.stamp"),
+            ("engine/harness.py", "OperatorHarness.control"),
+        }
+
+    def test_every_sender_goes_through_the_stamp(self):
+        assert calls_to("stamp") == {
+            ("operators/base.py", "Operator._send_upstream"),
+            ("operators/base.py", "Operator._send_downstream"),
+            ("engine/runtime.py", "RuntimeCore._signal_flow"),
+            ("elasticity/controller.py", "ElasticController._send"),
+        }
+
+    def test_pause_and_resume_share_one_signalling_body(self):
+        assert owners(
+            lambda node: kind_attribute(node, "FLOW_CONTROL")
+        ) == {
+            ("operators/base.py", "Operator._receive"),
+            ("engine/runtime.py", "RuntimeCore._signal_flow"),
+        }
+        assert calls_to("_signal_flow") == {
+            ("engine/runtime.py", "RuntimeCore.check_pressure"),
+            ("engine/runtime.py", "RuntimeCore.check_relief"),
+        }
+
+    def test_feedback_originates_in_one_function(self):
+        produced = owners(lambda node: any(
+            isinstance(target, ast.Attribute)
+            and target.attr == "feedback_produced"
+            for target in (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AugAssign)
+                else []
+            )
+        ))
+        origin = {("operators/base.py", "Operator.produce_feedback")}
+        assert produced == origin
+        # An origination entry is the one that records no exploit actions.
+        assert owners(lambda node: log_records(node) and any(
+            isinstance(arg, ast.Tuple) and not arg.elts
+            for arg in node.args[3:4]
+        )) == origin
+        assert owners(log_records) == origin | {
+            ("operators/base.py", "Operator.receive_feedback")
+        }
+
+    def test_injected_and_demanded_feedback_are_produced(self, monkeypatch):
+        notes = []
+        produce = Operator.produce_feedback
+
+        def spy(self, feedback, **options):
+            notes.append(options.get("note"))
+            return produce(self, feedback, **options)
+
+        monkeypatch.setattr(Operator, "produce_feedback", spy)
+        sink = OnDemandSink("sink", SCHEMA)
+        harness = OperatorHarness(sink)
+        sink.produce_feedback(ASSUMED)
+        sink.inject_feedback(ASSUMED)
+        sink.demand(ASSUMED.pattern)
+        assert notes == [None, "injected", "demanded by client"]
+        assert [event.note for event in sink.runtime.feedback_log] == [
+            "produced", "injected", "demanded by client"
+        ]
+        assert sink.metrics.feedback_produced == 3
+        sent = harness.upstream_feedback()
+        assert [fb.intent for fb in sent] == [
+            FeedbackIntent.ASSUMED, FeedbackIntent.ASSUMED,
+            FeedbackIntent.DEMANDED,
+        ]
+
+
+class Ledger:
+    """Every message the stamp built, and every one ``_receive`` took."""
+
+    def __init__(self, monkeypatch):
+        self.stamped = []  # (message, channel)
+        self.taken = []
+        stamp, receive = ControlChannel.stamp, Operator._receive
+
+        def stamping(channel, *args, **kwargs):
+            message = stamp(channel, *args, **kwargs)
+            self.stamped.append((message, channel))
+            return message
+
+        def receiving(operator, message, from_edge=None):
+            self.taken.append(message)
+            return receive(operator, message, from_edge)
+
+        monkeypatch.setattr(ControlChannel, "stamp", stamping)
+        monkeypatch.setattr(Operator, "_receive", receiving)
+
+    def check(self, plan):
+        """Conservation: nothing taken twice or unstamped, and what was
+        not taken is still queued where a finished operator reads it."""
+        readers = {}
+        for producer in plan:
+            for edge in producer.outputs:
+                readers[id(edge.control), UP] = producer
+                readers[id(edge.control), DOWN] = edge.consumer
+        taken = Counter(id(message) for message in self.taken)
+        assert set(taken.values()) <= {1}
+        assert set(taken) <= {id(message) for message, _ in self.stamped}
+        left = Counter(
+            (channel, message.direction)
+            for message, channel in self.stamped
+            if id(message) not in taken
+        )
+        for (channel, direction), n in left.items():
+            assert n == (
+                channel.pending_upstream if direction is UP
+                else channel.pending_downstream
+            ), channel
+            assert readers[id(channel), direction].finished
+        return Counter(message.kind for message, _ in self.stamped)
+
+
+HOT_KEYS = (28, 6, 4, 35)  # all on lane 0 of a 4-lane, 16-slot region
+
+
+def conserving_flow(shape):
+    """Feedback from the sink at start-up, a burst that fills the bounded
+    queues, and a window or a shard region whose skew the elastic
+    controller can undo."""
+    rows = [
+        (0.0, StreamTuple(SCHEMA, (i * 0.001, HOT_KEYS[i % 4], 1.0)))
+        for i in range(400)
+    ]
+    flow = Flow("conserve", page_size=4)
+    stream = (flow.source(SCHEMA, rows, name="src")
+                  .punctuate(on="ts", every=0.05)
+                  .where(lambda t: True, name="keep", tuple_cost=0.001))
+    if shape == "window":
+        stream = stream.window(avg("v"), by="k", on="ts", width=0.05)
+    else:
+        stream = stream.shard(4, key="k", name="region",
+                              pipeline=lambda lane: lane.window(
+                                  count(), by="k", on="ts", width=0.05))
+    feedback = FeedbackPunctuation(
+        FeedbackIntent.ASSUMED,
+        Pattern.from_mapping(stream.schema, {"k": HOT_KEYS[1]}),
+    )
+
+    def inject_on_start(sink):
+        start = sink.on_start
+
+        def on_start():
+            start()
+            sink.inject_feedback(feedback)
+
+        sink.on_start = on_start
+
+    stream.collect("sink", configure=inject_on_start)
+    return flow
+
+
+CONSERVATION = {
+    "checkpointed": ("window", {"checkpoint_every": 50}),
+    "elastic": ("shard", {"elastic": ElasticConfig(
+        interval=0.02, slots_per_lane=4,
+        policy=GreedySlotPolicy(imbalance=1.1, max_moves=1),
+    )}),
+}
+
+
+class TestConservation:
+    @pytest.mark.parametrize("engine", ["simulated", "threaded", "asyncio"])
+    @pytest.mark.parametrize("case", sorted(CONSERVATION))
+    def test_every_stamped_message_is_taken_or_pending(
+        self, monkeypatch, engine, case
+    ):
+        shape, options = CONSERVATION[case]
+        if engine != "simulated":
+            options = {**options, "timeout": 60.0}
+        ledger = Ledger(monkeypatch)
+        result = conserving_flow(shape).run(
+            engine, queue_capacity=8, **options
+        )
+        kinds = ledger.check(result.plan)
+        assert kinds[ControlMessageKind.FEEDBACK] > 0
+        if case == "checkpointed":
+            assert kinds[ControlMessageKind.CHECKPOINT] > 0
+        if engine == "simulated":
+            assert kinds[ControlMessageKind.FLOW_CONTROL] > 0
+            if case == "elastic":
+                assert kinds[ControlMessageKind.REBALANCE] > 0

@@ -23,8 +23,10 @@ from repro import (
 )
 from repro.errors import PlanError
 from repro.operators import ListSource, PassThrough, Project
-from repro.optimizer import optimize
+from repro.optimizer import OptimizationReport, optimize
 from repro.optimizer.fusion import fusible_reason, shard_bound_names
+from repro.optimizer.pruning import prune_projections
+from repro.optimizer.pushdown import push_guards
 
 SCHEMA = Schema([
     ("ts", "timestamp", True), ("sensor", "int"), ("value", "float"),
@@ -50,6 +52,20 @@ def chain_flow():
         .collect("sink")
     )
     return flow
+
+
+def pushdown(plan):
+    """Guard pushdown alone."""
+    report = OptimizationReport()
+    push_guards(plan, report)
+    return report
+
+
+def prune(plan):
+    """Projection pruning alone."""
+    report = OptimizationReport()
+    prune_projections(plan, report)
+    return report
 
 
 class TestRewritePrimitives:
@@ -212,7 +228,7 @@ class TestPushdownUnit:
             .collect("sink")
         )
         plan = flow.build()
-        report = optimize(plan, fuse=False, prune=False)
+        report = pushdown(plan)
         assert report.pushed == [("guard", "ext")]
         guard = plan.operator("guard")
         # The rebuilt guard now reads the *source* schema and feeds ext.
@@ -221,7 +237,7 @@ class TestPushdownUnit:
 
     def test_callable_select_stays_put(self):
         plan = chain_flow().build()
-        report = optimize(plan, fuse=False, prune=False)
+        report = pushdown(plan)
         assert report.pushed == []
 
     def test_pattern_on_derived_attribute_stays_put(self):
@@ -238,7 +254,7 @@ class TestPushdownUnit:
             .collect("sink")
         )
         plan = flow.build()
-        report = optimize(plan, fuse=False, prune=False)
+        report = pushdown(plan)
         assert report.pushed == []
 
 
@@ -252,7 +268,7 @@ class TestPruningUnit:
             .collect("sink")
         )
         plan = flow.build()
-        report = optimize(plan, fuse=False, pushdown=False)
+        report = prune(plan)
         assert report.pruned  # at least one projection went away
         narrow = plan.operator("narrow")
         assert isinstance(narrow, Project)
@@ -269,7 +285,7 @@ class TestPruningUnit:
             .collect("sink")
         )
         plan = flow.build()
-        report = optimize(plan, fuse=False, pushdown=False)
+        report = prune(plan)
         assert "noop" in report.pruned
         assert "noop" not in [op.name for op in plan]
 
