@@ -513,8 +513,7 @@ class RuntimeCore:
             # Flush open output pages: the consumer must be able to drain
             # everything buffered, or it could never reach its low-water
             # mark and the pause would deadlock (rule 1 of 3).
-            for edge in operator.outputs:
-                edge.queue.flush()
+            operator.flush_outputs()
             operator.on_pause(punct, from_edge)
             self._on_paused(operator, at)
         else:

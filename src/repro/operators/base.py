@@ -655,18 +655,17 @@ class Operator(abc.ABC):
     def _ckpt_complete(self, marker: CheckpointPunctuation) -> None:
         """The aligned cut passed this operator: snapshot and sweep on.
 
-        Forwarding bypasses :meth:`emit_punctuation` (whose guard expiry
-        expects schema punctuation) and goes straight onto every output
-        queue, behind all pre-cut tuples.  At a terminal sink the sweep
-        ends: the epoch is complete plan-wide, so a CHECKPOINT
+        The marker goes out raw on every output edge, behind all pre-cut
+        tuples (and ahead of anything an operator holds back inside
+        itself, which the snapshot carries).  At a terminal sink the
+        sweep ends: the epoch is complete plan-wide, so a CHECKPOINT
         acknowledgement travels back upstream to the sources.
         """
         checkpoints = self.runtime.checkpoints
         if checkpoints is not None:
             checkpoints.snapshot(self, marker)
         if self.outputs:
-            for edge in self.outputs:
-                edge.queue.put(marker)
+            self._emit([marker])
             return
         self._send_upstream(ControlMessageKind.CHECKPOINT, marker)
 
@@ -785,91 +784,82 @@ class Operator(abc.ABC):
                 else:  # restore (abort path)
                     for blob in record.reclaim(member, lane):
                         self.install_keyed_state(record.key_names, blob)
-        for edge in self.outputs:
-            edge.queue.put(marker)
+        self._emit([marker])
 
     # -------------------------------------------------------------- emission
 
-    def emit(self, tup: StreamTuple) -> bool:
-        """Send a result tuple downstream (all outputs).
+    def _emit(
+        self,
+        elements: Sequence[Any],
+        lane: int | None = None,
+        raw: bool = False,
+        hold: bool = False,
+    ) -> Sequence[Any]:
+        """Put one run on the output edges: every data-out rule, once.
 
-        Applies output guards; returns False when the tuple was suppressed.
+        What :meth:`_deliver` is to data coming in.  ``elements`` is a
+        run of data tuples, or one punctuation or marker on its own --
+        the shape :meth:`~repro.engine.runtime.RuntimeCore.
+        dispatch_source_run` hands out; ``lane`` is the one output edge
+        to use, None for every edge.
+
+        Tuples pass the output guards in one batched pass and count as
+        ``tuples_out`` or ``output_guard_drops``; a punctuation expires
+        the output guards it covers (that subset of the output is
+        complete, so they can never fire again) and counts as
+        ``punctuations_out``; a checkpoint or rebalance marker goes out
+        raw.  ``raw`` sends elements that already passed these rules (a
+        stash being released) as they are; ``hold`` applies the rules
+        and puts nothing, for a caller that keeps what passed
+        (PARTITION's paused lanes).  Returns what passed: the surviving
+        tuples, or the punctuation or marker.
         """
-        if self.output_guards.blocks(tup):
-            self.metrics.output_guard_drops += 1
-            return False
-        self.metrics.tuples_out += 1
-        for edge in self.outputs:
-            edge.queue.put(tup)
-        return True
+        punctuated = elements and elements[0].is_punctuation
+        if not raw:
+            if not punctuated:
+                guards = self.output_guards
+                if len(guards):
+                    elements, dropped = guards.filter_batch(elements)
+                    self.metrics.output_guard_drops += len(dropped)
+                self.metrics.tuples_out += len(elements)
+            elif isinstance(elements[0], Punctuation):
+                self.output_guards.expire_with(elements[0])
+                self.metrics.punctuations_out += 1
+        if hold or not elements:
+            return elements
+        single = len(elements) == 1  # a punctuation or marker is alone
+        for edge in self.outputs if lane is None else (self.outputs[lane],):
+            if single:
+                edge.queue.put(elements[0])
+            else:
+                edge.queue.put_many(elements)
+        return elements
+
+    def emit(self, tup: StreamTuple) -> bool:
+        """Send a result tuple on every output; False when an output guard
+        suppressed it.  :meth:`_emit` of a run of one."""
+        return bool(self._emit([tup]))
 
     def emit_to(self, output_index: int, tup: StreamTuple) -> bool:
-        """Send a result tuple on a single output (multi-output operators)."""
-        if self.output_guards.blocks(tup):
-            self.metrics.output_guard_drops += 1
-            return False
-        self.metrics.tuples_out += 1
-        self.outputs[output_index].queue.put(tup)
-        return True
-
-    def _pass_output_guards(
-        self, tuples: Sequence[StreamTuple]
-    ) -> Sequence[StreamTuple]:
-        """The tuples of a result batch the output guards let through.
-
-        Counts the suppressed ones as ``output_guard_drops`` and the rest
-        as ``tuples_out``: the survivors are this operator's output,
-        whether they ship now or wait in a stash (PARTITION's paused
-        lanes).  The list comes back as-is when no guard is active.
-        """
-        guards = self.output_guards
-        if len(guards):
-            tuples, dropped = guards.filter_batch(tuples)
-            self.metrics.output_guard_drops += len(dropped)
-        self.metrics.tuples_out += len(tuples)
-        return tuples
+        """:meth:`emit` on a single output (multi-output operators)."""
+        return bool(self._emit([tup], output_index))
 
     def emit_many(self, tuples: Sequence[StreamTuple]) -> int:
-        """Send a batch of result tuples downstream (all outputs).
-
-        Applies output guards; returns the number of tuples actually
-        emitted.  This is the bulk counterpart of :meth:`emit` used by
-        native :meth:`on_page` implementations: one guard pass, then one
-        :meth:`~repro.stream.queues.DataQueue.put_many` per output edge.
-        """
-        kept = self._pass_output_guards(tuples)
-        if not kept:
-            return 0
-        for edge in self.outputs:
-            edge.queue.put_many(kept)
-        return len(kept)
+        """Send a run of result tuples on every output; returns how many
+        passed the output guards.  The bulk emission native
+        :meth:`on_page` bodies use: :meth:`_emit` itself."""
+        return len(self._emit(tuples))
 
     def emit_many_to(
         self, output_index: int, tuples: Sequence[StreamTuple]
     ) -> int:
-        """Send a batch of result tuples on a single output edge.
-
-        The single-edge counterpart of :meth:`emit_many`, used by
-        multi-output operators with native batch paths (PARTITION's
-        per-lane routing): one guard pass, one
-        :meth:`~repro.stream.queues.DataQueue.put_many`.
-        """
-        kept = self._pass_output_guards(tuples)
-        if not kept:
-            return 0
-        self.outputs[output_index].queue.put_many(kept)
-        return len(kept)
+        """:meth:`emit_many` on a single output (PARTITION's lanes)."""
+        return len(self._emit(tuples, output_index))
 
     def emit_punctuation(self, punct: Punctuation) -> None:
-        """Send an embedded punctuation downstream (flushes pages).
-
-        Also expires output guards the punctuation covers: once this subset
-        of the output is complete, its guards can never fire again.
-        """
-        self.output_guards.expire_with(punct)
-        self.metrics.punctuations_out += 1
-        for edge in self.outputs:
-            edge.queue.put(punct)
+        """Send an embedded punctuation on every output (it flushes the
+        open pages), expiring the output guards it covers."""
+        self._emit([punct])
 
     def flush_outputs(self) -> None:
         """Seal and ship partially-filled output pages immediately.
@@ -877,7 +867,8 @@ class Operator(abc.ABC):
         Demanded feedback and result requests carry "produce *now*"
         semantics; results emitted in response must not sit in an open
         page waiting for it to fill (the same latency problem NiagaraST
-        solves by letting punctuation flush pages).
+        solves by letting punctuation flush pages).  A pause flushes
+        first too, so the consumer can drain to its low-water mark.
         """
         for edge in self.outputs:
             edge.queue.flush()

@@ -121,7 +121,8 @@ class _LinkQueue:
 
 
 class _TailQueue:
-    """The last stage's output shim: deliver on the composite's real edges."""
+    """The last stage's output shim: what the last stage emits, the
+    composite emits, through its own output rules."""
 
     __slots__ = ("name", "fused")
 
@@ -130,14 +131,12 @@ class _TailQueue:
         self.fused = fused
 
     def put(self, element: Any) -> bool:
-        if element.is_punctuation:
-            self.fused.emit_punctuation(element)
-        else:
-            self.fused.emit(element)
+        self.fused._emit([element])
         return False
 
     def put_many(self, elements: list) -> int:
-        return self.fused.emit_many(elements)
+        self.fused._emit(elements)
+        return 0
 
     def flush(self) -> bool:
         self.fused.flush_outputs()

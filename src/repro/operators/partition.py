@@ -280,15 +280,17 @@ class Partition(Operator):
                     held.append(tup)
                 else:
                     buckets.setdefault(lane, []).append(tup)
+        # What waits here has passed the output rules already: the
+        # survivors are this operator's output, shipped now or later.
         if held:
-            held = self._pass_output_guards(held)
+            held = self._emit(held, hold=True)
             self._rebalance_stash.extend(held)
             self.tuples_held += len(held)
         for lane, routed in buckets.items():
             if lane not in self._paused_lanes:
                 self.emit_many_to(lane, routed)
                 continue
-            routed = self._pass_output_guards(routed)
+            routed = self._emit(routed, hold=True)
             if routed:
                 self._stash.setdefault(lane, []).extend(routed)
                 self.tuples_stashed += len(routed)
@@ -302,8 +304,7 @@ class Partition(Operator):
         would let the punctuation overtake earlier tuples it covers,
         which is exactly the disorder punctuation forbids.
         """
-        self.output_guards.expire_with(punct)
-        self.metrics.punctuations_out += 1
+        self._emit([punct], hold=True)
         if self._pending_rebalance is not None:
             # Held until install: broadcasting now could close a window
             # at a destination lane before the migrated partial state
@@ -313,11 +314,12 @@ class Partition(Operator):
         self._broadcast_element(punct)
 
     def _put_lane(self, lane: int, element: Any) -> None:
-        """Queue ``element`` on one lane, or its stash while paused."""
+        """Send ``element``, through the output rules already, on one
+        lane -- or into that lane's stash while it is paused."""
         if lane in self._paused_lanes:
             self._stash.setdefault(lane, []).append(element)
         else:
-            self.outputs[lane].queue.put(element)
+            self._emit([element], lane, raw=True)
 
     def _broadcast_element(self, element: Any) -> None:
         """Queue ``element`` on every lane, respecting paused stashes."""
@@ -370,12 +372,8 @@ class Partition(Operator):
         self._flush_stash(lane)
 
     def _flush_stash(self, lane: int) -> None:
-        pending = self._stash.pop(lane, None)
-        if not pending:
-            return
-        queue = self.outputs[lane].queue
-        for element in pending:  # guards/counters applied at stash time
-            queue.put(element)
+        for element in self._stash.pop(lane, ()):
+            self._emit([element], lane, raw=True)
 
     # ------------------------------------------------- elastic rebalancing
 
@@ -483,12 +481,7 @@ class Partition(Operator):
         self._router = self._next_router
         self._next_router = None
         self._pending_rebalance = None
-        stash, self._rebalance_stash = self._rebalance_stash, []
-        for tup in stash:  # guards/counters applied at stash time
-            self._put_lane(self.lane_of(tup), tup)
-        held, self._held_puncts = self._held_puncts, []
-        for punct in held:
-            self._broadcast_element(punct)
+        self._release_held()
         self.rebalances_completed += 1
         self.keys_migrated += record.keys_moved
 
@@ -511,8 +504,14 @@ class Partition(Operator):
         )
         self._pending_rebalance = None
         self._next_router = None
+        self._release_held()
+
+    def _release_held(self) -> None:
+        """Send what the migration window held, behind the install or
+        restore markers: the tuples re-routed through the live table,
+        then the punctuation, broadcast behind everything it covers."""
         stash, self._rebalance_stash = self._rebalance_stash, []
-        for tup in stash:  # guards/counters applied at stash time
+        for tup in stash:
             self._put_lane(self.lane_of(tup), tup)
         held, self._held_puncts = self._held_puncts, []
         for punct in held:

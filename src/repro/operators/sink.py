@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections.abc import Iterator, Sequence
+from operator import itemgetter
 from typing import Any
 
 from repro.core.feedback import FeedbackPunctuation
@@ -31,6 +33,34 @@ from repro.stream.schema import Schema
 from repro.stream.tuples import StreamTuple
 
 __all__ = ["AwaitableSink", "CollectSink", "OnDemandSink", "PushSink"]
+
+
+class _Results(Sequence):
+    """A sink's ``results``: the tuples of its ``arrivals``, read-only."""
+
+    __slots__ = ("_sink",)
+
+    def __init__(self, sink: "CollectSink") -> None:
+        self._sink = sink
+
+    def __len__(self) -> int:
+        return len(self._sink.arrivals)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [entry[1] for entry in self._sink.arrivals[index]]
+        return self._sink.arrivals[index][1]
+
+    def __iter__(self) -> Iterator[StreamTuple]:
+        return map(itemgetter(1), self._sink.arrivals)
+
+    def __eq__(self, other: object) -> bool:  # unhashable, like a list
+        if isinstance(other, (list, _Results)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class CollectSink(Operator):
@@ -48,7 +78,6 @@ class CollectSink(Operator):
     ) -> None:
         super().__init__(name, schema, **kwargs)
         self.keep_punctuation = keep_punctuation
-        self.results: list[StreamTuple] = []
         self.arrivals: list[tuple[float, StreamTuple]] = []
         self.punctuations: list[Punctuation] = []
         #: Arrivals recorded over the sink's lifetime (trim-proof): its
@@ -96,13 +125,17 @@ class CollectSink(Operator):
             batch = [t for t in batch if not self._ckpt_replayed(t)]
         now = self.now()
         self.delivered += len(batch)
-        self.results.extend(batch)
         self.arrivals.extend((now, tup) for tup in batch)
         writer = self._ckpt_writer
         if writer is not None:
             for tup in batch:
                 writer.append((now, tup))
         return batch
+
+    @property
+    def results(self) -> Sequence[StreamTuple]:
+        """The arrived tuples in order: a read-only view of ``arrivals``."""
+        return _Results(self)
 
     def on_page(self, port_index: int, batch: list) -> None:
         self._record_arrivals(batch)
@@ -135,13 +168,13 @@ class CollectSink(Operator):
     state_fields = ("punctuations",)
 
     def snapshot_state(self) -> dict[str, Any]:
-        """The cut, plus the lists only when no delivery log holds them.
+        """The cut, plus ``arrivals`` only when no delivery log holds it.
 
         With a delivery-log writer attached the flushed log is the
-        durable copy of ``results``/``arrivals`` and ``delivered`` the
-        position in it, so a checkpoint's size does not grow with the
-        output; without one (the multiprocess ship-back of an
-        un-checkpointed run) the state must carry the lists itself.
+        durable copy of ``arrivals`` and ``delivered`` the position in
+        it, so a checkpoint's size does not grow with the output;
+        without one (the multiprocess ship-back of an un-checkpointed
+        run) the state must carry the list itself.
         """
         # While a recovery run's replay window is open the log already
         # holds the deliveries still to be swallowed: they lie past
@@ -150,19 +183,17 @@ class CollectSink(Operator):
         state = super().snapshot_state()
         state["delivered"] = self.delivered - replaying
         if self._ckpt_writer is None:
-            state["results"] = self.results
             state["arrivals"] = self.arrivals
         return state
 
     def restore_state(self, state: dict[str, Any]) -> None:
         super().restore_state(state)
         self.delivered = state["delivered"]
-        if "results" in state:
-            self.results = state["results"]
+        if "arrivals" in state:
             self.arrivals = state["arrivals"]
 
     def reload_from_log(self, log: list) -> list:
-        """Rebuild ``results``/``arrivals`` from the sink's delivery log.
+        """Rebuild ``arrivals`` from the sink's delivery log.
 
         Returns the replay window ``log[delivered:]`` -- the entries
         past the restored cut, which a recovery run regenerates -- and
@@ -170,13 +201,12 @@ class CollectSink(Operator):
         appends next.
         """
         window = log[self.delivered:]
-        self.results = [entry[1] for entry in log]
         self.arrivals = [(entry[0], entry[1]) for entry in log]
         self.delivered = len(log)
         return window
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self.arrivals)
 
 
 class AwaitableSink(CollectSink):
@@ -277,12 +307,12 @@ class PushSink(AwaitableSink):
     live SSE/websocket subscribers (``docs/serving.md``).
 
     To keep memory bounded over unbounded runs the locally retained
-    ``results``/``arrivals`` lists are trimmed to the last ``retain``
-    entries (``retain=None`` keeps everything, restoring collect-sink
-    behaviour).  The durability seams are untouched: the delivery-log
-    writer and the exactly-once replay dedup filter see every arrival
-    and the checkpoint cut is the trim-proof ``delivered`` count, so
-    checkpointed serving flows recover like any other.
+    ``arrivals`` (and so ``results``, its view) are trimmed to the last
+    ``retain`` entries (``retain=None`` keeps everything, restoring
+    collect-sink behaviour).  The durability seams are untouched: the
+    delivery-log writer and the exactly-once replay dedup filter see
+    every arrival and the checkpoint cut is the trim-proof ``delivered``
+    count, so checkpointed serving flows recover like any other.
     """
 
     def __init__(
@@ -323,11 +353,8 @@ class PushSink(AwaitableSink):
 
     def _trim(self) -> None:
         retain = self.retain
-        if retain is None or len(self.results) <= retain:
-            return
-        cut = len(self.results) - retain
-        del self.results[:cut]
-        del self.arrivals[:cut]
+        if retain is not None and len(self.arrivals) > retain:
+            del self.arrivals[:len(self.arrivals) - retain]
 
     def on_page(self, port_index: int, batch: list) -> None:
         batch = self._record_arrivals(batch)

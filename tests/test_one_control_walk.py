@@ -136,6 +136,21 @@ def calls_to(name):
     return owners(matches)
 
 
+def writes(*attributes):
+    """Where ``<anything>.attribute`` is assigned or augmented."""
+    def matches(node):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AugAssign)
+            else []
+        )
+        return any(
+            isinstance(target, ast.Attribute) and target.attr in attributes
+            for target in targets
+        )
+    return owners(matches)
+
+
 def log_records(node):
     func = getattr(node, "func", None)
     return (
@@ -560,17 +575,8 @@ class TestOneWayOut:
         }
 
     def test_feedback_originates_in_one_function(self):
-        produced = owners(lambda node: any(
-            isinstance(target, ast.Attribute)
-            and target.attr == "feedback_produced"
-            for target in (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target] if isinstance(node, ast.AugAssign)
-                else []
-            )
-        ))
         origin = {("operators/base.py", "Operator.produce_feedback")}
-        assert produced == origin
+        assert writes("feedback_produced") == origin
         # An origination entry is the one that records no exploit actions.
         assert owners(lambda node: log_records(node) and any(
             isinstance(arg, ast.Tuple) and not arg.elts

@@ -330,7 +330,10 @@ class TestTenantIsolation:
             flood_task = asyncio.ensure_future(
                 post_json(host, port, "/v1/flows/ta/ingest", flood)
             )
-            await asyncio.sleep(0.05)
+            # alice's flood is being throttled...
+            await wait_until(
+                lambda: supervisor.admission.snapshot()["alice"]["paused"]
+            )
 
             start = time.perf_counter()
             status, body = await post_json(
