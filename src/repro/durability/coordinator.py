@@ -13,11 +13,11 @@ recover_from=...)``).  It owns the four jobs the runtime delegates:
 * **snapshots** -- :meth:`snapshot` pickles an operator's
   ``snapshot_state`` into the store when the marker passes it, charging
   the per-operator checkpoint counters;
-* **replay** -- on a recovery run the engines drop a source's first
-  ``replay_offsets[name]`` elements, which re-drives
-  the source's own generator (punctuators and all) while suppressing
-  emission of the already-consumed prefix -- any deterministic source is
-  therefore replayable with no source-side code;
+* **replay** -- on a recovery run the engines skip a source cursor's
+  first ``replay_offsets[name]`` elements, which re-drives the source
+  (punctuators and all) while suppressing emission of the
+  already-consumed prefix -- any deterministic source is therefore
+  replayable with no source-side code;
 * **recovery** -- :meth:`restore` finds the latest *complete* epoch in a
   store, restores every operator's snapshot, computes replay offsets,
   rebuilds sink output from the delivery logs, and (under exactly-once

@@ -1,16 +1,15 @@
 """Replayable sources: inputs a recovery run can rewind.
 
-Recovery replays a source by re-running its ``events()`` generator and
-suppressing emission of the first ``offset`` elements (the prefix already
-inside the recovered checkpoint), so the *only* requirement on a source
-is that ``events()`` be re-invocable and deterministic.  The built-in
-sources already qualify: :class:`~repro.operators.source.ListSource`
-re-iterates its timeline, :class:`~repro.operators.source.
-GeneratorSource` and :class:`~repro.operators.source.
-AsyncIterableSource` re-invoke their factories, and
-:class:`~repro.operators.source.PunctuatedSource` rebuilds its
-punctuator -- replaying the skipped prefix through it keeps the emitted
-suffix byte-identical.
+Recovery replays a source by opening a fresh cursor over it and
+skipping the first ``offset`` elements (the prefix already inside the
+recovered checkpoint), so the *only* requirement on a source is that
+``events()`` be re-invocable and deterministic.  The built-in sources
+already qualify: :class:`~repro.operators.source.ListSource` re-slices
+its timeline, :class:`~repro.operators.source.GeneratorSource` and
+:class:`~repro.operators.source.AsyncIterableSource` re-invoke their
+factories, and :class:`~repro.operators.source.PunctuatedSource` rebuilds
+its punctuator -- replaying the skipped prefix through it keeps the
+emitted suffix byte-identical.
 
 :class:`ReplayableSource` is the adapter for everything else: it accepts
 either a zero-argument factory *or* a plain sequence of ``(arrival,

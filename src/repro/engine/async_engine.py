@@ -24,7 +24,8 @@ it.  What the virtual-time engine models, this one experiences:
   threaded engine's threads.  Without it no cost model is charged.
 * Replay arrival times are ignored, as on the threaded runtime: a
   synchronous source's next element is due immediately (after its own
-  modeled cost under ``emulate_costs``).
+  modeled cost under ``emulate_costs``, which admits a source that
+  models a cost element by element).
 * An operator whose input runs dry flushes its open output pages, so an
   always-on flow delivers at input-idle time instead of holding results
   until a page fills; under sustained load pages fill first and batching
@@ -47,7 +48,7 @@ _handle_fed_run`), so a burst costs one pump round trip, not one per
 tuple.
 A slow network feed parks its pump and nothing else; thousands of idle
 feeds cost one parked ``await`` each.  Plain sources replay their
-synchronous ``events()`` timeline off the heap.
+synchronous timeline off the heap, in runs cut from their cursor.
 
 Use :meth:`AsyncioEngine.run` from synchronous code (it owns a private
 event loop via ``asyncio.run``), or ``await`` :meth:`AsyncioEngine.arun`
@@ -59,6 +60,7 @@ await concurrently with the run.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, AsyncIterable
 
 from repro.engine.plan import QueryPlan
@@ -134,6 +136,17 @@ class AsyncioEngine(Simulator):
         cost = source.cost_of(element)
         source.metrics.busy_time += cost
         return now + cost
+
+    def _source_bound(self, source: SourceOperator) -> float:
+        # Every element is due now, whatever its arrival: all of a run may
+        # enter or none of it.  Under emulate_costs a costed source's
+        # element enters on its own, when its cost has elapsed; one that
+        # costs nothing is due now all the same.
+        if (
+            self.emulate_costs and source.needs_metering
+        ) or super()._source_bound(source) == -math.inf:
+            return -math.inf
+        return math.inf
 
     def _jump(self, due: float) -> bool:
         return due <= self.clock.now()

@@ -84,7 +84,6 @@ control kinds forward hop-by-hop through both boundary operators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -98,7 +97,13 @@ from repro.engine.metrics import (
 )
 from repro.engine.plan import QueryPlan
 from repro.errors import EngineError
-from repro.operators.base import InputPort, Operator, OutputEdge, SourceOperator
+from repro.operators.base import (
+    InputPort,
+    Operator,
+    OutputEdge,
+    SourceCursor,
+    SourceOperator,
+)
 from repro.stream.clock import Clock
 from repro.stream.control import (
     ControlMessage,
@@ -616,10 +621,11 @@ class RuntimeCore:
             return 0
         return self.checkpoints.replay_offsets.get(source.name, 0)
 
-    def source_events(self, source: SourceOperator) -> Any:
-        """``source.events()``, past the prefix a recovery run skips."""
-        events, skip = source.events(), self.replayed_prefix(source)
-        return itertools.islice(events, skip, None) if skip else events
+    def source_cursor(self, source: SourceOperator) -> SourceCursor:
+        """``source.cursor()``, past the prefix a recovery run skips."""
+        cursor = source.cursor()
+        cursor.skip(self.replayed_prefix(source))
+        return cursor
 
     # -- results ---------------------------------------------------------------------
 

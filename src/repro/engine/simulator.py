@@ -11,9 +11,10 @@ clock**:
 * every operator has a ``busy_until`` horizon; processing an element
   advances it by the operator's cost model;
 * sources replay ``(arrival_time, element)`` timelines: a source event
-  is an element of its ``events()`` iterator due at its arrival time, and
-  the handler keeps taking elements while the next one would be the next
-  heap event anyway, emitting consecutive tuples as one run (see
+  is an element of its cursor (:meth:`~repro.operators.base.
+  SourceOperator.cursor`) due at its arrival time, and the handler takes
+  the slice behind it that would be the next heap events anyway,
+  emitting consecutive tuples as one run (see
   :meth:`Simulator._handle_source`) -- which moves no timestamp; a
   source fed from outside the heap (the asyncio engine's pump) may hand
   over a run ready-made, which leaves in the same cuts
@@ -53,20 +54,26 @@ module's loop jumps a virtual clock there;
 :class:`~repro.engine.async_engine.AsyncioEngine` subclasses
 :class:`Simulator` on a wall clock and waits.  What differs between the
 two is confined to a few small hooks (``clock_class``,
-``emulate_costs``, ``_jump``, ``_source_due``, ``_earliest_start``,
-``_input_dry``, ``_quiescent``, ``_open_source``).
+``emulate_costs``, ``_jump``, ``_source_due``, ``_source_bound``,
+``_earliest_start``, ``_input_dry``, ``_quiescent``, ``_open_source``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterator
+import math
+from typing import Any, Callable
 
 from repro.engine.plan import QueryPlan
 from repro.engine.runtime import RunResult, RuntimeCore
 from repro.errors import EngineError
-from repro.operators.base import InputPort, Operator, SourceOperator
+from repro.operators.base import (
+    InputPort,
+    Operator,
+    SourceCursor,
+    SourceOperator,
+)
 from repro.stream.clock import Clock, VirtualClock
 
 __all__ = ["Simulator", "RunResult"]
@@ -109,7 +116,7 @@ class Simulator(RuntimeCore):
         self._seq = itertools.count()
         self._busy_until: dict[str, float] = {}
         self._work_scheduled: dict[str, bool] = {}
-        self._source_iters: dict[str, Iterator[tuple[float, Any]]] = {}
+        self._source_cursors: dict[str, SourceCursor] = {}
         self._rr_port: dict[str, int] = {}
         self._events_processed = 0
         #: What came due while its source was paused: one entry per
@@ -243,24 +250,41 @@ class Simulator(RuntimeCore):
 
     def _open_source(self, source: SourceOperator) -> None:
         """Begin replaying ``source``'s timeline."""
-        self._source_iters[source.name] = iter(self.source_events(source))
+        self._source_cursors[source.name] = self.source_cursor(source)
         self._schedule_next_source_event(source)
 
     def _schedule_next_source_event(self, source: SourceOperator) -> None:
-        iterator = self._source_iters[source.name]
-        try:
-            arrival, element = next(iterator)
-        except StopIteration:
+        cursor = self._source_cursors[source.name]
+        taken = cursor.take(1)
+        if not taken:
             self._push(self.clock.now(), _PRIO_SOURCE, "source", (source, None))
             return
-        self._push(self._source_due(source, arrival, element), _PRIO_SOURCE,
-                   "source", (source, element))
+        element = taken[0]
+        self._push(self._source_due(source, cursor.arrival, element),
+                   _PRIO_SOURCE, "source", (source, element))
 
     def _source_due(
         self, source: SourceOperator, arrival: float, element: Any
     ) -> float:
         """When a replayed element enters the plan: its recorded arrival."""
         return arrival
+
+    def _source_bound(self, source: SourceOperator) -> float:
+        """Arrivals of ``source``'s elements below this are due before
+        anything on the heap.
+
+        A pushed source event would carry the largest seq, so it is next
+        only if it sorts strictly before the head: before the head's time,
+        or at it when the head is work.  Nothing is when the clock has
+        reached the head (an element due earlier enters late, at *now*).
+        """
+        events = self._events
+        if not events:
+            return math.inf
+        head, priority = events[0][0], events[0][1]
+        if priority > _PRIO_SOURCE:
+            head = math.nextafter(head, math.inf)
+        return head if self.clock.now() < head else -math.inf
 
     def _jump(self, due: float) -> bool:
         """Bring the clock to ``due``; False when its time has not come.
@@ -270,21 +294,41 @@ class Simulator(RuntimeCore):
         self.clock.advance_to(due)
         return True
 
+    def _take_due(self, source: SourceOperator, limit: int) -> list:
+        """The next run off ``source``'s cursor that the heap would hand
+        straight back: at most ``limit`` elements, each counted as an
+        event."""
+        limit = min(limit, self.max_events - self._events_processed)
+        before = self._source_bound(source)
+        if limit < 1 or before == -math.inf:
+            return []
+        taken = self._source_cursors[source.name].take(limit, before)
+        self._events_processed += len(taken)
+        return taken
+
+    def _reach(self, cursor: SourceCursor) -> None:
+        """Bring the clock to the arrival of the element last taken."""
+        if cursor.arrival > self.clock.now():
+            self._jump(cursor.arrival)
+
     def _handle_source(self, payload: tuple[SourceOperator, Any]) -> None:
         """Admit a source element -- and every one behind it that the heap
         would hand straight back.
 
-        After an element is taken the source's next one is pulled.  Pushed,
-        it would be popped right back whenever nothing else on the heap
-        sorts before it; that round trip is skipped, which changes no
-        order.  Consecutive tuples taken this way leave as one run
+        Pushed, the source's next element would be popped right back
+        whenever nothing else on the heap sorts before it; that round trip
+        is skipped, which changes no order.  So the source's cursor hands
+        out, in one slice, the tuples due before the heap's head
+        (:meth:`_source_bound`) that fit the run: the run is cut at a
+        punctuation, before any other event's turn, at the end of the
+        timeline, and where emitting more would no longer be *quiet* --
+        completing a page or reaching a high-water mark
+        (:meth:`~repro.engine.runtime.RuntimeCore.source_run_room`).  A
+        run leaves as one dispatch
         (:meth:`~repro.engine.runtime.RuntimeCore.dispatch_source_run`) at
-        the clock of the last of them.  A run is held back only while
-        emitting it would be *quiet* -- it completes no page and reaches
-        no high-water mark (:meth:`~repro.engine.runtime.RuntimeCore.
-        source_run_room`), so it stamps nothing and schedules nobody --
-        and is cut before a punctuation, before any other event's turn,
-        and at the end of the timeline.
+        the clock of its last element; a run held is quiet, so it stamps
+        nothing and schedules nobody and the heap already reads as it
+        will after it.
         """
         source, element = payload
         if element is None:  # exhausted: close downstream
@@ -298,52 +342,26 @@ class Simulator(RuntimeCore):
             # chain; _on_resumed replays it when relief arrives.
             self._paused_source_pending[source.name] = element
             return
-        iterator = self._source_iters.get(source.name)
-        if iterator is None:
+        cursor = self._source_cursors.get(source.name)
+        if cursor is None:
             self._handle_fed_run(source, element)
             return
-        events = self._events
-        now = self.clock.now()
-        run: list = []
-        room = 0
-        while True:
-            if element.is_punctuation:
-                self._emit_source_run(source, [element])
-            else:
-                if not run:
-                    room = self.source_run_room(source)
-                run.append(element)
-                if len(run) >= room:
-                    self._emit_source_run(source, run)
-                    run = []
-            # A run still held here is quiet, so the heap already reads
-            # as it will after it: ask whose turn is next.
-            try:
-                arrival, element = next(iterator)
-            except StopIteration:
-                element, due, ahead = None, now, False
-            else:
-                due = self._source_due(source, arrival, element)
-                if due < now:
-                    due = now  # late arrival: time never rewinds
-                # A pushed event would carry the largest seq: it is next
-                # only if it sorts strictly before the head.
-                head = events[0] if events else None
-                ahead = (
-                    head is None
-                    or due < head[0]
-                    or (due == head[0] and _PRIO_SOURCE < head[1])
-                ) and self._events_processed < self.max_events
-            if run and (not ahead or element.is_punctuation):
+        run = [element]
+        if not element.is_punctuation:  # fill the run it opens
+            more = self._take_due(source, self.source_run_room(source) - 1)
+            if more and more[0].is_punctuation:
                 self._emit_source_run(source, run)
-                run = []
-            if not (ahead and (due <= now or self._jump(due))):
-                if run:  # a wall clock said "not yet" (a costed element)
-                    self._emit_source_run(source, run)
-                self._push(due, _PRIO_SOURCE, "source", (source, element))
+                run = more
+            else:
+                run += more
+            self._reach(cursor)
+        while True:
+            self._emit_source_run(source, run)
+            run = self._take_due(source, self.source_run_room(source))
+            if not run:
+                self._schedule_next_source_event(source)
                 return
-            self._events_processed += 1
-            now = due
+            self._reach(cursor)
 
     def _handle_fed_run(self, source: SourceOperator, event: Any) -> None:
         """Admit what an async feed's pump handed over: an element or a run.

@@ -190,36 +190,24 @@ class ThreadedRuntime(RuntimeCore):
         )
 
     def _source_runs(self, source: SourceOperator) -> Iterator[list]:
-        """Cut ``source``'s timeline into runs, pulled outside the plan lock.
+        """Cut ``source``'s timeline into runs, taken outside the plan lock.
 
-        A run is consecutive tuples, or one punctuation on its own.  Its
-        length is bounded by
+        A run is consecutive tuples, or one punctuation on its own, taken
+        off the source's cursor.  Its length is bounded by
         :meth:`~repro.engine.runtime.RuntimeCore.source_run_room`, read
-        without the lock when the run's first tuple is pulled: only this
-        thread shrinks the open page's room, and the consumer can only
-        widen the room to high water, so a stale read errs short.  Under
+        without the lock before the run is taken: only this thread
+        shrinks the open page's room, and the consumer can only widen
+        the room to high water, so a stale read errs short.  Under
         ``emulate_costs`` every element is charged its own sleep, so runs
         are of one.
         """
-        run: list = []
-        room = 0
-        for _arrival, element in self.source_events(source):
-            if element.is_punctuation:
-                if run:
-                    yield run
-                    run = []
-                yield [element]
-                continue
+        cursor = self.source_cursor(source)
+        while True:
+            run = cursor.take(
+                1 if self.emulate_costs else self.source_run_room(source)
+            )
             if not run:
-                room = (
-                    1 if self.emulate_costs
-                    else self.source_run_room(source)
-                )
-            run.append(element)
-            if len(run) >= room:
-                yield run
-                run = []
-        if run:
+                return
             yield run
 
     def _source_body(self, source: SourceOperator) -> None:

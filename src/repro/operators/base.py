@@ -30,6 +30,7 @@ story (section 5, "Feedback Support").
 from __future__ import annotations
 
 import abc
+import math
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.feedback import (
@@ -56,7 +57,9 @@ from repro.stream.queues import DataQueue
 from repro.stream.schema import Schema, SchemaMapping
 from repro.stream.tuples import StreamTuple
 
-__all__ = ["InputPort", "OutputEdge", "Operator", "SourceOperator"]
+__all__ = [
+    "InputPort", "OutputEdge", "Operator", "SourceCursor", "SourceOperator",
+]
 
 
 class InputPort:
@@ -1142,16 +1145,71 @@ class Operator(abc.ABC):
         return f"{kind}({self.name!r})"
 
 
+class SourceCursor:
+    """Where an engine stands in a source's elements, handed out in runs.
+
+    :meth:`take` cuts the next run, :meth:`skip` drops a recovery prefix,
+    and ``arrival`` is the arrival time of the last element handed out.
+    This cursor pulls ``events`` one element at a time -- the one
+    element-by-element source loop, for sources that only have an
+    iterator (lists, generators, the async bridge, user subclasses);
+    :class:`~repro.operators.source.PunctuatedSource` slices its
+    timeline instead.
+    """
+
+    __slots__ = ("_events", "_ahead", "arrival")
+
+    def __init__(self, events: Iterable[tuple[float, Any]]) -> None:
+        self._events = iter(events)
+        #: The ``(arrival, element)`` pulled but not handed out: it did
+        #: not fit the run it was pulled for.
+        self._ahead: tuple[float, Any] | None = None
+        self.arrival = 0.0
+
+    def take(self, limit: int, before: float = math.inf) -> list:
+        """The next run: at most ``limit`` consecutive tuples arriving
+        before ``before``, or one such punctuation on its own.
+
+        Empty when the next element arrives at ``before`` or later, when
+        ``limit`` is below one, or at the end of the stream.
+        """
+        run: list = []
+        ahead = self._ahead
+        while len(run) < limit:
+            if ahead is None:
+                ahead = next(self._events, None)
+                if ahead is None:
+                    break
+            arrival, element = ahead
+            if arrival >= before or (run and element.is_punctuation):
+                break
+            self.arrival = arrival
+            run.append(element)
+            ahead = None
+            if element.is_punctuation:
+                break
+        self._ahead = ahead
+        return run
+
+    def skip(self, count: int) -> None:
+        """Drop the next ``count`` elements, punctuation included."""
+        while count > 0:
+            run = self.take(count)
+            if not run:
+                return
+            count -= len(run)
+
+
 class SourceOperator(Operator):
     """Base class for stream sources (no inputs).
 
     Subclasses implement :meth:`events`, yielding ``(arrival_time,
     element)`` pairs in non-decreasing arrival order; the engine replays
-    them onto the output queue at those virtual times, handing
-    consecutive tuples to :meth:`emit_many` as one run.  Assumed feedback
-    reaching a source installs an output guard, which suppresses matching
-    tuples *before they enter the plan* -- the cheapest possible
-    exploitation point.
+    them onto the output queue at those virtual times, taking consecutive
+    tuples off the source's :meth:`cursor` as one run for
+    :meth:`emit_many`.  Assumed feedback reaching a source installs an
+    output guard, which suppresses matching tuples *before they enter the
+    plan* -- the cheapest possible exploitation point.
     """
 
     n_inputs = 0
@@ -1169,10 +1227,11 @@ class SourceOperator(Operator):
     def events(self) -> Iterator[tuple[float, Any]]:
         """Yield ``(arrival_time, element)`` pairs in arrival order.
 
-        This iterator is the whole source contract: every engine, the
-        checkpoint coordinator and the benchmarks pull it.  Arrivals must
-        not decrease.  A source built over a finished timeline checks
-        that up front (:class:`~repro.operators.source.ListSource`,
+        This iterator is the whole source contract: the default
+        :meth:`cursor`, which every engine cuts runs from, pulls it.
+        Arrivals must not decrease.  A source built over a finished
+        timeline checks that up front
+        (:class:`~repro.operators.source.ListSource`,
         :class:`~repro.operators.source.PunctuatedSource`); a lazy one
         (:class:`~repro.operators.source.GeneratorSource`,
         :class:`~repro.operators.source.AsyncIterableSource`) cannot be
@@ -1180,6 +1239,10 @@ class SourceOperator(Operator):
         arrival to its clock -- the element enters when it shows up, time
         never rewinds.
         """
+
+    def cursor(self) -> SourceCursor:
+        """A fresh cursor over :meth:`events`, cut into runs by the engine."""
+        return SourceCursor(self.events())
 
     def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
         raise PlanError(f"source {self.name} cannot receive tuples")

@@ -362,6 +362,11 @@ class PushSink(AwaitableSink):
             self.publish(batch)
         self._trim()
 
+    def reload_from_log(self, log: list) -> list:
+        window = super().reload_from_log(log)
+        self._trim()
+        return window
+
 
 class OnDemandSink(CollectSink):
     """A polling client: requests results instead of streaming them.

@@ -3,10 +3,18 @@
 Sources yield ``(arrival_time, element)`` pairs, in non-decreasing arrival
 order, that the engine replays at those virtual times; that iterator
 (:meth:`~repro.operators.base.SourceOperator.events`) is all a source has
-to provide.  The engine takes consecutive tuples off it as a *run* and
-emits the run at once (``emit_many``: one output-guard pass, one
-``put_many`` per edge), cutting runs so that nothing downstream can tell
-(:meth:`~repro.engine.runtime.RuntimeCore.dispatch_source_run`).  Because
+to provide.  The engines do not pull it themselves: they cut runs off the
+source's *cursor* (:meth:`~repro.operators.base.SourceOperator.cursor`)
+-- ``take(limit, before)`` hands out at most ``limit`` consecutive tuples
+arriving before ``before``, or one punctuation on its own -- and emit
+each run at once (``emit_many``: one output-guard pass, one ``put_many``
+per edge), cutting runs so that nothing downstream can tell
+(:meth:`~repro.engine.runtime.RuntimeCore.dispatch_source_run`).
+:class:`PunctuatedSource` slices its timeline: it bisects the arrivals,
+walks tuple by tuple only a slice whose largest value may cross the next
+punctuation boundary, and reads its ``events()`` off that cursor.  Other
+sources get :class:`~repro.operators.base.SourceCursor`, which pulls
+``events()`` one element at a time.  Because
 :class:`~repro.operators.base.SourceOperator` is feedback-aware, assumed
 feedback that propagates all the way to a source suppresses tuples before
 they enter the plan -- the best case of the paper's "avoidance of
@@ -17,7 +25,7 @@ yield a list of tuples as one event.
 Sources are also where backpressure terminates: when a bounded downstream
 queue signals *pause*, the engine stops replaying the source's timeline
 (the simulator and the asyncio engine stash the one element they have
-pulled but not admitted, the threaded runtime sleeps the source thread)
+taken but not admitted, the threaded runtime sleeps the source thread)
 until the matching *resume* arrives, so input is admitted no faster than
 the plan can absorb it.  Sources need no code for this -- the engines
 honour it on their behalf (see :mod:`repro.engine.runtime`).
@@ -26,10 +34,13 @@ honour it on their behalf (see :mod:`repro.engine.runtime`).
 from __future__ import annotations
 
 import asyncio
+import math
+from bisect import bisect_left
+from operator import attrgetter, itemgetter
 from typing import Any, AsyncIterable, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import WorkloadError
-from repro.operators.base import SourceOperator
+from repro.operators.base import SourceCursor, SourceOperator
 from repro.punctuation.schemes import ProgressPunctuator
 from repro.stream.schema import Schema
 from repro.stream.tuples import StreamTuple
@@ -57,6 +68,73 @@ def _ordered_timeline(name: str, timeline: Sequence[tuple[float, Any]]) -> list:
             )
         previous = arrival
     return timeline if isinstance(timeline, list) else list(timeline)
+
+
+_ARRIVAL = itemgetter(0)
+_ELEMENT = itemgetter(1)
+_VALUES = attrgetter("values")
+
+
+class _PunctuatedCursor(SourceCursor):
+    """A :class:`PunctuatedSource`'s cursor: runs are slices of the
+    timeline, cut behind the first tuple whose value crosses the next
+    boundary."""
+
+    __slots__ = ("_timeline", "_at", "_punctuator", "_value", "_boundary",
+                 "_due", "_ended")
+
+    def __init__(
+        self, timeline: list, punctuator: ProgressPunctuator, index: int
+    ) -> None:
+        self._timeline = timeline
+        self._at = 0
+        self.arrival = 0.0
+        self._punctuator = punctuator
+        self._value = itemgetter(index)
+        self._boundary = punctuator.next_boundary
+        #: Punctuation the last crossing tuple produced, not yet handed
+        #: out, last first; it arrives with that tuple.
+        self._due: list = []
+        self._ended = False
+
+    def take(self, limit: int, before: float = math.inf) -> list:
+        if limit < 1:
+            return []
+        if self._due:
+            return [] if self.arrival >= before else [self._due.pop()]
+        timeline, at = self._timeline, self._at
+        if at == len(timeline):
+            arrival = timeline[-1][0] if timeline else 0.0
+            if self._ended or arrival >= before:
+                return []
+            self._ended = True
+            self.arrival = arrival
+            return [self._punctuator.final()]
+        end = min(at + limit, len(timeline))
+        if timeline[end - 1][0] >= before:
+            end = bisect_left(timeline, before, at, end, key=_ARRIVAL)
+            if end == at:
+                return []
+        run = list(map(_ELEMENT, timeline[at:end]))
+        punctuator, value_of = self._punctuator, self._value
+        grace, boundary = punctuator.grace, self._boundary
+        # The punctuator's own test, made on the slice's largest value so
+        # that only a slice that may cross is walked tuple by tuple.  It
+        # is negated because ``max`` keeps a leading NaN, which crosses
+        # nothing but hides whatever does behind it.
+        top = float(max(map(value_of, map(_VALUES, run))))
+        if not top - grace < boundary:
+            for cut, tup in enumerate(run, start=1):
+                value = value_of(tup.values)
+                if float(value) - grace >= boundary:
+                    del run[cut:]
+                    end = at + cut
+                    self._due = punctuator.observe(value)[::-1]
+                    self._boundary = punctuator.next_boundary
+                    break
+        self._at = end
+        self.arrival = timeline[end - 1][0]
+        return run
 
 
 class ListSource(SourceOperator):
@@ -115,9 +193,9 @@ class AsyncIterableSource(SourceOperator):
 
     The synchronous :meth:`events` bridge keeps the source runnable on
     the simulator and the threaded runtime: it pumps a private event
-    loop one event at a time and hands a run out element by element.  That private loop cannot be nested
-    inside an already-running one, so from async client code, drive
-    these sources with the asyncio engine.
+    loop one event at a time and hands a run out element by element.
+    That private loop cannot be nested inside an already-running one, so
+    from async client code, drive these sources with the asyncio engine.
     """
 
     def __init__(
@@ -227,6 +305,12 @@ class PunctuatedSource(SourceOperator):
         self._grace = grace
 
     def events(self) -> Iterator[tuple[float, Any]]:
+        """The cursor, read one element at a time."""
+        cursor = self.cursor()
+        while run := cursor.take(1):
+            yield cursor.arrival, run[0]
+
+    def cursor(self) -> SourceCursor:
         punctuator = ProgressPunctuator(
             self.output_schema,
             self._punctuate_on,
@@ -234,19 +318,7 @@ class PunctuatedSource(SourceOperator):
             grace=self._grace,
             source=self.name,
         )
-        index = self.output_schema.index_of(self._punctuate_on)
-        grace = punctuator.grace
-        boundary = punctuator.next_boundary
-        for arrival, tup in self._timeline:
-            yield arrival, tup
-            # The punctuator's own test, made here so that it is only
-            # called -- watermark and all -- for a value that crosses.
-            value = tup.values[index]
-            if float(value) - grace >= boundary:
-                for punct in punctuator.observe(value):
-                    yield arrival, punct
-                boundary = punctuator.next_boundary
-        yield (
-            self._timeline[-1][0] if self._timeline else 0.0,
-            punctuator.final(),
+        return _PunctuatedCursor(
+            self._timeline, punctuator,
+            self.output_schema.index_of(self._punctuate_on),
         )

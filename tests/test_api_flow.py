@@ -428,7 +428,12 @@ class TestDeclarativeRun:
         )
 
     def test_feedback_injection_threaded(self):
-        """Wall-clock injection lands mid-stream via a gated source."""
+        """Wall-clock injection lands mid-stream via a gated source.
+
+        The source holds the second half of its stream until the window
+        has taken the feedback -- its guard is installed -- so the
+        injection provably lands mid-stream, however late it fires.
+        """
         import threading
 
         gate = threading.Event()
@@ -439,22 +444,29 @@ class TestDeclarativeRun:
             gate.wait(10.0)  # hold the stream open for the injection
             yield from data[50:]
 
+        def open_gate_on_feedback(operator):
+            receive = operator.receive_feedback
+
+            def receive_then_open(feedback, **kwargs):
+                actions = receive(feedback, **kwargs)
+                gate.set()
+                return actions
+
+            operator.receive_feedback = receive_then_open
+
         flow = Flow("threaded-fb")
         handle = (
             flow.generate(SCHEMA, events, name="source")
                 .window(avg("value"), by="sensor", width=2.0, on="ts",
-                        name="average")
+                        name="average", configure=open_gate_on_feedback)
         )
         handle.collect("sink")
         fb = FeedbackPunctuation.assumed(
             Pattern.from_mapping(handle.schema, {"sensor": InSet({1})}),
             issuer="client",
         )
-        run = flow.run(
-            engine="threaded",
-            feedback=[(0.05, "sink", fb)],
-            actions=[(0.4, lambda plan: gate.set())],
-        )
+        run = flow.run(engine="threaded", feedback=[(0.05, "sink", fb)])
+        assert gate.is_set()
         assert all(t["sensor"] != 1 for t in run.sink("sink").results)
         assert run.sink("sink").results  # other sensors made it through
 
@@ -482,18 +494,21 @@ class TestDeclarativeRun:
     @pytest.mark.skipif(
         not fork_available(), reason="fork start method unavailable"
     )
-    def test_feedback_injection_multiprocess(self):
+    def test_feedback_injection_multiprocess(self, monkeypatch):
         """Declarative feedback crosses the process boundary.
 
         ``feedback=`` entries name their target sink, so ``Flow.run``
         hands the multiprocess engine an owner and the injection fires
         inside the worker that owns the sink; the assumed pattern then
         relays upstream over a control frame to the source's worker.
-        The source gates mid-stream on a fork-shared event (released by
-        an owner-routed action *in the source's worker*), so the guard
-        provably lands before the second half of the stream.
+        The source gates mid-stream on an event its worker sets when the
+        feedback lands in the source's control channel.  The source
+        drains its control before it emits its next run, so the guard
+        provably goes in before the second half of the stream.
         """
         import threading
+
+        from repro.stream.control import ControlChannel, ControlMessageKind
 
         gate = threading.Event()
         data = rows(60)
@@ -503,13 +518,19 @@ class TestDeclarativeRun:
             gate.wait(10.0)
             yield from data[10:]
 
+        send = ControlChannel.send
+
+        def send_then_open(channel, message):
+            send(channel, message)
+            if message.kind is ControlMessageKind.FEEDBACK:
+                gate.set()  # in whichever worker the message landed
+
+        monkeypatch.setattr(ControlChannel, "send", send_then_open)
         flow = Flow("mp-feedback")
         flow.generate(SCHEMA, events, name="source").collect("sink")
         fb = self.feedback_for(SCHEMA)
         run = flow.run(
-            engine="multiprocess",
-            feedback=[(0.05, "sink", fb)],
-            actions=[(0.4, lambda plan: gate.set(), "source")],
+            engine="multiprocess", feedback=[(0.05, "sink", fb)],
         )
         source = run.metrics.operator_metrics["source"]
         assert source.feedback_received == 1

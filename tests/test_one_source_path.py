@@ -1,28 +1,35 @@
 """One source path, in runs.
 
 Source elements enter a plan one way -- ``RuntimeCore.dispatch_source_run``
--- on the simulated, threaded and asyncio engines, and the engines take
-consecutive tuples off a source's ``events()`` iterator as one run.  Pinned
-here:
+-- on the simulated, threaded and asyncio engines, and the engines cut
+consecutive tuples off a source's cursor (``SourceOperator.cursor``) as
+one run.  Pinned here:
 
+* the cursor: whatever the limits and arrival bounds its runs are cut
+  with, and whatever recovery prefix it skips, a list, punctuated or
+  generator source hands out exactly ``events()``, with a punctuated
+  source's final punctuation last;
 * batching is invisible: on virtual time a run-ahead simulator and a
   reference that dispatches **runs of one** through the same
   ``dispatch_source_run`` agree on every observable -- sink arrival times
   and values, each page's ``available_at``, pauses, queue peaks, the event
   count, makespan, operator counters, the feedback log, checkpoint epochs
   and the source offsets recorded for them -- over random timelines with
-  tied arrivals, punctuation, page sizes, bounded queues, costed
-  consumers, feedback injected at arrival instants, control latency, two
-  sources into a union and punctuation-aligned checkpoints;
+  tied arrivals, punctuation (embedded, or made by a punctuated source
+  over disordered values), generator sources, page sizes, bounded queues,
+  costed consumers, feedback injected at arrival instants, control
+  latency, two sources into a union and punctuation-aligned checkpoints;
 * on the wall clock (threaded, asyncio) the sink sees the same tuples and a
   bounded source edge never holds more than its capacity;
-* the structure: the per-element dispatch is gone from ``src/`` and the
-  engines never call ``Operator.emit`` themselves.
+* the structure: the per-element dispatch is gone from ``src/``, the
+  engines pull no ``events()`` iterator, and they never call
+  ``Operator.emit`` themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -35,6 +42,7 @@ from repro import (
     AsyncioEngine,
     CollectSink,
     FeedbackPunctuation,
+    GeneratorSource,
     ListSource,
     Pattern,
     PunctuatedSource,
@@ -47,7 +55,7 @@ from repro import (
 )
 from repro.errors import WorkloadError
 from repro.operators.union import Union
-from repro.punctuation import Punctuation
+from repro.punctuation import ProgressPunctuator, Punctuation
 
 SRC = Path(repro.__file__).resolve().parent
 SCHEMA = Schema([("ts", "timestamp", True), ("k", "int"), ("v", "float")])
@@ -95,31 +103,86 @@ class LoggedSink(PageLog, CollectSink):
 # -- scenarios ---------------------------------------------------------------
 
 
+#: A punctuated value: disordered, on a boundary (with or without the
+#: grace of 2.5), one jump across many intervals, or NaN (which crosses
+#: nothing).
+VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=20.0),
+    st.sampled_from([4.0, 6.5, 8.0]),
+    st.just(60.0),
+    st.just(math.nan),
+)
+INTERVAL = 4.0
+
+
 @st.composite
 def timelines(draw):
-    """``(arrival, is_punctuation)`` rows: tied arrivals, 0-50% punctuation."""
+    """``(arrival, is_punctuation, value)`` rows: tied arrivals, 0-50%
+    punctuation, disordered values."""
     density = draw(st.sampled_from([0.0, 0.1, 0.5]))
     steps = draw(st.lists(
         st.tuples(
             st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]),
             st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            VALUES,
         ),
         min_size=0, max_size=40,
     ))
     arrival = 0.0
     rows = []
-    for step, coin in steps:
+    for step, coin, value in steps:
         arrival += step
-        rows.append((arrival, coin < density))
+        rows.append((arrival, coin < density, value))
     return rows
+
+
+def make_source(name, kind, rows, *, grace=0.0, index=0, stamp=0):
+    """A ``kind`` source over ``rows``: the source, its timeline and the
+    last stamp used.
+
+    List and generator sources carry embedded punctuation and ascending
+    ``ts``; a punctuated source takes the rows' values as ``ts`` and
+    makes its own punctuation.
+    """
+    timeline = []
+    for arrival, is_punctuation, value in rows:
+        if kind == "punctuated":
+            stamp += 1
+            timeline.append((arrival, StreamTuple(
+                SCHEMA, (value, stamp % 4, float(index))
+            )))
+        elif is_punctuation:
+            timeline.append(
+                (arrival, Punctuation.up_to(SCHEMA, "ts", float(stamp)))
+            )
+        else:
+            stamp += 1
+            timeline.append((arrival, StreamTuple(
+                SCHEMA, (float(stamp), stamp % 4, float(index))
+            )))
+    if kind == "punctuated":
+        source = PunctuatedSource(
+            name, SCHEMA, timeline, punctuate_on="ts",
+            punctuation_interval=INTERVAL, grace=grace,
+        )
+    elif kind == "generator":
+        source = GeneratorSource(name, SCHEMA, lambda: list(timeline))
+    else:
+        source = ListSource(name, SCHEMA, timeline)
+    return source, timeline, stamp
 
 
 @st.composite
 def scenarios(draw):
     sources = draw(st.lists(timelines(), min_size=1, max_size=2))
-    instants = sorted({a for rows in sources for a, _ in rows}) or [0.0]
+    instants = sorted({a for rows in sources for a, _, _ in rows}) or [0.0]
     return {
         "sources": sources,
+        "kinds": draw(st.lists(
+            st.sampled_from(["list", "punctuated", "generator"]),
+            min_size=len(sources), max_size=len(sources),
+        )),
+        "grace": draw(st.sampled_from([0.0, 1.5])),
         "page_size": draw(st.sampled_from([1, 3, 64])),
         "capacity": draw(st.sampled_from([None, 4, 32])),
         "cost": draw(st.sampled_from([0.0, 0.3])),
@@ -141,19 +204,13 @@ def build(scenario):
     plan = QueryPlan("one-source-path")
     stamp = 0
     sources = []
-    for index, rows in enumerate(scenario["sources"]):
-        timeline = []
-        for arrival, is_punctuation in rows:
-            if is_punctuation:
-                timeline.append(
-                    (arrival, Punctuation.up_to(SCHEMA, "ts", float(stamp)))
-                )
-            else:
-                stamp += 1
-                timeline.append((arrival, StreamTuple(
-                    SCHEMA, (float(stamp), stamp % 4, float(index))
-                )))
-        sources.append(plan.add(ListSource(f"src{index}", SCHEMA, timeline)))
+    kinds = scenario.get("kinds") or ["list"] * len(scenario["sources"])
+    for index, (rows, kind) in enumerate(zip(scenario["sources"], kinds)):
+        source, _timeline, stamp = make_source(
+            f"src{index}", kind, rows, grace=scenario.get("grace", 0.0),
+            index=index, stamp=stamp,
+        )
+        sources.append(plan.add(source))
     select = plan.add(LoggedSelect(
         "select", SCHEMA, lambda tup: True, tuple_cost=scenario["cost"]
     ))
@@ -235,7 +292,7 @@ class TestBatchingIsInvisibleOnVirtualTime:
         """High water cuts a run: 100 tied arrivals into a capacity-4 edge
         behind a slow consumer pause at exactly the fourth tuple."""
         scenario = {
-            "sources": [[(0.0, False)] * 100],
+            "sources": [[(0.0, False, 0.0)] * 100],
             "page_size": 64, "capacity": 4, "cost": 1.0,
             "control_latency": 0.0, "checkpoint_every": None,
             "feedback": [],
@@ -247,7 +304,7 @@ class TestBatchingIsInvisibleOnVirtualTime:
 
     def test_a_full_page_is_stamped_with_the_tuple_that_filled_it(self):
         scenario = {
-            "sources": [[(float(i), False) for i in range(7)]],
+            "sources": [[(float(i), False, 0.0) for i in range(7)]],
             "page_size": 3, "capacity": None, "cost": 0.0,
             "control_latency": 0.0, "checkpoint_every": None,
             "feedback": [],
@@ -261,11 +318,12 @@ class TestBatchingIsInvisibleOnVirtualTime:
         from repro.errors import EngineError
 
         plan = build({
-            "sources": [[(0.0, False)] * 50], "page_size": 64,
+            "sources": [[(0.0, False, 0.0)] * 50], "page_size": 64,
             "capacity": None, "cost": 0.0,
         })
         with pytest.raises(EngineError, match="max_events=10"):
             Simulator(plan, max_events=10).run()
+        assert plan.operator("src0").metrics.tuples_out == 10
 
 
 class TestWallClockEngines:
@@ -273,12 +331,16 @@ class TestWallClockEngines:
     @pytest.mark.parametrize("page_size", [1, 3, 64])
     @pytest.mark.parametrize("capacity", [None, 4, 32])
     @pytest.mark.parametrize("checkpoint_every", [None, 7])
+    @pytest.mark.parametrize("kinds", [
+        ["list", "list"], ["punctuated", "generator"],
+    ])
     def test_same_tuples_and_the_capacity_bound(
-        self, engine_class, page_size, capacity, checkpoint_every
+        self, engine_class, page_size, capacity, checkpoint_every, kinds
     ):
-        rows = [(0.0, i % 5 == 4) for i in range(120)]
+        rows = [(0.0, i % 5 == 4, float(i % 17)) for i in range(120)]
         scenario = {
-            "sources": [rows, rows[:50]], "page_size": page_size,
+            "sources": [rows, rows[:50]], "kinds": kinds,
+            "page_size": page_size,
             "capacity": capacity, "cost": 0.0, "control_latency": 0.0,
             "checkpoint_every": checkpoint_every, "feedback": [],
         }
@@ -324,6 +386,118 @@ class TestArrivalOrder:
         PunctuatedSource(
             "src", SCHEMA, ties, punctuate_on="ts", punctuation_interval=1.0
         )
+
+
+def key(element):
+    return (
+        ("punctuation", element.pattern) if element.is_punctuation
+        else ("tuple", element.values)
+    )
+
+
+def reference_events(kind, timeline, grace):
+    """What ``events()`` must yield, built without the source's cursor:
+    each tuple is tested against the next boundary on its own, and only
+    one that crosses it is observed."""
+    if kind != "punctuated":
+        return list(timeline)
+    punctuator = ProgressPunctuator(
+        SCHEMA, "ts", INTERVAL, grace=grace, source="src"
+    )
+    expected = []
+    for arrival, tup in timeline:
+        expected.append((arrival, tup))
+        if tup["ts"] - grace >= punctuator.next_boundary:
+            expected.extend(
+                (arrival, p) for p in punctuator.observe(tup["ts"])
+            )
+    expected.append((timeline[-1][0] if timeline else 0.0, punctuator.final()))
+    return expected
+
+
+def drain(cursor, limit=3):
+    elements = []
+    while run := cursor.take(limit):
+        elements.extend(run)
+    return elements
+
+
+class TestSourceCursor:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["list", "punctuated", "generator"]),
+        timelines(),
+        st.sampled_from([0.0, 2.5]),
+        st.lists(st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.sampled_from([-0.5, 0.0, 0.5, 2.0, math.inf]),
+        ), max_size=30),
+    )
+    def test_runs_concatenate_to_the_events(self, kind, rows, grace, takes):
+        """Each ``take(limit, before)`` hands out what the definition
+        says -- the longest run of tuples that fits, or one punctuation,
+        arriving before ``before`` -- with ``before`` drawn around the
+        next arrival; the runs add up to ``events()``."""
+        source, timeline, _ = make_source("src", kind, rows, grace=grace)
+        expected = list(source.events())
+        assert [(a, key(e)) for a, e in expected] == [
+            (a, key(e)) for a, e in reference_events(kind, timeline, grace)
+        ]
+        cursor = source.cursor()
+        handed, at = [], 0
+        for limit, offset in takes:
+            before = expected[at][0] + offset if at < len(expected) else offset
+            want = []
+            for arrival, element in expected[at:]:
+                if len(want) == limit or arrival >= before:
+                    break
+                if element.is_punctuation:
+                    want = want or [element]
+                    break
+                want.append(element)
+            run = cursor.take(limit, before)
+            assert [key(e) for e in run] == [key(e) for e in want]
+            if run:
+                at += len(run)
+                assert cursor.arrival == expected[at - 1][0]
+            handed.extend(run)
+        handed.extend(drain(cursor))
+        assert cursor.take(1) == []
+        assert [key(e) for e in handed] == [key(e) for _a, e in expected]
+        if kind == "punctuated":
+            finals = [
+                i for i, e in enumerate(handed)
+                if e.is_punctuation and not e.pattern.constrained_indices()
+            ]
+            assert finals == [len(handed) - 1]
+
+    def test_a_leading_nan_hides_no_crossing(self):
+        """``max`` keeps a leading NaN; the slice behind it still cuts
+        at the tuple that crosses."""
+        source, _timeline, _ = make_source(
+            "src", "punctuated", [(0.0, False, math.nan), (0.0, False, 5.0)]
+        )
+        cursor = source.cursor()
+        runs = [cursor.take(64) for _ in range(3)]
+        assert [len(run) for run in runs] == [2, 1, 1]
+        assert runs[1][0].pattern == Punctuation.up_to(
+            SCHEMA, "ts", INTERVAL, inclusive=False
+        ).pattern
+        assert cursor.take(64) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["list", "punctuated", "generator"]),
+        timelines(),
+        st.sampled_from([0.0, 2.5]),
+    )
+    def test_skip_drops_exactly_the_prefix(self, kind, rows, grace):
+        source, _timeline, _ = make_source("src", kind, rows, grace=grace)
+        expected = [key(e) for _a, e in source.events()]
+        for count in range(len(expected) + 2):
+            cursor = source.cursor()
+            cursor.skip(count)
+            assert [key(e) for e in drain(cursor)] == expected[count:]
 
 
 class TestPunctuatedSourceEvents:
@@ -375,6 +549,13 @@ class TestStructure:
 
     def test_per_element_dispatch_is_gone_from_src(self):
         assert self._offenders(r"dispatch_source_element") == []
+
+    def test_engines_cut_runs_from_the_cursor(self):
+        """No engine pulls ``events()`` itself: an element-by-element
+        loop survives only in the cursor that wraps it."""
+        assert self._offenders(r"\bevents\(\)|source_events", "engine") == []
+        pulls = self._offenders(r"\.events\(\)", "operators")
+        assert [where.split(":")[0] for where in pulls] == ["operators/base.py"]
 
     def test_engines_do_not_call_operator_emit(self):
         assert self._offenders(r"\.emit\(", "engine") == []

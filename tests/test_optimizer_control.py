@@ -9,6 +9,7 @@ completion requires state under the composite's *own* name).
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from repro import (
     StreamTuple,
 )
 from repro.durability import MemoryCheckpointStore
+from repro.engine import engine_factory
 from repro.optimizer import optimize
 
 SCHEMA = Schema([
@@ -75,13 +77,34 @@ class TestPauseResumeThroughFusion:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_fused_operator_received_the_pauses(self, engine):
-        opt = chain_flow().run(engine, queue_capacity=32, optimize=True)
+        """The sink takes no page until its producer -- the composite --
+        has been paused, so the cap-32 queue between them must fill on
+        every engine, however fast the sink would drain it."""
+
+        class GatedSink(engine_factory(engine)):
+            gate = threading.Event()
+
+            def is_paused(self, operator):
+                if operator.name == "sink" and not self.gate.is_set():
+                    return True
+                return super().is_paused(operator)
+
+            def _on_paused(self, operator, at):
+                super()._on_paused(operator, at)
+                sink = self.plan.operator("sink")
+                if sink in (edge.consumer for edge in operator.outputs):
+                    self.gate.set()
+                    self._on_resumed(sink, at)
+
+        plan = chain_flow().build(queue_capacity=32)
+        optimize(plan)
+        opt = GatedSink(plan).run()
         fused = opt.metrics.operator_metrics["keep+ext+clip"]
         source = opt.metrics.operator_metrics["src"]
-        # Somebody upstream of the bottleneck was paused at least once
-        # on a 400-element burst through cap-32 queues.
+        assert fused.pauses_received > 0 and fused.resumes_received > 0
         assert source.pauses_received + fused.pauses_received > 0
         assert source.resumes_received + fused.resumes_received > 0
+        assert data(opt) == data(chain_flow().run(engine))
 
 
 class TestFeedbackThroughFusion:

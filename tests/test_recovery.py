@@ -234,6 +234,12 @@ class TestTrimmedSinkRecovery:
         assert restored.delivered == 30 == len(
             store.read_delivery_log("out")
         )
+        # The reload keeps what the sink retains, not the whole log.
+        assert len(restored.arrivals) <= 4
+        assert restored.arrivals == [
+            (entry[0], entry[1])
+            for entry in store.read_delivery_log("out")[-4:]
+        ]
 
 
     def test_cut_taken_while_the_replay_window_is_open(self):
