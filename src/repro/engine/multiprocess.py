@@ -126,12 +126,6 @@ class _ShippingQueue(DataQueue):
         while (page := self.get_page()) is not None:
             self._ship((_DATA, self.name, encode_page(page)))
 
-    def put(self, element: Any) -> bool:
-        completed = super().put(element)
-        if completed:
-            self._drain_ready()
-        return completed
-
     def put_many(self, elements: list) -> int:
         completed = super().put_many(elements)
         if completed:

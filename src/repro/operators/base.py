@@ -830,12 +830,8 @@ class Operator(abc.ABC):
                 self.metrics.punctuations_out += 1
         if hold or not elements:
             return elements
-        single = len(elements) == 1  # a punctuation or marker is alone
         for edge in self.outputs if lane is None else (self.outputs[lane],):
-            if single:
-                edge.queue.put(elements[0])
-            else:
-                edge.queue.put_many(elements)
+            edge.queue.put_many(elements)
         return elements
 
     def emit(self, tup: StreamTuple) -> bool:

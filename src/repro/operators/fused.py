@@ -10,12 +10,11 @@ Fidelity is the design constraint, not a bolt-on.  The composite wraps the
 *real* stage operator instances and replaces only their inter-stage
 plumbing with synchronous shims:
 
-* **data** -- a :class:`_LinkQueue` between stages dispatches ``put_many``
-  (and ``put``, as a page of one) straight into the next stage's
-  ``process_page``, so guard filtering, punctuation transforms (a
-  PROJECT absorbing a lossy pattern, a MAP widening onto carried
-  attributes) and guard expiry all run exactly the materialized chain's
-  code;
+* **data** -- a :class:`_LinkQueue` between stages dispatches each
+  ``put_many`` run straight into the next stage's ``process_page``, so
+  guard filtering, punctuation transforms (a PROJECT absorbing a lossy
+  pattern, a MAP widening onto carried attributes) and guard expiry all
+  run exactly the materialized chain's code;
 * **control** -- the stages are on the ordinary control walk: a message
   that reaches the composite goes, as it is, onto the end of the chain it
   arrived at, and every stage takes what reaches it through
@@ -94,7 +93,7 @@ class _LinkQueue:
     """Synchronous data shim between two fused stages.
 
     Quacks like the producer side of a :class:`DataQueue` but hands every
-    element straight to the consumer stage -- no page, no buffer, so a
+    run straight to the consumer stage -- no page, no buffer, so a
     checkpoint cut at the composite boundary can never strand an element
     inside the composite.
     """
@@ -104,10 +103,6 @@ class _LinkQueue:
     def __init__(self, name: str, consumer: Operator) -> None:
         self.name = name
         self.consumer = consumer
-
-    def put(self, element: Any) -> bool:
-        self.consumer.process_page(0, [element])
-        return False
 
     def put_many(self, elements: list) -> int:
         self.consumer.process_page(0, elements)
@@ -129,10 +124,6 @@ class _TailQueue:
     def __init__(self, name: str, fused: "FusedOperator") -> None:
         self.name = name
         self.fused = fused
-
-    def put(self, element: Any) -> bool:
-        self.fused._emit([element])
-        return False
 
     def put_many(self, elements: list) -> int:
         self.fused._emit(elements)

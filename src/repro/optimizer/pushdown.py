@@ -16,13 +16,12 @@ would cycle); shard-region members stay put.
 
 from __future__ import annotations
 
+from repro.core.propagation import PropagationPlanner
 from repro.engine.plan import QueryPlan
-from repro.operators.base import Operator
 from repro.operators.map import Map
 from repro.operators.passthrough import PassThrough
 from repro.operators.project import Project
 from repro.operators.select import Select
-from repro.punctuation.patterns import Pattern
 
 from repro.optimizer.fusion import shard_bound_names
 
@@ -30,28 +29,6 @@ __all__ = ["push_guards"]
 
 #: Stages a pattern SELECT may commute across.
 COMMUTABLE_TYPES = (Project, Map, PassThrough)
-
-
-def _remap_pattern(
-    select: Select, upstream: Operator
-) -> Pattern | None:
-    """``select.pattern`` rephrased over ``upstream``'s input schema.
-
-    None when any constrained attribute lacks an exact origin (a computed
-    MAP attribute, say) -- the swap would change semantics, so decline.
-    """
-    pattern = select.pattern
-    in_schema = upstream.mapping.input_schemas[0]
-    atoms = list(Pattern.all_wildcards(len(in_schema)).atoms)
-    out_schema = upstream.output_schema
-    for index, atom in pattern.constrained():
-        origin = upstream.mapping.exact_origin_in(
-            out_schema[index].name, 0
-        )
-        if origin is None:
-            return None
-        atoms[in_schema.index_of(origin.input_attribute)] = atom
-    return Pattern(atoms, schema=in_schema)
 
 
 def _swap_once(plan: QueryPlan, shard_bound: set[str], report) -> bool:
@@ -75,7 +52,14 @@ def _swap_once(plan: QueryPlan, shard_bound: set[str], report) -> bool:
             or upstream.inputs[0] is None
         ):
             continue
-        remapped = _remap_pattern(op, upstream)
+        # The pattern over the stage's input by the rule that relays
+        # feedback (Definition 2): every constrained attribute needs an
+        # exact origin, and constraints on one origin intersect.  None
+        # (a computed origin, an empty intersection, nothing
+        # constrained): decline.
+        remapped = PropagationPlanner(upstream.mapping).plan(
+            op.pattern
+        ).per_input.get(0)
         if remapped is None:
             continue
 

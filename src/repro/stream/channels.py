@@ -26,13 +26,22 @@ deliberately placed in the engine-agnostic stream substrate:
   consumer converts into upstream delay, exactly like the engine's
   in-plan watermarks.
 
+Both ends are one async buffer.  A :class:`Channel` is buffered by its
+producers (:meth:`Channel.put_run`) and drained by its consumer, which
+awaits :meth:`Channel.ready` and pops a run with :meth:`Channel.take`.  A
+:class:`Subscription` *is* a channel: the hub publishes into it instead
+of a producer awaiting room, and its ``take`` lets the hub look at its
+gate.  Everything that enters either buffer goes through one admission
+step, so ``admitted`` / ``delivered`` / ``peak_backlog`` mean the same on
+both.
+
 Both move *runs*: a producer admits a list in one call
 (:meth:`Channel.put_run`), the plan takes whatever is buffered as one
-source event (:meth:`Channel.runs`), a sink publishes a page
-(:meth:`Broadcast.publish_page`) and a delivery handler takes what its
-subscription holds (:meth:`Subscription.take`).  A run is only ever what
-is already there -- nothing waits to fill one -- and the one-element
-forms (:meth:`Channel.put`, :meth:`Channel.stream`,
+source event (:meth:`Channel.runs`, a view of ``ready``/``take``), a
+sink publishes a page (:meth:`Broadcast.publish_page`) and a delivery
+handler takes what its subscription holds (``take``).  A run is only
+ever what is already there -- nothing waits to fill one -- and the
+one-element forms (:meth:`Channel.put`, :meth:`Channel.stream`,
 :meth:`Broadcast.publish`, ``Subscription.__anext__``) are views of the
 run forms.
 
@@ -67,7 +76,7 @@ class Channel:
     """
 
     def __init__(
-        self, name: str, schema: Schema, *, capacity: int = 256
+        self, name: str, schema: Schema | None, *, capacity: int = 256
     ) -> None:
         if capacity < 1:
             raise ServingError(
@@ -76,7 +85,7 @@ class Channel:
         self.name = name
         self.schema = schema
         self.capacity = capacity
-        self._buffer: deque[Any] = deque()
+        self.buffer: deque[Any] = deque()
         self._closed = False
         #: Sequence number of the last admitted element; doubles as the
         #: (virtual) arrival time yielded to bridged engines.
@@ -88,7 +97,7 @@ class Channel:
         self._space.set()
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self.buffer)
 
     @property
     def closed(self) -> bool:
@@ -97,7 +106,9 @@ class Channel:
     @property
     def idle(self) -> bool:
         """True when every admitted element has been taken by the plan."""
-        return not self._buffer
+        return not self.buffer
+
+    # -- producer side ---------------------------------------------------------
 
     def put(self, element: Any) -> Awaitable[int]:
         """Admit one element, awaiting while the channel is full.
@@ -127,7 +138,6 @@ class Channel:
         :meth:`put`, the elements admitted before the close staying
         admitted.
         """
-        buffer = self._buffer
         while True:
             for hub in gates:
                 await hub.wait_open()
@@ -135,27 +145,56 @@ class Channel:
                 raise ServingError(
                     f"channel {self.name!r} is closed to new input"
                 )
-            room = self.capacity - len(buffer)
+            room = self.capacity - len(self.buffer)
             if room >= len(run):
                 part, run = run, ()
             else:
                 part, run = run[:room], run[room:]
             if part:
-                buffer.extend(part)
-                self.admitted += len(part)
-                if len(buffer) > self.peak_backlog:
-                    self.peak_backlog = len(buffer)
-                self._data.set()
+                self._admit(part)
             if not run:
                 return self.admitted
             self._space.clear()
             await self._space.wait()
+
+    def _admit(self, run: Sequence[Any]) -> None:
+        """Buffer ``run`` and wake the consumer: every way in ends here."""
+        buffer = self.buffer
+        buffer.extend(run)
+        self.admitted += len(run)
+        if len(buffer) > self.peak_backlog:
+            self.peak_backlog = len(buffer)
+        self._data.set()
 
     def close(self) -> None:
         """End the stream: no new input; the backlog still drains."""
         self._closed = True
         self._data.set()
         self._space.set()  # parked producers wake and observe the close
+
+    # -- consumer side ---------------------------------------------------------
+
+    async def ready(self) -> bool:
+        """Park until something is buffered; False once the stream is over.
+
+        Over means the channel closed and its backlog has drained.
+        """
+        buffer = self.buffer
+        while not buffer:
+            if self._closed:
+                return False
+            self._data.clear()
+            await self._data.wait()
+        return True
+
+    def take(self, count: int) -> list:
+        """Pop the first ``count`` buffered elements (there must be that
+        many) and make room for the producers they were holding up."""
+        popleft = self.buffer.popleft
+        taken = [popleft() for _ in range(count)]
+        self.delivered += count
+        self._space.set()
+        return taken
 
     async def runs(self) -> AsyncIterator[tuple[float, list]]:
         """The ``(arrival, run)`` async iterator a source consumes.
@@ -170,21 +209,11 @@ class Channel:
         arrival is the admission sequence number of the run's last
         element, giving bridged engines a monotone virtual timeline.  May
         be called again after a run died -- the new iterator picks up the
-        surviving backlog.
+        surviving backlog.  A view of :meth:`ready` and :meth:`take`.
         """
-        buffer = self._buffer
-        while True:
-            while not buffer:
-                if self._closed:
-                    return
-                self._data.clear()
-                await self._data.wait()
-            run = [
-                buffer.popleft()
-                for _ in range(min(len(buffer), DEFAULT_PAGE_SIZE))
-            ]
-            self.delivered += len(run)
-            self._space.set()
+        buffer = self.buffer
+        while buffer or await self.ready():
+            run = self.take(min(len(buffer), DEFAULT_PAGE_SIZE))
             yield float(self.delivered), run
 
     async def stream(self) -> AsyncIterator[tuple[float, Any]]:
@@ -199,61 +228,37 @@ class Channel:
                 yield arrival + offset, element
 
 
-class Subscription:
-    """One consumer's bounded buffer on a :class:`Broadcast` hub.
+class Subscription(Channel):
+    """One consumer's buffer on a :class:`Broadcast` hub: a channel the
+    hub publishes into.
 
     Async-iterable: ``async for element in subscription`` yields
     published elements in order and ends when the hub closes (after the
     backlog drains) or the subscription is cancelled via :meth:`close`.
+    ``capacity`` reads the hub's high-water mark, but the hub never
+    waits for room: it closes its gate instead, and :meth:`take` lets
+    the hub look at that gate again.
     """
 
-    __slots__ = ("hub", "buffer", "received", "_data", "_closed")
-
     def __init__(self, hub: "Broadcast") -> None:
+        super().__init__(hub.name, None, capacity=hub.high_water)
         self.hub = hub
-        self.buffer: deque[Any] = deque()
-        self.received = 0
-        self._data = asyncio.Event()
-        self._closed = False
-
-    def __len__(self) -> int:
-        return len(self.buffer)
 
     def close(self) -> None:
-        """Detach from the hub (a client disconnected)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._data.set()
+        """End this subscription and detach from the hub (a client
+        disconnected, or the hub closed); the backlog still drains."""
+        super().close()
         self.hub._detach(self)
+
+    def take(self, count: int) -> list:
+        """:meth:`Channel.take`; the hub's gate is looked at once for all
+        of them."""
+        taken = super().take(count)
+        self.hub._drained()
+        return taken
 
     def __aiter__(self) -> "Subscription":
         return self
-
-    async def ready(self) -> bool:
-        """Park until something is buffered; False once the stream is over.
-
-        Over means the hub closed (or this subscription was cancelled)
-        and the backlog has drained.
-        """
-        while not self.buffer:
-            if self._closed or self.hub.closed:
-                self.close()
-                return False
-            self._data.clear()
-            await self._data.wait()
-        return True
-
-    def take(self, count: int) -> list:
-        """Pop the first ``count`` buffered elements (there must be that
-        many); the hub's gate is looked at once for all of them."""
-        popleft = self.buffer.popleft
-        taken: list = []
-        for _ in range(count):
-            taken.append(popleft())
-        self.received += count
-        self.hub._drained()
-        return taken
 
     async def __anext__(self) -> Any:
         if not self.buffer and not await self.ready():
@@ -348,11 +353,9 @@ class Broadcast:
         self.published += len(page)
         backlog = 0
         for subscription in self._subscribers:
-            buffer = subscription.buffer
-            buffer.extend(page)
-            subscription._data.set()
-            if len(buffer) > backlog:
-                backlog = len(buffer)
+            subscription._admit(page)
+            if len(subscription.buffer) > backlog:
+                backlog = len(subscription.buffer)
         if backlog > self.peak_backlog:
             self.peak_backlog = backlog
         if backlog >= self.high_water and self._gate.is_set():
@@ -372,8 +375,9 @@ class Broadcast:
         await self._gate.wait()
 
     def close(self) -> None:
-        """End delivery: subscribers finish once their buffers drain."""
+        """End delivery: every subscription closes and finishes once its
+        buffer drains."""
         self.closed = True
-        for subscription in list(self._subscribers):
-            subscription._data.set()
         self._gate.set()
+        for subscription in list(self._subscribers):
+            subscription.close()

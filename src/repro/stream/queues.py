@@ -2,9 +2,13 @@
 
 A :class:`DataQueue` connects a producer operator to a consumer operator and
 carries complete :class:`~repro.stream.pages.Page` objects.  The producer
-writes single elements; the queue maintains the producer's *open page* and
-moves it into the ready backlog when it completes (full, punctuation, or
-explicit flush).
+hands over runs through one call, :meth:`DataQueue.put_many` -- a run of
+tuples, or one punctuation or marker on its own, the shape
+:meth:`~repro.operators.base.Operator._emit` puts on every edge; the
+queue maintains the producer's *open page* and moves it into the ready
+backlog when it completes (full, punctuation, or explicit flush).  The
+fused chain's stage links and the multiprocess engine's shipping queue
+take the same one call.
 
 Queues are unbounded by default -- exactly the paper's NiagaraST setting,
 where inter-operator queues absorb whatever the producers emit.  Passing
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.errors import EngineError
 from repro.stream.pages import DEFAULT_PAGE_SIZE, Page
@@ -136,42 +140,15 @@ class DataQueue:
 
     # -- producer side -----------------------------------------------------------
 
-    def put(self, element: Any) -> bool:
-        """Enqueue one element; return True when a page became ready.
+    def put_many(self, elements: Sequence[Any]) -> int:
+        """Enqueue one run; return the pages it completed.
 
-        Punctuations complete the open page immediately (flush-on-
-        punctuation), so downstream operators observe stream progress
-        without waiting for a full page.
-        """
-        if self._mutex is not None:
-            with self._mutex:
-                completed = self._put(element)
-        else:
-            completed = self._put(element)
-        if completed and self._waiter is not None:
-            self._waiter.notify_all()
-        return completed
-
-    def _put(self, element: Any) -> bool:
-        self.elements_enqueued += 1
-        self._occupancy += 1
-        if self._occupancy > self.peak_occupancy:
-            self.peak_occupancy = self._occupancy
-        completed = self._open_page.append(element)
-        if completed:
-            self._ready.append(self._open_page)
-            self._open_page = Page(self.page_size)
-            self.pages_flushed += 1
-        return completed
-
-    def put_many(self, elements: list) -> int:
-        """Enqueue a batch of data tuples; return the pages completed.
-
-        The bulk counterpart of :meth:`put` for the page-batched operator
-        path: elements are copied into the open page in slices instead of
-        one append call each.  Punctuation must still go through
-        :meth:`put` (it completes the open page); callers hand this method
-        runs of plain tuples between punctuations.
+        The one way in: ``elements`` is what
+        :meth:`~repro.operators.base.Operator._emit` hands every edge --
+        a run of data tuples, copied into the open page in slices, or
+        one punctuation or marker on its own, which completes the open
+        page (flush-on-punctuation), so downstream operators observe
+        stream progress without waiting for a full page.
         """
         if self._mutex is not None:
             with self._mutex:
@@ -182,7 +159,7 @@ class DataQueue:
             self._waiter.notify_all()
         return completed
 
-    def _put_many(self, elements: list) -> int:
+    def _put_many(self, elements: Sequence[Any]) -> int:
         total = len(elements)
         self.elements_enqueued += total
         self._occupancy += total
@@ -191,13 +168,21 @@ class DataQueue:
         completed = 0
         index = 0
         while index < total:
-            index = self._open_page.take_from(elements, index)
+            if elements[index].is_punctuation:
+                self._open_page.append(elements[index])
+                index += 1
+            else:
+                index = self._open_page.take_from(elements, index)
             if self._open_page.complete:
                 self._ready.append(self._open_page)
                 self._open_page = Page(self.page_size)
                 self.pages_flushed += 1
                 completed += 1
         return completed
+
+    def put(self, element: Any) -> bool:
+        """:meth:`put_many` of a run of one; True when a page became ready."""
+        return self.put_many([element]) > 0
 
     def put_page(self, page: Page) -> None:
         """Inject one complete page directly into the ready backlog.

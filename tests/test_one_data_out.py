@@ -8,7 +8,8 @@ and the only place the output rules live.  Pinned here:
   transport and the ``OperatorHarness``, nothing else puts on, flushes or
   closes an output edge's queue, touches the output guards' filters, or
   writes the three output counters; the ``emit*`` calls are one-line
-  views of it, and a fused chain's tail forwards to it without looking;
+  views of it, every queue-like takes a run through ``put_many`` alone,
+  and a fused chain's tail forwards to it without looking;
 * the behaviour -- a ledger wraps ``_emit`` and ``_deliver`` and shows,
   on every single-process engine, that each edge's consumer walked
   exactly the sequence its producer sent (a checkpoint stash re-walked
@@ -106,6 +107,31 @@ class TestStructure:
             and isinstance(node.func, ast.Attribute)
         }
         assert called == {"_emit"}
+
+    def test_an_edge_takes_runs_through_one_call(self):
+        """``put_many`` is the one way into every queue-like; only
+        ``DataQueue`` keeps ``put``, as a run of one."""
+        from repro.engine.multiprocess import _ShippingQueue
+        from repro.operators.fused import _LinkQueue
+        from repro.stream.queues import DataQueue
+
+        for shim in (_LinkQueue, _TailQueue, _ShippingQueue):
+            assert "put" not in vars(shim)
+            assert "put_many" in vars(shim)
+        function = ast.parse(
+            textwrap.dedent(inspect.getsource(DataQueue.put))
+        ).body[0]
+        assert len(function.body) == 2  # the docstring and the view
+        assert "self.put_many(" in ast.unparse(function.body[1])
+        emit = ast.parse(
+            textwrap.dedent(inspect.getsource(Operator._emit))
+        )
+        called = {
+            node.func.attr for node in ast.walk(emit)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+        }
+        assert "put_many" in called and "put" not in called
 
     def test_a_fused_tail_forwards_without_looking(self):
         source = inspect.getsource(_TailQueue)

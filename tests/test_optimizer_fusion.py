@@ -257,6 +257,38 @@ class TestPushdownUnit:
         report = pushdown(plan)
         assert report.pushed == []
 
+    def test_two_constraints_on_one_origin_intersect(self):
+        """``a <- x``, ``b <- x``: a guard on both ``a`` and ``b`` pushed
+        above the MAP constrains ``x`` by both ranges, not the last one."""
+        from repro import CollectSink, Interval, Map, SchemaMapping, Simulator
+        from repro.stream import AttributeOrigin
+
+        x_schema = Schema([("x", "int")])
+        ab_schema = Schema([("a", "int"), ("b", "int")])
+        guard = Pattern.from_mapping(
+            ab_schema, {"a": Interval(0, 5), "b": Interval(3, 10)}
+        )
+
+        def delivered(optimized):
+            plan = QueryPlan("same-origin")
+            source = plan.add(ListSource("src", x_schema, [
+                (float(x), StreamTuple(x_schema, (x,))) for x in range(12)
+            ]))
+            twice = Map("twice", SchemaMapping(ab_schema, (x_schema,), {
+                "a": (AttributeOrigin(0, "x"),),
+                "b": (AttributeOrigin(0, "x"),),
+            }), lambda t: StreamTuple(ab_schema, (t["x"], t["x"])))
+            sink = CollectSink("sink", ab_schema)
+            plan.chain(source, twice, Select("guard", ab_schema, guard),
+                       sink)
+            if optimized:
+                assert pushdown(plan).pushed == [("guard", "twice")]
+            Simulator(plan).run()
+            return sorted(t["a"] for t in sink.results)
+
+        assert delivered(False) == [3, 4, 5]
+        assert delivered(True) == [3, 4, 5]
+
 
 class TestPruningUnit:
     def test_adjacent_projections_compose(self):

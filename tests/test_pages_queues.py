@@ -1,10 +1,13 @@
 """Unit tests for pages and data queues, incl. flush-on-punctuation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.engine.multiprocess import _ShippingQueue
 from repro.errors import EngineError
 from repro.punctuation import Punctuation
 from repro.stream import DataQueue, Page, Schema, StreamTuple
+from repro.stream.pages import decode_page
 
 
 @pytest.fixture
@@ -208,3 +211,95 @@ class TestDataQueue:
             q.put(tup(schema, i))
         assert q.elements_enqueued == 4
         assert q.pages_flushed == 2
+
+
+# -- one way in: put_many against a page-at-a-time reference -------------------
+
+#: A feed: runs of tuples (their lengths) and lone punctuations ("p").
+FEEDS = st.lists(
+    st.one_of(st.integers(1, 20), st.just("p")), max_size=12
+)
+
+
+def feed_runs(feed):
+    """The feed as ``_emit`` hands it to an edge: a list of tuples, or
+    a list of one punctuation."""
+    schema = Schema.of("ts", "v")
+    runs, ts = [], 0
+    for item in feed:
+        if item == "p":
+            runs.append([punct(schema, ts)])
+        else:
+            runs.append([tup(schema, ts + i, i) for i in range(item)])
+            ts += item
+    return runs
+
+
+def reference(runs, page_size):
+    """Pages built with ``Page.append``, one element at a time, and the
+    pages each run completed."""
+    pages, completed = [], []
+    page = Page(page_size)
+    for run in runs:
+        done = 0
+        for element in run:
+            if page.append(element):
+                pages.append(page)
+                page = Page(page_size)
+                done += 1
+        completed.append(done)
+    if not page.empty:
+        page.seal()
+        pages.append(page)
+    return pages, completed
+
+
+def shape(pages):
+    return [
+        (list(page.elements), page.complete, page.has_punctuation)
+        for page in pages
+    ]
+
+
+def plain(page_size):
+    return DataQueue("q", page_size), None
+
+
+def locked(page_size):
+    queue = DataQueue("q", page_size)
+    queue.enable_thread_safety()
+    return queue, None
+
+
+def shipping(page_size):
+    shipped = []
+    return _ShippingQueue("q", page_size, shipped.append), shipped
+
+
+class TestOneWayIn:
+    """Any feed of tuple runs and lone punctuations through ``put_many``
+    gives the pages, boundaries, flags and counters of appending one
+    element at a time."""
+
+    @pytest.mark.parametrize("make", [plain, locked, shipping])
+    @settings(max_examples=150, deadline=None)
+    @given(feed=FEEDS, page_size=st.integers(1, 8))
+    def test_put_many_builds_the_reference_pages(self, make, feed,
+                                                 page_size):
+        runs = feed_runs(feed)
+        expected, completed = reference(runs, page_size)
+        queue, shipped = make(page_size)
+        assert [queue.put_many(run) for run in runs] == completed
+        total = sum(len(run) for run in runs)
+        assert queue.elements_enqueued == total
+        queue.close()
+        if shipped is None:
+            assert queue.occupancy == queue.peak_occupancy == total
+            pages = []
+            while (page := queue.get_page()) is not None:
+                pages.append(page)
+        else:
+            assert shipped[-1] == ("close", "q")
+            pages = [decode_page(frame[2]) for frame in shipped[:-1]]
+        assert shape(pages) == shape(expected)
+        assert queue.pages_flushed == len(expected)

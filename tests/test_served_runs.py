@@ -13,13 +13,15 @@ that batching could silently change:
   it, and a checkpointed flow fed runs records the epochs and offsets it
   records fed singles, recovering exactly-once;
 * delivery: ``?limit=N`` is exact, a vanished client releases its
-  subscription, and a single tuple into an idle flow comes out with no
-  further input -- nothing waits to fill a batch;
+  subscription, a single tuple into an idle flow comes out with no
+  further input -- nothing waits to fill a batch -- and a closed hub
+  ends each subscription once its backlog is taken;
 * reading: the frames one socket read brought are one admission, however
   the bytes were cut on the way -- same tuples, same replies, same order,
   nothing held while the socket is awaited -- and the three frames RFC
   6455 forbids end the connection after what preceded them is admitted;
-* structure: one ``FlowSupervisor.ingest``, no task per result.
+* structure: one ``FlowSupervisor.ingest``, no task per result, and a
+  ``Subscription`` is a ``Channel`` with the one ``ready``.
 """
 
 from __future__ import annotations
@@ -572,6 +574,29 @@ class TestDelivery:
 
         asyncio.run(main())
 
+    def test_a_closed_hub_ends_its_subscriptions_after_their_backlog(self):
+        from repro.stream.channels import Broadcast
+
+        async def main():
+            hub = Broadcast("out", high_water=4, low_water=1)
+            kept, left = hub.subscribe(), hub.subscribe()
+            hub.publish_page([1, 2, 3, 4, 5])
+            assert not hub.gate_open and hub.pauses == 1
+            left.close()                      # a client disconnected
+            assert hub.subscribers == 1 and not hub.gate_open
+            assert kept.take(4) == [1, 2, 3, 4]   # drained to low water
+            assert hub.gate_open and hub.resumes == 1
+            hub.close()
+            assert hub.subscribers == 0 and kept.closed
+            assert [element async for element in kept] == [5]
+            assert not await kept.ready()
+            assert (kept.admitted, kept.delivered, kept.peak_backlog) == (
+                5, 5, 5)
+            kept.close()                      # after the hub: harmless
+            assert (hub.pauses, hub.resumes) == (1, 1)
+
+        asyncio.run(main())
+
 
 # -- read a run ----------------------------------------------------------------
 
@@ -1025,6 +1050,26 @@ class TestStructure:
         ):
             assert f"self.{run_form}(" in inspect.getsource(view)
         assert not hasattr(Channel, "offer")
+
+    def test_a_subscription_is_a_channel(self):
+        """One async buffer: the hub publishes into a channel, and the
+        consumer's wait is written once."""
+        import ast
+
+        from repro.stream import channels
+        from repro.stream.channels import Channel, Subscription
+
+        assert issubclass(Subscription, Channel)
+        tree = ast.parse(inspect.getsource(channels))
+        readies = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "ready"
+        ]
+        assert len(readies) == 1
+        assert Subscription.ready is Channel.ready
+        assert "self.ready(" in inspect.getsource(Channel.runs)
+        assert "self.take(" in inspect.getsource(Channel.runs)
 
     def test_push_sink_hands_over_its_page(self):
         from repro.engine.harness import OperatorHarness
