@@ -11,21 +11,24 @@ pattern, no future tuple can match the guard, so the guard is released.
 :class:`GuardSet` maintains active guards, answers ``blocks(tuple)``,
 expires guards against punctuation, and keeps drop counters for metrics.
 
-A guard costs what a query predicate costs: its pattern is one generated
-function over a tuple's value sequence
-(:attr:`~repro.punctuation.patterns.Pattern.matcher` -- a single
-``and``-chain of set membership and chained comparisons on the constrained
-columns, compiled once per pattern *shape* with this pattern's constants
-bound in), and every question a guard set answers -- per element or per
-page -- is a call to it.  A value a guard cannot hash or compare answers
-False (the tuple is *not* dropped); a tuple of the wrong arity raises
-:class:`~repro.errors.PatternError`.
+A guard costs what a query predicate costs.  Its pattern is compiled once
+per pattern *shape* with this pattern's constants bound in
+(:func:`~repro.punctuation.atoms.compiled_test`) into an element test
+(:attr:`~repro.punctuation.patterns.Pattern.matcher`) and a run filter
+(:attr:`~repro.punctuation.patterns.Pattern.reject`): one list
+comprehension with the same ``and``-chain of set membership and chained
+comparisons inlined, so a dropped tuple costs one comparison chain and no
+call.  :meth:`GuardSet.keep` filters a run with each guard's ``reject`` in
+turn; :meth:`GuardSet.filter_batch` also hands back the dropped tuples for
+an operator that asks to see them; ``blocks`` and ``would_block`` answer
+for one element with the test.  A value a guard cannot hash or compare
+answers False (the tuple is *not* dropped); a tuple of the wrong arity
+raises :class:`~repro.errors.PatternError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Any, Iterator
 
 from repro.core.feedback import FeedbackPunctuation
@@ -52,9 +55,10 @@ class Guard:
     released: bool = False
 
     def __post_init__(self) -> None:
-        #: The pattern's compiled matcher, resolved once for the guard
-        #: set's loops.
+        #: The pattern's compiled element test and run filter, resolved
+        #: once for the guard set's loops.
         self.matcher = self.pattern.matcher
+        self.reject = self.pattern.reject
 
     def blocks(self, element: Any) -> bool:
         """True when ``element`` matches the guard (and should be dropped)."""
@@ -126,37 +130,45 @@ class GuardSet:
         values = element.values
         return any(guard.matcher(values) for guard in self._guards)
 
-    def filter_batch(self, batch: list) -> tuple[list, list]:
-        """Split a run of data tuples into ``(kept, dropped)``, guard by guard.
+    def keep(self, run: list) -> tuple[list, int]:
+        """Filter a run of data tuples: ``(kept, count)`` of what passed
+        and how many were dropped.
 
-        The batch counterpart of :meth:`blocks`, with the same semantics:
-        each guard's compiled matcher makes one pass over the run, and
-        the first matching guard (in installation order) takes the drop
-        and its counter -- a later guard is not asked about a tuple an
-        earlier one dropped.  Both lists keep stream order; the batch
-        comes back as-is -- the same list, uncopied -- when no guard
-        matched anything in it.
+        The run counterpart of :meth:`blocks`, with the same semantics:
+        each guard's run filter makes one pass over the survivors of the
+        guards before it, so the first matching guard (in installation
+        order) takes the drop and its counter -- a later guard is not
+        asked about a tuple an earlier one dropped.  ``kept`` keeps stream
+        order and is ``run`` itself, uncopied, when no guard matched
+        anything in it.
         """
-        hit: list | None = None  # per tuple: has a guard dropped it?
-        for guard in self._guards:
-            matcher = guard.matcher
-            if hit is None:
-                mine = [matcher(e.values) for e in batch]
-            else:
-                mine = [
-                    not h and matcher(e.values) for h, e in zip(hit, batch)
-                ]
-            count = mine.count(True)
-            if count:
-                guard.drops += count
-                hit = mine if hit is None else [
-                    h or m for h, m in zip(hit, mine)
-                ]
-        if hit is None:
+        kept = run
+        for guard in self._guards:  # released guards never stay in the set
+            survivors = guard.reject(kept)
+            drops = len(kept) - len(survivors)
+            if drops:
+                guard.drops += drops
+                kept = survivors
+                if not kept:
+                    break
+        count = len(run) - len(kept)
+        self.total_drops += count
+        return kept, count
+
+    def filter_batch(self, batch: list) -> tuple[list, list]:
+        """Split a run of data tuples into ``(kept, dropped)``.
+
+        :meth:`keep`, plus the dropped tuples in stream order -- for an
+        operator that overrides ``on_guarded_drops``.  The batch comes
+        back as-is -- the same list, uncopied -- when no guard matched
+        anything in it.  A tuple's verdict depends on its values alone,
+        so the dropped ones are the run's objects that ``kept`` lacks.
+        """
+        kept, count = self.keep(batch)
+        if not count:
             return batch, []
-        dropped = list(compress(batch, hit))
-        self.total_drops += len(dropped)
-        return [e for e, h in zip(batch, hit) if not h], dropped
+        survivors = set(map(id, kept))
+        return kept, [e for e in batch if id(e) not in survivors]
 
     # -- expiration -----------------------------------------------------------------
 

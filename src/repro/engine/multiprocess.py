@@ -220,12 +220,6 @@ class _WorkerRuntime(ThreadedRuntime):
     def _executed_operators(self) -> list[Operator]:
         return [op for op in self.plan if op.name in self._owned]
 
-    def _start_operators(self) -> None:
-        for op in self._executed_operators():
-            op.runtime = self
-            op.set_now(0.0)
-            op.on_start()
-
 
 class MultiprocessEngine(RuntimeCore):
     """Run a plan with one OS process per operator group.
@@ -489,6 +483,9 @@ class MultiprocessEngine(RuntimeCore):
                 self.checkpoints.recovered_epoch
             )
         routes = self._rewire(index, runtime)
+        # The receiver checks pressure from its first frame on, before the
+        # run (which indexes the edges again) has started.
+        runtime._index_edges()
         receiver = threading.Thread(
             target=self._receive_loop,
             args=(index, runtime, routes),

@@ -85,6 +85,7 @@ control kinds forward hop-by-hop through both boundary operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.core.feedback import FlowControlKind, FlowControlPunctuation
@@ -116,6 +117,8 @@ __all__ = ["RuntimeCore", "RunResult"]
 #: Tolerance when comparing a message's arrival time against the clock;
 #: keeps float accumulation from deferring an already-due message.
 ARRIVAL_EPS = 1e-12
+
+_CLOSED = attrgetter("closed")
 
 
 @dataclass
@@ -308,11 +311,53 @@ class RuntimeCore:
             )
         self._started = True
 
+    def _executed_operators(self) -> list[Operator]:
+        """The operators this runtime starts (and runs).
+
+        The whole plan by default; a multiprocess worker restricts this to
+        its owned group (remote operators run in their owning workers).
+        """
+        return list(self.plan)
+
     def _start_operators(self) -> None:
-        for op in self.plan:
+        self._index_edges()
+        for op in self._executed_operators():
             op.runtime = self
             op.set_now(0.0)
             op.on_start()
+
+    def _index_edges(self) -> None:
+        """Note, per operator, what a page step's bookkeeping reads.
+
+        Built as the run starts, over every operator of the plan (a
+        multiprocess worker's remote producers included, after the cross
+        edges are rewired): edges change only at build and optimize time,
+        and :meth:`~repro.stream.queues.DataQueue.resize` refuses an
+        unbounded queue, so an unbounded edge stays unbounded.
+
+        * ``_control_sides`` -- the deques of every control side the
+          operator reads (:meth:`drain_control`'s fast exit);
+        * ``_bounded_outputs`` / ``_bounded_inputs`` -- the operators
+          with a bounded output / input edge (:meth:`check_pressure` /
+          :meth:`check_relief` are no-ops for the rest);
+        * ``_input_queues`` -- the input queues (:meth:`mark_done_ports`
+          looks for a closed one).
+        """
+        self._control_sides: dict[str, tuple] = {}
+        self._bounded_outputs: set[str] = set()
+        self._bounded_inputs: set[str] = set()
+        self._input_queues: dict[str, tuple] = {}
+        for op in self.plan:
+            ports = [port for port in op.inputs if port is not None]
+            self._control_sides[op.name] = tuple(
+                [edge.control.side(Direction.UPSTREAM) for edge in op.outputs]
+                + [port.control.side(Direction.DOWNSTREAM) for port in ports]
+            )
+            if any(edge.queue.bounded for edge in op.outputs):
+                self._bounded_outputs.add(op.name)
+            if any(port.queue.bounded for port in ports):
+                self._bounded_inputs.add(op.name)
+            self._input_queues[op.name] = tuple(port.queue for port in ports)
 
     def _notify_run_aborted(self, error: BaseException) -> None:
         """Tell every unfinished operator the run died under it.
@@ -378,7 +423,11 @@ class RuntimeCore:
         message *means* is the operator's to say
         (:meth:`~repro.operators.base.Operator._receive`); the runtime
         decides only when it has arrived and what taking it costs.
+        An operator none of whose control sides holds a message returns
+        at once: one ``any`` over the deques noted when the run started.
         """
+        if not any(self._control_sides[operator.name]):
+            return False
         delivered = False
         while True:
             message, from_edge = self._next_arrived_control(operator)
@@ -431,9 +480,10 @@ class RuntimeCore:
         Called by engines right after a producer's activity.  The pause
         punctuation is issued on behalf of the edge's consumer (it is the
         consumer's queue that is congested) and travels upstream on the
-        edge's control channel like any feedback.
+        edge's control channel like any feedback.  A producer with no
+        bounded output edge has nothing to check.
         """
-        if producer.finished:
+        if producer.finished or producer.name not in self._bounded_outputs:
             return
         now = self.clock.now() if at is None else at
         for edge in producer.outputs:
@@ -451,7 +501,10 @@ class RuntimeCore:
         Called by engines right after a consumer drained a page.  Resume
         toward an already-finished producer is skipped (the flag is still
         cleared): the stream is over and there is no emission to resume.
+        A consumer with no bounded input edge has nothing to check.
         """
+        if consumer.name not in self._bounded_inputs:
+            return
         now = self.clock.now() if at is None else at
         for port in consumer.inputs:
             if port is None:
@@ -542,8 +595,12 @@ class RuntimeCore:
     def mark_done_ports(self, operator: Operator) -> bool:
         """Mark exhausted input ports done (firing ``on_input_done``).
 
-        Returns True when every input is done.
+        Returns True when every input is done.  Until an input queue has
+        closed no port can be done, so nothing is walked (and the clock
+        is stamped only when a port is marked).
         """
+        if not any(map(_CLOSED, self._input_queues[operator.name])):
+            return False
         return operator._close_inputs(self._activity_time(operator))
 
     def check_input_completion(self, operator: Operator) -> None:

@@ -499,7 +499,15 @@ class Simulator(RuntimeCore):
             # Exhausted inputs may still finish it (rule 2).
             self.check_input_completion(operator)
             return
-        port = self._next_port_with_work(operator)
+        inputs = operator.inputs
+        if len(inputs) == 1:
+            # One input: its queue is the only place a page can wait (the
+            # round-robin pick is for joins and unions).
+            port = inputs[0]
+            if port is not None and not port.queue.ready_pages:
+                port = None
+        else:
+            port = self._next_port_with_work(operator)
         if port is not None:
             page = port.queue.get_page()
             busy = max(
@@ -522,7 +530,9 @@ class Simulator(RuntimeCore):
             self.check_relief(
                 operator, at=self._busy_until[operator.name]
             )
-        more = self._has_data_work(operator)
+        more = any(
+            port is not None and port.queue.ready_pages for port in inputs
+        )
         if not more:
             self._input_dry(operator)
         self.check_input_completion(operator)

@@ -341,14 +341,6 @@ class ThreadedRuntime(RuntimeCore):
 
     # -- run -------------------------------------------------------------------------
 
-    def _executed_operators(self) -> list[Operator]:
-        """The operators this runtime starts threads for.
-
-        The whole plan by default; a multiprocess worker restricts this to
-        its owned group (remote operators run in their owning workers).
-        """
-        return list(self.plan)
-
     def _run(self) -> RunResult:
         executed = self._executed_operators()
         for op in executed:

@@ -398,8 +398,14 @@ class Operator(abc.ABC):
 
     # --------------------------------------------------------- data handling
 
+    #: Whether this class overrides :meth:`on_guarded_drops`, decided once
+    #: per class: only then does an input-guard pass build the list of
+    #: dropped tuples (:meth:`_dispatch_batch`).
+    _sees_guarded_drops = False
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
-        """Refuse a class whose :meth:`on_tuple` could never run.
+        """Refuse a class whose :meth:`on_tuple` could never run, and note
+        whether it wants to see guard-dropped tuples.
 
         :meth:`on_tuple` is only reached through the *default*
         :meth:`on_page`; once a class (or an ancestor) supplies its own
@@ -407,6 +413,9 @@ class Operator(abc.ABC):
         silently ignored -- so it is an error at class creation.
         """
         super().__init_subclass__(**kwargs)
+        cls._sees_guarded_drops = (
+            cls.on_guarded_drops is not Operator.on_guarded_drops
+        )
         if "on_tuple" not in vars(cls):
             return
         for klass in cls.__mro__:
@@ -529,20 +538,26 @@ class Operator(abc.ABC):
         """Guard-filter one run of data tuples and hand survivors to
         :meth:`on_page`.
 
-        One :meth:`~repro.core.guards.GuardSet.filter_batch` pass per run:
-        each guard is its pattern's compiled matcher, the same test
-        ``Pattern.matches`` applies, so a guard costs what a query
-        predicate costs and a dropped tuple costs nothing further.
+        One :meth:`~repro.core.guards.GuardSet.keep` pass per run: each
+        guard is its pattern's compiled run filter, the same ``and``-chain
+        ``Pattern.matches`` evaluates, so a guard costs what a query
+        predicate costs and a dropped tuple costs nothing further.  A
+        class that overrides :meth:`on_guarded_drops` takes the
+        :meth:`~repro.core.guards.GuardSet.filter_batch` pass instead,
+        which also builds the dropped list it is handed.
         """
         metrics = self.metrics
         metrics.tuples_in += len(batch)
-        if len(guards):
+        if not len(guards):
+            kept = batch
+        elif self._sees_guarded_drops:
             kept, dropped = guards.filter_batch(batch)
             if dropped:
                 metrics.input_guard_drops += len(dropped)
                 self.on_guarded_drops(port_index, dropped)
         else:
-            kept = batch
+            kept, count = guards.keep(batch)
+            metrics.input_guard_drops += count
         if kept:
             self.on_page(port_index, kept)
 
@@ -583,7 +598,9 @@ class Operator(abc.ABC):
         self.emit_punctuation(punct)
 
     def on_guarded_drops(self, port_index: int, dropped: list) -> None:
-        """Hook invoked with the tuples of one run an input guard suppressed."""
+        """Hook invoked with the tuples of one run an input guard suppressed,
+        in stream order.  Only a class that overrides it pays for building
+        that list."""
 
     def on_guards_expired(
         self, port_index: int, punct: Punctuation, released: list
@@ -822,8 +839,8 @@ class Operator(abc.ABC):
             if not punctuated:
                 guards = self.output_guards
                 if len(guards):
-                    elements, dropped = guards.filter_batch(elements)
-                    self.metrics.output_guard_drops += len(dropped)
+                    elements, count = guards.keep(elements)
+                    self.metrics.output_guard_drops += count
                 self.metrics.tuples_out += len(elements)
             elif isinstance(elements[0], Punctuation):
                 self.output_guards.expire_with(elements[0])

@@ -53,12 +53,12 @@ class Select(Operator):
     def on_page(self, port_index: int, batch: list) -> None:
         """One predicate pass, one bulk emission.
 
-        A pattern predicate is its compiled matcher over each tuple's
-        values -- the very function a guard for that pattern would call.
+        A pattern predicate is its compiled run filter
+        (:attr:`~repro.punctuation.patterns.Pattern.select`) -- the same
+        ``and``-chain a guard for that pattern inlines.
         """
         if self.pattern is not None:
-            matcher = self.pattern.matcher
-            self.emit_many([t for t in batch if matcher(t.values)])
+            self.emit_many(self.pattern.select(batch))
         else:
             predicate = self._predicate
             self.emit_many([t for t in batch if predicate(t)])

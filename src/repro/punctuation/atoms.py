@@ -120,15 +120,28 @@ def _term_source(subject: str, kind: Any, first: int) -> tuple[str, int]:
 
 
 @lru_cache(maxsize=256)
-def compiled_test(arity: int | None, shape: tuple) -> Callable[..., Callable]:
+def compiled_test(arity: int | None, shape: tuple) -> Callable[..., Any]:
     """The factory of tests for one *shape* of conjunction.
 
     ``shape`` is a tuple of ``(position, kind)`` terms.  With an
-    ``arity`` the test takes a value sequence, checks its length
-    (:class:`~repro.errors.PatternError` on a mismatch) and reads each
-    term's subject at its position; with ``arity`` None there is one
-    term and the test takes the bare value (:meth:`Atom.predicate`).
-    The body is one ``and``-chain inside one ``try``: a value that
+    ``arity`` the factory binds a pattern's constants into three forms
+    of one conjunction and returns ``(test, select, reject)``:
+
+    * ``test(values)`` -- the element test: checks the sequence's length
+      (:class:`~repro.errors.PatternError` on a mismatch) and reads each
+      term's subject at its position;
+    * ``select(run)`` and ``reject(run)`` -- the run filters: the
+      elements of a run of tuples whose ``values`` the test accepts, or
+      rejects, in stream order, each one list comprehension with the
+      same ``and``-chain inlined.  The length check is inlined too
+      (``len(v) == arity or test(v)``, so a mismatch raises from the
+      test), and a run the chain cannot evaluate -- a value that cannot
+      be hashed or compared raised ``TypeError`` -- is filtered again
+      with the element test, which answers False for that value.
+
+    With ``arity`` None there is one term and the factory returns the
+    test alone, over the bare value (:meth:`Atom.predicate`).  The
+    test's body is one ``and``-chain inside one ``try``: a value that
     cannot be hashed or compared answers False.
 
     Only the shape goes into the source -- integers and operators,
@@ -140,28 +153,41 @@ def compiled_test(arity: int | None, shape: tuple) -> Callable[..., Callable]:
     terms = []
     free = 0
     for position, kind in shape:
-        subject = "value" if arity is None else f"value[{position}]"
+        subject = "v" if arity is None else f"v[{position}]"
         term, free = _term_source(subject, kind, free)
         terms.append(term)
+    chain = " and ".join(terms) or "True"
     lines = [
         f"def bind({', '.join(f'c{k}' for k in range(free))}):",
-        "    def test(value):",
+        "    def test(v):",
     ]
     if arity is not None:
         lines += [
-            f"        if len(value) != {arity}:",
+            f"        if len(v) != {arity}:",
             "            raise PatternError(",
             f"                'pattern arity {arity} does not match value '",
-            "                'arity %d' % len(value)",
+            "                'arity %d' % len(v)",
             "            )",
         ]
     lines += [
         "        try:",
-        f"            return {' and '.join(terms) or 'True'}",
+        f"            return {chain}",
         "        except TypeError:",
         "            return False",
-        "    return test",
     ]
+    if arity is None:
+        lines.append("    return test")
+    else:
+        match = f"(len(v := e.values) == {arity} or test(v)) and {chain}"
+        for name, verdict in (("select", ""), ("reject", "not ")):
+            lines += [
+                f"    def {name}(run):",
+                "        try:",
+                f"            return [e for e in run if {verdict}({match})]",
+                "        except TypeError:",
+                f"            return [e for e in run if {verdict}test(e.values)]",
+            ]
+        lines.append("    return test, select, reject")
     namespace: dict[str, Any] = {"PatternError": PatternError}
     exec(compile("\n".join(lines), f"<pattern shape {shape}>", "exec"),
          namespace)

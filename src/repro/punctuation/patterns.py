@@ -11,9 +11,11 @@ of ``A`` subsumes the corresponding atom of ``B`` (atoms are never empty, so
 the pointwise rule is exact, not just sufficient).
 
 Evaluation is compiled: a pattern is one generated function over a tuple's
-value sequence (:attr:`Pattern.matcher`), its source built once per pattern
-*shape* and this pattern's constants bound in.  Incomparable and
-unhashable values answer False; a value sequence of the wrong arity raises
+value sequence (:attr:`Pattern.matcher`) and two generated run filters over
+runs of tuples (:attr:`Pattern.select`, :attr:`Pattern.reject`), their
+source built once per pattern *shape* and this pattern's constants bound
+into all three at once.  Incomparable and unhashable values answer False;
+a value sequence of the wrong arity raises
 :class:`~repro.errors.PatternError`.
 """
 
@@ -42,7 +44,8 @@ class Pattern:
     and are used inside the algebra and the propagation planner.
     """
 
-    __slots__ = ("atoms", "schema", "_hash", "_matcher")
+    __slots__ = ("atoms", "schema", "_hash", "_matcher", "_select",
+                 "_reject")
 
     def __init__(
         self, atoms: Iterable[Atom], schema: Schema | None = None
@@ -60,7 +63,7 @@ class Pattern:
         object.__setattr__(self, "atoms", atom_tuple)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_hash", hash(atom_tuple))
-        object.__setattr__(self, "_matcher", None)
+        self._forget_compiled()
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Pattern is immutable")
@@ -68,8 +71,8 @@ class Pattern:
     # Immutability blocks the default slot-state unpickling (it goes
     # through ``setattr``), so patterns restore their slots explicitly --
     # they must cross process boundaries inside serialized feedback and
-    # punctuation (see repro.engine.multiprocess).  The compiled matcher
-    # is derived state: it stays behind and is rebuilt on first use.
+    # punctuation (see repro.engine.multiprocess).  The compiled forms
+    # are derived state: they stay behind and are rebuilt on first use.
     def __getstate__(self) -> tuple:
         return (self.atoms, self.schema)
 
@@ -78,7 +81,11 @@ class Pattern:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_hash", hash(atoms))
-        object.__setattr__(self, "_matcher", None)
+        self._forget_compiled()
+
+    def _forget_compiled(self) -> None:
+        for name in ("_matcher", "_select", "_reject"):
+            object.__setattr__(self, name, None)
 
     # -- construction ----------------------------------------------------------
 
@@ -125,13 +132,15 @@ class Pattern:
 
         One generated function whose body is a single ``and``-chain over
         the constrained columns (wildcards cost nothing), built on first
-        use and kept for the pattern's lifetime: every evaluation of a
-        pattern -- :meth:`matches`, :meth:`filter`, guards, a ``Select``
-        over a pattern -- is a call to it.  The source is compiled once
-        per *shape* (arity, constrained positions, atom kinds, bound
+        use and kept for the pattern's lifetime: every per-element
+        evaluation of a pattern -- :meth:`matches`, :meth:`filter`, a
+        guard's ``blocks`` -- is a call to it.  The source is compiled
+        once per *shape* (arity, constrained positions, atom kinds, bound
         inclusivity -- :func:`~repro.punctuation.atoms.compiled_test`);
         this pattern's constants are bound into it as closure cells, so
-        two patterns of one shape share code and nothing else.
+        two patterns of one shape share code and nothing else.  The run
+        filters :attr:`select` and :attr:`reject` are bound in the same
+        call and inline the same chain.
 
         A value that cannot be hashed or compared (``None`` against an
         order atom, a string against a number, a list against a set)
@@ -139,20 +148,45 @@ class Pattern:
         a value sequence of the wrong arity raises
         :class:`~repro.errors.PatternError`.
         """
-        matcher = self._matcher
-        if matcher is None:
-            matcher = self._compile()
-            object.__setattr__(self, "_matcher", matcher)
-        return matcher
+        if self._matcher is None:
+            self._compile()
+        return self._matcher
 
-    def _compile(self) -> Callable[[Sequence[Any]], bool]:
+    @property
+    def select(self) -> Callable[[Sequence[Any]], list]:
+        """The run filter: ``select(run)`` is the tuples of ``run`` this
+        pattern matches, in stream order.
+
+        One list comprehension with :attr:`matcher`'s chain inlined, so a
+        tuple costs one comparison chain and no call -- what a ``Select``
+        over a pattern runs per page.  Same answers, same errors as
+        :attr:`matcher` applied tuple by tuple.
+        """
+        if self._select is None:
+            self._compile()
+        return self._select
+
+    @property
+    def reject(self) -> Callable[[Sequence[Any]], list]:
+        """The complement of :attr:`select`: the tuples of ``run`` this
+        pattern does *not* match, in stream order -- what a guard keeps."""
+        if self._reject is None:
+            self._compile()
+        return self._reject
+
+    def _compile(self) -> None:
         shape = []
         constants: list = []
         for position, atom in self.constrained():
             kind, bound = atom._term()
             shape.append((position, kind))
             constants += bound
-        return compiled_test(len(self.atoms), tuple(shape))(*constants)
+        test, select, reject = compiled_test(
+            len(self.atoms), tuple(shape)
+        )(*constants)
+        object.__setattr__(self, "_matcher", test)
+        object.__setattr__(self, "_select", select)
+        object.__setattr__(self, "_reject", reject)
 
     def matches(self, element: StreamTuple | Sequence[Any]) -> bool:
         """True when every atom matches the corresponding value."""

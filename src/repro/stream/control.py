@@ -160,6 +160,14 @@ class ControlChannel:
         """Head of the downstream side without removing it."""
         return self._downstream[0] if self._downstream else None
 
+    def side(self, direction: Direction) -> deque[ControlMessage]:
+        """The deque messages travelling ``direction`` wait in: truthy
+        while one does.  Engines index it once per run to tell an empty
+        inbox without a call per channel."""
+        return self._upstream if direction is Direction.UPSTREAM else (
+            self._downstream
+        )
+
     @property
     def pending_upstream(self) -> int:
         return len(self._upstream)

@@ -618,6 +618,7 @@ class Ledger:
     def __init__(self, monkeypatch):
         self.stamped = []  # (message, channel)
         self.taken = []
+        self.taken_at = []  # the engine clock when each was taken
         stamp, receive = ControlChannel.stamp, Operator._receive
 
         def stamping(channel, *args, **kwargs):
@@ -627,6 +628,7 @@ class Ledger:
 
         def receiving(operator, message, from_edge=None):
             self.taken.append(message)
+            self.taken_at.append(operator.runtime.now())
             return receive(operator, message, from_edge)
 
         monkeypatch.setattr(ControlChannel, "stamp", stamping)
@@ -726,3 +728,134 @@ class TestConservation:
             assert kinds[ControlMessageKind.FLOW_CONTROL] > 0
             if case == "elastic":
                 assert kinds[ControlMessageKind.REBALANCE] > 0
+
+
+# -- control between queued pages ---------------------------------------------------------
+#
+# A page step skips the control walk when none of the operator's control
+# sides holds a message (``RuntimeCore.drain_control``'s fast exit).  These
+# pin that the exit loses nothing: feedback comes up and a notice goes
+# down while the costed filter's input holds queued pages, and every
+# message is still taken once, no earlier than it arrives.
+
+
+def queued_control_flow():
+    """Every tuple due at time zero in front of a costed filter, whose
+    input queue then holds pages for the whole run; ``keep`` relays no
+    feedback, so no message is bound for the finished source."""
+
+    def stop_relay(operator):
+        operator.relay_enabled = False
+
+    rows = [
+        (0.0, StreamTuple(SCHEMA, (i * 0.001, i % 4, 1.0)))
+        for i in range(400)
+    ]
+    flow = Flow("queued", page_size=4)
+    (flow.source(SCHEMA, rows, name="src")
+         .where(lambda t: True, name="keep", tuple_cost=0.002,
+                configure=stop_relay)
+         .where(lambda t: True, name="pass")
+         .collect("sink"))
+    return flow
+
+
+def notice(plan):
+    """A control notice from the source down the chain: nothing consumes
+    the kind, so each operator forwards it to its consumer."""
+    source = plan.operator("src")
+    edge = source.outputs[0]
+    edge.control.stamp(
+        ControlMessageKind.SHUTDOWN, DOWN, "notice", sender="src",
+        at=source.runtime.now(), runtime=source.runtime,
+        reader=edge.consumer,
+    )
+
+
+def sink_feedback(k):
+    return FeedbackPunctuation.assumed(Pattern.from_mapping(SCHEMA, {"k": k}))
+
+
+def queued(operator):
+    """Whether any control side ``operator`` reads holds a message."""
+    return any(edge.control.pending_upstream for edge in operator.outputs) or any(
+        port.control.pending_downstream
+        for port in operator.inputs if port is not None
+    )
+
+
+def run_queued_control(engine, latency):
+    options = {} if engine == "simulated" else {
+        "emulate_costs": True, "timeout": 60.0,
+    }
+    return queued_control_flow().run(
+        engine, control_latency=latency,
+        feedback=[(0.0, "sink", sink_feedback(1)),
+                  (0.04, "sink", sink_feedback(2))],
+        actions=[(0.02, notice), (0.06, notice)],
+        **options,
+    )
+
+
+class TestControlBetweenQueuedPages:
+    @pytest.mark.parametrize("latency", [0.0, 0.05])
+    @pytest.mark.parametrize("engine", ["simulated", "threaded", "asyncio"])
+    def test_every_message_is_taken_once_after_it_arrives(
+        self, monkeypatch, engine, latency
+    ):
+        ledger = Ledger(monkeypatch)
+        behind_pages = []
+        receive = Operator._receive
+
+        def receiving(operator, message, from_edge=None):
+            if operator.name == "keep":
+                behind_pages.append(operator.inputs[0].queue.ready_pages)
+            return receive(operator, message, from_edge)
+
+        monkeypatch.setattr(Operator, "_receive", receiving)
+        result = run_queued_control(engine, latency)
+
+        kinds = ledger.check(result.plan)
+        assert kinds[ControlMessageKind.SHUTDOWN] == 6  # 2 notices x 3 hops
+        assert kinds[ControlMessageKind.FEEDBACK] == 4  # 2 x (sink, pass)
+        taken_at = {
+            id(message): at
+            for message, at in zip(ledger.taken, ledger.taken_at)
+        }
+        assert len(ledger.taken) == len(ledger.stamped)
+        for message, _channel in ledger.stamped:
+            assert taken_at[id(message)] >= (
+                message.sent_at + latency - 1e-9
+            ), message
+        # The messages reached keep while its input held pages.
+        assert max(behind_pages) > 0
+        assert result.plan.operator("keep").metrics.input_guard_drops > 0
+
+    def test_a_page_step_with_no_queued_control_reads_none(
+        self, monkeypatch
+    ):
+        steps, entered, violations = [], [], []
+        quiet = [None]  # the operator of a page step begun with none queued
+        handle, next_arrived = (
+            Simulator._handle_work, RuntimeCore._next_arrived_control,
+        )
+
+        def step(self, operator):
+            steps.append(queued(operator))
+            quiet[0] = None if steps[-1] else operator
+            try:
+                return handle(self, operator)
+            finally:
+                quiet[0] = None
+
+        def looking(self, operator):
+            entered.append(operator.name)
+            if operator is quiet[0]:
+                violations.append(operator.name)
+            return next_arrived(self, operator)
+
+        monkeypatch.setattr(Simulator, "_handle_work", step)
+        monkeypatch.setattr(RuntimeCore, "_next_arrived_control", looking)
+        run_queued_control("simulated", 0.0)
+        assert steps.count(False) > 0 and entered  # both paths were taken
+        assert violations == []

@@ -468,7 +468,7 @@ class TestOneFunctionPerShape:
         assert limit is not None and limit <= 1024
         members = frozenset([5])
         for arity in range(1, 10_001):
-            test = compiled_test(arity, ((0, "in"),))(members)
+            test, _select, _reject = compiled_test(arity, ((0, "in"),))(members)
             assert test((5,) * arity) and not test((4,) * arity)
             assert compiled_test.cache_info().currsize <= limit
         # An evicted shape compiles again and answers the same.
