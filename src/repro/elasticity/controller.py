@@ -1,8 +1,10 @@
 """The elastic controller: observe, decide, apply -- over punctuation.
 
 One :class:`ElasticController` rides a run.  On a configurable cadence
-(engine-driven: a heap event on the simulator, a ticker thread/task on
-the concurrent engines) it samples each armed shard region's slot loads
+(engine-driven: one timed entry on the engine's due-ordered heap -- the
+event heap of the simulator and the asyncio engine, the threaded
+runtime's clock thread -- decided by ``RuntimeCore._elastic_tick``) it
+samples each armed shard region's slot loads
 and lane-edge occupancy, asks the configured
 :class:`~repro.elasticity.policy.ScalePolicy` for a decision, and
 applies it by sending a ``REBALANCE``

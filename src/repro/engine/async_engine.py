@@ -86,7 +86,7 @@ class AsyncioEngine(Simulator):
     ----------
     timeout:
         Run-level watchdog: maximum wall-clock seconds for the whole
-        plan to drain, mirroring the threaded runtime's join watchdog.
+        plan to drain, mirroring the threaded runtime's run deadline.
         ``None`` disables it for always-on serving flows whose sources
         never end until drained by a supervisor.
     emulate_costs:
@@ -158,8 +158,8 @@ class AsyncioEngine(Simulator):
         operator.flush_outputs()
 
     def _quiescent(self) -> bool:
-        # A feed or a client coroutine may push at any moment; a plan
-        # that is truly wedged is the ``timeout`` watchdog's to report.
+        # A feed or a client coroutine may push at any moment: the
+        # core's wall-clock answer, not the simulator's empty heap.
         return False
 
     # -- async sources ---------------------------------------------------------

@@ -557,10 +557,9 @@ class MultiprocessEngine(RuntimeCore):
                     proxied_queue.attach_waiter(runtime._waiter)
                     producer_copy = op
                 edge.control = proxy
-                if port is not None:
-                    port.control = proxy
-                    if index == producer_group:
-                        port.queue = edge.queue
+                port.control = proxy
+                if index == producer_group:
+                    port.queue = edge.queue
                 routes[proxy.name] = _Route(
                     proxied_queue, producer_copy, proxy
                 )

@@ -41,13 +41,17 @@ A policy implements ``_run`` and these hooks:
     What to do with a control message that has not *arrived* yet
     (``sent_at + control_latency`` is in the future): the simulator
     schedules a control event at the arrival time, the threaded runtime
-    records a wake-up deadline for the sleeping operator thread.
+    puts a wake-up for the sleeping threads on its clock thread's heap.
 ``_on_finished``
     Post-finish plumbing (stamp + wake consumers vs. notify all threads).
 ``_on_paused`` / ``_on_resumed``
     What happens when an operator's last resume arrives / first pause
     lands: the simulator reschedules stalled work and flushes open pages,
     the threaded runtime notifies sleeping threads.
+``_quiescent``
+    Whether nothing can happen any more, which ends the elastic tick
+    chain (:meth:`RuntimeCore._elastic_tick`): an empty heap on virtual
+    time; never on a wall clock.
 
 **Backpressure** also lives here, because it is pure mechanism: when a
 bounded :class:`~repro.stream.queues.DataQueue` crosses its high-water
@@ -252,11 +256,14 @@ class RuntimeCore:
         """Schedule a client-side action (poll, zoom, demand) at ``time``.
 
         ``time`` is on the engine's clock: virtual seconds on the
-        simulator, wall-clock seconds on the others.  The engine runs
-        the action between operator steps; an action whose time falls
-        after the plan has drained never fires on a wall clock -- the
-        "the stream is over" rule every engine applies to in-flight
-        feedback.  ``owner`` names the operator the action targets:
+        simulator, wall-clock seconds on the others.  It is one entry on
+        the engine's due-ordered heap -- the simulator's and asyncio
+        engine's event heap, the threaded runtime's clock thread -- run
+        between operator steps; an action that raises fails the run at
+        once, and an action whose time falls after the plan has drained
+        never fires on a wall clock -- the "the stream is over" rule
+        every engine applies to in-flight feedback.  ``owner`` names the
+        operator the action targets:
         single-process engines ignore it, the multiprocess engine
         requires it to pick the worker that runs the action.  This one
         signature is the engine contract ``Flow.run`` calls
@@ -287,6 +294,24 @@ class RuntimeCore:
 
     def _on_resumed(self, operator: Operator, at: float) -> None:
         """An operator's last pause was lifted; reschedule its work."""
+
+    def _quiescent(self) -> bool:
+        """True when nothing can happen any more: never on a wall clock,
+        where a wedged plan is the ``timeout`` watchdog's to report."""
+        return False
+
+    def _elastic_tick(self) -> float | None:
+        """One controller tick on the engine's cadence; when the next is due.
+
+        None ends the chain: every operator has finished, or the run is
+        quiescent after the tick -- an unconditional reschedule would
+        keep a virtual-time run alive forever.
+        """
+        now = self.clock.now()
+        self.elastic.tick(now)
+        if self._quiescent() or all(op.finished for op in self.plan):
+            return None
+        return now + self.elastic.config.interval
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -348,16 +373,18 @@ class RuntimeCore:
         self._bounded_inputs: set[str] = set()
         self._input_queues: dict[str, tuple] = {}
         for op in self.plan:
-            ports = [port for port in op.inputs if port is not None]
             self._control_sides[op.name] = tuple(
                 [edge.control.side(Direction.UPSTREAM) for edge in op.outputs]
-                + [port.control.side(Direction.DOWNSTREAM) for port in ports]
+                + [port.control.side(Direction.DOWNSTREAM)
+                   for port in op.inputs]
             )
             if any(edge.queue.bounded for edge in op.outputs):
                 self._bounded_outputs.add(op.name)
-            if any(port.queue.bounded for port in ports):
+            if any(port.queue.bounded for port in op.inputs):
                 self._bounded_inputs.add(op.name)
-            self._input_queues[op.name] = tuple(port.queue for port in ports)
+            self._input_queues[op.name] = tuple(
+                port.queue for port in op.inputs
+            )
 
     def _notify_run_aborted(self, error: BaseException) -> None:
         """Tell every unfinished operator the run died under it.
@@ -402,8 +429,6 @@ class RuntimeCore:
                 continue
             return edge.control.receive_upstream(), edge
         for port in operator.inputs:  # notices from producers
-            if port is None:
-                continue
             head = port.control.peek_downstream()
             if head is None:
                 continue
@@ -507,8 +532,6 @@ class RuntimeCore:
             return
         now = self.clock.now() if at is None else at
         for port in consumer.inputs:
-            if port is None:
-                continue
             queue = port.queue
             if not queue.pressure_signalled or not queue.below_low_water:
                 continue

@@ -411,37 +411,22 @@ class Simulator(RuntimeCore):
         return not self._events
 
     def _handle_elastic(self) -> None:
-        """One controller tick on the engine's cadence, self-rescheduling.
-
-        The chain stops when the plan has finished *or* the run is
-        quiescent after the tick -- an unconditional reschedule would
-        keep a virtual-time run alive forever (a quiet but unfinished
-        plan still has its own events pending).
-        """
-        now = self.clock.now()
-        self.elastic.tick(now)
-        if not self._quiescent() and not all(
-            op.finished for op in self.plan
-        ):
-            self._push(
-                now + self.elastic.config.interval,
-                _PRIO_ACTION, "elastic", None,
-            )
+        """One controller tick on the engine's cadence, self-rescheduling."""
+        due = self._elastic_tick()
+        if due is not None:
+            self._push(due, _PRIO_ACTION, "elastic", None)
 
     # ---------------------------------------------------------------- work
 
     def _has_data_work(self, operator: Operator) -> bool:
-        return any(
-            port is not None and port.queue.ready_pages > 0
-            for port in operator.inputs
-        )
+        return any(port.queue.ready_pages > 0 for port in operator.inputs)
 
     def _next_port_with_work(self, operator: Operator) -> InputPort | None:
         """The port whose head page became available earliest.
 
         Ties break round-robin so neither input of a join can starve.
         """
-        ports = [p for p in operator.inputs if p is not None]
+        ports = operator.inputs
         if not ports:
             return None
         start = self._rr_port[operator.name] % len(ports)
@@ -504,7 +489,7 @@ class Simulator(RuntimeCore):
             # One input: its queue is the only place a page can wait (the
             # round-robin pick is for joins and unions).
             port = inputs[0]
-            if port is not None and not port.queue.ready_pages:
+            if not port.queue.ready_pages:
                 port = None
         else:
             port = self._next_port_with_work(operator)
@@ -530,9 +515,7 @@ class Simulator(RuntimeCore):
             self.check_relief(
                 operator, at=self._busy_until[operator.name]
             )
-        more = any(
-            port is not None and port.queue.ready_pages for port in inputs
-        )
+        more = any(port.queue.ready_pages for port in inputs)
         if not more:
             self._input_dry(operator)
         self.check_input_completion(operator)
@@ -567,8 +550,6 @@ class Simulator(RuntimeCore):
         """Earliest availability among the operator's pending pages."""
         earliest = None
         for port in operator.inputs:
-            if port is None:
-                continue
             head = port.queue.peek_page()
             if head is None:
                 continue

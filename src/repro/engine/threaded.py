@@ -30,19 +30,23 @@ core owns control draining (including ``control_latency`` arrival
 semantics, which this runtime honours on the wall clock), completion
 bookkeeping and operator finish; this module owns the threads and their
 wake-ups.  Every core policy hook (``notify_control`` / ``_on_finished``
-/ / ``_on_paused`` / ``_on_resumed``) is a
-``notify_all`` on one ``threading.Condition``, and a control message
-still in flight under ``control_latency`` becomes a per-operator wake-up
-deadline, recomputed on every drain, that bounds that operator's next
-wait.  Waits are purely notification-driven -- every state change (page
-flushed, queue closed, control sent) is followed by a ``notify_all``,
-with page-ready and close events announced by the
+/ ``_on_paused`` / ``_on_resumed``) is a ``notify_all`` on one
+``threading.Condition``.  Waits are purely notification-driven -- every
+state change (page flushed, queue closed, control sent) is followed by a
+``notify_all``, with page-ready and close events announced by the
 :class:`~repro.stream.queues.DataQueue` itself through its attached
 :class:`~repro.stream.waiters.ThreadConditionWaiter` -- so idle operators
-consume no CPU; the run-level ``timeout`` is only a watchdog on thread
-joins.  Operators receive whole
-pages through :meth:`~repro.operators.base.Operator.process_page` with no
-``meter``, since wall-clock time needs no per-element metering.
+consume no CPU.  What is due at a *time* rather than on an event sits on
+one due-ordered heap that one clock thread runs, under the plan lock, as
+it falls due: :meth:`~repro.engine.runtime.RuntimeCore.at` actions, the
+elastic controller's tick, and the wake-up for a control message still
+in flight under ``control_latency``.  The first error anywhere -- an
+operator, a source, a clock entry, the watchdog -- stops every thread and
+is raised once by :meth:`~repro.engine.runtime.RuntimeCore.run`; the
+run-level ``timeout`` is one deadline for the whole run.  Operators
+receive whole pages through
+:meth:`~repro.operators.base.Operator.process_page` with no ``meter``,
+since wall-clock time needs no per-element metering.
 
 Backpressure (``queue_capacity`` / bounded :class:`~repro.stream.queues.
 DataQueue`) is honoured cooperatively: a source thread pulls its timeline
@@ -60,8 +64,11 @@ sink arrival logs remain meaningful (if noisy).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from repro.engine.plan import QueryPlan
@@ -74,15 +81,26 @@ from repro.stream.waiters import ThreadConditionWaiter
 __all__ = ["ThreadedRuntime"]
 
 
+def _once(action: Callable[[], Any]) -> Callable[[], None]:
+    """``action`` as a clock entry: not due again, whatever it returns."""
+
+    def thunk() -> None:
+        action()
+
+    return thunk
+
+
 class ThreadedRuntime(RuntimeCore):
     """Run a plan with one thread per operator and wake-up signalling.
 
     Parameters
     ----------
     timeout:
-        Run-level watchdog: maximum wall-clock seconds to wait for each
-        operator thread to finish (worker waits themselves are untimed and
-        purely notification-driven).
+        Run-level watchdog: wall-clock seconds the whole run may take
+        (worker waits themselves are untimed and purely
+        notification-driven).  When it passes, the run fails with
+        :class:`~repro.errors.EngineError` and every thread stops at its
+        next wake-up.
     emulate_costs:
         Charge each operator's cost model (``tuple_cost`` and friends)
         on the wall clock: the summed admission cost of a page is slept
@@ -96,7 +114,8 @@ class ThreadedRuntime(RuntimeCore):
     clock:
         Lets a coordinating engine share one wall-clock epoch across
         several runtimes (the multiprocess engine constructs it before
-        forking, so every worker's timestamps are comparable).
+        forking, so every worker's timestamps -- and its actions' due
+        times -- are comparable).
     core_options:
         ``control_latency`` (wall-clock seconds here) and the feature
         options of :class:`~repro.engine.runtime.RuntimeCore`.
@@ -121,27 +140,39 @@ class ThreadedRuntime(RuntimeCore):
         self._wakeup = threading.Condition(self._lock)
         #: What queues notify when a page lands or the stream closes.
         self._waiter = ThreadConditionWaiter(self._wakeup)
-        #: Earliest pending-but-unarrived control arrival per operator;
-        #: bounds that operator's next wait so delivery is not missed.
-        self._control_deadline: dict[str, float] = {}
-        self._action_errors: list[BaseException] = []
-        #: First exception raised inside an operator thread.  It aborts
-        #: the whole run: every body checks the flag when it wakes, so
-        #: the run fails fast instead of hanging until the watchdog.
+        #: The clock thread sleeps on its own condition over the plan
+        #: lock: a push wakes it, a page never does.
+        self._ticking = threading.Condition(self._lock)
+        #: ``(due, seq, thunk)`` on ``self.clock``; a thunk returns its
+        #: next due time, or None.
+        self._timed: list[tuple[float, int, Callable[[], float | None]]] = []
+        self._seq = itertools.count()
+        #: Arrival times a control wake-up is already on the heap for.
+        self._arrivals: set[float] = set()
+        #: Set once the operator threads have joined: the stream is over
+        #: and what is left on the heap never fires.
+        self._over = False
+        #: The first error anywhere in the run (see :meth:`_fail`).
         self._abort_error: BaseException | None = None
 
-    def _run_action(self, action: Callable[[], None]) -> None:
-        # Runs on a timer thread: a raised exception would otherwise be
-        # swallowed there and the run would report success with the
-        # action's effect silently missing.  Capture it; run() re-raises.
-        try:
-            with self._lock:
-                action()
-                self._wakeup.notify_all()
-        except BaseException as error:  # noqa: BLE001 - re-raised in run()
-            with self._lock:
-                self._action_errors.append(error)
-                self._wakeup.notify_all()
+    def _push(self, due: float, thunk: Callable[[], float | None]) -> None:
+        """Put ``thunk`` on the clock thread's heap (plan lock held)."""
+        heapq.heappush(self._timed, (due, next(self._seq), thunk))
+        self._ticking.notify()
+
+    def _fail(self, error: BaseException) -> None:
+        """Keep the run's first error and wake every thread to stop on it.
+
+        The lock is awaited at most ``timeout``: a thread stuck holding
+        it cannot be woken anyway, and the watchdog must still raise.
+        """
+        locked = self._lock.acquire(timeout=self.timeout)
+        if self._abort_error is None:
+            self._abort_error = error
+        if locked:
+            self._wakeup.notify_all()
+            self._ticking.notify()
+            self._lock.release()
 
     # -- wake-ups: every RuntimeCore policy hook is a notify_all ------------------
 
@@ -164,30 +195,15 @@ class ThreadedRuntime(RuntimeCore):
     def _on_resumed(self, operator: Operator, at: float) -> None:
         self._waiter.notify_all()
 
-    def drain_control(self, operator: Operator) -> bool:
-        # Deadlines are recomputed from scratch on every drain: the core
-        # re-defers whatever is still in flight.
-        self._control_deadline.pop(operator.name, None)
-        return super().drain_control(operator)
-
     def _defer_control(self, operator: Operator, arrival: float) -> None:
-        deadline = self._control_deadline.get(operator.name)
-        if deadline is None or arrival < deadline:
-            self._control_deadline[operator.name] = arrival
+        # One wake-up per distinct arrival time: the clock thread wakes
+        # every sleeper when it falls due, and the drain then takes the
+        # message.
+        if arrival not in self._arrivals:
+            self._arrivals.add(arrival)
+            self._push(arrival, partial(self._arrivals.discard, arrival))
 
     # -- thread bodies --------------------------------------------------------------
-
-    def _wait_for_work(self, operator: Operator) -> None:
-        """Sleep until a page or control message arrives.
-
-        Purely notification-driven; the only timed wait is the arrival
-        deadline of an in-flight (deferred) control message.
-        """
-        deadline = self._control_deadline.get(operator.name)
-        self._wakeup.wait(
-            None if deadline is None
-            else max(0.0, deadline - self.clock.now())
-        )
 
     def _source_runs(self, source: SourceOperator) -> Iterator[list]:
         """Cut ``source``'s timeline into runs, taken outside the plan lock.
@@ -224,7 +240,7 @@ class ThreadedRuntime(RuntimeCore):
                 while self.is_paused(source):
                     # Honour backpressure: sleep until the consumer's
                     # resume arrives (every control send notifies).
-                    self._wait_for_work(source)
+                    self._wakeup.wait()
                     if self._abort_error is not None:
                         return
                     self.drain_control(source)
@@ -263,12 +279,10 @@ class ThreadedRuntime(RuntimeCore):
                     self.check_input_completion(operator)
                     if operator.finished:
                         return
-                    self._wait_for_work(operator)
+                    self._wakeup.wait()
                     continue
                 page, port = None, None
                 for candidate in operator.inputs:
-                    if candidate is None:
-                        continue
                     page = candidate.queue.get_page()
                     if page is not None:
                         port = candidate
@@ -277,7 +291,7 @@ class ThreadedRuntime(RuntimeCore):
                     self.check_input_completion(operator)
                     if operator.finished:
                         return
-                    self._wait_for_work(operator)
+                    self._wakeup.wait()
                     continue
                 operator.set_now(self.clock.now())
             # Page processing runs OUTSIDE the plan lock: emission goes
@@ -299,45 +313,43 @@ class ThreadedRuntime(RuntimeCore):
                 self.check_pressure(operator)
                 self._wakeup.notify_all()
 
-    def _elastic_body(self, stop: threading.Event) -> None:
-        """Controller ticker: observe/decide/apply every ``interval``.
+    def _clock_body(self) -> None:
+        """Run each heap entry as it falls due, under the plan lock.
 
-        Ticks run under the plan lock -- the controller reads operator
-        counters and enqueues control, both of which the operator
-        threads also do under that lock -- so no new synchronisation is
-        needed; the partition applies decisions from its own thread.
+        Actions and ticks read counters and enqueue control, as operator
+        threads do under the same lock.  A thunk that raises fails the
+        run before the lock is let go: no thread steps behind it.
         """
-        interval = self.elastic.config.interval
-        try:
-            while not stop.wait(interval):
-                with self._lock:
-                    if self._abort_error is not None:
+        timed, clock = self._timed, self.clock
+        with self._lock:
+            while not self._over and self._abort_error is None:
+                wait = timed[0][0] - clock.now() if timed else None
+                if wait is not None and wait <= 0.0:
+                    _due, _seq, thunk = heapq.heappop(timed)
+                    try:
+                        due = thunk()
+                    except BaseException as error:  # noqa: BLE001
+                        self._fail(error)
                         return
-                    self.elastic.tick(self.clock.now())
+                    if due is not None:
+                        self._push(due, thunk)
                     self._wakeup.notify_all()
-        except BaseException as error:  # noqa: BLE001 - re-raised in run()
-            with self._lock:
-                if self._abort_error is None:
-                    self._abort_error = error
-                self._wakeup.notify_all()
+                else:
+                    self._ticking.wait(wait)
 
-    def _guard_body(
-        self, body: Callable[[Operator], None], operator: Operator
-    ) -> None:
-        """Thread target: run ``body`` and abort the run on exception.
+    def _guard_body(self, operator: Operator) -> None:
+        """Thread target: run ``operator``'s body; an error aborts the run.
 
         Without this, a thread dying mid-page would leave the rest of the
-        plan waiting on data that never comes until the watchdog fires;
-        instead the first error is captured, every sleeping body is woken
-        to check the abort flag, and :meth:`run` re-raises it.
+        plan waiting on data that never comes until the watchdog fires.
         """
         try:
-            body(operator)
-        except BaseException as error:  # noqa: BLE001 - re-raised in run()
-            with self._lock:
-                if self._abort_error is None:
-                    self._abort_error = error
-                self._wakeup.notify_all()
+            if isinstance(operator, SourceOperator):
+                self._source_body(operator)
+            else:
+                self._operator_body(operator)
+        except BaseException as error:  # noqa: BLE001 - raised by _run
+            self._fail(error)
 
     # -- run -------------------------------------------------------------------------
 
@@ -352,64 +364,39 @@ class ThreadedRuntime(RuntimeCore):
             # Input queues are prepared too: in a multiprocess worker a
             # consumer's input queue may be fed by a receiver thread
             # rather than a local producer thread.
-            for edge in op.outputs:
-                edge.queue.enable_thread_safety()
-                edge.queue.attach_waiter(self._waiter)
-            for port in op.inputs:
-                if port is not None:
-                    port.queue.enable_thread_safety()
-                    port.queue.attach_waiter(self._waiter)
+            for link in op.outputs + op.inputs:
+                link.queue.enable_thread_safety()
+                link.queue.attach_waiter(self._waiter)
         self._start_operators()
-        threads: list[threading.Thread] = []
-        for op in executed:
-            if isinstance(op, SourceOperator):
-                body, args = self._source_body, (op,)
-            else:
-                body, args = self._operator_body, (op,)
-            thread = threading.Thread(
-                target=self._guard_body, args=(body,) + args,
-                name=f"op-{op.name}", daemon=True,
-            )
-            threads.append(thread)
-        timers: list[threading.Timer] = []
-        for when, action, _owner in self._actions:
-            timer = threading.Timer(when, self._run_action, args=(action,))
-            timer.daemon = True
-            timers.append(timer)
-        ticker: threading.Thread | None = None
-        ticker_stop = threading.Event()
-        if self.elastic is not None:
-            ticker = threading.Thread(
-                target=self._elastic_body, args=(ticker_stop,),
-                name="elastic-controller", daemon=True,
-            )
-            ticker.start()
+        threads = [
+            threading.Thread(target=self._guard_body, args=(op,),
+                             name=f"op-{op.name}", daemon=True)
+            for op in executed
+        ]
+        clock_thread = threading.Thread(
+            target=self._clock_body, name="clock", daemon=True
+        )
+        with self._lock:
+            for when, action, _owner in self._actions:
+                self._push(when, _once(action))
+            if self.elastic is not None:
+                self._push(self.elastic.config.interval, self._elastic_tick)
+        deadline = time.monotonic() + self.timeout
+        clock_thread.start()
         for thread in threads:
             thread.start()
-        for timer in timers:
-            timer.start()
-        try:
-            for thread in threads:
-                thread.join(self.timeout)
-                if thread.is_alive():
-                    raise EngineError(
-                        f"operator thread {thread.name} did not finish "
-                        f"within {self.timeout}s"
-                    )
-        finally:
-            # cancel() is a no-op on a callback that is already running:
-            # join the timer threads too, so a late-firing action cannot
-            # mutate state concurrently with result building or report
-            # its error after we checked for one.
-            for timer in timers:
-                timer.cancel()
-            for timer in timers:
-                timer.join(self.timeout)
-            if ticker is not None:
-                ticker_stop.set()
-                ticker.join(self.timeout)
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                self._fail(EngineError(
+                    f"operator thread {thread.name} did not finish "
+                    f"within {self.timeout}s"
+                ))
+                raise self._abort_error
+        with self._lock:
+            self._over = True
+            self._ticking.notify()
+        clock_thread.join()
         if self._abort_error is not None:
             raise self._abort_error
-        if self._action_errors:
-            raise self._action_errors[0]
         return self.build_result(self.collect_metrics())

@@ -471,11 +471,17 @@ class TestDeclarativeRun:
         assert run.sink("sink").results  # other sensors made it through
 
     def test_threaded_action_errors_propagate(self):
-        """A failing injection must not silently yield a feedback-free run."""
+        """A failing injection must not silently yield a feedback-free run.
+
+        It fails the run at once, as on the heap engines: the source
+        opened by the action takes no further step, so the sink never
+        holds the whole stream.
+        """
         import threading
 
         gate = threading.Event()
         data = rows(20)
+        sinks = []
 
         def events():
             yield from data[:10]
@@ -483,6 +489,7 @@ class TestDeclarativeRun:
             yield from data[10:]
 
         def boom(plan):
+            sinks.append(plan.operator("sink"))
             gate.set()
             raise RuntimeError("injection failed")
 
@@ -490,6 +497,7 @@ class TestDeclarativeRun:
         flow.generate(SCHEMA, events, name="source").collect("sink")
         with pytest.raises(RuntimeError, match="injection failed"):
             flow.run(engine="threaded", actions=[(0.05, boom)])
+        assert len(sinks[0].results) < len(data)
 
     @pytest.mark.skipif(
         not fork_available(), reason="fork start method unavailable"

@@ -264,11 +264,14 @@ class TestScheduledActions:
         with pytest.raises(RuntimeError, match="action exploded"):
             flow.run("asyncio", actions=[(0.0, boom)], timeout=30.0)
 
-    def test_action_after_drain_never_fires(self):
+    @pytest.mark.parametrize("engine", ["threaded", "asyncio"])
+    def test_action_after_drain_never_fires(self, engine):
+        """Both wall-clock engines keep the action as a heap entry; the
+        run drains in milliseconds and the entry never falls due."""
         fired = []
-        engine = AsyncioEngine(linear_flow(5).build())
-        engine.at(30.0, lambda: fired.append(True))
-        engine.run()  # drains in milliseconds; the action is cancelled
+        runtime = create_engine(engine, linear_flow(5).build())
+        runtime.at(30.0, lambda: fired.append(True))
+        runtime.run()
         assert fired == []
 
     def test_control_latency_defers_delivery_on_the_wall_clock(self):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,38 @@ class TestStructure:
 
     def test_no_signature_probe_of_at(self):
         assert offenders(r"signature\([^)]*\.at\b", "engine", "api") == []
+
+    def test_threaded_timing_is_one_clock(self):
+        """Actions, elastic ticks and in-flight control all ride the
+        threaded runtime's one clock heap; failures take one path."""
+        assert offenders(
+            r"threading\.Timer|_control_deadline|_elastic_body|_action_errors",
+            "engine",
+        ) == []
+
+    def test_threaded_run_starts_one_thread_per_operator_and_a_clock(
+        self, monkeypatch
+    ):
+        """Forty scheduled actions add no thread: a ``threading.Timer``
+        is a ``Thread`` too, so it would be counted here."""
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        rows = [(0.0, StreamTuple(SCHEMA, (float(i), i, 0.0)))
+                for i in range(50)]
+        flow = Flow("budget")
+        flow.source(SCHEMA, rows).where(lambda t: True).collect("sink")
+        plan = flow.build()
+        engine = ThreadedRuntime(plan, timeout=30.0)
+        for index in range(40):
+            engine.at(30.0 + index, lambda: None)
+        engine.run()
+        assert len(started) == len(list(plan)) + 1, started
 
 
 class TestOneAt:
