@@ -1135,17 +1135,6 @@ class Flow:
         own per-verb capacity, enabling runtime backpressure (see
         ``docs/backpressure.md``).  ``engine_options`` pass to the engine
         factory (``control_latency=...``, ...).
-
-        ``elastic=ElasticConfig(...)`` (an engine option) arms the
-        elastic controller over the flow's shard regions: the runtime
-        samples per-lane skew and queue occupancy on the configured
-        cadence and re-partitions hot keys across lanes through
-        ``RebalancePunctuation`` on the control plane (see
-        ``docs/elasticity.md``).  Supported by the simulated, threaded
-        and asyncio engines; the multiprocess engine declines with a
-        recorded reason (``result.metrics.elastic_declines``), and
-        combining ``elastic=`` with ``checkpoint_every=`` raises
-        ``EngineError``.
         """
         plan = self.build(queue_capacity=queue_capacity)
         if optimize:
@@ -1290,23 +1279,13 @@ class Flow:
                 f"stage {stage_name!r} factory returned "
                 f"{prototype!r}, not an Operator"
             )
-        if prototype.n_inputs != len(inputs):
-            raise FlowError(
-                f"stage {stage_name!r} has {prototype.n_inputs} input "
-                f"port(s) but {len(inputs)} stream(s) were supplied"
-            )
         node = _Node(
             stage_name, kind, factory, prototype.output_schema,
             fanout_ok=fanout_ok, configure=configure, prototype=prototype,
         )
-        self._commit_node(node)
-        edge_page = self.page_size if page_size is None else page_size
-        for port, handle in enumerate(inputs):
-            producer = handle._consume()
-            self._edges.append(
-                _Edge(producer, node, port, edge_page, queue_capacity)
-            )
-        return StreamHandle(self, node)
+        return self._attach(
+            node, prototype.n_inputs, inputs, page_size, queue_capacity
+        )
 
     def _attach_custom(
         self,
@@ -1338,11 +1317,6 @@ class Flow:
             )
         # The name is baked into the operator: a clash raises here.
         stage_name = self._next_name(prototype.name, prototype.name)
-        if prototype.n_inputs != len(inputs):
-            raise FlowError(
-                f"stage {stage_name!r} has {prototype.n_inputs} input "
-                f"port(s) but {len(inputs)} stream(s) were supplied"
-            )
         node = _Node(
             stage_name, "custom", factory, prototype.output_schema,
             single_use=single_use, configure=configure,
@@ -1350,6 +1324,24 @@ class Flow:
             type_name=type(prototype).__name__,
             is_source=prototype.n_inputs == 0,
         )
+        return self._attach(
+            node, prototype.n_inputs, inputs, page_size, queue_capacity
+        )
+
+    def _attach(
+        self,
+        node: _Node,
+        n_inputs: int,
+        inputs: Sequence[StreamHandle],
+        page_size: int | None,
+        queue_capacity: int | None,
+    ) -> StreamHandle:
+        """Check the stage's port count, commit it, wire ``inputs`` in."""
+        if n_inputs != len(inputs):
+            raise FlowError(
+                f"stage {node.name!r} has {n_inputs} input "
+                f"port(s) but {len(inputs)} stream(s) were supplied"
+            )
         self._commit_node(node)
         edge_page = self.page_size if page_size is None else page_size
         for port, handle in enumerate(inputs):

@@ -50,7 +50,6 @@ __all__ = [
     "FeedbackPunctuation",
     "FlowControlKind",
     "FlowControlPunctuation",
-    "RebalancePunctuation",
 ]
 
 _feedback_counter = itertools.count()
@@ -334,64 +333,3 @@ class CheckpointPunctuation(_Immutable):
 
     def __repr__(self) -> str:
         return f"⌖[epoch={self.epoch} {self.source}@{self.offset}]"
-
-
-class RebalancePunctuation(_Immutable):
-    """A re-partitioning marker riding the *data* plane.
-
-    The fourth punctuation family: elasticity's cut marker.  When the
-    elastic controller decides to move keys between shard lanes, the
-    ``Partition`` broadcasts a ``cut`` marker down every lane.  Like
-    :class:`CheckpointPunctuation` it flows **in band** (inside data
-    pages, ``is_punctuation`` is True) because the cut must arrive
-    *after* every tuple routed under the old table on each lane --
-    only the data queue preserves that order.
-
-    ``phase`` walks the two-phase migration protocol:
-
-    ``cut``
-        lane operators extract the state of moved keys and deposit it
-        into the shared :class:`~repro.elasticity.rebalance.RebalanceRecord`;
-        the ``ShardMerge`` counts cut arrivals and acks the partition.
-    ``install``
-        lane operators claim deposits destined for them and merge the
-        state in; the merge re-arms its frontier bookkeeping.
-    ``restore``
-        the abort path -- a run finished while the cut was in flight,
-        so each lane re-installs its *own* deposits and the old routing
-        table stays live.
-
-    ``epoch`` numbers the rebalance, ``issuer`` is the partition, and
-    ``record`` carries the shared (lock-guarded on concurrent engines)
-    deposit ledger.  The record travels by reference: rebalancing is
-    declined on the multiprocess engine, so markers never cross a
-    process boundary with a live record attached.
-    """
-
-    __slots__ = ("epoch", "phase", "issuer", "record", "issued_at", "seq")
-
-    is_punctuation = True  # markers flow inside data pages, in order
-
-    def __init__(
-        self,
-        epoch: int,
-        phase: str,
-        *,
-        issuer: str = "",
-        record: Any = None,
-        issued_at: float = 0.0,
-    ) -> None:
-        if phase not in ("cut", "install", "restore"):
-            raise FeedbackError(
-                f"unknown rebalance phase {phase!r}; expected "
-                "'cut', 'install' or 'restore'"
-            )
-        object.__setattr__(self, "epoch", int(epoch))
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "issuer", issuer)
-        object.__setattr__(self, "record", record)
-        object.__setattr__(self, "issued_at", float(issued_at))
-        object.__setattr__(self, "seq", next(_feedback_counter))
-
-    def __repr__(self) -> str:
-        return f"⇄[epoch={self.epoch} {self.phase} from={self.issuer}]"

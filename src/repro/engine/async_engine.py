@@ -7,16 +7,15 @@ and the Röger & Mayer parallelization survey, see PAPERS.md, argue that
 ingesting from many slow or remote endpoints should not burn an OS thread
 per operator).  It is the same cooperative, run-to-completion scheduler
 as :class:`~repro.engine.simulator.Simulator` -- one event heap, the same
-source / control / work / action / elastic handlers, the same pause
+source / control / work / action handlers, the same pause
 stash and watermark checks -- with a different clock under it: events are
 ordered on a :class:`~repro.stream.clock.WallClock`, and instead of
 jumping the clock to the heap's head, **one driver coroutine** waits for
 it.  What the virtual-time engine models, this one experiences:
 
-* ``control_latency``, :meth:`~repro.engine.runtime.RuntimeCore.at`
-  actions and elastic ticks are heap entries due in the future; the
-  driver sleeps until the earliest one (or until something is pushed)
-  and never polls.
+* ``control_latency`` and :meth:`~repro.engine.runtime.RuntimeCore.at`
+  actions are heap entries due in the future; the driver sleeps until
+  the earliest one (or until something is pushed) and never polls.
 * ``emulate_costs=True`` keeps the simulator's per-operator busy
   horizons: a costed operator's output becomes available -- and its next
   page starts -- only when its modeled cost has elapsed on the wall
@@ -156,11 +155,6 @@ class AsyncioEngine(Simulator):
 
     def _input_dry(self, operator: Operator) -> None:
         operator.flush_outputs()
-
-    def _quiescent(self) -> bool:
-        # A feed or a client coroutine may push at any moment: the
-        # core's wall-clock answer, not the simulator's empty heap.
-        return False
 
     # -- async sources ---------------------------------------------------------
 

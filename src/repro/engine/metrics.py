@@ -166,9 +166,6 @@ class ShardLaneMetrics:
     tuples_out: int
     busy_time: float
     time_paused: float
-    #: False when elastic rebalancing has routed every slot away from
-    #: this lane (the replica is parked: built, but receiving nothing).
-    active: bool = True
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -179,7 +176,6 @@ class ShardLaneMetrics:
             "tuples_out": self.tuples_out,
             "busy_time": self.busy_time,
             "time_paused": self.time_paused,
-            "active": self.active,
         }
 
 
@@ -193,20 +189,14 @@ class ShardGroupMetrics:
     lanes: list[ShardLaneMetrics] = field(default_factory=list)
     regions_held: int = 0
     regions_released: int = 0
-    #: Completed elastic rebalances (cut -> ack -> install round trips).
-    rebalances: int = 0
-    #: State entries migrated between lanes by completed rebalances.
-    keys_migrated: int = 0
 
     def skew(self) -> float:
         """Max-over-mean lane ingress: 1.0 is perfectly balanced.
 
         The classic load-imbalance metric for key-partitioned
-        parallelism; a heavy hitter key drives it toward ``n``.  Only
-        *active* lanes count -- a replica elastic scaling parked would
-        otherwise read as permanent imbalance.
+        parallelism; a heavy hitter key drives it toward ``n``.
         """
-        loads = [lane.ingress for lane in self.lanes if lane.active]
+        loads = [lane.ingress for lane in self.lanes]
         if not loads or not sum(loads):
             return 1.0
         return max(loads) / (sum(loads) / len(loads))
@@ -219,8 +209,6 @@ class ShardGroupMetrics:
             "skew": self.skew(),
             "regions_held": self.regions_held,
             "regions_released": self.regions_released,
-            "rebalances": self.rebalances,
-            "keys_migrated": self.keys_migrated,
             "lanes": [lane.snapshot() for lane in self.lanes],
         }
 
@@ -243,27 +231,11 @@ class PlanMetrics:
     checkpoint_epochs: int = 0
     checkpoint_bytes: int = 0
     checkpoint_time: float = 0.0
-    #: Edge keys whose lane elastic rebalancing has parked: the edge
-    #: still exists (and its historical counters stand) but nothing
-    #: routes through it at run end.
-    inactive_edges: set[str] = field(default_factory=set)
-    #: ``(what, why)`` pairs for everything elasticity skipped, exactly
-    #: the optimizer's fusibility-decline convention.
-    elastic_declines: list[tuple[str, str]] = field(default_factory=list)
 
     def peak_queue_occupancy(self) -> int:
-        """The deepest any *live* data queue got during the run.
-
-        Edges parked by a lane-count change are excluded: their peaks
-        are history from before the rebalance, and a capacity-planning
-        readout must reflect the topology the run ended on.
-        """
+        """The deepest any data queue got during the run."""
         return max(
-            (
-                q.peak_occupancy
-                for key, q in self.queue_metrics.items()
-                if key not in self.inactive_edges
-            ),
+            (q.peak_occupancy for q in self.queue_metrics.values()),
             default=0,
         )
 
@@ -277,15 +249,11 @@ class PlanMetrics:
             return "(no shard groups)"
         lines: list[str] = []
         for group in self.shard_metrics.values():
-            rebalanced = (
-                f", rebalances={group.rebalances}" if group.rebalances else ""
-            )
             lines.append(
                 f"shard {group.name!r} x{group.n} by "
                 f"({', '.join(group.key)}): skew={group.skew():.3f}, "
                 f"regions held/released="
                 f"{group.regions_held}/{group.regions_released}"
-                f"{rebalanced}"
             )
             header = (
                 f"  {'lane':>4} {'ingress':>9} {'in':>9} {'out':>9} "
@@ -297,7 +265,6 @@ class PlanMetrics:
                     f"  {lane.lane:>4} {lane.ingress:>9} "
                     f"{lane.tuples_in:>9} {lane.tuples_out:>9} "
                     f"{lane.busy_time:>10.3f} {lane.time_paused:>8.3f}"
-                    + ("" if lane.active else "  (parked)")
                 )
         return "\n".join(lines)
 

@@ -238,8 +238,6 @@ class MultiprocessEngine(RuntimeCore):
     emulate_costs:
         Charge operator cost models as wall-clock sleeps, exactly as on
         the threaded runtime.
-    elastic:
-        Declined with a recorded reason (see the constructor).
     core_options:
         ``control_latency`` (seconds on the wall clock every worker
         shares) and the durability options of
@@ -253,7 +251,6 @@ class MultiprocessEngine(RuntimeCore):
         groups: Sequence[Sequence[str]] | None = None,
         timeout: float = 60.0,
         emulate_costs: bool = False,
-        elastic: Any = None,
         **core_options: Any,
     ) -> None:
         if not fork_available():
@@ -264,20 +261,7 @@ class MultiprocessEngine(RuntimeCore):
         # Durability activation (and recovery restore) runs in the super
         # constructor -- before the fork, so every worker inherits the
         # restored operator state and the computed replay offsets.
-        # ``elastic`` is deliberately NOT passed down: this engine
-        # declines elasticity (recorded below) rather than arming a
-        # controller whose rebalance records cannot cross the fork.
         super().__init__(plan, WallClock(), **core_options)
-        if elastic is not None:
-            # The optimizer's decline convention: record why, run static.
-            self.elastic_declines.append(
-                (
-                    "engine",
-                    "multiprocess engine cannot rebalance: migration "
-                    "records travel by reference and workers own "
-                    "disjoint operator groups across process boundaries",
-                )
-            )
         if (
             self.checkpoints is not None
             and not self.checkpoints.store.shareable_across_processes

@@ -412,10 +412,10 @@ class QueryPlan:
 
         Optimizer rewrites that collapse operators *inside* a shard lane
         must keep the region record truthful -- metrics rollups, the
-        rebalance protocol and the renderers all resolve lanes by
-        operator name.  Each lane's run of ``members`` collapses to the
-        single ``replacement`` name; lanes and groups not mentioning any
-        member are untouched.
+        multiprocess engine's lane groups and the renderers all resolve
+        lanes by operator name.  Each lane's run of ``members`` collapses
+        to the single ``replacement`` name; lanes and groups not
+        mentioning any member are untouched.
         """
         member_set = set(members)
         for index, group in enumerate(self._shard_groups):

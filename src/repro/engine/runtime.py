@@ -12,7 +12,7 @@ split made explicit:
   operator finishes (the lifecycle itself is the operator's
   ``_close_inputs`` / ``_finish``), the run envelope (:meth:`RuntimeCore.
   run`: begin, the policy's ``_run``, abort notification), the feature
-  options every engine takes (checkpointing, recovery, elasticity), and
+  options every engine takes (checkpointing, recovery), and
   the runtime surface operators see (``now`` / ``notify_control`` /
   ``apply_flow_control`` / ``is_paused`` / ``checkpoints`` / the
   feedback log);
@@ -48,10 +48,6 @@ A policy implements ``_run`` and these hooks:
     What happens when an operator's last resume arrives / first pause
     lands: the simulator reschedules stalled work and flushes open pages,
     the threaded runtime notifies sleeping threads.
-``_quiescent``
-    Whether nothing can happen any more, which ends the elastic tick
-    chain (:meth:`RuntimeCore._elastic_tick`): an empty heap on virtual
-    time; never on a wall clock.
 
 **Backpressure** also lives here, because it is pure mechanism: when a
 bounded :class:`~repro.stream.queues.DataQueue` crosses its high-water
@@ -168,9 +164,6 @@ class RuntimeCore:
         source elements, where snapshots go, the store to resume from,
         and ``"exactly-once"`` or ``"at-least-once"`` replay.  Setting
         any of the first three activates the coordinator.
-    elastic:
-        An :class:`~repro.elasticity.ElasticConfig` arming the
-        autoscaling controller (``docs/elasticity.md``).
     """
 
     def __init__(
@@ -183,7 +176,6 @@ class RuntimeCore:
         checkpoint_store: Any = None,
         recover_from: Any = None,
         ingestion_policy: str = "exactly-once",
-        elastic: Any = None,
     ) -> None:
         plan.validate()
         self.plan = plan
@@ -219,23 +211,6 @@ class RuntimeCore:
                 recover_from=recover_from,
                 policy=ingestion_policy,
             )
-        #: Elastic autoscaling controller (None when elasticity is off).
-        #: Engines that can rebalance drive ``elastic.tick`` on the
-        #: configured cadence; ``elastic_declines`` mirrors the
-        #: optimizer's fusibility-decline reporting in the metrics.
-        self.elastic = None
-        self.elastic_declines: list[tuple[str, str]] = []
-        if elastic is not None:
-            if self.checkpoints is not None:
-                raise EngineError(
-                    "elastic= cannot combine with checkpointing: a "
-                    "checkpoint cut inside a migration window could "
-                    "snapshot a moved key's state twice (or not at all)"
-                )
-            from repro.elasticity.controller import ElasticController
-
-            self.elastic = ElasticController(self, elastic)
-            self.elastic_declines = self.elastic.declines
 
     # -- runtime surface seen by operators -----------------------------------------
 
@@ -257,13 +232,14 @@ class RuntimeCore:
 
         ``time`` is on the engine's clock: virtual seconds on the
         simulator, wall-clock seconds on the others.  It is one entry on
-        the engine's due-ordered heap -- the simulator's and asyncio
-        engine's event heap, the threaded runtime's clock thread -- run
-        between operator steps; an action that raises fails the run at
-        once, and an action whose time falls after the plan has drained
-        never fires on a wall clock -- the "the stream is over" rule
-        every engine applies to in-flight feedback.  ``owner`` names the
-        operator the action targets:
+        the engine's due-ordered heap.  The simulator and the asyncio
+        engine run it between operator steps; the threaded runtime's
+        clock thread runs it under the plan lock while the operator
+        threads go on processing pages outside that lock.  An action
+        that raises fails the run at once, and an action whose time
+        falls after the plan has drained never fires on a wall clock --
+        the "the stream is over" rule every engine applies to in-flight
+        feedback.  ``owner`` names the operator the action targets:
         single-process engines ignore it, the multiprocess engine
         requires it to pick the worker that runs the action.  This one
         signature is the engine contract ``Flow.run`` calls
@@ -294,24 +270,6 @@ class RuntimeCore:
 
     def _on_resumed(self, operator: Operator, at: float) -> None:
         """An operator's last pause was lifted; reschedule its work."""
-
-    def _quiescent(self) -> bool:
-        """True when nothing can happen any more: never on a wall clock,
-        where a wedged plan is the ``timeout`` watchdog's to report."""
-        return False
-
-    def _elastic_tick(self) -> float | None:
-        """One controller tick on the engine's cadence; when the next is due.
-
-        None ends the chain: every operator has finished, or the run is
-        quiescent after the tick -- an unconditional reschedule would
-        keep a virtual-time run alive forever.
-        """
-        now = self.clock.now()
-        self.elastic.tick(now)
-        if self._quiescent() or all(op.finished for op in self.plan):
-            return None
-        return now + self.elastic.config.interval
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -356,9 +314,8 @@ class RuntimeCore:
 
         Built as the run starts, over every operator of the plan (a
         multiprocess worker's remote producers included, after the cross
-        edges are rewired): edges change only at build and optimize time,
-        and :meth:`~repro.stream.queues.DataQueue.resize` refuses an
-        unbounded queue, so an unbounded edge stays unbounded.
+        edges are rewired): edges and their capacities change only at
+        build and optimize time.
 
         * ``_control_sides`` -- the deques of every control side the
           operator reads (:meth:`drain_control`'s fast exit);
@@ -477,10 +434,8 @@ class RuntimeCore:
         exactly like an ordinary pause.
         """
         if operator.lane_flow_control:
-            # Lane operators stall on *holding*, not on lane pauses --
-            # and holding can arise without any pause at all (a rebalance
-            # stash filling during a long migration window), so the
-            # operator is consulted even when no output edge is paused.
+            # Lane operators stall on *holding* (a lane's stash full),
+            # not on lane pauses.
             holding = operator.holding_pressure()
             # Stall accounting for lane operators: the holding transition
             # happens mid-processing (a stash filling), so the paused
@@ -751,7 +706,6 @@ class RuntimeCore:
                     pages_flushed=queue.pages_flushed,
                 )
                 metrics.queue_metrics[entry.edge_key] = entry
-        metrics.elastic_declines = list(self.elastic_declines)
         self._collect_shard_metrics(metrics)
         if self.checkpoints is not None:
             metrics.checkpoint_epochs = len(
@@ -787,18 +741,14 @@ class RuntimeCore:
         for group in self.plan.shard_groups:
             partition = self.plan.operator(group.partition)
             merge = self.plan.operator(group.merge)
-            in_use = getattr(partition, "lanes_in_use", None)
             rollup = ShardGroupMetrics(
                 name=group.name,
                 key=group.key,
                 n=group.n,
                 regions_held=getattr(merge, "regions_held", 0),
                 regions_released=getattr(merge, "regions_released", 0),
-                rebalances=getattr(partition, "rebalances_completed", 0),
-                keys_migrated=getattr(partition, "keys_migrated", 0),
             )
             for index, lane in enumerate(group.lanes):
-                active = in_use is None or index in in_use
                 members = [self.plan.operator(name).metrics for name in lane]
                 ingress = (
                     partition.outputs[index].queue.elements_enqueued
@@ -813,26 +763,8 @@ class RuntimeCore:
                         tuples_out=sum(m.tuples_out for m in members),
                         busy_time=sum(m.busy_time for m in members),
                         time_paused=sum(m.time_paused for m in members),
-                        active=active,
                     )
                 )
-                if active:
-                    continue
-                # A parked lane's edges are stale topology: exclude them
-                # from plan-wide peak rollups (their history pre-dates
-                # the lane-count change).
-                if index < len(partition.outputs):
-                    edge = partition.outputs[index]
-                    metrics.inactive_edges.add(
-                        f"{partition.name}->"
-                        f"{edge.consumer.name}[{edge.consumer_port}]"
-                    )
-                for name in lane:
-                    for edge in self.plan.operator(name).outputs:
-                        metrics.inactive_edges.add(
-                            f"{name}->"
-                            f"{edge.consumer.name}[{edge.consumer_port}]"
-                        )
             metrics.shard_metrics[group.name] = rollup
 
     def build_result(self, metrics: PlanMetrics) -> RunResult:

@@ -55,7 +55,7 @@ module's loop jumps a virtual clock there;
 :class:`Simulator` on a wall clock and waits.  What differs between the
 two is confined to a few small hooks (``clock_class``,
 ``emulate_costs``, ``_jump``, ``_source_due``, ``_source_bound``,
-``_earliest_start``, ``_input_dry``, ``_quiescent``, ``_open_source``).
+``_earliest_start``, ``_input_dry``, ``_open_source``).
 """
 
 from __future__ import annotations
@@ -222,10 +222,6 @@ class Simulator(RuntimeCore):
             self._open_source(source)
         for when, action, _owner in self._actions:
             self._push(when, _PRIO_ACTION, "action", action)
-        if self.elastic is not None:
-            self._push(
-                self.elastic.config.interval, _PRIO_ACTION, "elastic", None
-            )
 
     def _step(self) -> None:
         """Pop the earliest event and run its handler to completion.
@@ -241,8 +237,6 @@ class Simulator(RuntimeCore):
             self._handle_control(payload)
         elif kind == "action":
             payload()
-        elif kind == "elastic":
-            self._handle_elastic()
         else:
             self._handle_work(payload)
 
@@ -403,18 +397,6 @@ class Simulator(RuntimeCore):
         self._after_activity(operator)
         if not self.is_paused(operator) and self._has_data_work(operator):
             self.schedule_work(operator)
-
-    # -------------------------------------------------------------- elastic
-
-    def _quiescent(self) -> bool:
-        """True when nothing can happen any more: an empty heap."""
-        return not self._events
-
-    def _handle_elastic(self) -> None:
-        """One controller tick on the engine's cadence, self-rescheduling."""
-        due = self._elastic_tick()
-        if due is not None:
-            self._push(due, _PRIO_ACTION, "elastic", None)
 
     # ---------------------------------------------------------------- work
 

@@ -38,13 +38,12 @@ state change (page flushed, queue closed, control sent) is followed by a
 :class:`~repro.stream.waiters.ThreadConditionWaiter` -- so idle operators
 consume no CPU.  What is due at a *time* rather than on an event sits on
 one due-ordered heap that one clock thread runs, under the plan lock, as
-it falls due: :meth:`~repro.engine.runtime.RuntimeCore.at` actions, the
-elastic controller's tick, and the wake-up for a control message still
-in flight under ``control_latency``.  The first error anywhere -- an
-operator, a source, a clock entry, the watchdog -- stops every thread and
-is raised once by :meth:`~repro.engine.runtime.RuntimeCore.run`; the
-run-level ``timeout`` is one deadline for the whole run.  Operators
-receive whole pages through
+it falls due: :meth:`~repro.engine.runtime.RuntimeCore.at` actions and
+the wake-up for a control message still in flight under
+``control_latency``.  The first error anywhere -- an operator, a source,
+a clock entry, the watchdog -- stops every thread and is raised once by
+:meth:`~repro.engine.runtime.RuntimeCore.run`; the run-level ``timeout``
+is one deadline for the whole run.  Operators receive whole pages through
 :meth:`~repro.operators.base.Operator.process_page` with no ``meter``,
 since wall-clock time needs no per-element metering.
 
@@ -79,15 +78,6 @@ from repro.stream.clock import WallClock
 from repro.stream.waiters import ThreadConditionWaiter
 
 __all__ = ["ThreadedRuntime"]
-
-
-def _once(action: Callable[[], Any]) -> Callable[[], None]:
-    """``action`` as a clock entry: not due again, whatever it returns."""
-
-    def thunk() -> None:
-        action()
-
-    return thunk
 
 
 class ThreadedRuntime(RuntimeCore):
@@ -143,9 +133,8 @@ class ThreadedRuntime(RuntimeCore):
         #: The clock thread sleeps on its own condition over the plan
         #: lock: a push wakes it, a page never does.
         self._ticking = threading.Condition(self._lock)
-        #: ``(due, seq, thunk)`` on ``self.clock``; a thunk returns its
-        #: next due time, or None.
-        self._timed: list[tuple[float, int, Callable[[], float | None]]] = []
+        #: ``(due, seq, thunk)`` on ``self.clock``, each run once.
+        self._timed: list[tuple[float, int, Callable[[], Any]]] = []
         self._seq = itertools.count()
         #: Arrival times a control wake-up is already on the heap for.
         self._arrivals: set[float] = set()
@@ -155,7 +144,7 @@ class ThreadedRuntime(RuntimeCore):
         #: The first error anywhere in the run (see :meth:`_fail`).
         self._abort_error: BaseException | None = None
 
-    def _push(self, due: float, thunk: Callable[[], float | None]) -> None:
+    def _push(self, due: float, thunk: Callable[[], Any]) -> None:
         """Put ``thunk`` on the clock thread's heap (plan lock held)."""
         heapq.heappush(self._timed, (due, next(self._seq), thunk))
         self._ticking.notify()
@@ -316,8 +305,8 @@ class ThreadedRuntime(RuntimeCore):
     def _clock_body(self) -> None:
         """Run each heap entry as it falls due, under the plan lock.
 
-        Actions and ticks read counters and enqueue control, as operator
-        threads do under the same lock.  A thunk that raises fails the
+        Actions read counters and enqueue control, as operator threads
+        do under the same lock.  A thunk that raises fails the
         run before the lock is let go: no thread steps behind it.
         """
         timed, clock = self._timed, self.clock
@@ -327,12 +316,10 @@ class ThreadedRuntime(RuntimeCore):
                 if wait is not None and wait <= 0.0:
                     _due, _seq, thunk = heapq.heappop(timed)
                     try:
-                        due = thunk()
+                        thunk()
                     except BaseException as error:  # noqa: BLE001
                         self._fail(error)
                         return
-                    if due is not None:
-                        self._push(due, thunk)
                     self._wakeup.notify_all()
                 else:
                     self._ticking.wait(wait)
@@ -378,9 +365,7 @@ class ThreadedRuntime(RuntimeCore):
         )
         with self._lock:
             for when, action, _owner in self._actions:
-                self._push(when, _once(action))
-            if self.elastic is not None:
-                self._push(self.elastic.config.interval, self._elastic_tick)
+                self._push(when, action)
         deadline = time.monotonic() + self.timeout
         clock_thread.start()
         for thread in threads:

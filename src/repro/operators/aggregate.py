@@ -194,68 +194,6 @@ class WindowAggregate(Operator):
         "_last_punct_window",
     )
 
-    # ------------------------------------------------- elastic rebalancing
-
-    def rebalance_migratable(self, key_names: tuple[str, ...]) -> str | None:
-        """Migratable when the partition key determines the group key.
-
-        State is keyed by ``(window, group)``; if every partition-key
-        attribute is a grouping attribute, a key's slot pins every state
-        entry it can ever touch, so those entries can move wholesale.
-        (``_window_guards`` stay behind: feedback is a hint, so a guard
-        missing at the destination merely re-accumulates purgeable
-        state -- the null response is always correct.)
-        """
-        missing = [k for k in key_names if k not in self.group_by]
-        if missing:
-            return (
-                f"partition key attribute(s) {', '.join(missing)} are not "
-                "grouping attributes, so keyed state cannot be pinned"
-            )
-        return None
-
-    def extract_keyed_state(
-        self, key_names: tuple[str, ...], route: Any
-    ) -> dict[int, Any]:
-        positions = tuple(self.group_by.index(k) for k in key_names)
-        out: dict[int, dict] = {}
-        for state_key in list(self._state):
-            dest = route(tuple(state_key[1][p] for p in positions))
-            if dest is None:
-                continue
-            out.setdefault(dest, {})[state_key] = self._state.pop(state_key)
-            self.metrics.shrink_state()
-        return out
-
-    def install_keyed_state(
-        self, key_names: tuple[str, ...], blob: Any
-    ) -> None:
-        # Must accumulate: tuples for a moved key may have reached this
-        # replica between the install marker and the migrated partials
-        # (abort re-installs race the same way), so merge, never replace.
-        for state_key, incoming in blob.items():
-            existing = self._state.get(state_key)
-            if existing is None:
-                self._state[state_key] = incoming
-                self.metrics.grow_state()
-                continue
-            existing.count += incoming.count
-            existing.total += incoming.total
-            for attr in ("maximum", "minimum"):
-                theirs = getattr(incoming, attr)
-                if theirs is None:
-                    continue
-                ours = getattr(existing, attr)
-                if ours is None:
-                    setattr(existing, attr, theirs)
-                elif attr == "maximum":
-                    setattr(existing, attr, max(ours, theirs))
-                else:
-                    setattr(existing, attr, min(ours, theirs))
-            existing.partial_emitted = (
-                existing.partial_emitted or incoming.partial_emitted
-            )
-
     # -------------------------------------------------------------- windows
 
     @property

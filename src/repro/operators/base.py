@@ -37,7 +37,6 @@ from repro.core.feedback import (
     CheckpointPunctuation,
     FeedbackIntent,
     FeedbackPunctuation,
-    RebalancePunctuation,
 )
 from repro.core.guards import GuardSet
 from repro.core.propagation import PropagationPlanner
@@ -474,7 +473,7 @@ class Operator(abc.ABC):
 
         In order: a port blocked by checkpoint alignment stashes the
         elements raw (metrics are charged when the stash drains);
-        checkpoint and rebalance markers are intercepted; punctuation
+        checkpoint markers are intercepted; punctuation
         expires the input guards it covers, then reaches
         :meth:`on_punctuation`; runs of tuples between punctuations are
         guard-filtered in bulk and handed to :meth:`on_page`.
@@ -518,11 +517,6 @@ class Operator(abc.ABC):
                         elements[position + 1:]
                     )
                     return
-            elif isinstance(element, RebalancePunctuation):
-                # Rebalance markers never block a port (lane members
-                # are single-input by eligibility), so no remainder
-                # stashing is needed here.
-                self._on_rebalance_marker(port_index, element)
             else:
                 self.metrics.punctuations_in += 1
                 released = guards.expire_with(element)
@@ -707,105 +701,6 @@ class Operator(abc.ABC):
         if self._ckpt_heads is not None:
             self._ckpt_pump()
 
-    # ------------------------------------------------- elastic rebalancing
-
-    def rebalance_migratable(self, key_names: Sequence[str]) -> str | None:
-        """Can this operator's state migrate between shard lanes?
-
-        Returns None when it can, else a human-readable decline reason
-        (the elastic controller records it and leaves the region alone).
-        The default says yes for stateless operators -- nothing to move
-        -- and no for any operator that snapshots state but offers no
-        keyed extraction seam: migrating a slice of opaque state is not
-        possible without one.
-        """
-        if self.n_inputs > 1:
-            return "multi-input operator inside a shard lane"
-        if (
-            self.carries_state()
-            and type(self).extract_keyed_state
-            is Operator.extract_keyed_state
-        ):
-            return "stateful operator without a keyed-state seam"
-        return None
-
-    def extract_keyed_state(
-        self,
-        key_names: Sequence[str],
-        route: Callable[[Sequence[Any]], "int | None"],
-    ) -> dict[int, Any]:
-        """Remove and return state for keys ``route`` sends elsewhere.
-
-        ``route(key_values)`` returns the destination lane for moved
-        keys and None for keys staying put.  The result maps destination
-        lanes to opaque *blobs*; each blob should be a dict keyed by
-        state key (the ledger sizes migrations by ``len(blob)``), and
-        must round-trip through :meth:`install_keyed_state`.  Default:
-        nothing to extract (stateless operators).
-        """
-        return {}
-
-    def install_keyed_state(
-        self, key_names: Sequence[str], blob: Any
-    ) -> None:
-        """Merge a blob from :meth:`extract_keyed_state` into this state.
-
-        Must *accumulate* rather than overwrite: on the abort path a
-        lane re-installs its own deposit on top of state it has since
-        rebuilt from post-cut tuples.
-        """
-
-    def on_rebalance_control(self, message: ControlMessage) -> bool:
-        """Handle a REBALANCE control message; False forwards it on.
-
-        The partition overrides this (commands arrive downstream from
-        the controller, acks upstream from the merge); every other
-        operator relays hop-by-hop via :meth:`forward_control`.
-        """
-        return False
-
-    def _on_rebalance_marker(
-        self, port_index: int, marker: RebalancePunctuation
-    ) -> None:
-        """A rebalance marker reached this lane member in stream order.
-
-        ``cut``: every pre-cut tuple on this lane is already folded into
-        local state (the marker rides the data queue behind them), so
-        extracting moved keys *now* captures exactly the pre-cut state;
-        the partition holds moved-key tuples until the install, so this
-        state cannot grow stale while banked.  ``install``: claim and
-        merge deposits destined for this seat.  ``restore``: the
-        rebalance aborted -- take back what this seat deposited.  The
-        marker then sweeps on downstream (the merge terminates it).
-        """
-        record = marker.record
-        if record is not None:
-            position = record.positions.get(self.name)
-            if position is not None:
-                lane, member = position
-                if marker.phase == "cut":
-                    if not record.aborted:
-                        extracted = self.extract_keyed_state(
-                            record.key_names, record.dest_of
-                        )
-                        for dest, blob in sorted(extracted.items()):
-                            if not record.deposit(
-                                member, lane, dest, blob
-                            ):
-                                # Aborted between the check and the
-                                # deposit (threaded race): keep the
-                                # state where it was.
-                                self.install_keyed_state(
-                                    record.key_names, blob
-                                )
-                elif marker.phase == "install":
-                    for blob in record.claim(member, lane):
-                        self.install_keyed_state(record.key_names, blob)
-                else:  # restore (abort path)
-                    for blob in record.reclaim(member, lane):
-                        self.install_keyed_state(record.key_names, blob)
-        self._emit([marker])
-
     # -------------------------------------------------------------- emission
 
     def _emit(
@@ -827,7 +722,7 @@ class Operator(abc.ABC):
         ``tuples_out`` or ``output_guard_drops``; a punctuation expires
         the output guards it covers (that subset of the output is
         complete, so they can never fire again) and counts as
-        ``punctuations_out``; a checkpoint or rebalance marker goes out
+        ``punctuations_out``; a checkpoint marker goes out
         raw.  ``raw`` sends elements that already passed these rules (a
         stash being released) as they are; ``hold`` applies the rules
         and puts nothing, for a caller that keeps what passed
@@ -991,14 +886,9 @@ class Operator(abc.ABC):
             # hop, ends at a source: nothing further up to tell.
             if self.runtime.checkpoints is not None:
                 self.runtime.checkpoints.acknowledge(self, payload)
-        elif (
-            kind is not ControlMessageKind.REBALANCE
-            or not self.on_rebalance_control(message)
-        ):
+        else:
             # Nobody here consumes it, so it keeps travelling: a
-            # checkpoint acknowledgement on its way up, a rebalance
-            # command or acknowledgement the partition has not claimed
-            # (every other operator walks it along the lane), explicit
+            # checkpoint acknowledgement on its way up, explicit
             # END_OF_STREAM / SHUTDOWN (normally carried by queue
             # closure), a feedback payload or a whole kind this operator
             # predates.  Dropping it on the floor would strand it at the

@@ -298,23 +298,6 @@ class FusedOperator(Operator):
                 while (message := port.control.receive_downstream()) is not None:
                     stage._receive(message, None)
 
-    # ------------------------------------------------------- elastic rebalancing
-
-    def rebalance_migratable(self, key_names: Sequence[str]) -> str | None:
-        """Delegate to the stages: the composite migrates iff all do.
-
-        The fusion whitelist is stateless, so every stage answers None
-        today.  Rebalance markers themselves are handled at the
-        composite boundary by the inherited machinery -- the internal
-        links never buffer, so that equals the materialized chain's
-        hop-by-hop sweep.
-        """
-        for stage in self._stages:
-            reason = stage.rebalance_migratable(key_names)
-            if reason is not None:
-                return f"{stage.name}: {reason}"
-        return None
-
     # ------------------------------------------------------------------- repr
 
     def __repr__(self) -> str:

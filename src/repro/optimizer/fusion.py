@@ -37,8 +37,8 @@ def shard_bound_names(plan: QueryPlan) -> set[str]:
     """Operators a shard region pins by name (the lane boundaries).
 
     Only the Partition and ShardMerge are pinned: they are the region's
-    control-plane endpoints (routing tables, rebalance markers, ack
-    counting live there).  Lane *members* are free to fuse --
+    control-plane endpoints (routing, the per-lane stash and the
+    punctuation alignment live there).  Lane *members* are free to fuse --
     :func:`fuse_chains` rewrites the group's lane tuples afterwards so
     the region record names the composite.
     """

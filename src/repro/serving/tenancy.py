@@ -12,9 +12,8 @@ Nothing is dropped, mirroring the in-plan watermark behaviour
 (docs/backpressure.md) at the socket boundary.
 
 The policy objects are pure and synchronous -- no sockets, no event
-loop, no wall clock of their own (callers pass ``now``).  That is the
-same seam discipline as the elasticity layer's ``ScalePolicy.decide()``:
-the property-based suite (tests/test_admission.py) drives thousands of
+loop, no wall clock of their own (callers pass ``now``), so the
+property-based suite (tests/test_admission.py) drives thousands of
 generated arrival schedules through them directly.
 
 :class:`TokenBucket` uses the *reservation* variant of the classic

@@ -49,9 +49,6 @@ class ControlMessageKind(enum.Enum):
     FLOW_CONTROL = "flow_control"      # upstream; payload: FlowControlPunctuation
     RESULT_REQUEST = "result_request"  # upstream; payload: optional pattern
     CHECKPOINT = "checkpoint"          # upstream; payload: CheckpointPunctuation
-    REBALANCE = "rebalance"            # either direction; payload: RebalanceCommand
-                                       # (downstream: controller -> partition) or
-                                       # RebalanceRecord ack (upstream: merge -> partition)
     END_OF_STREAM = "end_of_stream"    # downstream; payload: None
     SHUTDOWN = "shutdown"              # either direction; payload: reason str
 
@@ -115,8 +112,8 @@ class ControlChannel:
         """Build one outgoing control message, queue it, wake its reader.
 
         The one place control is sent: an operator's upstream and
-        downstream sends, the runtime's pause and resume, and the elastic
-        controller's rebalance commands all come through here.  The
+        downstream sends and the runtime's pause and resume all come
+        through here.  The
         message is stamped ``sender`` and ``sent_at=at`` (per-hop
         ``control_latency`` counts from it) and queued on the side its
         direction names; ``reader`` -- the operator that takes that side,

@@ -244,43 +244,6 @@ class DataQueue:
         if self._waiter is not None:
             self._waiter.notify_all()  # consumers must observe exhaustion
 
-    def resize(self, capacity: int, low_water: int | None = None) -> None:
-        """Re-set the watermarks of a bounded queue at runtime.
-
-        The adaptive-watermark half of elasticity: the controller tracks
-        each queue's drain rate and re-sizes its capacity to match.  Only
-        bounded queues may resize (backpressure wiring is decided at
-        build time), and the constructor's watermark invariants hold for
-        the new values.  ``low_water`` defaults to ``capacity // 2``,
-        mirroring construction.  Occupancy is untouched -- a shrink below
-        the current backlog simply reads as over-high-water, and the
-        runtime's usual pause/resume cycle drains it.
-        """
-        if self.capacity is None:
-            raise EngineError(
-                f"{self.name or 'queue'}: cannot resize an unbounded queue"
-            )
-        if capacity < 1:
-            raise EngineError(
-                f"{self.name or 'queue'}: capacity must be >= 1, "
-                f"got {capacity}"
-            )
-        if low_water is None:
-            low_water = capacity // 2
-        elif not 0 <= low_water < capacity:
-            raise EngineError(
-                f"{self.name or 'queue'}: low_water must satisfy "
-                f"0 <= low_water < capacity, got {low_water} "
-                f"(capacity {capacity})"
-            )
-        if self._mutex is not None:
-            with self._mutex:
-                self.capacity = capacity
-                self.low_water = low_water
-        else:
-            self.capacity = capacity
-            self.low_water = low_water
-
     # -- consumer side ---------------------------------------------------------
 
     def get_page(self) -> Page | None:

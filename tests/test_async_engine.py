@@ -413,7 +413,7 @@ class TestSharingTheLoop:
         assert events_processed(0.3) <= events_processed(0.0) + 2
 
     def test_one_driver_and_one_pump_per_async_source(self):
-        """No task per operator, per action or per elastic tick."""
+        """No task per operator or per action."""
         started = []
         both_started = asyncio.Event()
         release = asyncio.Event()

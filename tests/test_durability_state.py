@@ -13,7 +13,6 @@ ShardMerge's inherited union frontiers).
 
 from __future__ import annotations
 
-import inspect
 import pickle
 
 import pytest
@@ -447,20 +446,6 @@ class TestStateIsDeclaredOnce:
             " ⌖" if stateful else ""
         )
         assert checkpoint_annotation(op_type, False) == ""
-        # The base shard-lane decline reads the same capability: state
-        # migrates only through a keyed-state seam.
-        if (
-            op_type.rebalance_migratable is Operator.rebalance_migratable
-            and not inspect.isabstract(op_type)
-        ):
-            bare = object.__new__(op_type)
-            keyed = (
-                op_type.extract_keyed_state
-                is not Operator.extract_keyed_state
-            )
-            assert (bare.rebalance_migratable(("k",)) is not None) is (
-                op_type.n_inputs > 1 or (stateful and not keyed)
-            )
 
     def test_the_fusion_decline_reads_it_too(self):
         join = SymmetricHashJoin(

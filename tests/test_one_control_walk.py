@@ -41,7 +41,6 @@ from repro import (
 )
 from repro.api import avg, count
 from repro.core.feedback import CheckpointPunctuation, FlowControlPunctuation
-from repro.elasticity import ElasticConfig, GreedySlotPolicy
 from repro.engine import (
     AsyncioEngine,
     MultiprocessEngine,
@@ -73,7 +72,7 @@ SCHEMA = Schema([("ts", "timestamp", True), ("k", "int"), ("v", "float")])
 UP, DOWN = Direction.UPSTREAM, Direction.DOWNSTREAM
 FEATURE_OPTIONS = (
     "checkpoint_every", "checkpoint_store", "recover_from",
-    "ingestion_policy", "elastic",
+    "ingestion_policy",
 )
 
 
@@ -180,7 +179,7 @@ class TestStructure:
         assert "FeedbackPunctuation" not in source
         # ...and has no per-kind hook of its own to keep in step.
         for hook in ("receive_feedback", "on_result_request",
-                     "forward_control", "on_rebalance_control",
+                     "forward_control",
                      "on_pause", "on_resume"):
             assert hook not in vars(FusedOperator), hook
 
@@ -202,8 +201,6 @@ class TestStructure:
             own = inspect.signature(engine.__init__).parameters
             source = inspect.getsource(engine.__init__)
             for option in FEATURE_OPTIONS:
-                if engine is MultiprocessEngine and option == "elastic":
-                    continue  # named there only to be declined
                 assert option not in own, (engine, option)
                 assert option not in source, (engine, option)
 
@@ -228,10 +225,9 @@ class Probe(Operator):
 
     feedback_aware = True
 
-    def __init__(self, name, *, claims_rebalance=False):
+    def __init__(self, name):
         super().__init__(name, SCHEMA)
         self.calls = []
-        self.claims_rebalance = claims_rebalance
 
     def on_page(self, port_index, batch):
         self.emit_many(batch)
@@ -242,10 +238,6 @@ class Probe(Operator):
 
     def on_result_request(self, pattern):
         self.calls.append(("on_result_request", pattern))
-
-    def on_rebalance_control(self, message):
-        self.calls.append(("on_rebalance_control", key(message)))
-        return self.claims_rebalance
 
     def forward_control(self, message):
         self.calls.append(("forward_control", key(message)))
@@ -339,8 +331,6 @@ CASES = {
         Pattern.from_mapping(SCHEMA, {"k": 2}),
     ),
     "checkpoint-ack": (ControlMessageKind.CHECKPOINT, UP, MARKER),
-    "rebalance-ack": (ControlMessageKind.REBALANCE, UP, "record"),
-    "rebalance-command": (ControlMessageKind.REBALANCE, DOWN, "command"),
     "end-of-stream": (ControlMessageKind.END_OF_STREAM, DOWN, None),
     "shutdown-up": (ControlMessageKind.SHUTDOWN, UP, "operator asked"),
     "shutdown-down": (ControlMessageKind.SHUTDOWN, DOWN, "operator asked"),
@@ -359,9 +349,6 @@ def expected_calls(kind, direction, payload, own_edge):
         return [(hook, payload, own_edge)]
     if kind is ControlMessageKind.RESULT_REQUEST:
         return [("on_result_request", payload)]
-    if kind is ControlMessageKind.REBALANCE:
-        return [("on_rebalance_control", message),
-                ("forward_control", message)]
     return [("forward_control", message)]
 
 
@@ -386,16 +373,6 @@ class TestSameWalkEverywhere:
             kind, direction, payload, own_edge
         )
         assert probe.metrics.control_messages == 1
-
-    @pytest.mark.parametrize("setting", ["plan", "stage", "harness"])
-    def test_a_claimed_rebalance_is_not_forwarded(self, setting):
-        message = ControlMessage(
-            ControlMessageKind.REBALANCE, UP, payload="record"
-        )
-        probe = Probe("probe", claims_rebalance=True)
-        {"plan": in_a_plan, "stage": as_a_stage,
-         "harness": in_the_harness}[setting](probe, message)
-        assert probe.calls == [("on_rebalance_control", key(message))]
 
     def test_a_pause_taken_by_the_last_stage_stalls_the_composite(self):
         kind, direction, pause = CASES["pause"]
@@ -559,7 +536,6 @@ class TestOneWayOut:
             ("operators/base.py", "Operator._send_upstream"),
             ("operators/base.py", "Operator._send_downstream"),
             ("engine/runtime.py", "RuntimeCore._signal_flow"),
-            ("elasticity/controller.py", "ElasticController._send"),
         }
 
     def test_pause_and_resume_share_one_signalling_body(self):
@@ -659,13 +635,13 @@ class Ledger:
         return Counter(message.kind for message, _ in self.stamped)
 
 
-HOT_KEYS = (28, 6, 4, 35)  # all on lane 0 of a 4-lane, 16-slot region
+HOT_KEYS = (28, 6, 4, 35)  # all on lane 0 of a 4-lane region
 
 
 def conserving_flow(shape):
     """Feedback from the sink at start-up, a burst that fills the bounded
-    queues, and a window or a shard region whose skew the elastic
-    controller can undo."""
+    queues, and a window or a shard region whose hot keys all route to
+    one lane."""
     rows = [
         (0.0, StreamTuple(SCHEMA, (i * 0.001, HOT_KEYS[i % 4], 1.0)))
         for i in range(400)
@@ -700,10 +676,7 @@ def conserving_flow(shape):
 
 CONSERVATION = {
     "checkpointed": ("window", {"checkpoint_every": 50}),
-    "elastic": ("shard", {"elastic": ElasticConfig(
-        interval=0.02, slots_per_lane=4,
-        policy=GreedySlotPolicy(imbalance=1.1, max_moves=1),
-    )}),
+    "sharded": ("shard", {}),
 }
 
 
@@ -726,8 +699,6 @@ class TestConservation:
             assert kinds[ControlMessageKind.CHECKPOINT] > 0
         if engine == "simulated":
             assert kinds[ControlMessageKind.FLOW_CONTROL] > 0
-            if case == "elastic":
-                assert kinds[ControlMessageKind.REBALANCE] > 0
 
 
 # -- control between queued pages ---------------------------------------------------------

@@ -36,11 +36,8 @@ from repro import (
     StreamTuple,
 )
 from repro.api import avg, count
-from repro.elasticity import ElasticConfig, RebalanceAction, ScriptedPolicy
-from repro.elasticity.rebalance import key_digest
 from repro.operators.base import Operator
 from repro.operators.fused import _TailQueue
-from repro.operators.partition import Partition
 from repro.punctuation.embedded import Punctuation
 from test_one_control_walk import owners, writes
 
@@ -217,7 +214,7 @@ class Ledger:
 
 
 SCHEMA = Schema([("ts", "timestamp", True), ("k", "int"), ("v", "float")])
-HOT_KEYS = (28, 6, 4, 35)  # all on lane 0 of a 4-lane, 16-slot region
+HOT_KEYS = (28, 6, 4, 35)  # all on lane 0 of a 4-lane region
 
 
 def data_flow(shape):
@@ -262,21 +259,11 @@ def data_flow(shape):
     return flow
 
 
-def scripted_move():
-    slot = key_digest((HOT_KEYS[0],)) % 16
-    return ElasticConfig(
-        interval=0.02, slots_per_lane=4,
-        policy=ScriptedPolicy([RebalanceAction.moving({slot: 1})]),
-    )
-
-
-#: Each case's shape and run options (built per run: a scripted elastic
-#: policy is consumed as it replays).
+#: Each case's shape and run options.
 CASES = {
-    "burst": ("window", lambda: {}),
-    "checkpointed": ("shard", lambda: {"checkpoint_every": 50}),
-    "elastic": ("shard", lambda: {"elastic": scripted_move()}),
-    "fused": ("fused", lambda: {"optimize": True}),
+    "burst": ("window", {}),
+    "checkpointed": ("shard", {"checkpoint_every": 50}),
+    "fused": ("fused", {"optimize": True}),
 }
 
 
@@ -285,7 +272,6 @@ class TestSentIsWalked:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_each_edge_walks_what_it_was_sent(self, monkeypatch, engine, case):
         shape, options = CASES[case]
-        options = options()
         if engine != "simulated":
             options = {**options, "timeout": 60.0}
         ledger = Ledger(monkeypatch)
@@ -299,14 +285,10 @@ class TestSentIsWalked:
             assert ledger.calls["marker"] > 0
             if engine == "simulated":
                 assert ledger.calls["rewalk"] > 0
+                # Lane 0 takes every hot key: its pauses fill the
+                # partition's stash and the resumes release it.
+                assert ledger.calls["raw"] > 0 and ledger.calls["hold"] > 0
         if case == "fused":
             assert any(
                 getattr(op, "fused_stages", ()) for op in result.plan
             )
-        if case == "elastic" and engine == "simulated":
-            partition = next(
-                op for op in result.plan if isinstance(op, Partition)
-            )
-            assert partition.rebalances_completed == 1
-            assert partition.tuples_held > 0
-            assert ledger.calls["raw"] > 0 and ledger.calls["hold"] > 0

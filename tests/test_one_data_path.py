@@ -10,7 +10,7 @@ Three things are pinned here:
 * the structure -- no operator class carries both hooks, and the
   per-element entry point and run-time override probes are gone;
 * the checkpoint-alignment stash drains through the same walk as live
-  pages, markers of later epochs and rebalance markers included.
+  pages, markers of later epochs included.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import repro
 import repro.core.centralized
 import repro.operators
 from repro import Flow, Schema, StreamTuple
-from repro.core.feedback import CheckpointPunctuation, RebalancePunctuation
+from repro.core.feedback import CheckpointPunctuation
 from repro.engine.harness import OperatorHarness
 from repro.operators import Operator, Select, Union
 
@@ -174,18 +174,17 @@ class TestAlignmentStashDrain:
 
     def stashed_union(self):
         """A 2-input union whose port 0 is blocked at epoch 1 with a stash
-        holding two later epochs' markers and a rebalance marker."""
+        holding two later epochs' markers."""
         union = Union("u", SCHEMA, arity=2)
         harness = OperatorHarness(union)
-        rebalance = RebalancePunctuation(7, "install", issuer="part")
         harness.push_page(
             [tup(1), self.marker(1), tup(2), self.marker(2)], port=0
         )
         harness.push_page(
-            [tup(3), rebalance, self.marker(3), tup(4)], port=0
+            [tup(3), self.marker(3), tup(4)], port=0
         )
         assert [e.values[0] for e in harness.emitted()] == [1.0]
-        assert len(union._ckpt_blocked[0]) == 6
+        assert len(union._ckpt_blocked[0]) == 5
         return union, harness
 
     @staticmethod
@@ -194,8 +193,6 @@ class TestAlignmentStashDrain:
         for element in harness.emitted():
             if isinstance(element, CheckpointPunctuation):
                 out.append(f"M{element.epoch}")
-            elif isinstance(element, RebalancePunctuation):
-                out.append("R")
             else:
                 out.append(element.values[0])
         return out
@@ -206,15 +203,15 @@ class TestAlignmentStashDrain:
         # Epoch 1 completes; the drain stops at epoch 2's marker.
         assert self.trace(harness) == [1.0, 10.0, "M1", 2.0]
         assert union._ckpt_heads[0].epoch == 2
-        assert len(union._ckpt_blocked[0]) == 4
+        assert len(union._ckpt_blocked[0]) == 3
         harness.push_page([tup(20), self.marker(2)], port=1)
-        # Epoch 2: the rebalance marker sweeps on in stream order, then
-        # epoch 3's marker re-blocks with one tuple still behind it.
-        assert self.trace(harness)[4:] == [20.0, "M2", 3.0, "R"]
+        # Epoch 2, then epoch 3's marker re-blocks with one tuple still
+        # behind it.
+        assert self.trace(harness)[4:] == [20.0, "M2", 3.0]
         assert union._ckpt_heads[0].epoch == 3
         assert [e.values[0] for e in union._ckpt_blocked[0]] == [4.0]
         harness.push_page([self.marker(3), tup(30)], port=1)
-        assert self.trace(harness)[8:] == ["M3", 4.0, 30.0]
+        assert self.trace(harness)[7:] == ["M3", 4.0, 30.0]
         assert not union._ckpt_heads and not union._ckpt_blocked
         assert union.metrics.tuples_in == 7
         assert union.metrics.tuples_out == 7
@@ -226,7 +223,7 @@ class TestAlignmentStashDrain:
         # With port 0 the only live input every surfaced marker aligns at
         # once, so one pump call walks all three epochs -- in order.
         assert self.trace(harness) == [
-            1.0, "M1", 2.0, "M2", 3.0, "R", "M3", 4.0,
+            1.0, "M1", 2.0, "M2", 3.0, "M3", 4.0,
         ]
         assert not union._ckpt_heads and not union._ckpt_blocked
         assert not union._ckpt_port_busy(0)

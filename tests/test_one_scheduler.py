@@ -69,17 +69,25 @@ class TestStructure:
         assert issubclass(AsyncioEngine, Simulator)
         shared = {
             "_handle_work", "_handle_control", "_handle_source",
-            "_handle_elastic", "_after_activity", "_step", "drain_control",
+            "_after_activity", "_step", "drain_control",
             "schedule_work", "schedule_control", "_on_resumed",
         }
         assert shared & set(vars(AsyncioEngine)) == set()
+
+    def test_no_elastic_autoscaling_is_left(self):
+        """Shard regions route by one static rule; nothing rebalances."""
+        assert offenders(
+            r"[Ee]lastic|[Rr]ebalanc|_quiescent|slot_loads", ""
+        ) == []
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.elasticity")
 
     def test_no_signature_probe_of_at(self):
         assert offenders(r"signature\([^)]*\.at\b", "engine", "api") == []
 
     def test_threaded_timing_is_one_clock(self):
-        """Actions, elastic ticks and in-flight control all ride the
-        threaded runtime's one clock heap; failures take one path."""
+        """Actions and in-flight control all ride the threaded runtime's
+        one clock heap; failures take one path."""
         assert offenders(
             r"threading\.Timer|_control_deadline|_elastic_body|_action_errors",
             "engine",

@@ -9,9 +9,8 @@ stages), runs each one optimized and unoptimized, and compares.
 
 Example budgets: 100 chain plans on the simulated engine plus 60 each on
 threaded and asyncio (220 total, >= the 200 the acceptance criteria
-require), scaled by the ``REPRO_OPT_EXAMPLES`` env knob so CI smoke legs
-can run thin and the dedicated equivalence leg runs full.  Runs are
-derandomized: a red build is reproducible.
+require), the same in every run.  Runs are derandomized: a red build is
+reproducible.
 
 The multiprocess engine runs on a fixed corpus of representative plans
 (process fan-out per generated example would swamp the suite), gated on
@@ -25,7 +24,6 @@ default latency of 0 is what every engine ships with).
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import pytest
@@ -46,8 +44,8 @@ SCHEMA = Schema([
     ("ts", "timestamp", True), ("a", "int"), ("b", "int"), ("c", "float"),
 ])
 
-SIM_EXAMPLES = int(os.environ.get("REPRO_OPT_EXAMPLES", "100"))
-CONCURRENT_EXAMPLES = max(5, (SIM_EXAMPLES * 6) // 10)
+SIM_EXAMPLES = 100
+CONCURRENT_EXAMPLES = 60
 
 
 # --------------------------------------------------------------------------

@@ -17,12 +17,15 @@ parallelism boundary:
   fills (``stash_limit``) and the pause turns transitive;
 * unknown control kinds still forward hop-by-hop through both boundary
   operators;
+* routing is one static rule, ``key_digest(key) % fanout``;
 * queue metrics key by ``(producer, consumer, port)`` so replicated
   edges report distinctly, and shard groups roll up per lane with a skew
   report.
 """
 
 from __future__ import annotations
+
+from zlib import crc32
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.operators import (
     ShardMerge,
     Union,
 )
+from repro.operators.partition import key_digest
 from repro.punctuation import Pattern, Punctuation
 from repro.stream import Schema, StreamTuple
 from repro.stream.control import ControlMessage, ControlMessageKind, Direction
@@ -95,6 +99,29 @@ def lanes_by_key(fanout, keys=range(100)):
     for k in keys:
         lanes.setdefault(probe.lane_of_key(k), []).append(k)
     return lanes
+
+
+# ----------------------------------------------------------------- routing
+
+
+class TestStaticRouting:
+    """One routing rule: ``key_digest(key) % fanout``.  Virtual-time
+    results and checkpoint restores depend on it byte for byte."""
+
+    @pytest.mark.parametrize("fanout", [2, 4, 16])
+    def test_lane_is_the_key_digest_modulo_fanout(self, fanout):
+        probe = Partition("probe", SCHEMA, key="k", fanout=fanout)
+        for k in range(256):
+            lane = probe.lane_of_key(k)
+            assert lane == key_digest((k,)) % fanout
+            # crc32 over the key's repr: the same lane on every host.
+            assert lane == crc32(repr(k).encode("utf-8")) % fanout
+            assert probe.lane_of(tup(0, k, 0)) == lane
+        assert (
+            probe.lane_of_key(1)
+            == probe.lane_of_key(1.0)
+            == probe.lane_of_key(True)
+        )
 
 
 # ------------------------------------------------------------- equivalence

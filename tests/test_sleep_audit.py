@@ -30,8 +30,6 @@ ALLOWED = {
         "proves a parked feed costs no events over a quiet spell",
     ("test_async_engine.py", "TestWatchdog._stuck_plan"):
         "a feed that never ends, for the watchdog to catch",
-    ("test_elasticity.py",
-     "TestRebalanceParity.test_concurrent_engine_parity"): PACES,
     ("test_engine_core.py",
      "TestThreadedControlLatency."
      "test_feedback_delivered_once_arrival_time_passes"): PACES,

@@ -1,11 +1,11 @@
-"""What the simulator's virtual clock says about sharding, elasticity,
-durability and backpressure.
+"""What the simulator's virtual clock says about sharding, durability
+and backpressure.
 
 Each subsystem makes one quantitative claim that does not depend on the
 host: the simulator gives every operator its own busy horizon (one
 virtual CPU per operator, NiagaraST's thread-per-operator architecture)
 and charges modeled per-tuple costs, so a makespan, a queue peak or a
-rebalance count is a deterministic function of the plan and its input.
+checkpoint count is a deterministic function of the plan and its input.
 Those claims are pinned here, at one fixed size each and on the simulated
 engine only.  A wall-clock figure is never asserted in this file; those
 come from ``bench/run.py`` and the layer ladder under ``bench/``.
@@ -13,10 +13,8 @@ come from ``bench/run.py`` and the layer ladder under ``bench/``.
 
 from __future__ import annotations
 
-from repro.api import Flow, avg, count
+from repro.api import Flow, avg
 from repro.durability import MemoryCheckpointStore
-from repro.elasticity import ElasticConfig, GreedySlotPolicy
-from repro.elasticity.rebalance import key_digest
 from repro.stream import Schema, StreamTuple
 
 KEYED = Schema([("ts", "timestamp", True), ("k", "int"), ("v", "float")])
@@ -88,69 +86,6 @@ class TestShardSpeedup:
         assert values(self.sharded(1).run("simulated")) == values(
             unsharded.run("simulated")
         )
-
-
-# -- elasticity ----------------------------------------------------------------
-
-
-class TestElasticRebalance:
-    """Four hot keys that all hash to lane 0 of a fanout-4 region: static
-    hashing runs the region at a quarter of its capacity; the controller
-    moves one hot slot per tick until each lane holds one hot key."""
-
-    TUPLES = 4000
-    FANOUT = 4
-    SLOTS_PER_LANE = 4
-    DT = 0.001
-    # Digests land on slots 0/4/8/12 of the 16-slot table: all of lane
-    # 0's slots under the identity layout, none of any other lane's.
-    HOT_KEYS = (28, 6, 4, 35)
-
-    def skewed(self):
-        timeline = [
-            (i * self.DT, StreamTuple(
-                KEYED, (i * self.DT, self.HOT_KEYS[i % 4], float(i % 97))
-            ))
-            for i in range(self.TUPLES)
-        ]
-        flow = Flow("skewed", page_size=1)
-        (flow.source(KEYED, timeline, name="src")
-             .punctuate(on="ts", every=1.0)
-             .shard(self.FANOUT, key="k", name="region",
-                    pipeline=lambda lane: lane
-                    .where(lambda t: True, tuple_cost=0.004)
-                    .window(count(), by="k", on="ts", width=1.0))
-             .collect("sink", keep_punctuation=True))
-        return flow
-
-    def test_skewed_region_recovers_its_parallelism(self):
-        slots = self.FANOUT * self.SLOTS_PER_LANE
-        assert sorted(
-            key_digest((k,)) % slots for k in self.HOT_KEYS
-        ) == [0, 4, 8, 12]
-
-        static = self.skewed().run("simulated")
-        elastic = self.skewed().run(
-            "simulated",
-            elastic=ElasticConfig(
-                interval=0.05,
-                slots_per_lane=self.SLOTS_PER_LANE,
-                policy=GreedySlotPolicy(imbalance=1.1, max_moves=1),
-            ),
-        )
-        # Rebalances are invisible at the sink: nothing lost, nothing
-        # twice, every region punctuation exactly once.
-        assert sorted(values(elastic)) == sorted(values(static))
-        patterns = punctuation_patterns(elastic)
-        assert len(patterns) == len(set(patterns))
-        assert set(patterns) == set(punctuation_patterns(static))
-
-        region = elastic.metrics.shard_metrics["region"]
-        assert region.rebalances >= 3
-        assert region.keys_migrated >= 3
-        # Measured ~3x: a quarter of the stream's span is arrival-bound,
-        # so the ideal 4x is out of reach.
-        assert static.makespan / elastic.makespan >= 1.5
 
 
 # -- durability ----------------------------------------------------------------
