@@ -23,6 +23,7 @@ from collections import Counter
 import pytest
 
 from repro import Flow, Schema, StreamTuple
+from repro.api import count
 from repro.core.feedback import CheckpointPunctuation
 from repro.durability import (
     CheckpointCoordinator,
@@ -346,6 +347,60 @@ class TestOptimizedRecovery:
             )
         assert store.has_state(1, "keep+ext+clip")
         assert not store.has_state(1, "keep")
+
+
+def sharded_flow(n, bomb_at=None):
+    """source -> punctuate -> shard(n, where+window) -> sink.  The crash
+    fires inside whichever lane holds the tuple at index ``bomb_at``;
+    it keys on the timestamp, not a shared counter, so concurrent lanes
+    cannot race it."""
+    flow = Flow("recovery-sharded")
+
+    def pred(t):
+        if bomb_at is not None and t["ts"] >= bomb_at * 0.1 - 1e-9:
+            raise RuntimeError("injected crash")
+        return t["value"] >= 0.0
+
+    (flow.source(SCHEMA, rows(), name="source")
+         .punctuate(on="ts", every=2.0)
+         .shard(n, key="sensor", name="region",
+                pipeline=lambda lane: lane
+                .where(pred)
+                .window(count(), by="sensor", on="ts", width=2.0))
+         .collect("sink"))
+    return flow
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("engine", ENGINES)
+class TestShardedRecovery:
+    """Checkpoint cuts cross a static shard region: the partition's
+    stash, every lane's window state and the merge's held regions are
+    cut together, and routing is the same rule after the restore."""
+
+    @pytest.mark.parametrize("bomb_at", CRASH_POINTS)
+    def test_exactly_once_parity_through_the_region(
+        self, engine, n, bomb_at
+    ):
+        expect = Counter(values(sharded_flow(1).run("simulated")))
+        store = MemoryCheckpointStore()
+        with pytest.raises(Exception):
+            sharded_flow(n, bomb_at=bomb_at).run(
+                engine, checkpoint_every=50, checkpoint_store=store
+            )
+        assert store.epochs()  # the resume starts from a stored cut
+        recovered = sharded_flow(n).run(
+            engine, recover_from=store, checkpoint_every=50
+        )
+        assert Counter(values(recovered)) == expect
+
+    def test_checkpointing_a_region_is_transparent(self, engine, n):
+        expect = Counter(values(sharded_flow(n).run(engine)))
+        result = sharded_flow(n).run(engine, checkpoint_every=50)
+        assert Counter(values(result)) == expect
+        assert result.metrics.checkpoint_epochs == 4
+        lanes = result.metrics.shard_metrics["region"].lanes
+        assert len(lanes) == n
 
 
 @pytest.mark.skipif(

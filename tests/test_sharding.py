@@ -123,6 +123,47 @@ class TestStaticRouting:
             == probe.lane_of_key(True)
         )
 
+    @pytest.mark.parametrize("fanout", [2, 4, 16])
+    def test_composite_key_digests_the_whole_key(self, fanout):
+        probe = Partition("probe", SCHEMA, key=("k", "v"), fanout=fanout)
+        for k in range(32):
+            for v in (0.0, 1.5, 2.0):
+                lane = probe.lane_of(tup(0, k, v))
+                assert lane == key_digest((k, v)) % fanout
+                assert lane == probe.lane_of_key(k, v)
+
+    @pytest.mark.parametrize("fanout", [2, 4, 16])
+    def test_string_keys_route_by_their_repr(self, fanout):
+        schema = Schema([("ts", "timestamp", True), ("s", "str")])
+        probe = Partition("probe", schema, key="s", fanout=fanout)
+        for i in range(64):
+            s = f"sensor-{i}"
+            lane = probe.lane_of(StreamTuple(schema, (0.0, s)))
+            assert lane == crc32(repr(s).encode("utf-8")) % fanout
+
+    @pytest.mark.parametrize("fanout", [2, 3, 4, 8])
+    @pytest.mark.parametrize(
+        "engine", ["simulated", "threaded", "asyncio", MULTIPROCESS]
+    )
+    def test_each_lane_sees_exactly_its_own_keys(self, fanout, engine):
+        """At run time, on every engine, the lane a tuple is processed in
+        is the one the routing rule names, and no tuple is lost."""
+        flow = Flow(f"tagged-{fanout}")
+        (flow.source(SCHEMA, timeline(120, keys=13), name="src")
+             .punctuate(on="ts", every=25.0)
+             .shard(fanout, key="k",
+                    pipeline=lambda lane, index: lane.extend(
+                        [("lane", "int")], lambda t, i=index: (i,)
+                    ))
+             .collect("sink"))
+        rows = [tuple(t.values) for t in flow.run(engine).sink("sink").results]
+        assert sorted(row[:3] for row in rows) == sorted(
+            tuple(t.values) for _, t in timeline(120, keys=13)
+        )
+        for _, k, _, lane in rows:
+            assert lane == key_digest((k,)) % fanout
+        assert len({lane for *_, lane in rows}) == fanout
+
 
 # ------------------------------------------------------------- equivalence
 
@@ -586,3 +627,78 @@ class TestShardMetricsRollup:
         result = shard_flow(1).run("simulated")
         assert result.metrics.shard_metrics == {}
         assert result.metrics.shard_report() == "(no shard groups)"
+
+
+class TestSkewedStaticRegion:
+    """Every hot key routed to lane 0: the static region keeps its
+    answer and shows the imbalance rather than correcting it."""
+
+    @staticmethod
+    def hot_keys(n):
+        return [k for k in range(200) if key_digest((k,)) % n == 0][:4]
+
+    def skewed_flow(self, n, keys):
+        events = [
+            (i * 0.001, tup(i * 0.001, keys[i % 4], 1.0)) for i in range(400)
+        ]
+        flow = Flow(f"skewed-{n}")
+        (flow.source(SCHEMA, events, name="src")
+             .punctuate(on="ts", every=0.05)
+             .shard(n, key="k", pipeline=lambda lane: lane
+                    .window(avg("v"), by="k", on="ts", width=0.05),
+                    queue_capacity=16, stash_limit=32)
+             .collect("sink", keep_punctuation=True))
+        return flow
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize(
+        "engine", ["simulated", "threaded", "asyncio", MULTIPROCESS]
+    )
+    def test_one_hot_lane_matches_unsharded(self, n, engine):
+        keys = self.hot_keys(n)
+        base = self.skewed_flow(1, keys).run("simulated")
+        result = self.skewed_flow(n, keys).run(engine)
+        assert sink_multiset(result) == sink_multiset(base)
+        lanes = result.metrics.shard_metrics["shard"].lanes
+        assert lanes[0].tuples_in > 0
+        assert all(lane.tuples_in == 0 for lane in lanes[1:])
+
+
+# ------------------------------------------------- metrics across composites
+
+
+def sensor_rows(n):
+    return [(i * 0.05, tup(i * 0.05, i % 4, i)) for i in range(n)]
+
+
+class TestFusedLaneMetrics:
+    def test_fused_stage_metrics_carry_their_lane(self):
+        flow = Flow("fuse-lane")
+        (flow.source(SCHEMA, sensor_rows(80), name="src")
+             .punctuate(on="ts", every=1.0)
+             .shard(2, key="k", name="region",
+                    pipeline=lambda lane: lane
+                    .where(lambda t: t["v"] >= 0.0)
+                    .extend([("d", "float")], lambda t: (t["v"],)))
+             .collect("sink"))
+        result = flow.run("simulated", optimize=True)
+        lane_stage_keys = [
+            name for name in result.metrics.operator_metrics
+            if name.startswith("region[") and "::" in name
+        ]
+        assert "region[0]::where+map::where" in lane_stage_keys
+        assert "region[1]::where_2+map_2::map_2" in lane_stage_keys
+        # Lane rollups resolve the composite: ingress counted per lane.
+        group = result.metrics.shard_metrics["region"]
+        assert len(group.lanes) == 2
+        assert sum(lane.tuples_in for lane in group.lanes) > 0
+
+    def test_unsharded_composites_keep_the_plain_key(self):
+        flow = Flow("fuse-flat")
+        (flow.source(SCHEMA, sensor_rows(40), name="src")
+             .punctuate(on="ts", every=1.0)
+             .where(lambda t: True, name="keep")
+             .extend([("d", "float")], lambda t: (t["v"],), name="ext")
+             .collect("sink"))
+        result = flow.run("simulated", optimize=True)
+        assert "keep+ext::keep" in result.metrics.operator_metrics
