@@ -319,14 +319,17 @@ class RuntimeCore:
 
         * ``_control_sides`` -- the deques of every control side the
           operator reads (:meth:`drain_control`'s fast exit);
-        * ``_bounded_outputs`` / ``_bounded_inputs`` -- the operators
-          with a bounded output / input edge (:meth:`check_pressure` /
-          :meth:`check_relief` are no-ops for the rest);
+        * ``_bounded_outputs`` -- the bounded output edges of each
+          operator that has one (:meth:`check_pressure` is a no-op for
+          the rest, and the threaded runtime sizes a hand-off by their
+          room);
+        * ``_bounded_inputs`` -- the operators with a bounded input edge
+          (:meth:`check_relief` is a no-op for the rest);
         * ``_input_queues`` -- the input queues (:meth:`mark_done_ports`
           looks for a closed one).
         """
         self._control_sides: dict[str, tuple] = {}
-        self._bounded_outputs: set[str] = set()
+        self._bounded_outputs: dict[str, tuple[OutputEdge, ...]] = {}
         self._bounded_inputs: set[str] = set()
         self._input_queues: dict[str, tuple] = {}
         for op in self.plan:
@@ -335,8 +338,9 @@ class RuntimeCore:
                 + [port.control.side(Direction.DOWNSTREAM)
                    for port in op.inputs]
             )
-            if any(edge.queue.bounded for edge in op.outputs):
-                self._bounded_outputs.add(op.name)
+            bounded = tuple(edge for edge in op.outputs if edge.queue.bounded)
+            if bounded:
+                self._bounded_outputs[op.name] = bounded
             if any(port.queue.bounded for port in op.inputs):
                 self._bounded_inputs.add(op.name)
             self._input_queues[op.name] = tuple(

@@ -8,8 +8,10 @@ it."
 
 Scheduling state (control draining, completion, pause bookkeeping, page
 hand-off) is serialised by a single plan lock, but **page processing runs
-outside it**: each operator thread pulls a page under the lock, releases
-it, processes the page -- emitting into per-queue-mutex-guarded
+outside it**: each operator thread pulls a page under the lock -- every
+ready page of one input that fits the room its bounded output edges
+leave, merged into one -- releases it, processes the page -- emitting
+into per-queue-mutex-guarded
 :class:`~repro.stream.queues.DataQueue`\\ s (see
 ``DataQueue.enable_thread_safety``) -- and re-acquires the lock only for
 the completion/watermark bookkeeping.  Operators on disjoint data
@@ -194,23 +196,51 @@ class ThreadedRuntime(RuntimeCore):
 
     # -- thread bodies --------------------------------------------------------------
 
+    def _room(self, operator: Operator) -> int:
+        """Elements one hand-off of ``operator``'s may carry: the least
+        room to high water on its bounded output edges, 0 when it has
+        none.
+
+        Read without the plan lock: only this operator's thread fills
+        those queues, and their consumers can only widen the room, so a
+        stale read errs short.
+        """
+        edges = self._bounded_outputs.get(operator.name)
+        if edges is None:
+            return 0
+        return min([
+            edge.queue.capacity - edge.queue.occupancy for edge in edges
+        ])
+
     def _source_runs(self, source: SourceOperator) -> Iterator[list]:
         """Cut ``source``'s timeline into runs, taken outside the plan lock.
 
         A run is consecutive tuples, or one punctuation on its own, taken
-        off the source's cursor.  Its length is bounded by
-        :meth:`~repro.engine.runtime.RuntimeCore.source_run_room`, read
-        without the lock before the run is taken: only this thread
-        shrinks the open page's room, and the consumer can only widen
-        the room to high water, so a stale read errs short.  Under
+        off the source's cursor.  On bounded output edges a run ends at
+        the tuple that brings one to high water (the pause then fires
+        where it would tuple by tuple) or that closes a checkpoint epoch:
+        no page needs an ``available_at`` stamp here, so the open page's
+        room is no cut.  A source with no bounded output edge hands over
+        at most a page at a time
+        (:meth:`~repro.engine.runtime.RuntimeCore.source_run_room`), so a
+        lazy source does not hold a finished page back.  Under
         ``emulate_costs`` every element is charged its own sleep, so runs
         are of one.
         """
         cursor = self.source_cursor(source)
+        checkpoints = self.checkpoints
+        epochs = checkpoints is not None and checkpoints.every
+        bounded = source.name in self._bounded_outputs
         while True:
-            run = cursor.take(
-                1 if self.emulate_costs else self.source_run_room(source)
-            )
+            if self.emulate_costs:
+                room = 1
+            elif not bounded:
+                room = self.source_run_room(source)
+            else:
+                room = self._room(source)
+                if epochs:
+                    room = min(room, checkpoints.epoch_room(source))
+            run = cursor.take(max(1, room))
             if not run:
                 return
             yield run
@@ -270,9 +300,15 @@ class ThreadedRuntime(RuntimeCore):
                         return
                     self._wakeup.wait()
                     continue
+                # Every ready page of one input that fits the room on
+                # the bounded output edges goes in one step (at least
+                # one page): one lock round trip, one walk and one
+                # wake-up for all of them.  Modeled costs are slept page
+                # by page, so their steps stay pages.
+                room = 0 if self.emulate_costs else self._room(operator)
                 page, port = None, None
                 for candidate in operator.inputs:
-                    page = candidate.queue.get_page()
+                    page = candidate.queue.get_page(room)
                     if page is not None:
                         port = candidate
                         break

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Sequence
 
 from repro.core.characterization import ConstraintShape
@@ -55,6 +57,10 @@ from repro.stream.schema import Attribute, AttributeOrigin, Schema, SchemaMappin
 from repro.stream.tuples import StreamTuple
 
 __all__ = ["AggregateKind", "WindowAggregate"]
+
+#: Stands for "no tuple yet" where a run's previous timestamp and group
+#: are compared by identity.
+_NOTHING = object()
 
 
 class AggregateKind:
@@ -260,72 +266,111 @@ class WindowAggregate(Operator):
         return [window_id, *group, value]
 
     def on_page(self, port_index: int, batch: list) -> None:
-        """Accumulate a run of tuples: one loop, no per-tuple method call.
+        """Accumulate a run of tuples: bucket by ``(window, group)``, then
+        fold each bucket at once.
 
         Pure state accumulation (windows emit on punctuation or finish,
-        never here), so bulk processing is trivially order-safe.  The
-        window arithmetic is :meth:`window_ids` written out -- the same
-        two ``floor`` expressions, so a float-edge timestamp picks the
-        same windows -- and the accumulator is folded into the loop;
-        counters are settled once per run.  Window guards can only change
-        via control (feedback) or punctuation, both of which are
+        never here), so bulk processing is trivially order-safe.  A
+        tuple's windows are :meth:`window_ids` written out -- the same two
+        ``floor`` expressions, so a float-edge timestamp picks the same
+        windows -- worked out once per distinct timestamp; consecutive
+        tuples of one timestamp and group go to the buckets the first of
+        them found.  Each bucket holds its raw values in stream order and
+        is folded as the per-tuple loop would fold it, to the bit: the
+        float sum in stream order (``reduce(add, ...)``, never ``sum``),
+        ``max`` / ``min`` over the current extreme followed by the bucket
+        (so NaN and ``-0.0`` stay where a sequential compare leaves
+        them); a bucket of one is that loop's step itself.  Window guards
+        can only change via control (feedback) or punctuation, both
         delivered outside a run, so a ``(window, group)`` pair's guard
-        verdict is asked once per run and remembered.
+        verdict is asked once per run; buckets keep first-touch order, so
+        ``_state`` grows in the order the loop would grow it.
         """
         ts_index = self._ts_index
         value_index = self._value_index
         group_indices = self._group_indices
-        group_index = group_indices[0] if len(group_indices) == 1 else None
+        single = group_indices[0] if len(group_indices) == 1 else None
         origin = self.origin
         width = self.width
         slide = self.slide
         floor = math.floor
-        state = self._state
-        guarded = self._window_guarded if self._window_guards else None
-        verdicts: dict[tuple[int, tuple], bool] = {}
-        grown = 0
-        skipped = 0
+        spans: dict[Any, range] = {}
+        buckets: dict[tuple[int, tuple], list] = {}
+        last_ts = last_group = _NOTHING
+        targets: list[list] = []
         for tup in batch:
             values = tup.values
-            offset = float(values[ts_index]) - origin
-            last = floor(offset / slide)
-            window_id = floor((offset - width) / slide) + 1
-            if window_id < 0:
-                window_id = 0
-            if group_index is not None:
-                group = (values[group_index],)
-            else:
-                group = tuple([values[i] for i in group_indices])
+            ts = values[ts_index]
+            key_value = values[single] if single is not None else (
+                tuple([values[i] for i in group_indices])
+            )
+            if ts is not last_ts or key_value is not last_group:
+                last_ts, last_group = ts, key_value
+                span = spans.get(ts)
+                if span is None:
+                    offset = float(ts) - origin
+                    first = floor((offset - width) / slide) + 1
+                    span = spans[ts] = range(
+                        first if first > 0 else 0, floor(offset / slide) + 1
+                    )
+                group = (key_value,) if single is not None else key_value
+                targets = []
+                for window_id in span:
+                    key = (window_id, group)
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        bucket = buckets[key] = []
+                    targets.append(bucket)
             value = None if value_index is None else values[value_index]
-            if value is not None:
-                value = float(value)
-            while window_id <= last:
-                key = (window_id, group)
-                window_id += 1
-                if guarded is not None:
-                    verdict = verdicts.get(key)
-                    if verdict is None:
-                        verdict = verdicts[key] = guarded(*key)
-                    if verdict:
-                        skipped += 1
-                        continue
-                window_state = state.get(key)
-                if window_state is None:
-                    window_state = state[key] = _WindowState()
-                    grown += 1
-                window_state.count += 1
-                if value is None:
-                    continue
+            for bucket in targets:
+                bucket.append(value)
+        state = self._state
+        guarded = self._window_guarded if self._window_guards else None
+        grown = 0
+        skipped = 0
+        for key, bucket in buckets.items():
+            count = len(bucket)
+            if value_index is None:
+                floats = ()
+            elif count == 1:
+                value = bucket[0]
+                floats = () if value is None else (float(value),)
+            else:
+                try:
+                    floats = list(map(float, bucket))
+                except TypeError:  # a None counts but carries no value
+                    floats = [float(v) for v in bucket if v is not None]
+            if guarded is not None and guarded(*key):
+                skipped += count
+                continue
+            window_state = state.get(key)
+            if window_state is None:
+                window_state = state[key] = _WindowState()
+                grown += 1
+            window_state.count += count
+            if not floats:
+                continue
+            maximum = window_state.maximum
+            minimum = window_state.minimum
+            if len(floats) == 1:
+                value = floats[0]
                 window_state.total += value
-                maximum = window_state.maximum
                 if maximum is None or value > maximum:
                     window_state.maximum = value
-                minimum = window_state.minimum
                 if minimum is None or value < minimum:
                     window_state.minimum = value
+                continue
+            window_state.total = reduce(add, floats, window_state.total)
+            window_state.maximum = (
+                max(floats) if maximum is None else max(maximum, *floats)
+            )
+            window_state.minimum = (
+                min(floats) if minimum is None else min(minimum, *floats)
+            )
         if grown:
             self.metrics.grow_state(grown)
-        self.windows_skipped += skipped
+        if skipped:
+            self.windows_skipped += skipped
 
     def _window_guarded(self, window_id: int, group: tuple) -> bool:
         probe = self._output_values(window_id, group, None)
@@ -382,12 +427,10 @@ class WindowAggregate(Operator):
         no group in the region -- its :class:`~repro.operators.partition.
         ShardMerge` siblings would wait forever; see ``docs/sharding.md``.)
         """
-        closable = [
+        self._emit_windows(sorted(
             key for key in self._state
             if self.window_bounds(key[0])[1] <= bound
-        ]
-        for key in sorted(closable):
-            self._emit_window(key)
+        ))
         last_closed = math.floor(
             (bound - self.origin - self.width) / self.slide
         )
@@ -429,12 +472,10 @@ class WindowAggregate(Operator):
         """A group is complete on the input: close all its windows."""
         group_atoms = [input_pattern.atoms[i] for i in self._group_indices]
         tests = [atom.predicate() for atom in group_atoms]
-        closable = [
+        self._emit_windows(sorted(
             key for key in self._state
             if all(test(v) for test, v in zip(tests, key[1]))
-        ]
-        for key in sorted(closable):
-            self._emit_window(key)
+        ))
         out_atoms: list[Atom] = [WILDCARD] * len(self.output_schema)
         for offset, atom in enumerate(group_atoms):
             out_atoms[1 + offset] = atom
@@ -446,23 +487,25 @@ class WindowAggregate(Operator):
         )
 
     def _close_all(self) -> None:
-        for key in sorted(self._state):
-            self._emit_window(key)
+        self._emit_windows(sorted(self._state))
 
-    def _emit_window(self, key: tuple[int, tuple]) -> None:
-        state = self._state.pop(key, None)
-        if state is None:
+    def _emit_windows(self, keys: list[tuple[int, tuple]]) -> None:
+        """Close the windows of ``keys``, in that order: their results
+        leave as one run (or join the poll buffer)."""
+        if not keys:
             return
-        self.metrics.shrink_state()
-        value = state.value(self.kind)
-        result = StreamTuple(
-            self.output_schema,
-            self._output_values(key[0], key[1], value),
-        )
+        pop, kind, schema = self._state.pop, self.kind, self.output_schema
+        results = [
+            StreamTuple(schema, self._output_values(
+                key[0], key[1], pop(key).value(kind)
+            ))
+            for key in keys
+        ]
+        self.metrics.shrink_state(len(results))
         if self.emit_on_close:
-            self.emit(result)
+            self.emit_many(results)
         else:
-            self._result_buffer.append(result)
+            self._result_buffer.extend(results)
 
     def on_finish(self) -> None:
         self._close_all()
@@ -472,9 +515,8 @@ class WindowAggregate(Operator):
         """Emit buffered results (poll-based mode, Example 4)."""
         flushed = self._result_buffer
         self._result_buffer = []
-        for result in flushed:
-            self.emit(result)
         if flushed:
+            self.emit_many(flushed)
             self.flush_outputs()
         return flushed
 

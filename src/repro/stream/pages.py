@@ -102,6 +102,27 @@ class Page:
             self._complete = True
         return start + len(chunk)
 
+    @classmethod
+    def merged(cls, pages: List["Page"]) -> "Page":
+        """One complete page holding ``pages``' elements in order.
+
+        What a consumer that takes several ready pages in one step is
+        handed: the punctuation record is the pages' own, so the merged
+        page answers :attr:`has_punctuation` without a scan, and a
+        punctuation or marker may sit anywhere in it, not only last.
+        """
+        page = cls(max(1, sum(len(part) for part in pages)))
+        elements = page.elements
+        punctuated = False
+        for part in pages:
+            elements += part.elements
+            punctuated = punctuated or part.has_punctuation
+        page._punctuated = punctuated
+        page._vetted = len(elements)
+        page._complete = True
+        page.available_at = pages[0].available_at
+        return page
+
     @property
     def complete(self) -> bool:
         return self._complete

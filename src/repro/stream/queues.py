@@ -246,19 +246,41 @@ class DataQueue:
 
     # -- consumer side ---------------------------------------------------------
 
-    def get_page(self) -> Page | None:
-        """Pop the oldest ready page, or None when nothing is ready."""
+    def get_page(self, room: int = 0) -> Page | None:
+        """Pop the oldest ready page, or None when nothing is ready.
+
+        With ``room``, the ready pages behind it ride along while the
+        elements taken still fit ``room``: they come back merged into one
+        page, in queue order (:meth:`~repro.stream.pages.Page.merged`).
+        The threaded runtime passes the room its consumer's bounded
+        output edges leave; the cooperative engines pass nothing and
+        take one page per step.
+        """
         if self._mutex is not None:
             with self._mutex:
-                return self._get_page()
-        return self._get_page()
+                return self._get_page(room)
+        return self._get_page(room)
 
-    def _get_page(self) -> Page | None:
-        if self._ready:
-            page = self._ready.popleft()
+    def _get_page(self, room: int) -> Page | None:
+        ready = self._ready
+        if ready:
+            page = ready.popleft()
+            if room > len(page) and ready:
+                page = self._take_behind(page, room)
             self._occupancy -= len(page)
             return page
         return None
+
+    def _take_behind(self, page: Page, room: int) -> Page:
+        """``page`` and the ready pages behind it that fit ``room``."""
+        ready = self._ready
+        pages = [page]
+        taken = len(page)
+        while ready and taken + len(ready[0]) <= room:
+            page = ready.popleft()
+            taken += len(page)
+            pages.append(page)
+        return pages[0] if len(pages) == 1 else Page.merged(pages)
 
     def peek_page(self) -> Page | None:
         """The oldest ready page without removing it."""

@@ -85,7 +85,12 @@ class StreamTuple:
 
     def __getitem__(self, key: int | str) -> Any:
         if isinstance(key, str):
-            return self.values[self.schema.index_of(key)]
+            # The schema's name index, read in this frame: a predicate's
+            # ``t["speed"]`` pays one call, not two.
+            index = self.schema._index.get(key)
+            if index is None:
+                self.schema.index_of(key)  # raises SchemaError
+            return self.values[index]
         return self.values[key]
 
     def get(self, name: str, default: Any = None) -> Any:

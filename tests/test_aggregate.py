@@ -572,3 +572,138 @@ class TestAccumulationKernel:
                     op.on_page(0, [tup(ts)])
                     assert (sorted(w for w, _ in op._state)
                             == list(op.window_ids(ts))), (ts, origin)
+
+
+# -- the fold, to the bit ---------------------------------------------------------------
+#
+# ``_WindowState`` equality cannot see NaN (never equal) or the sign of a
+# zero (equal to its negation), so these compare every field by
+# ``float.hex`` / ``repr``, in ``_state``'s order.
+
+SPECIAL_SPEEDS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1.0, -1.0, 0.1, 0.2,
+    3, -7, 2 ** 53 + 1, None,
+)
+
+
+def bits(value):
+    return float.hex(value) if isinstance(value, float) else repr(value)
+
+
+def fingerprint(op):
+    return (
+        [
+            (repr(key), state.count, bits(state.total),
+             bits(state.maximum), bits(state.minimum), state.partial_emitted)
+            for key, state in op._state.items()
+        ],
+        op.windows_skipped,
+        op.metrics.state_size, op.metrics.peak_state_size,
+        op.metrics.input_guard_drops,
+    )
+
+
+@st.composite
+def fold_cases(draw):
+    width = draw(st.sampled_from(WIDTHS))
+    slide = draw(st.sampled_from([None, width / 2, width / 3]))
+    origin = draw(st.sampled_from([0.0, 0.25, -1.0]))
+    step = width if slide is None else slide
+    edge = st.integers(min_value=-3, max_value=12)
+    timestamps = st.one_of(
+        edge.map(lambda k: k * width),
+        edge.map(lambda k: origin + k * step),
+        edge.map(lambda k: math.nextafter(k * step, math.inf)),
+        edge.map(lambda k: math.nextafter(origin + k * step, -math.inf)),
+        st.integers(min_value=-2, max_value=6),
+    )
+    speeds = st.one_of(
+        st.sampled_from(SPECIAL_SPEEDS),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    rows = draw(st.lists(
+        st.tuples(timestamps, st.integers(0, 2), st.integers(0, 1), speeds),
+        max_size=60,
+    ))
+    guards = draw(st.lists(
+        st.tuples(st.integers(0, 12), st.one_of(st.just("*"),
+                                                st.integers(0, 2))),
+        max_size=2,
+    ))
+    return (
+        draw(st.sampled_from(AggregateKind.ALL)), width, slide, origin,
+        draw(st.sampled_from([(), ("seg",), ("seg", "lane")])), rows,
+        guards, draw(st.integers(0, len(rows))),
+        draw(st.sampled_from([2, 3, 7, 64])),
+    )
+
+
+def fed(kind, width, slide, origin, group_by, runs, guards=(), *,
+        reference, trail=None):
+    """A kernel operator fed ``runs`` (lists of rows) page by page; the
+    guards arrive as feedback after the first run.  ``trail`` collects
+    the operator's :func:`fingerprint` after every run."""
+    harness = kernel_operator(
+        kind, width, slide, origin, group_by, reference=reference
+    )
+    schema = harness.operator.output_schema
+    for index, run in enumerate(runs):
+        if index == 1:
+            for window, seg in guards:
+                spec = {"window": window}
+                if group_by:
+                    spec["seg"] = seg
+                harness.feedback(FeedbackPunctuation.assumed(
+                    Pattern.from_mapping(schema, spec)
+                ))
+        if run:
+            harness.push_page([StreamTuple(KERNEL_SCHEMA, row) for row in run])
+        if trail is not None:
+            trail.append(fingerprint(harness.operator))
+    return harness
+
+
+class TestFoldToTheBit:
+    @settings(max_examples=200, deadline=None)
+    @given(fold_cases())
+    def test_the_fold_is_the_per_tuple_loop(self, case):
+        kind, width, slide, origin, group_by, rows, guards, cut, length = case
+        head, tail = rows[:cut], rows[cut:]
+        runs = [head] + [
+            tail[start:start + length]
+            for start in range(0, len(tail), length)
+        ]
+        trails = [], []  # the reference loops tuple by tuple whatever the run
+        expected = fed(kind, width, slide, origin, group_by, runs, guards,
+                       reference=True, trail=trails[0])
+        harness = fed(kind, width, slide, origin, group_by, runs, guards,
+                      reference=False, trail=trails[1])
+        assert trails[1] == trails[0]
+        harness.finish()
+        expected.finish()
+        assert (
+            [[bits(v) for v in t.values] for t in harness.emitted_tuples()]
+            == [[bits(v) for v in t.values] for t in expected.emitted_tuples()]
+        )
+
+    @pytest.mark.parametrize("kind", AggregateKind.ALL)
+    @pytest.mark.parametrize("slide", [None, 0.5])
+    def test_order_and_signs_survive_a_run(self, kind, slide):
+        """Runs on which a re-associated sum, or an extreme taken over the
+        bucket before the current one, reads different bits: ``1e16``
+        then ``1.0 + 1.0`` (summed first they are no longer absorbed);
+        ``1.0`` then ``nan, 2.0, 0.5`` (a bucket's own ``max`` / ``min``
+        is the NaN that leads it); and zeros of both signs."""
+        runs = [
+            [(0.1, 0, 0, 1e16), (0.1, 1, 0, 1.0), (0.1, 2, 0, -0.0)],
+            [(0.2, 0, 0, 1.0), (0.3, 0, 0, 1.0),
+             (0.2, 1, 0, math.nan), (0.3, 1, 0, 2.0), (0.4, 1, 0, 0.5),
+             (0.2, 2, 0, 0.0), (0.3, 2, 0, None), (0.4, 2, 0, -0.0)],
+            [(0.5, 1, 0, math.inf), (0.6, 1, 0, -math.inf), (0.7, 0, 0, 3)],
+        ]
+        expected, seen = [], []
+        fed(kind, 1.0, slide, 0.0, ("seg",), runs, reference=True,
+            trail=expected)
+        fed(kind, 1.0, slide, 0.0, ("seg",), runs, reference=False,
+            trail=seen)
+        assert seen == expected

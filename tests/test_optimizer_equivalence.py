@@ -282,6 +282,32 @@ class TestFeedbackEffects:
             base_src.feedback_received == opt_src.feedback_received
         )
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP N step 1")
+    def test_recorded_divergence(self):
+        """The spec the search above once found, through the same
+        ``build_chain`` / ``run_both``: twenty ``a=0`` rows, a
+        keep-everything projection, punctuation every second and
+        ``¬[a=0]`` at the sink at t=1.0.  The plain plan delivers none
+        of them and the optimized plan ten, so the optimized plan lets
+        through what feedback disclaimed."""
+
+        def factory():
+            return build_chain(
+                [(0, 0, 0.0)] * 20, [("project", {"a", "b", "c", "ts"}, None)],
+                1.0,
+            )
+
+        sink_schema = factory().build().operator("sink").output_schema
+        feedback = FeedbackPunctuation(
+            FeedbackIntent.ASSUMED,
+            Pattern.from_mapping(sink_schema, {"a": 0}),
+        )
+        base, opt = run_both(
+            factory, "simulated", feedback=[(1.0, "sink", feedback)]
+        )
+        assert sink_data(base) == []
+        assert sink_data(opt) == sink_data(base)
+
 
 # --------------------------------------------------------------------------
 # non-linear topologies: split/union, join, window

@@ -173,3 +173,178 @@ class TestOneClock:
         ]
         assert result.metrics.operator_metrics["source"].pauses_received
 
+
+
+# -- the step rule ---------------------------------------------------------------------
+#
+# On bounded edges a threaded step takes every ready page of one input
+# that fits the room its bounded output edges leave, and a source run
+# ends at the high-water room.  However much a step carries, the results
+# are the simulator's and a bounded edge overshoots its capacity by no
+# more than one step's emission.
+
+
+def speedmap_flow(page_size):
+    """The speed-map plan: source -> punctuate(60 s) -> sigma_q
+    (speed < 120) -> window avg(speed) by segment, 20 s -> sink."""
+    from repro.api import avg
+    from repro.workloads.traffic import DETECTOR_SCHEMA, TrafficWorkload
+
+    rows = TrafficWorkload(horizon=300.0, seed=3).detector_timeline()
+    flow = Flow("speedmap", page_size=page_size)
+    (flow.source(DETECTOR_SCHEMA, rows, name="punctuate")
+         .punctuate(on="timestamp", every=60.0)
+         .where(lambda t: t["speed"] < 120.0, name="sigma_q")
+         .window(avg("speed"), on="timestamp", width=20.0, by="segment",
+                 name="average")
+         .collect("sink", keep_punctuation=True))
+    return flow
+
+
+def sink_view(result):
+    sink = result.sink("sink")
+    return (
+        sorted(t.values for t in sink.results),
+        [repr(p.pattern) for p in sink.punctuations],
+    )
+
+
+def gated_chain(page_size):
+    """``src -> fast -> hold -> sink`` in which ``fast``'s steps must find
+    several ready pages.
+
+    ``hold`` lets nothing through until ``fast`` has received its first
+    pause, so ``fast``'s output fills to high water and its input backs
+    up behind it; once ``hold`` drains that output to low water, ``fast``
+    resumes with room for several of the pages waiting on its input.  A
+    wait that times out lets the run go on and the caller's assertions
+    fail.
+    """
+    paused = threading.Event()
+    rows = [
+        (0.0, StreamTuple(SCHEMA, (i * 0.01, i % 4, float(i))))
+        for i in range(2000)
+    ]
+
+    def release_when_paused(fast):
+        fast.on_pause = lambda punct, from_edge: paused.set()
+
+    flow = Flow("gated", page_size=page_size)
+    (flow.source(SCHEMA, rows, name="src")
+         .punctuate(on="ts", every=1.0)
+         .where(lambda t: t["seg"] != 3, name="fast",
+                configure=release_when_paused)
+         .where(lambda t: paused.wait(20.0), name="hold")
+         .collect("sink"))
+    return flow
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("page_size", [1, 7, 64])
+    @pytest.mark.parametrize("capacity", [8, 64, 1024])
+    def test_speedmap_parity_with_the_simulator(self, capacity, page_size):
+        flow = speedmap_flow(page_size)
+        expected = sink_view(flow.run("simulated", queue_capacity=capacity))
+        threaded = flow.run("threaded", queue_capacity=capacity, timeout=60.0)
+        assert sink_view(threaded) == expected
+        assert threaded.metrics.operator_metrics["average"].tuples_in == (
+            flow.run("simulated").metrics.operator_metrics["average"].tuples_in
+        )
+
+    @pytest.mark.parametrize("capacity, page_size", [(32, 4), (64, 7)])
+    def test_a_bounded_edge_overshoots_by_one_step_at_most(
+        self, capacity, page_size
+    ):
+        result = gated_chain(page_size).run(
+            "threaded", queue_capacity=capacity, timeout=60.0
+        )
+        metrics = result.metrics
+        for queue in metrics.queue_metrics.values():
+            # A step starts below high water and emits at most what it
+            # took: the room, or one page when less than a page is left.
+            assert queue.peak_occupancy <= capacity + page_size, queue
+        fast = metrics.operator_metrics["fast"]
+        into_fast = metrics.queue_metrics["src->fast[0]"]
+        assert fast.pauses_received > 0
+        assert fast.pages_in < into_fast.pages_flushed  # steps merged pages
+        assert len(result.sink("sink").results) == 1500
+
+    def test_a_marker_inside_a_merged_step_resumes_exactly_once(
+        self, monkeypatch
+    ):
+        """Kill and resume through a two-input union whose steps carry
+        several pages, with checkpoint markers inside them.
+
+        ``stage`` lets nothing through until ``merge`` has been paused, so
+        both inputs back up; ``merge`` then resumes with room for eight
+        or more pages of four, and a marker ends at most every fourth
+        page of a source (``checkpoint_every=10``)."""
+        from collections import Counter
+
+        from repro.core.feedback import CheckpointPunctuation
+        from repro.durability import MemoryCheckpointStore
+        from repro.operators.base import Operator
+
+        inside = []
+        process_page = Operator.process_page
+
+        def spying(operator, port_index, page, **kwargs):
+            if operator.name == "merge":
+                inside.extend(
+                    isinstance(e, CheckpointPunctuation)
+                    for e in list(page)[:-1]
+                )
+            return process_page(operator, port_index, page, **kwargs)
+
+        monkeypatch.setattr(Operator, "process_page", spying)
+
+        def flow(bomb_at=None):
+            calls = {"n": 0}
+            paused = threading.Event()
+            left = [
+                (i * 0.1, StreamTuple(SCHEMA, (i * 0.1, i % 3, float(i))))
+                for i in range(300)
+            ]
+            right = [
+                (i * 0.1 + 0.05,
+                 StreamTuple(SCHEMA, (i * 0.1 + 0.05, i % 3, 1000.0 + i)))
+                for i in range(300)
+            ]
+
+            def gated_bomb(t):
+                calls["n"] += 1
+                if bomb_at is not None and calls["n"] >= bomb_at:
+                    raise RuntimeError("injected crash")
+                return paused.wait(20.0)
+
+            def release_when_paused(merge):
+                merge.on_pause = lambda punct, from_edge: paused.set()
+
+            built = Flow("merged-markers", page_size=4)
+            a = built.source(SCHEMA, left, name="a").punctuate(
+                on="ts", every=2.0)
+            b = built.source(SCHEMA, right, name="b").punctuate(
+                on="ts", every=2.0)
+            (a.union(b, name="merge", configure=release_when_paused)
+              .where(gated_bomb, name="stage")
+              .collect("sink"))
+            return built
+
+        options = {
+            "queue_capacity": 64, "checkpoint_every": 10, "timeout": 60.0,
+        }
+        expect = Counter(
+            tuple(t.values)
+            for t in flow().run("threaded", **options).sink("sink").results
+        )
+        store = MemoryCheckpointStore()
+        with pytest.raises(RuntimeError, match="injected crash"):
+            flow(bomb_at=450).run(
+                "threaded", checkpoint_store=store, **options
+            )
+        recovered = flow().run("threaded", recover_from=store, **options)
+        assert recovered.metrics.checkpoint_epochs >= 1
+        assert any(inside)  # a marker was not the last of its step
+        assert Counter(
+            tuple(t.values) for t in recovered.sink("sink").results
+        ) == expect

@@ -41,6 +41,25 @@ class TestAccess:
     def test_by_name(self, tup):
         assert tup["seg"] == 3
 
+    def test_unknown_name_is_a_schema_error(self, tup):
+        with pytest.raises(SchemaError, match="no attribute 'lane'"):
+            tup["lane"]
+
+    def test_base_name_of_a_qualified_attribute(self):
+        qualified = StreamTuple(Schema.of("probe.ts", "probe.speed"), (1.0, 2.0))
+        assert qualified["speed"] == qualified["probe.speed"] == 2.0
+
+    def test_every_key_kind_reads_as_the_values_do(self, tup):
+        values = tup.values
+        for key in (0, 2, -1, -3, slice(1, None), slice(None, None, -1)):
+            assert tup[key] == values[key]
+        for name, index in (("ts", 0), ("seg", 1), ("speed", 2)):
+            assert tup[name] == values[index]
+        with pytest.raises(IndexError):
+            tup[3]
+        with pytest.raises(TypeError):
+            tup[1.0]
+
     def test_get_with_default(self, tup):
         assert tup.get("speed") == 55.0
         assert tup.get("nope", -1) == -1
