@@ -321,7 +321,7 @@ class RuntimeCore:
           operator reads (:meth:`drain_control`'s fast exit);
         * ``_bounded_outputs`` -- the bounded output edges of each
           operator that has one (:meth:`check_pressure` is a no-op for
-          the rest, and the threaded runtime sizes a hand-off by their
+          the rest, and the threaded runtime sizes a step by their
           room);
         * ``_bounded_inputs`` -- the operators with a bounded input edge
           (:meth:`check_relief` is a no-op for the rest);

@@ -197,16 +197,16 @@ class ThreadedRuntime(RuntimeCore):
     # -- thread bodies --------------------------------------------------------------
 
     def _room(self, operator: Operator) -> int:
-        """Elements one hand-off of ``operator``'s may carry: the least
-        room to high water on its bounded output edges, 0 when it has
-        none.
+        """Elements one step of ``operator``'s may take: the least room
+        to high water on its bounded output edges.
 
-        Read without the plan lock: only this operator's thread fills
-        those queues, and their consumers can only widen the room, so a
-        stale read errs short.
+        0 -- one page -- when it has no bounded output edge, when it has
+        more than one input (a join's matches can outnumber what it
+        takes, so its emission is not bounded by the room) and under
+        ``emulate_costs``, whose modeled cost is slept page by page.
         """
         edges = self._bounded_outputs.get(operator.name)
-        if edges is None:
+        if edges is None or len(operator.inputs) > 1 or self.emulate_costs:
             return 0
         return min([
             edge.queue.capacity - edge.queue.occupancy for edge in edges
@@ -216,31 +216,19 @@ class ThreadedRuntime(RuntimeCore):
         """Cut ``source``'s timeline into runs, taken outside the plan lock.
 
         A run is consecutive tuples, or one punctuation on its own, taken
-        off the source's cursor.  On bounded output edges a run ends at
-        the tuple that brings one to high water (the pause then fires
-        where it would tuple by tuple) or that closes a checkpoint epoch:
-        no page needs an ``available_at`` stamp here, so the open page's
-        room is no cut.  A source with no bounded output edge hands over
-        at most a page at a time
-        (:meth:`~repro.engine.runtime.RuntimeCore.source_run_room`), so a
-        lazy source does not hold a finished page back.  Under
+        off the source's cursor.  Its length is bounded by
+        :meth:`~repro.engine.runtime.RuntimeCore.source_run_room`, read
+        without the lock before the run is taken: only this thread
+        shrinks the open page's room, and the consumer can only widen
+        the room to high water, so a stale read errs short.  Under
         ``emulate_costs`` every element is charged its own sleep, so runs
         are of one.
         """
         cursor = self.source_cursor(source)
-        checkpoints = self.checkpoints
-        epochs = checkpoints is not None and checkpoints.every
-        bounded = source.name in self._bounded_outputs
         while True:
-            if self.emulate_costs:
-                room = 1
-            elif not bounded:
-                room = self.source_run_room(source)
-            else:
-                room = self._room(source)
-                if epochs:
-                    room = min(room, checkpoints.epoch_room(source))
-            run = cursor.take(max(1, room))
+            run = cursor.take(
+                1 if self.emulate_costs else self.source_run_room(source)
+            )
             if not run:
                 return
             yield run
@@ -300,12 +288,12 @@ class ThreadedRuntime(RuntimeCore):
                         return
                     self._wakeup.wait()
                     continue
-                # Every ready page of one input that fits the room on
-                # the bounded output edges goes in one step (at least
-                # one page): one lock round trip, one walk and one
-                # wake-up for all of them.  Modeled costs are slept page
-                # by page, so their steps stay pages.
-                room = 0 if self.emulate_costs else self._room(operator)
+                # The ready pages of one input that fit the room on the
+                # bounded output edges go in one step (at least one page,
+                # at most one punctuation): one lock round trip, one walk
+                # and one wake-up for all of them.  Read under the lock;
+                # only this thread fills those queues.
+                room = self._room(operator)
                 page, port = None, None
                 for candidate in operator.inputs:
                     page = candidate.queue.get_page(room)
@@ -322,8 +310,9 @@ class ThreadedRuntime(RuntimeCore):
             # Page processing runs OUTSIDE the plan lock: emission goes
             # into mutex-guarded queues, per-operator state is only ever
             # touched by this thread, and control for this operator waits
-            # until the next loop turn (control-before-data is preserved
-            # per page, exactly as before).  This is what lets shard
+            # until the next loop turn (control that arrived before the
+            # step is taken before it; what arrives during it, at the next
+            # step).  This is what lets shard
             # replicas -- and any operators on disjoint data -- execute
             # concurrently instead of serialising on the plan lock.
             if self.emulate_costs and operator.needs_metering:

@@ -280,7 +280,7 @@ class WindowAggregate(Operator):
         float sum in stream order (``reduce(add, ...)``, never ``sum``),
         ``max`` / ``min`` over the current extreme followed by the bucket
         (so NaN and ``-0.0`` stay where a sequential compare leaves
-        them); a bucket of one is that loop's step itself.  Window guards
+        them).  Window guards
         can only change via control (feedback) or punctuation, both
         delivered outside a run, so a ``(window, group)`` pair's guard
         verdict is asked once per run; buckets keep first-touch order, so
@@ -332,9 +332,6 @@ class WindowAggregate(Operator):
             count = len(bucket)
             if value_index is None:
                 floats = ()
-            elif count == 1:
-                value = bucket[0]
-                floats = () if value is None else (float(value),)
             else:
                 try:
                     floats = list(map(float, bucket))
@@ -352,14 +349,6 @@ class WindowAggregate(Operator):
                 continue
             maximum = window_state.maximum
             minimum = window_state.minimum
-            if len(floats) == 1:
-                value = floats[0]
-                window_state.total += value
-                if maximum is None or value > maximum:
-                    window_state.maximum = value
-                if minimum is None or value < minimum:
-                    window_state.minimum = value
-                continue
             window_state.total = reduce(add, floats, window_state.total)
             window_state.maximum = (
                 max(floats) if maximum is None else max(maximum, *floats)

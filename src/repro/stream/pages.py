@@ -107,17 +107,15 @@ class Page:
         """One complete page holding ``pages``' elements in order.
 
         What a consumer that takes several ready pages in one step is
-        handed: the punctuation record is the pages' own, so the merged
-        page answers :attr:`has_punctuation` without a scan, and a
-        punctuation or marker may sit anywhere in it, not only last.
+        handed.  Only the last of ``pages`` may carry a punctuation, so
+        the merged page keeps the page rule (nothing after a punctuation)
+        and takes its punctuation record from that page, without a scan.
         """
         page = cls(max(1, sum(len(part) for part in pages)))
         elements = page.elements
-        punctuated = False
         for part in pages:
             elements += part.elements
-            punctuated = punctuated or part.has_punctuation
-        page._punctuated = punctuated
+        page._punctuated = pages[-1].has_punctuation
         page._vetted = len(elements)
         page._complete = True
         page.available_at = pages[0].available_at

@@ -250,11 +250,12 @@ class DataQueue:
         """Pop the oldest ready page, or None when nothing is ready.
 
         With ``room``, the ready pages behind it ride along while the
-        elements taken still fit ``room``: they come back merged into one
-        page, in queue order (:meth:`~repro.stream.pages.Page.merged`).
-        The threaded runtime passes the room its consumer's bounded
-        output edges leave; the cooperative engines pass nothing and
-        take one page per step.
+        elements taken still fit ``room`` and no punctuation has been
+        taken: they come back merged into one page, in queue order
+        (:meth:`~repro.stream.pages.Page.merged`), which like any page
+        holds at most one punctuation, last.  The threaded runtime passes
+        the room its consumer's bounded output edges leave; the
+        cooperative engines pass nothing and take one page per step.
         """
         if self._mutex is not None:
             with self._mutex:
@@ -262,21 +263,22 @@ class DataQueue:
         return self._get_page(room)
 
     def _get_page(self, room: int) -> Page | None:
-        ready = self._ready
-        if ready:
-            page = ready.popleft()
-            if room > len(page) and ready:
+        if self._ready:
+            page = self._ready.popleft()
+            if room and self._ready:
                 page = self._take_behind(page, room)
             self._occupancy -= len(page)
             return page
         return None
 
     def _take_behind(self, page: Page, room: int) -> Page:
-        """``page`` and the ready pages behind it that fit ``room``."""
+        """``page`` and the ready pages behind it that fit ``room``, up to
+        the first that carries a punctuation."""
         ready = self._ready
         pages = [page]
         taken = len(page)
-        while ready and taken + len(ready[0]) <= room:
+        while (ready and not page.has_punctuation
+               and taken + len(ready[0]) <= room):
             page = ready.popleft()
             taken += len(page)
             pages.append(page)

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.api import Flow
+from repro.api import Flow, avg
 from repro.core import FeedbackPunctuation
 from repro.engine import QueryPlan, Simulator, ThreadedRuntime
 from repro.errors import EngineError
@@ -187,7 +187,6 @@ class TestOneClock:
 def speedmap_flow(page_size):
     """The speed-map plan: source -> punctuate(60 s) -> sigma_q
     (speed < 120) -> window avg(speed) by segment, 20 s -> sink."""
-    from repro.api import avg
     from repro.workloads.traffic import DETECTOR_SCHEMA, TrafficWorkload
 
     rows = TrafficWorkload(horizon=300.0, seed=3).detector_timeline()
@@ -269,31 +268,142 @@ class TestStepRule:
         assert fast.pages_in < into_fast.pages_flushed  # steps merged pages
         assert len(result.sink("sink").results) == 1500
 
-    def test_a_marker_inside_a_merged_step_resumes_exactly_once(
+    @pytest.mark.parametrize("capacity", [64, 256])
+    def test_a_join_steps_one_page_at_a_time(self, capacity):
+        """A join's emission is not bounded by what it takes: each left
+        tuple here meets four stored right tuples.  Its steps stay one
+        page, so its output edge overshoots by one page's matches however
+        large the capacity.
+
+        The left stream waits until the join holds every right tuple;
+        ``hold`` then lets nothing through until the join has been paused,
+        so the left pages back up behind it and it resumes with room for
+        several of them."""
+        page_size, fan_out, keys = 4, 4, 200
+        primed = threading.Event()
+        paused = threading.Event()
+        left = [(0.0, StreamTuple(SCHEMA, (float(i), i, float(i))))
+                for i in range(keys)]
+        right_schema = Schema(
+            [("rts", "timestamp", True), ("seg", "int"), ("w", "float")]
+        )
+        right = [(0.0, StreamTuple(right_schema, (float(i), i, float(n))))
+                 for i in range(keys) for n in range(fan_out)]
+
+        def watch(join):
+            join.on_pause = lambda punct, from_edge: paused.set()
+            on_page = join.on_page
+
+            def counting(port_index, batch):
+                on_page(port_index, batch)
+                if len(join._tables[1]) == keys:
+                    primed.set()
+            join.on_page = counting
+
+        flow = Flow("fan-out", page_size=page_size)
+        gated = flow.source(SCHEMA, left, name="left").where(
+            lambda t: primed.wait(20.0), name="gate")
+        right_stream = flow.source(right_schema, right, name="right")
+        (gated.join(right_stream, on=[("seg", "seg")], name="join",
+                    configure=watch)
+              .where(lambda t: paused.wait(20.0), name="hold")
+              .collect("sink"))
+        result = flow.run("threaded", queue_capacity=capacity, timeout=60.0)
+        metrics = result.metrics
+        assert metrics.operator_metrics["join"].pauses_received > 0
+        assert len(result.sink("sink").results) == keys * fan_out
+        out = metrics.queue_metrics["join->hold[0]"]
+        assert out.peak_occupancy <= capacity + fan_out * page_size, out
+
+    @pytest.mark.parametrize("capacity", [64, 256])
+    def test_a_step_carries_one_punctuation(self, capacity):
+        """Each punctuation closes sixteen windows (four groups, four
+        sliding windows a group) for four tuples taken: a step that ends at
+        its first punctuation overshoots by one close, however many
+        punctuations wait on its input."""
+        groups, per_close = 4, 16
+        paused = threading.Event()
+        rows = [
+            (0.0, StreamTuple(SCHEMA, (float(second), seg, 1.0)))
+            for second in range(150) for seg in range(groups)
+        ]
+
+        def release_when_paused(window):
+            window.on_pause = lambda punct, from_edge: paused.set()
+
+        flow = Flow("closes", page_size=4)
+        (flow.source(SCHEMA, rows, name="src")
+             .punctuate(on="ts", every=1.0)
+             .window(avg("v"), on="ts", width=1.0, slide=0.25, by="seg",
+                     name="average", configure=release_when_paused)
+             .where(lambda t: paused.wait(20.0), name="hold")
+             .collect("sink"))
+        result = flow.run("threaded", queue_capacity=capacity, timeout=60.0)
+        metrics = result.metrics
+        assert metrics.operator_metrics["average"].pauses_received > 0
+        out = metrics.queue_metrics["average->hold[0]"]
+        # One close and the punctuation it forwards.
+        assert out.peak_occupancy <= capacity + per_close + 1, out
+        # Windows start at 0: the first second opens one a group, not four.
+        assert len(result.sink("sink").results) == (150 * 4 - 3) * groups
+
+    @pytest.mark.parametrize("capacity", [64, 256])
+    def test_a_buffer_overshoots_by_its_own_capacity_at_most(self, capacity):
+        """A priority buffer emits what it takes plus, at a punctuation,
+        the pending tuples it covers: a step that fits the room overshoots
+        by the buffer's own capacity at most."""
+        held = 8
+        paused = threading.Event()
+        rows = [
+            (0.0, StreamTuple(SCHEMA, (i * 0.25, i % 4, float(i))))
+            for i in range(1200)
+        ]
+
+        def release_when_paused(buffer):
+            buffer.on_pause = lambda punct, from_edge: paused.set()
+
+        flow = Flow("buffered", page_size=4)
+        (flow.source(SCHEMA, rows, name="src")
+             .punctuate(on="ts", every=1.0)
+             .buffer(capacity=held, name="buffer",
+                     configure=release_when_paused)
+             .where(lambda t: paused.wait(20.0), name="hold")
+             .collect("sink"))
+        result = flow.run("threaded", queue_capacity=capacity, timeout=60.0)
+        metrics = result.metrics
+        assert metrics.operator_metrics["buffer"].pauses_received > 0
+        out = metrics.queue_metrics["buffer->hold[0]"]
+        assert out.peak_occupancy <= capacity + held, out
+        assert len(result.sink("sink").results) == 1200
+
+    def test_a_marker_ending_a_merged_step_resumes_exactly_once(
         self, monkeypatch
     ):
-        """Kill and resume through a two-input union whose steps carry
-        several pages, with checkpoint markers inside them.
+        """Kill and resume a two-source region (a union) whose consumer's
+        steps carry several pages and end at checkpoint markers.
 
-        ``stage`` lets nothing through until ``merge`` has been paused, so
-        both inputs back up; ``merge`` then resumes with room for eight
-        or more pages of four, and a marker ends at most every fourth
-        page of a source (``checkpoint_every=10``)."""
+        ``hold`` lets nothing through until ``stage`` has been paused, so
+        the union's output backs up; ``stage`` then resumes with room for
+        several pages of four, and a marker ends at most every fourth
+        page of a source (``checkpoint_every=10``).  A step ends at its
+        first punctuation or marker, so a marker is always its last
+        element."""
         from collections import Counter
 
         from repro.core.feedback import CheckpointPunctuation
         from repro.durability import MemoryCheckpointStore
         from repro.operators.base import Operator
 
-        inside = []
+        merged_at_marker = []
         process_page = Operator.process_page
 
         def spying(operator, port_index, page, **kwargs):
-            if operator.name == "merge":
-                inside.extend(
-                    isinstance(e, CheckpointPunctuation)
-                    for e in list(page)[:-1]
-                )
+            if operator.name == "stage":
+                elements = list(page)
+                marks = [isinstance(e, CheckpointPunctuation)
+                         for e in elements]
+                assert not any(marks[:-1])  # nothing after a marker
+                merged_at_marker.append(len(elements) > 4 and marks[-1])
             return process_page(operator, port_index, page, **kwargs)
 
         monkeypatch.setattr(Operator, "process_page", spying)
@@ -311,22 +421,23 @@ class TestStepRule:
                 for i in range(300)
             ]
 
-            def gated_bomb(t):
+            def bomb(t):
                 calls["n"] += 1
                 if bomb_at is not None and calls["n"] >= bomb_at:
                     raise RuntimeError("injected crash")
-                return paused.wait(20.0)
+                return True
 
-            def release_when_paused(merge):
-                merge.on_pause = lambda punct, from_edge: paused.set()
+            def release_when_paused(stage):
+                stage.on_pause = lambda punct, from_edge: paused.set()
 
             built = Flow("merged-markers", page_size=4)
             a = built.source(SCHEMA, left, name="a").punctuate(
                 on="ts", every=2.0)
             b = built.source(SCHEMA, right, name="b").punctuate(
                 on="ts", every=2.0)
-            (a.union(b, name="merge", configure=release_when_paused)
-              .where(gated_bomb, name="stage")
+            (a.union(b, name="merge")
+              .where(bomb, name="stage", configure=release_when_paused)
+              .where(lambda t: paused.wait(20.0), name="hold")
               .collect("sink"))
             return built
 
@@ -344,7 +455,7 @@ class TestStepRule:
             )
         recovered = flow().run("threaded", recover_from=store, **options)
         assert recovered.metrics.checkpoint_epochs >= 1
-        assert any(inside)  # a marker was not the last of its step
+        assert any(merged_at_marker)
         assert Counter(
             tuple(t.values) for t in recovered.sink("sink").results
         ) == expect
