@@ -22,7 +22,7 @@ Quickstart -- the fluent surface (``repro.api``)::
 
 Flows compile to :class:`QueryPlan` (the stable IR -- hand-wiring via
 ``QueryPlan``/``plan.chain`` remains fully supported) and run on any
-engine registered in ``repro.engine.registry``; the system inventory is
+engine named in ``repro.engine.registry``; the system inventory is
 in ``docs/architecture.md``, the paper-versus-measured record is what
 ``python -m repro.experiments.report`` prints.
 """
@@ -51,7 +51,6 @@ from repro.engine import (
     ThreadedRuntime,
     available_engines,
     create_engine,
-    register_engine,
 )
 from repro.operators import (
     AggregateKind,
@@ -169,7 +168,6 @@ __all__ = [
     "available_engines",
     "check_correct_exploitation",
     "create_engine",
-    "register_engine",
     "count_characterization",
     "join_characterization",
     "max_characterization",

@@ -1,6 +1,6 @@
 """Fluent dataflow API (system S10 in ``docs/architecture.md``).
 
-``Flow`` builds plans verb by verb and runs them on any engine registered
+``Flow`` builds plans verb by verb and runs them on any engine named
 in :mod:`repro.engine.registry`::
 
     from repro.api import Flow, avg
@@ -25,9 +25,6 @@ from repro.engine.registry import (
     available_engines,
     create_engine,
     engine_factory,
-    register_engine,
-    run_plan,
-    unregister_engine,
 )
 from repro.errors import FlowError
 
@@ -43,8 +40,5 @@ __all__ = [
     "engine_factory",
     "max",
     "min",
-    "register_engine",
-    "run_plan",
     "sum",
-    "unregister_engine",
 ]

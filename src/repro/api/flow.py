@@ -26,17 +26,18 @@ Design rules:
   validated plan, and anything expressible by hand remains expressible
   (``apply``/``merge`` are the escape hatches for custom operators);
 * engines are addressed **by name** through
-  :mod:`repro.engine.registry`, so the ROADMAP's future backends run
-  existing flows without touching this module;
+  :mod:`repro.engine.registry`, so one flow runs on every engine;
 * client behaviour -- feedback at time *t* on a named sink, polls,
   demands -- is declared on :meth:`Flow.run` rather than wired into
   example code.
 
 Verbs accept per-operator cost kwargs (``tuple_cost=...``,
 ``control_cost=...``) so simulator experiments keep their cost models, a
-``name=`` for stable operator naming, a per-edge ``page_size=``, and a
-``configure=`` callable applied to each freshly built instance (for knobs
-that are not constructor arguments, e.g. ``relay_enabled``).
+``name=`` for stable operator naming, a per-edge ``queue_capacity=``, and
+a ``configure=`` callable applied to each freshly built instance (for
+knobs that are not constructor arguments, e.g. ``relay_enabled``).  The
+page size is the flow's: ``Flow(name, page_size=...)`` sets it for every
+edge.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.engine.plan import (
 )
 from repro.engine.registry import create_engine
 from repro.engine.runtime import RunResult
-from repro.errors import EngineError, FlowError
+from repro.errors import FlowError
 from repro.operators.base import Operator
 from repro.operators.buffer import PriorityBuffer
 from repro.operators.duplicate import Duplicate
@@ -92,7 +93,7 @@ class _Node:
     """One stage of a flow: a name, an operator factory, its output schema."""
 
     __slots__ = (
-        "name", "kind", "factory", "schema", "fanout_ok", "single_use",
+        "name", "factory", "schema", "fanout_ok", "single_use",
         "configure", "consumed", "built", "source_args", "prototype",
         "type_name", "is_source", "op_type",
     )
@@ -100,7 +101,6 @@ class _Node:
     def __init__(
         self,
         name: str,
-        kind: str,
         factory: Callable[[], Operator],
         schema: Schema | None,
         *,
@@ -112,7 +112,6 @@ class _Node:
         is_source: bool | None = None,
     ) -> None:
         self.name = name
-        self.kind = kind
         # Rendering metadata for describe()/to_dot(): recorded up front so
         # topology inspection never needs to build (and therefore never
         # spends a single-use instance).
@@ -169,20 +168,18 @@ class _Edge:
     defers to the run-level ``queue_capacity`` default, if any.
     """
 
-    __slots__ = ("producer", "consumer", "port", "page_size", "capacity")
+    __slots__ = ("producer", "consumer", "port", "capacity")
 
     def __init__(
         self,
         producer: _Node,
         consumer: _Node,
         port: int,
-        page_size: int,
         capacity: int | None = None,
     ) -> None:
         self.producer = producer
         self.consumer = consumer
         self.port = port
-        self.page_size = page_size
         self.capacity = capacity
 
 
@@ -234,7 +231,7 @@ class StreamHandle:
         if node.source_args is None:
             raise FlowError(
                 f"punctuate() applies to a plain source stage; "
-                f"{node.name!r} is a {node.kind} stage"
+                f"{node.name!r} is a {node.type_name} stage"
             )
         if node.consumed:
             raise FlowError(
@@ -256,7 +253,6 @@ class StreamHandle:
         node.prototype = prototype  # supersedes the plain-source prototype
         node.type_name = type(prototype).__name__
         node.op_type = type(prototype)
-        node.kind = "punctuated-source"
         node.source_args = None
         return self
 
@@ -267,7 +263,6 @@ class StreamHandle:
         predicate: Callable[[StreamTuple], bool] | Pattern,
         *,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -276,9 +271,8 @@ class StreamHandle:
         schema = self._require_schema("where")
         return self.flow._derive(
             lambda name: Select(name, schema, predicate, **op_kwargs),
-            name=name, base="where", kind="where", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="where", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     #: Alias for :meth:`where`, for callers who think in map/filter terms.
@@ -288,7 +282,6 @@ class StreamHandle:
         self,
         *attributes: str,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -297,9 +290,8 @@ class StreamHandle:
         schema = self._require_schema("select")
         return self.flow._derive(
             lambda name: Project(name, schema, attributes, **op_kwargs),
-            name=name, base="project", kind="select", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="project", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     def extend(
@@ -308,7 +300,6 @@ class StreamHandle:
         compute: Callable[[StreamTuple], Sequence[Any]],
         *,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -319,9 +310,8 @@ class StreamHandle:
             lambda name: Map.extending(
                 name, schema, new_attributes, compute, **op_kwargs
             ),
-            name=name, base="map", kind="extend", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="map", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     def window(
@@ -333,7 +323,6 @@ class StreamHandle:
         by: str | Sequence[str] = (),
         slide: float | None = None,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -361,9 +350,8 @@ class StreamHandle:
                 group_by=group_by,
                 **op_kwargs,
             ),
-            name=name, base="window", kind="window", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="window", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     def buffer(
@@ -371,7 +359,6 @@ class StreamHandle:
         *,
         capacity: int = 64,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -382,16 +369,14 @@ class StreamHandle:
             lambda name: PriorityBuffer(
                 name, schema, capacity=capacity, **op_kwargs
             ),
-            name=name, base="buffer", kind="buffer", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="buffer", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     def apply(
         self,
         operator: Operator | Callable[[], Operator],
         *,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
     ) -> "StreamHandle":
@@ -401,8 +386,8 @@ class StreamHandle:
         pre-built instance is accepted but makes the flow single-build.
         """
         return self.flow._attach_custom(
-            operator, inputs=(self,), page_size=page_size,
-            queue_capacity=queue_capacity, configure=configure,
+            operator, inputs=(self,), queue_capacity=queue_capacity,
+            configure=configure,
         )
 
     # -- fan-out / fan-in ---------------------------------------------------------
@@ -412,7 +397,6 @@ class StreamHandle:
         n: int = 2,
         *,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -428,8 +412,8 @@ class StreamHandle:
         schema = self._require_schema("split")
         handle = self.flow._derive(
             lambda name: Duplicate(name, schema, **op_kwargs),
-            name=name, base="duplicate", kind="split", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
+            name=name, base="duplicate", inputs=(self,),
+            queue_capacity=queue_capacity,
             configure=configure, fanout_ok=True,
         )
         return tuple(
@@ -443,9 +427,7 @@ class StreamHandle:
         key: str | Sequence[str],
         pipeline: Callable[..., "StreamHandle"],
         name: str | None = None,
-        merge_name: str | None = None,
         stash_limit: int = 256,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -523,8 +505,8 @@ class StreamHandle:
                     nm, schema, key=key_tuple, fanout=n,
                     stash_limit=stash_limit, **op_kwargs,
                 ),
-                name=name, base="shard", kind="shard", inputs=(self,),
-                page_size=page_size, queue_capacity=queue_capacity,
+                name=name, base="shard", inputs=(self,),
+                queue_capacity=queue_capacity,
                 configure=configure, fanout_ok=True,
             )
             part_node = part._node
@@ -548,9 +530,8 @@ class StreamHandle:
                 lambda nm: ShardMerge(
                     nm, outs[0]._node.schema, arity=n
                 ),
-                name=merge_name, base=f"{part_node.name}_merge",
-                kind="shard-merge", inputs=tuple(outs),
-                page_size=page_size, queue_capacity=queue_capacity,
+                name=None, base=f"{part_node.name}_merge",
+                inputs=tuple(outs), queue_capacity=queue_capacity,
             )
         except BaseException:
             (flow._nodes, flow._edges, flow._names,
@@ -573,7 +554,6 @@ class StreamHandle:
         self,
         *others: "StreamHandle",
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -585,9 +565,8 @@ class StreamHandle:
         arity = len(inputs)
         return self.flow._derive(
             lambda name: Union(name, schema, arity=arity, **op_kwargs),
-            name=name, base="union", kind="union", inputs=inputs,
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="union", inputs=inputs,
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     def pace(
@@ -596,7 +575,6 @@ class StreamHandle:
         on: str,
         interval: float,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         feedback_enabled: bool = True,
         feedback_interval: float = 0.0,
@@ -642,9 +620,8 @@ class StreamHandle:
                 self.flow.source(schema, [], name=f"{stage_name}_empty"),
             )
         return self.flow._derive(
-            make, name=stage_name, base="pace", kind="pace", inputs=inputs,
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            make, name=stage_name, base="pace", inputs=inputs,
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     def join(
@@ -655,7 +632,6 @@ class StreamHandle:
         how: str = "inner",
         condition: Callable[[StreamTuple, StreamTuple], bool] | None = None,
         name: str | None = None,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -668,9 +644,8 @@ class StreamHandle:
                 name, left, right, on,
                 condition=condition, how=how, **op_kwargs,
             ),
-            name=name, base="join", kind="join", inputs=(self, other),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="join", inputs=(self, other),
+            queue_capacity=queue_capacity, configure=configure,
         )
 
     # -- terminals ----------------------------------------------------------------
@@ -680,7 +655,6 @@ class StreamHandle:
         name: str = "sink",
         *,
         keep_punctuation: bool = False,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -696,9 +670,8 @@ class StreamHandle:
                 name, schema, keep_punctuation=keep_punctuation,
                 **op_kwargs,
             ),
-            name=name, base="sink", kind="collect", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="sink", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
         return self.flow
 
@@ -707,7 +680,6 @@ class StreamHandle:
         name: str = "sink",
         *,
         keep_punctuation: bool = False,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -725,9 +697,9 @@ class StreamHandle:
                 name, schema, keep_punctuation=keep_punctuation,
                 **op_kwargs,
             ),
-            name=name, base="sink", kind="collect-awaitable",
-            inputs=(self,), page_size=page_size,
-            queue_capacity=queue_capacity, configure=configure,
+            name=name, base="sink",
+            inputs=(self,), queue_capacity=queue_capacity,
+            configure=configure,
         )
         return self.flow
 
@@ -736,10 +708,8 @@ class StreamHandle:
         name: str = "out",
         *,
         high_water: int = 64,
-        low_water: int | None = None,
         retain: int | None = 1024,
         keep_punctuation: bool = False,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -748,16 +718,16 @@ class StreamHandle:
 
         The serving delivery terminal: every result is pushed into the
         flow's :meth:`Flow.hub` the moment it is produced, fanning out
-        to live subscribers (SSE/websocket clients).  ``high_water`` /
-        ``low_water`` bound each subscriber's buffer via the hub's
-        admission gate; ``retain`` caps the sink's local result history
+        to live subscribers (SSE/websocket clients).  ``high_water``
+        bounds each subscriber's buffer via the hub's admission gate
+        (which re-opens at a quarter of it); ``retain`` caps the sink's local result history
         so always-on flows run in bounded memory (``docs/serving.md``).
 
         Like :meth:`Flow.ingest`'s channel, the hub persists across
         builds: subscribers survive a supervised restart.
         """
         schema = self.schema
-        hub = Broadcast(name, high_water=high_water, low_water=low_water)
+        hub = Broadcast(name, high_water=high_water)
         self.flow._derive(
             lambda name: PushSink(
                 name, schema, publish=hub.publish_page,
@@ -765,9 +735,8 @@ class StreamHandle:
                 retain=retain, keep_punctuation=keep_punctuation,
                 **op_kwargs,
             ),
-            name=name, base="out", kind="push", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="out", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
         self.flow._serving_hubs[name] = hub
         return self.flow
@@ -776,7 +745,6 @@ class StreamHandle:
         self,
         name: str = "client",
         *,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         **op_kwargs: Any,
@@ -785,9 +753,8 @@ class StreamHandle:
         schema = self.schema
         self.flow._derive(
             lambda name: OnDemandSink(name, schema, **op_kwargs),
-            name=name, base="client", kind="on-demand", inputs=(self,),
-            page_size=page_size, queue_capacity=queue_capacity,
-            configure=configure,
+            name=name, base="client", inputs=(self,),
+            queue_capacity=queue_capacity, configure=configure,
         )
         return self.flow
 
@@ -819,8 +786,8 @@ class StreamHandle:
 class Flow:
     """A named dataflow under construction; compiles to :class:`QueryPlan`.
 
-    ``page_size`` is the default data-queue page size for every edge;
-    individual verbs override it per edge.  A flow is re-runnable: every
+    ``page_size`` is the data-queue page size of every edge.  A flow is
+    re-runnable: every
     :meth:`build` (and therefore every :meth:`run`) instantiates fresh
     operators from the recorded specs.
     """
@@ -863,9 +830,7 @@ class Flow:
             return ListSource(stage_name, schema, timeline, **op_kwargs)
 
         prototype = factory()  # validate the timeline eagerly
-        node = _Node(
-            stage_name, "source", factory, schema, prototype=prototype
-        )
+        node = _Node(stage_name, factory, schema, prototype=prototype)
         node.source_args = (schema, timeline, op_kwargs)
         self._commit_node(node)
         return StreamHandle(self, node)
@@ -881,7 +846,7 @@ class Flow:
         """Add a lazy generator source (arbitrarily long streams)."""
         stage_name = self._next_name(name, "source")
         node = _Node(
-            stage_name, "generator-source",
+            stage_name,
             lambda: GeneratorSource(
                 stage_name, schema, events_factory, **op_kwargs
             ),
@@ -911,7 +876,7 @@ class Flow:
         """
         stage_name = self._next_name(name, "source")
         node = _Node(
-            stage_name, "async-source",
+            stage_name,
             lambda: AsyncIterableSource(
                 stage_name, schema, events_factory, **op_kwargs
             ),
@@ -996,7 +961,6 @@ class Flow:
         self,
         operator: Operator | Callable[[], Operator],
         *inputs: StreamHandle,
-        page_size: int | None = None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
     ) -> StreamHandle:
@@ -1004,8 +968,8 @@ class Flow:
         if not inputs:
             raise FlowError("merge() needs at least one input handle")
         return self._attach_custom(
-            operator, inputs=inputs, page_size=page_size,
-            queue_capacity=queue_capacity, configure=configure,
+            operator, inputs=inputs, queue_capacity=queue_capacity,
+            configure=configure,
         )
 
     # -- compilation --------------------------------------------------------------
@@ -1030,7 +994,7 @@ class Flow:
                 instances[id(edge.producer)],
                 instances[id(edge.consumer)],
                 port=edge.port,
-                page_size=edge.page_size,
+                page_size=self.page_size,
                 capacity=(
                     edge.capacity if edge.capacity is not None
                     else queue_capacity
@@ -1185,11 +1149,6 @@ class Flow:
             schedule.append(
                 (float(when), lambda act=action: act(plan), owner)
             )
-        if schedule and not hasattr(runner, "at"):
-            raise EngineError(
-                f"engine {engine!r} does not support scheduled actions "
-                f"(no at() hook); cannot inject feedback declaratively"
-            )
         for when, thunk, owner in schedule:
             runner.at(when, thunk, owner=owner)
         return runner.run()
@@ -1262,9 +1221,7 @@ class Flow:
         *,
         name: str | None,
         base: str,
-        kind: str,
         inputs: Sequence[StreamHandle],
-        page_size: int | None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None = None,
         fanout_ok: bool = False,
@@ -1280,11 +1237,11 @@ class Flow:
                 f"{prototype!r}, not an Operator"
             )
         node = _Node(
-            stage_name, kind, factory, prototype.output_schema,
+            stage_name, factory, prototype.output_schema,
             fanout_ok=fanout_ok, configure=configure, prototype=prototype,
         )
         return self._attach(
-            node, prototype.n_inputs, inputs, page_size, queue_capacity
+            node, prototype.n_inputs, inputs, queue_capacity
         )
 
     def _attach_custom(
@@ -1292,7 +1249,6 @@ class Flow:
         operator: Operator | Callable[[], Operator],
         *,
         inputs: Sequence[StreamHandle],
-        page_size: int | None,
         queue_capacity: int | None = None,
         configure: Callable[[Operator], None] | None,
     ) -> StreamHandle:
@@ -1318,14 +1274,14 @@ class Flow:
         # The name is baked into the operator: a clash raises here.
         stage_name = self._next_name(prototype.name, prototype.name)
         node = _Node(
-            stage_name, "custom", factory, prototype.output_schema,
+            stage_name, factory, prototype.output_schema,
             single_use=single_use, configure=configure,
             prototype=None if single_use else prototype,
             type_name=type(prototype).__name__,
             is_source=prototype.n_inputs == 0,
         )
         return self._attach(
-            node, prototype.n_inputs, inputs, page_size, queue_capacity
+            node, prototype.n_inputs, inputs, queue_capacity
         )
 
     def _attach(
@@ -1333,7 +1289,6 @@ class Flow:
         node: _Node,
         n_inputs: int,
         inputs: Sequence[StreamHandle],
-        page_size: int | None,
         queue_capacity: int | None,
     ) -> StreamHandle:
         """Check the stage's port count, commit it, wire ``inputs`` in."""
@@ -1343,12 +1298,9 @@ class Flow:
                 f"port(s) but {len(inputs)} stream(s) were supplied"
             )
         self._commit_node(node)
-        edge_page = self.page_size if page_size is None else page_size
         for port, handle in enumerate(inputs):
             producer = handle._consume()
-            self._edges.append(
-                _Edge(producer, node, port, edge_page, queue_capacity)
-            )
+            self._edges.append(_Edge(producer, node, port, queue_capacity))
         return StreamHandle(self, node)
 
     def __repr__(self) -> str:

@@ -7,14 +7,12 @@ plan like any punctuation (a Chandy-Lamport cut aligned at multi-input
 operators), snapshotting each operator's state into a pluggable
 :class:`CheckpointStore`; replayable sources record the offset each
 epoch captured, and ``flow.run(recover_from=...)`` restores state,
-rewinds sources, and -- under ``ingestion_policy="exactly-once"`` --
-deduplicates the sink-side replay window (the AsterixDB-style
-declarative ingestion policies).  See ``docs/durability.md``.
+rewinds sources, and deduplicates the sink-side replay window, so a
+recovered run delivers exactly once.  See ``docs/durability.md``.
 """
 
 from repro.durability.coordinator import (
     CheckpointCoordinator,
-    INGESTION_POLICIES,
     activate_durability,
     delivery_key,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "CheckpointCoordinator",
     "CheckpointStore",
     "DirectoryCheckpointStore",
-    "INGESTION_POLICIES",
     "MemoryCheckpointStore",
     "ReplayableSource",
     "activate_durability",

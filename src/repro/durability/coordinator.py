@@ -20,8 +20,8 @@ recover_from=...)``).  It owns the four jobs the runtime delegates:
   replayable with no source-side code;
 * **recovery** -- :meth:`restore` finds the latest *complete* epoch in a
   store, restores every operator's snapshot, computes replay offsets,
-  rebuilds sink output from the delivery logs, and (under exactly-once
-  ingestion) arms each sink's replay-window deduplication filter.
+  rebuilds sink output from the delivery logs, and arms each sink's
+  replay-window deduplication filter, so recovery is exactly-once.
 
 The consistency argument is Chandy-Lamport with aligned markers: a
 marker flows in band behind every pre-cut tuple, multi-input operators
@@ -59,8 +59,6 @@ __all__ = [
 
 _PICKLE_PROTOCOL = 4
 
-INGESTION_POLICIES = ("exactly-once", "at-least-once")
-
 
 def delivery_key(element: Any) -> Any:
     """Identity under which sink deliveries deduplicate on replay.
@@ -85,13 +83,7 @@ class CheckpointCoordinator:
         store: CheckpointStore,
         *,
         every: int | None = None,
-        policy: str = "exactly-once",
     ) -> None:
-        if policy not in INGESTION_POLICIES:
-            raise DurabilityError(
-                f"unknown ingestion_policy {policy!r}; expected one of "
-                f"{INGESTION_POLICIES}"
-            )
         if every is not None and every <= 0:
             raise DurabilityError(
                 f"checkpoint_every must be a positive tuple count, "
@@ -100,7 +92,6 @@ class CheckpointCoordinator:
         self.plan = plan
         self.store = store
         self.every = every
-        self.policy = policy
         #: Elements each source must skip on this run (recovery rewind).
         self.replay_offsets: dict[str, int] = {}
         #: Live per-source emission counts (epoch closes, finished records).
@@ -250,9 +241,9 @@ class CheckpointCoordinator:
         """Rewind the plan to ``store``'s latest complete epoch.
 
         With no complete epoch the run degrades gracefully: sources
-        replay from the beginning and (under exactly-once) the dedup
-        window spans the whole delivery log, so the final sink output is
-        still exactly the uninterrupted run's.
+        replay from the beginning and the dedup window spans the whole
+        delivery log, so the final sink output is still exactly the
+        uninterrupted run's.
         """
         epoch = self.latest_complete(store)
         self.recovered_epoch = epoch
@@ -281,9 +272,8 @@ class CheckpointCoordinator:
             if not log:
                 continue
             window = op.reload_from_log(log)
-            if self.policy == "exactly-once":
-                dedup = Counter(delivery_key(entry[1]) for entry in window)
-                op._ckpt_dedup = dedup if dedup else None
+            dedup = Counter(delivery_key(entry[1]) for entry in window)
+            op._ckpt_dedup = dedup if dedup else None
         return epoch
 
     def attach_sinks(self) -> None:
@@ -299,7 +289,6 @@ def activate_durability(
     every: int | None = None,
     store: Any = None,
     recover_from: Any = None,
-    policy: str = "exactly-once",
 ) -> CheckpointCoordinator:
     """Build (and, when recovering, apply) a plan's durability state.
 
@@ -316,9 +305,7 @@ def activate_durability(
             recover_store if recover_store is not None
             else MemoryCheckpointStore()
         )
-    coordinator = CheckpointCoordinator(
-        plan, forward_store, every=every, policy=policy
-    )
+    coordinator = CheckpointCoordinator(plan, forward_store, every=every)
     if recover_store is not None:
         coordinator.restore(recover_store)
     coordinator.attach_sinks()

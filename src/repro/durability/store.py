@@ -12,8 +12,8 @@ checkpoint *epoch* the marker sweep that produced them belongs to:
   completely before the run ends;
 * **sink delivery logs** -- an append-only, per-sink log of delivered
   results, flushed to durable form every time a marker passes the sink.
-  Recovery uses it to rebuild sink output and (under exactly-once
-  ingestion) to deduplicate the replay window.
+  Recovery uses it to rebuild sink output and to deduplicate the replay
+  window.
 
 An epoch is *complete* -- safe to recover from -- only when every
 non-source operator has a state record and every source has an offset or

@@ -17,9 +17,8 @@ scheduling policy per engine over a shared mechanism core.
 * :class:`MultiprocessEngine` -- worker-process-per-operator-group
   runtime with columnar page serialization at the process boundaries,
   for real CPU parallelism past the GIL (``docs/engines.md``);
-* the engine registry -- engines addressable by name
-  (``register_engine`` / ``create_engine``), the pluggable backend
-  surface behind ``repro.api.Flow.run``;
+* the engine registry -- the four engines addressable by name
+  (``create_engine``), the surface behind ``repro.api.Flow.run``;
 * metrics containers shared by all of them.
 """
 
@@ -37,9 +36,6 @@ from repro.engine.registry import (
     available_engines,
     create_engine,
     engine_factory,
-    register_engine,
-    run_plan,
-    unregister_engine,
 )
 from repro.engine.runtime import RunResult, RuntimeCore
 from repro.engine.simulator import Simulator
@@ -53,9 +49,6 @@ __all__ = [
     "available_engines",
     "create_engine",
     "engine_factory",
-    "register_engine",
-    "run_plan",
-    "unregister_engine",
     "QuiescenceReport",
     "audit_quiescence",
     "OperatorMetrics",

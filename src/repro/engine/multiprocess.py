@@ -448,7 +448,6 @@ class MultiprocessEngine(RuntimeCore):
             options = dict(
                 checkpoint_every=self.checkpoints.every,
                 checkpoint_store=self.checkpoints.store,
-                ingestion_policy=self.checkpoints.policy,
             )
         runtime = _WorkerRuntime(
             self.plan,

@@ -258,14 +258,13 @@ class QueryPlan:
         port: int = 0,
         page_size: int = DEFAULT_PAGE_SIZE,
         capacity: int | None = None,
-        low_water: int | None = None,
     ) -> OutputEdge:
         """Wire producer -> consumer[port] with a fresh queue + channel.
 
         ``capacity`` bounds the edge's data queue (high-water mark in
-        elements) and opts the edge into runtime backpressure;
-        ``low_water`` overrides the relief mark (default ``capacity //
-        2``).  Unbounded (the default) edges behave exactly as before.
+        elements; relief at ``capacity // 2``) and opts the edge into
+        runtime backpressure.  Unbounded (the default) edges behave
+        exactly as before.
 
         Duplicate wiring of the same ``(consumer, port)`` is rejected up
         front -- before either endpoint is mutated -- so a bad ``connect``
@@ -287,10 +286,7 @@ class QueryPlan:
             if op.name not in self._operators:
                 self.add(op)
         edge_name = f"{producer.name}->{consumer.name}[{port}]"
-        queue = DataQueue(
-            edge_name, page_size=page_size,
-            capacity=capacity, low_water=low_water,
-        )
+        queue = DataQueue(edge_name, page_size=page_size, capacity=capacity)
         control = ControlChannel(edge_name)
         edge = OutputEdge(queue, control, consumer, port)
         producer.attach_output(edge)
@@ -310,11 +306,11 @@ class QueryPlan:
 
         Optimizer rewrites replace an edge's endpoint but must not change
         the edge's *queue configuration*: a bounded, backpressure-capable
-        edge (``capacity``/``low_water``) or a custom ``page_size`` that
-        silently reverted to defaults would alter runtime behaviour in a
-        way no equivalence harness at default settings could see.  This
-        is the rewrite-safe variant of :meth:`connect`: page size,
-        capacity and low-water mark all come from ``like``'s queue.
+        edge (``capacity``) or a custom ``page_size`` that silently
+        reverted to defaults would alter runtime behaviour in a way no
+        equivalence harness at default settings could see.  This is the
+        rewrite-safe variant of :meth:`connect`: page size and capacity
+        (and so the relief mark) come from ``like``'s queue.
         """
         queue = like.queue
         return self.connect(
@@ -323,7 +319,6 @@ class QueryPlan:
             port=like.consumer_port if port is None else port,
             page_size=queue.page_size,
             capacity=queue.capacity,
-            low_water=queue.low_water if queue.capacity is not None else None,
         )
 
     def disconnect(self, edge: OutputEdge) -> None:

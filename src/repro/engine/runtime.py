@@ -159,11 +159,11 @@ class RuntimeCore:
     control_latency:
         Seconds (on the engine's clock) between sending a control
         message and its arrival -- feedback propagation delay; default 0.
-    checkpoint_every, checkpoint_store, recover_from, ingestion_policy:
+    checkpoint_every, checkpoint_store, recover_from:
         Durability (``docs/durability.md``): a marker every so many
-        source elements, where snapshots go, the store to resume from,
-        and ``"exactly-once"`` or ``"at-least-once"`` replay.  Setting
-        any of the first three activates the coordinator.
+        source elements, where snapshots go, and the store to resume
+        from, exactly once.  Setting any of them activates the
+        coordinator.
     """
 
     def __init__(
@@ -175,7 +175,6 @@ class RuntimeCore:
         checkpoint_every: int | None = None,
         checkpoint_store: Any = None,
         recover_from: Any = None,
-        ingestion_policy: str = "exactly-once",
     ) -> None:
         plan.validate()
         self.plan = plan
@@ -209,7 +208,6 @@ class RuntimeCore:
                 every=checkpoint_every,
                 store=checkpoint_store,
                 recover_from=recover_from,
-                policy=ingestion_policy,
             )
 
     # -- runtime surface seen by operators -----------------------------------------

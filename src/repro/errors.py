@@ -79,8 +79,8 @@ class ServingError(ReproError):
 class DurabilityError(ReproError):
     """Checkpointing or recovery was configured or used incorrectly.
 
-    Raised for unknown ingestion policies, non-positive checkpoint
-    intervals, and stores that cannot serve the requesting engine (an
-    in-memory store under the multiprocess engine, whose forked workers
-    would write into throwaway copies).
+    Raised for non-positive checkpoint intervals and for stores that
+    cannot serve the requesting engine (an in-memory store under the
+    multiprocess engine, whose forked workers would write into throwaway
+    copies).
     """

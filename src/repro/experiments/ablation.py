@@ -28,7 +28,7 @@ from repro.experiments.exp2 import (
     Exp2CellResult,
     Exp2Config,
     _build_plan,
-    _viewer_schedule,
+    _viewer_feedback,
     run_cell,
 )
 from repro.operators.duplicate import Duplicate
@@ -108,8 +108,8 @@ def run_centralized_ablation(
     plan.connect(duplicate, monitor, page_size=config.page_size)
 
     simulator = Simulator(plan)
-    for when, feedback in _viewer_schedule(
-        config, switch_minutes, average, sink
+    for when, feedback in _viewer_feedback(
+        config, switch_minutes, average.output_schema, issuer=sink.name
     ):
         delayed = when + decision_interval
         simulator.at(

@@ -227,15 +227,6 @@ def _viewer_feedback(
     return schedule
 
 
-def _viewer_schedule(
-    config: Exp2Config, switch_minutes: float, average, sink
-) -> list[tuple[float, FeedbackPunctuation]]:
-    """Back-compat wrapper taking operator instances (see tests)."""
-    return _viewer_feedback(
-        config, switch_minutes, average.output_schema, issuer=sink.name
-    )
-
-
 def run_cell(
     config: Exp2Config,
     scheme: str,

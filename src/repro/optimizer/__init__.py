@@ -20,9 +20,10 @@ Every pass preserves the punctuation/feedback protocol observably: sink
 data (as a multiset), sink punctuation, and feedback effects at sources
 are identical to the unoptimized plan -- the property the differential
 harness in ``tests/test_optimizer_equivalence.py`` checks mechanically.
-Rewritten edges carry their queue configuration (``page_size``,
-``capacity``, ``low_water``) through :meth:`QueryPlan.connect_like`, so
-backpressure behaviour survives rewrites too.
+Rewritten edges carry their queue configuration (``page_size`` and
+``capacity``, which fixes the relief mark) through
+:meth:`QueryPlan.connect_like`, so backpressure behaviour survives
+rewrites too.
 
 Exploits the operator-equivalence observations in *On the Semantic
 Overlap of Operators in Stream Processing Engines* (see PAPERS.md): the

@@ -10,14 +10,11 @@ on the wire is visible to the tests.
 
 One function per direction knows each protocol: :func:`read_request` for
 HTTP, :func:`ws_read` / :func:`ws_encode` for websocket frames.  Incoming
-frames are walked two ways -- :meth:`FrameBuffer.take` cuts messages
-synchronously out of the bytes one socket read brought (the server's
-path and :class:`~repro.serving.client.WebSocketClient`'s), ``ws_read``
-on a bare ``StreamReader`` reads frame by frame (``bench/ladder.py``'s
-``serving.ws_read_ns`` row) -- but what a frame may be (the message
-size limit, fragmentation, the control-frame limits of RFC 6455 section
-5.5) is decided by ``_check_head`` and ``_add_fragment``, and nowhere
-else.
+frames are walked in one place, :meth:`FrameBuffer.take`, which cuts
+messages synchronously out of the bytes one socket read brought; what a
+frame may be (the message size limit, fragmentation, the control-frame
+limits of RFC 6455 section 5.5) is decided there by ``_check_head`` and
+``_add_fragment``, and nowhere else.
 
 Scope notes (deliberate): HTTP/1.1 with ``Content-Length`` bodies only
 (no chunked ingest), no TLS (front a real deployment with a terminating
@@ -247,9 +244,8 @@ def ws_encode(
     return bytes(head) + payload
 
 
-# What a frame may be.  Both readers -- :meth:`FrameBuffer.take` and the
-# ``StreamReader`` path of :func:`ws_read` -- walk the bytes their own way
-# and call these two for every decision.
+# What a frame may be: :meth:`FrameBuffer.take` walks the bytes and calls
+# these two for every decision.
 
 
 def _check_head(b1: int, n: int, max_message: int) -> None:
@@ -389,55 +385,25 @@ async def ws_read(
     Returns ``(opcode, payload)``; ``None`` on EOF.  Control frames
     (ping/pong/close) are returned as-is -- they are never fragmented,
     but RFC 6455 section 5.4 lets a peer send one *between* the fragments
-    of a message: the fragments read so far then wait on ``reader`` (the
-    connection's own state) and the next call carries on from them.
+    of a message: the fragments read so far then wait in the
+    :class:`FrameBuffer` (the connection's own state) and the next call
+    carries on from them.
 
-    On a :class:`FrameBuffer` this is :meth:`FrameBuffer.take`, going
-    back to the socket only while the buffer holds no whole message; any
-    other ``reader`` is read frame by frame with ``readexactly``.  Either
-    way :func:`_check_head` and :func:`_add_fragment` decide what a frame
-    may be, and a refused frame raises :class:`~repro.errors.ServingError`.
+    This is :meth:`FrameBuffer.take`, going back to the socket only while
+    the buffer holds no whole message.  A bare ``StreamReader`` is read
+    through a :class:`FrameBuffer` kept on the reader from its first call
+    on.  A refused frame raises :class:`~repro.errors.ServingError`.
     """
-    if isinstance(reader, FrameBuffer):
-        while (message := reader.take(max_message)) is None:
-            if not await reader.fill():
-                return None
-        return message
-    # Only read here: giving every reader an extra attribute (or popping
-    # from its ``__dict__``) takes CPython's shared-key instances off
-    # their fast path and costs ``readexactly`` ~20% -- so the attribute
-    # exists only from an interleaved control frame to the next call.
-    partial = getattr(reader, "_ws_partial", None)
-    if partial is None:
-        message_opcode: int | None = None
-        message = bytearray()
-    else:
-        message_opcode, message = partial
-        del reader._ws_partial  # type: ignore[attr-defined]
-    while True:
-        try:
-            b1, b2 = await reader.readexactly(2)
-        except asyncio.IncompleteReadError:
+    if not isinstance(reader, FrameBuffer):
+        # Kept on the reader, not in a weak-keyed table: the buffer holds
+        # the reader, so such an entry would never be freed.  From here on
+        # only the buffer reads the reader, one ``read()`` per 64 KiB.
+        buffer = getattr(reader, "_ws_frames", None)
+        if buffer is None:
+            buffer = FrameBuffer(reader)
+            reader._ws_frames = buffer  # type: ignore[attr-defined]
+        reader = buffer
+    while (message := reader.take(max_message)) is None:
+        if not await reader.fill():
             return None
-        n = b2 & 0x7F
-        if n == 126:
-            (n,) = struct.unpack("!H", await reader.readexactly(2))
-        elif n == 127:
-            (n,) = struct.unpack("!Q", await reader.readexactly(8))
-        _check_head(b1, n, max_message)  # before the payload is read
-        key = await reader.readexactly(4) if b2 & 0x80 else b""
-        payload = await reader.readexactly(n)
-        if key:
-            payload = _mask(payload, key)
-        opcode = b1 & 0x0F
-        if opcode >= WS_CLOSE:
-            if message_opcode is not None:
-                reader._ws_partial = (  # type: ignore[attr-defined]
-                    message_opcode, message
-                )
-            return opcode, payload
-        message_opcode = _add_fragment(
-            message_opcode, message, opcode, payload, max_message
-        )
-        if b1 & 0x80:
-            return message_opcode, bytes(message)
+    return message

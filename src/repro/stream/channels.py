@@ -273,11 +273,12 @@ class Broadcast:
     (from inside the engine's sink callback); each live subscriber gets
     the element appended to its own bounded buffer.  When any buffer
     reaches ``high_water`` the gate closes; once *every* buffer is back
-    at or below ``low_water`` it re-opens.  Publishing itself never
-    blocks and never drops -- the bound is enforced by admission paths
-    awaiting :meth:`wait_open` before feeding the plan more input, which
-    is how a slow SSE/websocket consumer stalls the producing client
-    instead of ballooning server memory (docs/serving.md).
+    at or below ``low_water = high_water // 4`` it re-opens.  Publishing
+    itself never blocks and never drops -- the bound is enforced by
+    admission paths awaiting :meth:`wait_open` before feeding the plan
+    more input, which is how a slow SSE/websocket consumer stalls the
+    producing client instead of ballooning server memory
+    (docs/serving.md).
     """
 
     def __init__(
@@ -285,22 +286,14 @@ class Broadcast:
         name: str,
         *,
         high_water: int = 64,
-        low_water: int | None = None,
     ) -> None:
         if high_water < 1:
             raise ServingError(
                 f"hub {name!r} needs high_water >= 1, got {high_water}"
             )
-        if low_water is None:
-            low_water = high_water // 4
-        if not 0 <= low_water < high_water:
-            raise ServingError(
-                f"hub {name!r} needs 0 <= low_water < high_water, got "
-                f"low_water={low_water}, high_water={high_water}"
-            )
         self.name = name
         self.high_water = high_water
-        self.low_water = low_water
+        self.low_water = high_water // 4
         self._subscribers: list[Subscription] = []
         self._gate = asyncio.Event()
         self._gate.set()

@@ -60,10 +60,10 @@ class DataQueue:
 
     ``name`` identifies the edge for diagnostics (``"select->average"``).
 
-    ``capacity`` (elements) is the high-water mark for backpressure;
-    ``low_water`` (default ``capacity // 2``) is the relief mark.  With
-    ``capacity=None`` (the default) the queue is unbounded and behaves
-    exactly as before watermarks existed.
+    ``capacity`` (elements) is the high-water mark for backpressure, and
+    ``low_water = capacity // 2`` the relief mark.  With ``capacity=None``
+    (the default) the queue is unbounded and behaves exactly as before
+    watermarks existed.
     """
 
     __slots__ = ("name", "page_size", "capacity", "low_water",
@@ -77,28 +77,15 @@ class DataQueue:
         page_size: int = DEFAULT_PAGE_SIZE,
         *,
         capacity: int | None = None,
-        low_water: int | None = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise EngineError(
                 f"{name or 'queue'}: capacity must be >= 1, got {capacity}"
             )
-        if low_water is None:
-            low_water = 0 if capacity is None else capacity // 2
-        elif capacity is None:
-            raise EngineError(
-                f"{name or 'queue'}: low_water requires a capacity"
-            )
-        elif not 0 <= low_water < capacity:
-            raise EngineError(
-                f"{name or 'queue'}: low_water must satisfy "
-                f"0 <= low_water < capacity, got {low_water} "
-                f"(capacity {capacity})"
-            )
         self.name = name
         self.page_size = page_size
         self.capacity = capacity
-        self.low_water = low_water
+        self.low_water = 0 if capacity is None else capacity // 2
         #: True between the consumer signalling *pause* (occupancy crossed
         #: the high-water mark) and *resume* (drained to the low-water
         #: mark).  Maintained by the runtime, never by the queue.

@@ -277,10 +277,10 @@ class TestScheduledActions:
     def test_control_latency_defers_delivery_on_the_wall_clock(self):
         """Feedback in flight for 50ms lands mid-stream: the guard then
         suppresses later matching tuples (mirrors the threaded test)."""
-        flow = Flow("latency")
+        flow = Flow("latency", page_size=1)
         flow.from_async_iterable(
             SCHEMA, feed(20, delay=0.01, keys=2), name="src",
-        ).collect("sink", page_size=1)
+        ).collect("sink")
         fb = FeedbackPunctuation.assumed(
             Pattern.from_mapping(SCHEMA, {"k": 1})
         )

@@ -92,13 +92,16 @@ class TestQueueWatermarks:
         assert queue.peak_occupancy == 10
 
     def test_watermark_flags(self):
-        queue = DataQueue("q", page_size=2, capacity=4, low_water=1)
+        queue = DataQueue("q", page_size=1, capacity=4)
         for tup in tuples(4):
             queue.put(tup)
         assert queue.above_high_water
         assert not queue.below_low_water
-        while queue.occupancy > 1:
-            queue.get_page()
+        queue.get_page()
+        assert queue.occupancy == 3
+        assert not queue.above_high_water
+        assert not queue.below_low_water
+        queue.get_page()
         assert queue.below_low_water
 
     def test_default_low_water_is_half_capacity(self):
@@ -108,18 +111,14 @@ class TestQueueWatermarks:
     def test_validation(self):
         with pytest.raises(EngineError):
             DataQueue("q", capacity=0)
-        with pytest.raises(EngineError):
-            DataQueue("q", low_water=3)  # low_water without capacity
-        with pytest.raises(EngineError):
-            DataQueue("q", capacity=4, low_water=4)
 
     def test_plan_connect_passes_capacity(self):
         plan = QueryPlan("p")
         src = ListSource("src", SCHEMA, timeline(1))
         sink = CollectSink("sink", SCHEMA)
-        edge = plan.connect(src, sink, capacity=32, low_water=8)
+        edge = plan.connect(src, sink, capacity=32)
         assert edge.queue.capacity == 32
-        assert edge.queue.low_water == 8
+        assert edge.queue.low_water == 16
 
 
 # -------------------------------------------------------- punctuation object

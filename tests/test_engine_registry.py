@@ -15,9 +15,6 @@ from repro.engine.registry import (
     available_engines,
     create_engine,
     engine_factory,
-    register_engine,
-    run_plan,
-    unregister_engine,
 )
 from repro.errors import EngineError
 
@@ -70,33 +67,6 @@ class TestBuiltins:
         assert engine.timeout == 7.5
         assert engine.emulate_costs is True
 
-    def test_create_engine_forwards_kwargs_to_custom_policy(self):
-        """A registered policy subclass receives create_engine kwargs
-        verbatim through its constructor."""
-
-        class KnobbedSimulator(Simulator):
-            def __init__(self, plan, *, knob="default", **options):
-                super().__init__(plan, **options)
-                self.knob = knob
-
-        register_engine("knobbed", KnobbedSimulator)
-        try:
-            engine = create_engine(
-                "knobbed", tiny_plan(), knob="tuned", control_latency=0.5
-            )
-            assert engine.knob == "tuned"
-            assert engine.control_latency == 0.5
-            # Unknown kwargs surface as the constructor's TypeError, not
-            # a silent drop.
-            with pytest.raises(TypeError):
-                create_engine("knobbed", tiny_plan(), bogus_option=1)
-        finally:
-            unregister_engine("knobbed")
-
-    def test_run_plan_convenience(self):
-        result = run_plan(tiny_plan(), engine="simulated")
-        assert len(result.sink("out").results) == 5
-
 
 class TestErrorPaths:
     def test_unknown_engine_lists_known_names(self):
@@ -117,56 +87,3 @@ class TestErrorPaths:
     def test_unknown_engine_on_create(self):
         with pytest.raises(EngineError, match="unknown engine"):
             create_engine("warp-drive", tiny_plan())
-
-    def test_double_registration_rejected(self):
-        register_engine("temp-engine", Simulator)
-        try:
-            with pytest.raises(EngineError, match="already registered"):
-                register_engine("temp-engine", ThreadedRuntime)
-        finally:
-            unregister_engine("temp-engine")
-
-    def test_replace_overrides(self):
-        register_engine("temp-engine", Simulator)
-        try:
-            register_engine("temp-engine", ThreadedRuntime, replace=True)
-            assert engine_factory("temp-engine") is ThreadedRuntime
-        finally:
-            unregister_engine("temp-engine")
-
-    def test_unregister_unknown_rejected(self):
-        with pytest.raises(EngineError, match="not registered"):
-            unregister_engine("never-registered")
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(EngineError, match="non-empty"):
-            register_engine("", Simulator)
-
-    def test_non_callable_factory_rejected(self):
-        with pytest.raises(EngineError, match="callable"):
-            register_engine("broken", object())
-
-
-class TestCustomBackend:
-    def test_custom_backend_plugs_into_flow_run(self):
-        """A new backend serves flow.run(engine=...) without API changes."""
-        from repro import Flow
-
-        calls = []
-
-        def tracing_simulator(plan, **options):
-            calls.append(options)
-            return Simulator(plan, **options)
-
-        register_engine("tracing", tracing_simulator)
-        try:
-            flow = Flow("custom")
-            flow.source(
-                SCHEMA,
-                [(float(i), StreamTuple(SCHEMA, (i, i))) for i in range(3)],
-            ).collect("out")
-            result = flow.run(engine="tracing", control_latency=0.25)
-            assert len(result.sink("out").results) == 3
-            assert calls == [{"control_latency": 0.25}]
-        finally:
-            unregister_engine("tracing")

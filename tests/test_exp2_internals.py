@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.exp2 import (
     Exp2Config,
     _build_plan,
-    _viewer_schedule,
+    _viewer_feedback,
 )
 from repro.punctuation import InSet
 
@@ -18,12 +18,18 @@ def config():
 class TestViewerSchedule:
     def test_one_injection_per_switch(self, config):
         plan, ops = _build_plan(config, "F3")
-        schedule = _viewer_schedule(config, 2.0, ops["average"], ops["sink"])
+        schedule = _viewer_feedback(
+            config, 2.0, ops["average"].output_schema,
+            issuer=ops["sink"].name,
+        )
         assert len(schedule) == int(720 // 120)
 
     def test_feedback_covers_invisible_segments_only(self, config):
         plan, ops = _build_plan(config, "F3")
-        schedule = _viewer_schedule(config, 2.0, ops["average"], ops["sink"])
+        schedule = _viewer_feedback(
+            config, 2.0, ops["average"].output_schema,
+            issuer=ops["sink"].name,
+        )
         _, first = schedule[0]
         seg_atom = first.pattern.atom_at("segment")
         assert isinstance(seg_atom, InSet)
@@ -32,7 +38,10 @@ class TestViewerSchedule:
 
     def test_window_range_matches_switch_interval(self, config):
         plan, ops = _build_plan(config, "F3")
-        schedule = _viewer_schedule(config, 2.0, ops["average"], ops["sink"])
+        schedule = _viewer_feedback(
+            config, 2.0, ops["average"].output_schema,
+            issuer=ops["sink"].name,
+        )
         when, first = schedule[0]
         assert when == 0.0
         window_atom = first.pattern.atom_at("window")
@@ -42,7 +51,10 @@ class TestViewerSchedule:
 
     def test_visible_segment_rotates(self, config):
         plan, ops = _build_plan(config, "F3")
-        schedule = _viewer_schedule(config, 2.0, ops["average"], ops["sink"])
+        schedule = _viewer_feedback(
+            config, 2.0, ops["average"].output_schema,
+            issuer=ops["sink"].name,
+        )
         first_invisible = schedule[0][1].pattern.atom_at("segment").values
         second_invisible = schedule[1][1].pattern.atom_at("segment").values
         assert first_invisible != second_invisible
@@ -51,7 +63,10 @@ class TestViewerSchedule:
         """Viewer feedback constrains only delimited attributes."""
         from repro.punctuation import PunctuationScheme
         plan, ops = _build_plan(config, "F3")
-        schedule = _viewer_schedule(config, 2.0, ops["average"], ops["sink"])
+        schedule = _viewer_feedback(
+            config, 2.0, ops["average"].output_schema,
+            issuer=ops["sink"].name,
+        )
         scheme = PunctuationScheme(
             ops["average"].output_schema, delimited=["window"]
         )

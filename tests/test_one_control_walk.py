@@ -41,6 +41,7 @@ from repro import (
 )
 from repro.api import avg, count
 from repro.core.feedback import CheckpointPunctuation, FlowControlPunctuation
+from repro.durability import MemoryCheckpointStore
 from repro.engine import (
     AsyncioEngine,
     MultiprocessEngine,
@@ -70,10 +71,7 @@ from repro.stream.control import (
 SRC = Path(repro.__file__).resolve().parent
 SCHEMA = Schema([("ts", "timestamp", True), ("k", "int"), ("v", "float")])
 UP, DOWN = Direction.UPSTREAM, Direction.DOWNSTREAM
-FEATURE_OPTIONS = (
-    "checkpoint_every", "checkpoint_store", "recover_from",
-    "ingestion_policy",
-)
+FEATURE_OPTIONS = ("checkpoint_every", "checkpoint_store", "recover_from")
 
 
 # -- structure -----------------------------------------------------------------
@@ -206,13 +204,14 @@ class TestStructure:
 
     def test_engines_still_take_the_options_by_name(self):
         plan = linear_plan(Probe("probe"))
+        store = MemoryCheckpointStore()
         engine = Simulator(
             plan, control_latency=0.25, checkpoint_every=10,
-            ingestion_policy="at-least-once",
+            checkpoint_store=store,
         )
         assert engine.control_latency == 0.25
         assert engine.checkpoints.every == 10
-        assert engine.checkpoints.policy == "at-least-once"
+        assert engine.checkpoints.store is store
         with pytest.raises(TypeError, match="no_such_option"):
             ThreadedRuntime(linear_plan(Probe("probe")), no_such_option=1)
 

@@ -16,6 +16,7 @@ clock, not a second scheduling discipline.  Pinned here:
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import re
@@ -26,7 +27,7 @@ import pytest
 
 import repro
 import repro.stream
-from repro import Flow, Schema, StreamTuple
+from repro import Flow, Schema, StreamHandle, StreamTuple
 from repro.engine import (
     AsyncioEngine,
     MultiprocessEngine,
@@ -81,6 +82,33 @@ class TestStructure:
         ) == []
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.elasticity")
+
+    def test_no_surface_only_tests_used_is_left(self):
+        """The engine table is fixed, a bare reader is read through a
+        ``FrameBuffer``, the page size is the flow's, the relief marks
+        follow from the high-water marks, and recovery is exactly-once."""
+        assert offenders(
+            r"register_engine|\brun_plan\b|_ws_partial|ingestion_policy|"
+            r"merge_name",
+            "",
+        ) == []
+        parameters = {
+            arg.arg
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in (*node.args.args, *node.args.kwonlyargs)
+        }
+        assert parameters.isdisjoint(
+            {"low_water", "ingestion_policy", "merge_name"}
+        )
+        for cls in (Flow, StreamHandle):
+            for name, member in vars(cls).items():
+                if name.startswith("_") or not callable(member):
+                    continue
+                assert "page_size" not in inspect.signature(
+                    member
+                ).parameters, f"{cls.__name__}.{name}"
 
     def test_no_signature_probe_of_at(self):
         assert offenders(r"signature\([^)]*\.at\b", "engine", "api") == []

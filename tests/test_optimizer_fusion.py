@@ -74,7 +74,7 @@ class TestRewritePrimitives:
         src = plan.add(ListSource("src", SCHEMA, rows()))
         mid = plan.add(PassThrough("mid", SCHEMA))
         sink_flow = plan.add(PassThrough("tail", SCHEMA))
-        e1 = plan.connect(src, mid, capacity=16, low_water=4, page_size=8)
+        e1 = plan.connect(src, mid, capacity=16, page_size=8)
         e2 = plan.connect(mid, sink_flow)
         return plan, src, mid, sink_flow, e1, e2
 
@@ -109,7 +109,7 @@ class TestRewritePrimitives:
         plan.remove_operator("mid")
         new_edge = plan.connect_like(src, tail, e1)
         assert new_edge.queue.capacity == 16
-        assert new_edge.queue.low_water == 4
+        assert new_edge.queue.low_water == 8
         assert new_edge.queue.page_size == 8
 
     def test_connect_like_unbounded_edge_stays_unbounded(self):

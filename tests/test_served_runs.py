@@ -578,7 +578,7 @@ class TestDelivery:
         from repro.stream.channels import Broadcast
 
         async def main():
-            hub = Broadcast("out", high_water=4, low_water=1)
+            hub = Broadcast("out", high_water=4)
             kept, left = hub.subscribe(), hub.subscribe()
             hub.publish_page([1, 2, 3, 4, 5])
             assert not hub.gate_open and hub.pauses == 1
