@@ -104,6 +104,23 @@ class TestBuild:
         assert plan.operator("w").tuple_cost == 0.25
         assert plan.operator("w").control_cost == 0.5
 
+    def test_every_edge_takes_the_flows_page_size(self):
+        """The page size is the flow's: every edge the verbs wire,
+        shard lanes and fan-out branches included, pages at it."""
+        flow = Flow("paged", page_size=3)
+        left, right = flow.source(SCHEMA, rows(20), name="src").split()
+        lanes = left.where(lambda t: True, name="keep").shard(
+            2, key="sensor",
+            pipeline=lambda lane, index: lane.select("ts", "sensor"),
+        )
+        (lanes.union(right.select("ts", "sensor", name="narrow"))
+              .collect("sink"))
+        plan = flow.build()
+        assert len(plan.edges) == 11
+        assert {edge.queue.page_size for edge in plan.edges} == {3}
+        result = flow.run("simulated")
+        assert len(result.sink("sink").results) == 40
+
     def test_configure_applies_per_build(self):
         flow = Flow("conf")
         (flow.source(SCHEMA, rows(4))

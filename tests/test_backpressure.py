@@ -108,6 +108,22 @@ class TestQueueWatermarks:
         queue = DataQueue("q", capacity=10)
         assert queue.low_water == 5
 
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 9])
+    def test_relief_comes_at_half_the_capacity(self, capacity):
+        """Full at ``capacity``, relieved at ``capacity // 2`` and not a
+        page before -- odd capacities round the mark down, and a queue
+        of one must drain empty."""
+        queue = DataQueue("q", page_size=1, capacity=capacity)
+        for tup in tuples(capacity):
+            assert not queue.above_high_water
+            queue.put(tup)
+        assert queue.above_high_water
+        while queue.occupancy > capacity // 2:
+            assert not queue.below_low_water
+            queue.get_page()
+        assert queue.below_low_water
+        assert not queue.above_high_water
+
     def test_validation(self):
         with pytest.raises(EngineError):
             DataQueue("q", capacity=0)

@@ -16,6 +16,7 @@ from repro.engine.registry import (
     create_engine,
     engine_factory,
 )
+from repro.engine.runtime import RuntimeCore
 from repro.errors import EngineError
 
 SCHEMA = Schema.of("ts", "v")
@@ -36,6 +37,18 @@ class TestBuiltins:
         assert "asyncio" in available_engines()
         assert "simulated" in available_engines()
         assert "threaded" in available_engines()
+
+    def test_the_table_is_the_four_engines(self):
+        assert available_engines() == (
+            "asyncio", "multiprocess", "simulated", "threaded"
+        )
+
+    @pytest.mark.parametrize("name", available_engines())
+    def test_every_engine_takes_timed_actions(self, name):
+        """``Flow.run`` schedules its feedback and actions through
+        ``at``, which every engine in the table has from the core."""
+        assert issubclass(engine_factory(name), RuntimeCore)
+        assert callable(create_engine(name, tiny_plan()).at)
 
     def test_factories_resolve_to_engine_classes(self):
         from repro.engine import AsyncioEngine
@@ -87,3 +100,13 @@ class TestErrorPaths:
     def test_unknown_engine_on_create(self):
         with pytest.raises(EngineError, match="unknown engine"):
             create_engine("warp-drive", tiny_plan())
+
+    def test_unknown_engine_on_flow_run(self):
+        from repro import Flow
+
+        flow = Flow("unknown")
+        flow.source(
+            SCHEMA, [(float(i), StreamTuple(SCHEMA, (i, i))) for i in range(3)]
+        ).collect("out")
+        with pytest.raises(EngineError, match="registered engines: asyncio"):
+            flow.run(engine="warp-drive")

@@ -120,6 +120,25 @@ class TestKillAndResume:
         )
         assert values(recovered) == expect
 
+    def test_a_resumed_run_that_crashes_resumes_again(self, engine):
+        """Exactly-once across two crashes: the resumed run keeps
+        checkpointing into the store it recovered from, and a second
+        resume starts from its newer cut."""
+        expect = values(linear_flow().run(engine))
+        store = MemoryCheckpointStore()
+        with pytest.raises(Exception):
+            linear_flow(bomb_at=70).run(
+                engine, checkpoint_every=50, checkpoint_store=store
+            )
+        with pytest.raises(Exception):
+            linear_flow(bomb_at=90).run(
+                engine, recover_from=store, checkpoint_every=50
+            )
+        recovered = linear_flow().run(
+            engine, recover_from=store, checkpoint_every=50
+        )
+        assert values(recovered) == expect
+
     def test_union_alignment_parity(self, engine):
         expect = Counter(values(union_flow().run(engine)))
         store = MemoryCheckpointStore()

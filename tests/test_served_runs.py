@@ -597,6 +597,25 @@ class TestDelivery:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("high_water", [1, 4, 9])
+    def test_a_hub_reopens_at_a_quarter_of_its_high_water(self, high_water):
+        from repro.stream.channels import Broadcast
+
+        async def main():
+            hub = Broadcast("out", high_water=high_water)
+            slow, fast = hub.subscribe(), hub.subscribe()
+            hub.publish_page(list(range(high_water)))
+            assert not hub.gate_open and hub.pauses == 1
+            fast.take(high_water)             # the slowest buffer decides
+            assert not hub.gate_open
+            while len(slow) > high_water // 4:
+                assert not hub.gate_open
+                slow.take(1)
+            assert hub.gate_open and hub.resumes == 1
+            await asyncio.wait_for(hub.wait_open(), 1)
+
+        asyncio.run(main())
+
 
 # -- read a run ----------------------------------------------------------------
 

@@ -275,6 +275,79 @@ class TestReadingAgainstTheReference:
                 assert reading == expected, end
 
 
+async def fed_piece_by_piece(pieces, max_message):
+    """``ws_read`` on one bare ``StreamReader`` whose bytes arrive a
+    piece at a time while it reads."""
+    reader = asyncio.StreamReader()
+
+    async def feed():
+        for piece in pieces:
+            reader.feed_data(piece)
+            await asyncio.sleep(0)
+        reader.feed_eof()
+
+    feeder = asyncio.ensure_future(feed())
+    try:
+        return await messages(ws_read, reader, max_message)
+    finally:
+        feeder.cancel()
+
+
+class TestOneReaderAcrossCalls:
+    """A bare ``StreamReader`` is read through a :class:`FrameBuffer`
+    that ``ws_read`` keeps on it: what one call read past its message
+    belongs to the next call."""
+
+    @given(stream=streams(), max_message=st.sampled_from((1 << 20, 64)))
+    @settings(max_examples=100, deadline=None)
+    @example(
+        stream=(
+            masked(b"ab", WS_TEXT, False) + masked(b"", WS_PING)
+            + masked(b"cd", WS_CONT), [3, 9, 10],
+        ),
+        max_message=1 << 20,
+    )
+    def test_a_reader_fed_piece_by_piece_reads_as_the_reference(
+        self, stream, max_message
+    ):
+        wire, cuts = stream
+        bounds = [0, *cuts, len(wire)]
+        pieces = [wire[a:b] for a, b in zip(bounds, bounds[1:])]
+
+        async def main():
+            return (
+                await messages(
+                    reference_ws_read, stream_reader(wire), max_message
+                ),
+                await fed_piece_by_piece(pieces, max_message),
+            )
+
+        reference, reading = asyncio.run(main())
+        assert reading == reference
+
+    def test_messages_one_read_brought_come_out_of_later_calls(self):
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"".join(
+                masked(word, WS_TEXT) for word in (b"a", b"bb", b"ccc")
+            ))
+            got = [await asyncio.wait_for(ws_read(reader), 1)
+                   for _ in range(3)]
+            pending = asyncio.ensure_future(ws_read(reader))
+            await asyncio.sleep(0)
+            assert not pending.done()  # all taken: it waits on the socket
+            reader.feed_data(masked(b"dddd", WS_TEXT))
+            got.append(await asyncio.wait_for(pending, 1))
+            reader.feed_eof()
+            got.append(await ws_read(reader))
+            return got
+
+        assert asyncio.run(main()) == [
+            (WS_TEXT, b"a"), (WS_TEXT, b"bb"), (WS_TEXT, b"ccc"),
+            (WS_TEXT, b"dddd"), None,
+        ]
+
+
 class TestEncodingAgainstTheReference:
     def test_unmasked_frames_are_byte_equal(self):
         for opcode in range(16):
