@@ -15,7 +15,7 @@ from repro.core import (
     ExploitAction,
     FeedbackPunctuation,
     PropagationBehavior,
-    count_characterization,
+    aggregate_characterization,
 )
 from repro.engine.harness import OperatorHarness
 from repro.operators import AggregateKind, WindowAggregate
@@ -51,8 +51,8 @@ def seeded_harness(rows: int = 30) -> OperatorHarness:
 
 
 def test_table1_rendering(report):
-    char = count_characterization(
-        Schema.of("window", "segment", "count"),
+    char = aggregate_characterization(
+        "count", Schema.of("window", "segment", "count"),
         ["window", "segment"], "count",
     )
     table = char.render_table()
@@ -143,7 +143,9 @@ def test_row4_upper_bound_output_guard_only(atom):
 def test_table1_classification_agrees_with_characterization():
     """The shape classifier assigns each probe to the right table row."""
     out = Schema.of("window", "segment", "count")
-    char = count_characterization(out, ["window", "segment"], "count")
+    char = aggregate_characterization(
+        "count", out, ["window", "segment"], "count"
+    )
     probes = {
         "¬[g, *]": Pattern.from_mapping(out, {"segment": 3}),
         "¬[*, a]": Pattern.from_mapping(out, {"count": 5}),

@@ -35,12 +35,10 @@ from repro.core import (
     FeedbackPunctuation,
     GuardSet,
     PropagationPlanner,
+    aggregate_characterization,
     check_correct_exploitation,
-    count_characterization,
     join_characterization,
-    max_characterization,
     subset,
-    sum_characterization,
 )
 from repro.engine import (
     AsyncioEngine,
@@ -165,13 +163,11 @@ __all__ = [
     "Union",
     "WILDCARD",
     "WindowAggregate",
+    "aggregate_characterization",
     "available_engines",
     "check_correct_exploitation",
     "create_engine",
-    "count_characterization",
     "join_characterization",
-    "max_characterization",
     "optimize",
     "subset",
-    "sum_characterization",
 ]

@@ -13,16 +13,12 @@ Layered on the substrate packages, :mod:`repro.core` defines:
 
 from repro.core.characterization import (
     Characterization,
-    avg_characterization,
-    min_characterization,
     CharacterizationRule,
     ConstraintShape,
     PropagationBehavior,
     SchemaPartition,
-    count_characterization,
+    aggregate_characterization,
     join_characterization,
-    max_characterization,
-    sum_characterization,
 )
 from repro.core.correctness import (
     CorrectnessReport,
@@ -71,16 +67,12 @@ __all__ = [
     "PropagationPlan",
     "PropagationPlanner",
     "SchemaPartition",
-    "avg_characterization",
+    "aggregate_characterization",
     "check_correct_exploitation",
     "check_demanded_exploitation",
     "check_desired_content",
     "check_desired_prioritization",
-    "count_characterization",
     "join_characterization",
-    "max_characterization",
     "max_exploitation",
-    "min_characterization",
     "subset",
-    "sum_characterization",
 ]

@@ -1,16 +1,24 @@
-"""Operator characterizations: machine-checkable Tables 1 and 2.
+"""Operator characterizations: Tables 1 and 2 as data the operators read.
 
 Section 4.3 of the paper characterises operators by partitioning their
-output schema into named groups (``g``/``a`` for COUNT; ``L``/``J``/``R``
-for JOIN) and tabulating, per class of assumed feedback, the correct local
-exploitation and the safe propagation.  This module encodes those tables as
-data so that:
+output schema into named groups (``g``/``a`` for the aggregates;
+``L``/``J``/``R`` for JOIN) and tabulating, per class of assumed feedback,
+the correct local exploitation and the safe propagation.  This module
+encodes those tables as data:
 
+* :class:`~repro.operators.aggregate.WindowAggregate` builds its
+  :func:`aggregate_characterization` once and enacts the row each assumed
+  pattern classifies into, so the table is the one place its feedback
+  response is decided;
 * the table benchmarks (``benchmarks/test_table1_count.py`` and
-  ``test_table2_join.py``) can *render* them exactly as the paper prints
-  them, and
-* the conformance tests can *verify* that the live operators in
-  :mod:`repro.operators` take precisely the tabulated actions.
+  ``test_table2_join.py``) render them as the paper prints them; and
+* the conformance matrix (``tests/test_conformance_matrix.py``) checks,
+  row by row, that the live aggregates of every kind and the join take
+  the row's local actions, relay to the row's inputs, and stay correct
+  under Definition 1.
+
+The exploit column lists every local action, the output guard included;
+propagation is the third column.
 
 The classification is shape-based: a feedback pattern is assigned to the
 first rule whose per-group constraint shapes it matches, where a shape is
@@ -45,12 +53,8 @@ __all__ = [
     "SchemaPartition",
     "CharacterizationRule",
     "Characterization",
-    "avg_characterization",
-    "count_characterization",
+    "aggregate_characterization",
     "join_characterization",
-    "max_characterization",
-    "min_characterization",
-    "sum_characterization",
 ]
 
 
@@ -232,47 +236,73 @@ class Characterization:
         return "\n".join(lines)
 
 
-def count_characterization(
+#: Per aggregate kind, the value shape that a partial aggregate already
+#: satisfying makes certain for the final value: COUNT and MAX only grow,
+#: MIN only shrinks, SUM and AVG move either way (section 3.5's AVERAGE
+#: with partial 51).  Every row of :func:`aggregate_characterization`
+#: follows from this one fact.
+_CERTAIN_SHAPE: dict[str, ConstraintShape | None] = {
+    "count": ConstraintShape.LOWER,
+    "sum": None,
+    "avg": None,
+    "max": ConstraintShape.LOWER,
+    "min": ConstraintShape.UPPER,
+}
+
+#: The local actions of every row that purges: the input guard keeps the
+#: purged state from re-forming, the output guard catches what is in
+#: flight.
+_PURGE_AND_GUARD = (
+    ExploitAction.PURGE_STATE,
+    ExploitAction.GUARD_INPUT,
+    ExploitAction.GUARD_OUTPUT,
+)
+
+
+def aggregate_characterization(
+    kind: str,
     schema: Schema,
     group_attributes: Sequence[str],
-    count_attribute: str,
+    value_attribute: str,
 ) -> Characterization:
-    """Table 1: the characterization of windowed COUNT.
+    """Table 1, for each windowed aggregate (COUNT, SUM, AVG, MAX, MIN).
 
-    Output schema partition ``(g, a)``: ``g`` the grouping attributes,
-    ``a`` the count.  COUNT's result grows monotonically, which is why
-    lower-bounded feedback on ``a`` admits aggressive purging while
-    upper-bounded feedback only allows an output guard.
+    Output schema partition ``(g, a)``: ``g`` the window and grouping
+    attributes, ``a`` the aggregate.  Feedback on ``g`` alone purges the
+    matching state and propagates in terms of the input schema.  On ``a``
+    alone, the bound of the kind's certain shape identifies the groups G
+    whose partial already matches and can only move further in: those
+    are purged and G is propagated.  Every other value constraint can
+    only guard the output.
     """
+    if kind not in _CERTAIN_SHAPE:
+        raise FeedbackError(f"no characterization for aggregate {kind!r}")
     partition = SchemaPartition(
-        schema,
-        {"g": tuple(group_attributes), "a": (count_attribute,)},
+        schema, {"g": tuple(group_attributes), "a": (value_attribute,)}
     )
     rules = [
         CharacterizationRule(
             label="¬[g, *]",
-            condition={"g": ConstraintShape.EXACT},
-            exploit=(ExploitAction.PURGE_STATE, ExploitAction.GUARD_INPUT),
+            condition={"g": ConstraintShape.ANY},
+            exploit=_PURGE_AND_GUARD,
             exploit_note="remove group g from local state; guard input (g)",
             propagation=PropagationBehavior.MAPPED,
             propagation_targets=(0,),
             propagation_note="propagate g in terms of input schema",
         ),
-        CharacterizationRule(
-            label="¬[*, a]",
-            condition={"a": ConstraintShape.EXACT},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note="guard output (a)",
-            propagation=PropagationBehavior.NONE,
-        ),
-        CharacterizationRule(
-            label="¬[*, >=a] / ¬[*, >a]",
-            condition={"a": ConstraintShape.LOWER},
-            exploit=(
-                ExploitAction.PURGE_STATE,
-                ExploitAction.GUARD_INPUT,
-                ExploitAction.GUARD_OUTPUT,
-            ),
+        _output_guard_rule("¬[*, a]", ConstraintShape.EXACT, "a"),
+    ]
+    for shape, label, bound in (
+        (ConstraintShape.LOWER, "¬[*, >=a] / ¬[*, >a]", ">=a or >a"),
+        (ConstraintShape.UPPER, "¬[*, <=a] / ¬[*, <a]", "<=a or <a"),
+    ):
+        if shape is not _CERTAIN_SHAPE[kind]:
+            rules.append(_output_guard_rule(label, shape, bound))
+            continue
+        rules.append(CharacterizationRule(
+            label=label,
+            condition={"a": shape},
+            exploit=_PURGE_AND_GUARD,
             exploit_note=(
                 "G <- group ids in local state matching the predicate; "
                 "purge state (G); guard input (G)"
@@ -280,16 +310,20 @@ def count_characterization(
             propagation=PropagationBehavior.STATE_DEPENDENT,
             propagation_targets=(0,),
             propagation_note="propagate G in terms of input schema",
-        ),
-        CharacterizationRule(
-            label="¬[*, <=a] / ¬[*, <a]",
-            condition={"a": ConstraintShape.UPPER},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note="guard output (<=a or <a)",
-            propagation=PropagationBehavior.NONE,
-        ),
-    ]
-    return Characterization("COUNT", partition, rules)
+        ))
+    return Characterization(kind.upper(), partition, rules)
+
+
+def _output_guard_rule(
+    label: str, shape: ConstraintShape, constraint: str
+) -> CharacterizationRule:
+    return CharacterizationRule(
+        label=label,
+        condition={"a": shape},
+        exploit=(ExploitAction.GUARD_OUTPUT,),
+        exploit_note=f"guard output ({constraint})",
+        propagation=PropagationBehavior.NONE,
+    )
 
 
 def join_characterization(
@@ -317,10 +351,7 @@ def join_characterization(
         CharacterizationRule(
             label="¬[*, j∈J, *]",
             condition={"J": ConstraintShape.EXACT},
-            exploit=(
-                ExploitAction.PURGE_STATE,
-                ExploitAction.GUARD_INPUT,
-            ),
+            exploit=_PURGE_AND_GUARD,
             exploit_note="purge matching tuples from both hash tables; guard input",
             propagation=PropagationBehavior.MAPPED,
             propagation_targets=(0, 1),
@@ -329,10 +360,7 @@ def join_characterization(
         CharacterizationRule(
             label="¬[l∈L, *, *]",
             condition={"L": ConstraintShape.EXACT},
-            exploit=(
-                ExploitAction.PURGE_STATE,
-                ExploitAction.GUARD_INPUT,
-            ),
+            exploit=_PURGE_AND_GUARD,
             exploit_note="purge matching tuples from left hash table; guard input",
             propagation=PropagationBehavior.MAPPED,
             propagation_targets=(0,),
@@ -341,10 +369,7 @@ def join_characterization(
         CharacterizationRule(
             label="¬[*, *, r∈R]",
             condition={"R": ConstraintShape.EXACT},
-            exploit=(
-                ExploitAction.PURGE_STATE,
-                ExploitAction.GUARD_INPUT,
-            ),
+            exploit=_PURGE_AND_GUARD,
             exploit_note="purge matching tuples from right hash table; guard input",
             propagation=PropagationBehavior.MAPPED,
             propagation_targets=(1,),
@@ -359,199 +384,3 @@ def join_characterization(
         ),
     ]
     return Characterization("JOIN", partition, rules)
-
-
-def max_characterization(
-    schema: Schema,
-    group_attributes: Sequence[str],
-    max_attribute: str,
-) -> Characterization:
-    """Characterization of windowed MAX (paper section 3.5 narrative).
-
-    ``¬[*, >=a]`` lets MAX close every open window whose partial aggregate
-    already matches (the aggregate can only grow, so the final result is
-    certain to match) *and* mount a local input guard so fresh tuples do
-    not recreate undesired windows before upstream reacts.
-    """
-    partition = SchemaPartition(
-        schema,
-        {"g": tuple(group_attributes), "a": (max_attribute,)},
-    )
-    rules = [
-        CharacterizationRule(
-            label="¬[g, *]",
-            condition={"g": ConstraintShape.EXACT},
-            exploit=(ExploitAction.PURGE_STATE, ExploitAction.GUARD_INPUT),
-            exploit_note="remove group g from local state; guard input (g)",
-            propagation=PropagationBehavior.MAPPED,
-            propagation_targets=(0,),
-            propagation_note="propagate g in terms of input schema",
-        ),
-        CharacterizationRule(
-            label="¬[*, >=a] / ¬[*, >a]",
-            condition={"a": ConstraintShape.LOWER},
-            exploit=(
-                ExploitAction.CLOSE_WINDOWS,
-                ExploitAction.GUARD_INPUT,
-                ExploitAction.GUARD_OUTPUT,
-            ),
-            exploit_note=(
-                "close open windows whose partial max matches; "
-                "guard input on the value attribute"
-            ),
-            propagation=PropagationBehavior.MAPPED,
-            propagation_targets=(0,),
-            propagation_note="propagate value predicate to input",
-        ),
-        CharacterizationRule(
-            label="¬[*, <=a] / ¬[*, <a]",
-            condition={"a": ConstraintShape.UPPER},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note="guard output only (partial max may still grow past a)",
-            propagation=PropagationBehavior.NONE,
-        ),
-        CharacterizationRule(
-            label="¬[*, a]",
-            condition={"a": ConstraintShape.EXACT},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note="guard output (a)",
-            propagation=PropagationBehavior.NONE,
-        ),
-    ]
-    return Characterization("MAX", partition, rules)
-
-
-def avg_characterization(
-    schema: Schema,
-    group_attributes: Sequence[str],
-    avg_attribute: str,
-) -> Characterization:
-    """Characterization of windowed AVERAGE (section 3.5's running example).
-
-    The average is not monotone in either direction (the partial-51
-    example: future tuples can drag it below 50), so every value-side
-    class degrades to an output guard; group feedback purges and relays
-    exactly like COUNT's first row.
-    """
-    partition = SchemaPartition(
-        schema,
-        {"g": tuple(group_attributes), "a": (avg_attribute,)},
-    )
-    rules = [
-        CharacterizationRule(
-            label="¬[g, *]",
-            condition={"g": ConstraintShape.EXACT},
-            exploit=(ExploitAction.PURGE_STATE, ExploitAction.GUARD_INPUT),
-            exploit_note="remove group g from local state; guard input (g)",
-            propagation=PropagationBehavior.MAPPED,
-            propagation_targets=(0,),
-            propagation_note="propagate g in terms of input schema",
-        ),
-        CharacterizationRule(
-            label="¬[*, θ a] (any θ)",
-            condition={"a": ConstraintShape.ANY},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note=(
-                "guard output only: a partial average inside the region "
-                "may leave it (and vice versa) as tuples keep arriving"
-            ),
-            propagation=PropagationBehavior.NONE,
-        ),
-    ]
-    return Characterization("AVERAGE", partition, rules)
-
-
-def min_characterization(
-    schema: Schema,
-    group_attributes: Sequence[str],
-    min_attribute: str,
-) -> Characterization:
-    """Characterization of windowed MIN: MAX's mirror image.
-
-    The partial minimum only shrinks, so *upper*-bounded feedback
-    (``¬[*, <=a]``) identifies certain groups; lower-bounded feedback can
-    only guard the output.
-    """
-    partition = SchemaPartition(
-        schema,
-        {"g": tuple(group_attributes), "a": (min_attribute,)},
-    )
-    rules = [
-        CharacterizationRule(
-            label="¬[g, *]",
-            condition={"g": ConstraintShape.EXACT},
-            exploit=(ExploitAction.PURGE_STATE, ExploitAction.GUARD_INPUT),
-            exploit_note="remove group g from local state; guard input (g)",
-            propagation=PropagationBehavior.MAPPED,
-            propagation_targets=(0,),
-            propagation_note="propagate g in terms of input schema",
-        ),
-        CharacterizationRule(
-            label="¬[*, <=a] / ¬[*, <a]",
-            condition={"a": ConstraintShape.UPPER},
-            exploit=(
-                ExploitAction.CLOSE_WINDOWS,
-                ExploitAction.GUARD_INPUT,
-                ExploitAction.GUARD_OUTPUT,
-            ),
-            exploit_note=(
-                "close open windows whose partial min already matches "
-                "(it can only shrink further); guard their re-formation"
-            ),
-            propagation=PropagationBehavior.STATE_DEPENDENT,
-            propagation_targets=(0,),
-            propagation_note="propagate G in terms of input schema",
-        ),
-        CharacterizationRule(
-            label="¬[*, >=a] / ¬[*, >a]",
-            condition={"a": ConstraintShape.LOWER},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note="guard output only (partial min may still shrink)",
-            propagation=PropagationBehavior.NONE,
-        ),
-        CharacterizationRule(
-            label="¬[*, a]",
-            condition={"a": ConstraintShape.EXACT},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note="guard output (a)",
-            propagation=PropagationBehavior.NONE,
-        ),
-    ]
-    return Characterization("MIN", partition, rules)
-
-
-def sum_characterization(
-    schema: Schema,
-    group_attributes: Sequence[str],
-    sum_attribute: str,
-) -> Characterization:
-    """Characterization of windowed SUM over a signed value attribute.
-
-    Unlike COUNT, SUM is **not** monotone (section 3.5: "COUNT's produced
-    result increases monotonically, SUM's doesn't"), so every value-side
-    feedback class degrades to an output guard; only group feedback admits
-    purging and input guards.
-    """
-    partition = SchemaPartition(
-        schema,
-        {"g": tuple(group_attributes), "a": (sum_attribute,)},
-    )
-    rules = [
-        CharacterizationRule(
-            label="¬[g, *]",
-            condition={"g": ConstraintShape.EXACT},
-            exploit=(ExploitAction.PURGE_STATE, ExploitAction.GUARD_INPUT),
-            exploit_note="remove group g from local state; guard input (g)",
-            propagation=PropagationBehavior.MAPPED,
-            propagation_targets=(0,),
-            propagation_note="propagate g in terms of input schema",
-        ),
-        CharacterizationRule(
-            label="¬[*, θ a] (any θ)",
-            condition={"a": ConstraintShape.ANY},
-            exploit=(ExploitAction.GUARD_OUTPUT,),
-            exploit_note="guard output only (sum is not monotone)",
-            propagation=PropagationBehavior.NONE,
-        ),
-    ]
-    return Characterization("SUM", partition, rules)

@@ -31,7 +31,7 @@ __all__ = [
 class ExploitAction(enum.Enum):
     """What an operator did in response to a feedback punctuation.
 
-    The first five correspond to the paper's menu of responses (section
+    The first four correspond to the paper's menu of responses (section
     4.3 and Tables 1-2); the remainder cover desired/demanded intents and
     the null response.
     """
@@ -39,7 +39,6 @@ class ExploitAction(enum.Enum):
     GUARD_INPUT = "guard_input"        # drop matching tuples before work
     GUARD_OUTPUT = "guard_output"      # suppress matching results
     PURGE_STATE = "purge_state"        # evict matching internal state
-    CLOSE_WINDOWS = "close_windows"    # emit-and-evict satisfied windows (MAX)
     PROPAGATE = "propagate"            # relayed upstream (possibly mapped)
     PRIORITIZE = "prioritize"          # reorder production (desired)
     EMIT_PARTIAL = "emit_partial"      # unblock with partial results (demanded)

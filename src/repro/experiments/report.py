@@ -15,7 +15,7 @@ import sys
 import time
 
 from repro.core import (
-    count_characterization,
+    aggregate_characterization,
     join_characterization,
 )
 from repro.experiments.ablation import (
@@ -102,8 +102,8 @@ def generate_report(
     # ---- Tables -------------------------------------------------------------
     sections.append(_header("Table 1 -- characterization of COUNT"))
     sections.append(
-        count_characterization(
-            Schema.of("window", "segment", "count"),
+        aggregate_characterization(
+            "count", Schema.of("window", "segment", "count"),
             ["window", "segment"], "count",
         ).render_table()
     )

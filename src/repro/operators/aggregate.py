@@ -6,21 +6,15 @@ progressing (timestamp) attribute with ``width`` and ``slide`` --
 ``slide == width`` gives tumbling windows, ``slide < width`` the paper's
 overlapping "slide-by-tuple"-style windows of Example 2.
 
-Feedback handling implements Table 1 and the section 3.5 narrative:
+Assumed feedback is answered by the row of the operator's
+:func:`~repro.core.characterization.aggregate_characterization` (Table 1)
+the pattern falls in.  What the table leaves to the operator:
 
-* ``¬[g,*]`` (group/window constrained, value free): purge matching state;
-  for **tumbling** windows also guard the input (window atoms translate to
-  timestamp ranges) and relay upstream.  For **sliding** windows input
-  guarding and relaying are *incorrect* -- a tuple of a useless window also
-  belongs to other windows (Example 2) -- so exploitation stays internal:
-  guarded windows are simply never accumulated.
-* ``¬[*, >=a]`` with a monotone aggregate (COUNT, MAX): groups whose
-  partial already satisfies the bound are *certain* to match; they are
-  purged, their (window, group) pairs are input-guarded, and the concrete
-  set G is propagated upstream ("state-dependent" propagation).
-* ``¬[*, <=a]`` or any value feedback on non-monotone aggregates
-  (SUM, AVG): output guard only -- a partial that matches now may grow out
-  of the region later (the paper's AVERAGE-with-partial-51 example).
+* **Sliding windows** neither guard the input nor relay a window
+  constraint: a tuple of a useless window also belongs to other windows
+  (Example 2), so guarded windows are simply never accumulated.
+* **The relay cap**: a state-dependent row input-guards and relays at
+  most 64 of the pairs in G; the rest are purged and window-guarded.
 * ``![…]`` (demanded): matching open windows emit their current partial
   immediately (the financial-speculator example) -- partial results now
   beat exact results too late.
@@ -34,7 +28,10 @@ from functools import reduce
 from operator import add
 from typing import Any, Sequence
 
-from repro.core.characterization import ConstraintShape
+from repro.core.characterization import (
+    PropagationBehavior,
+    aggregate_characterization,
+)
 from repro.core.feedback import FeedbackPunctuation
 from repro.core.roles import ExploitAction
 from repro.errors import PlanError
@@ -48,6 +45,8 @@ from repro.punctuation.atoms import (
     InSet,
     Interval,
     LessThan,
+    NEG_INF,
+    POS_INF,
     WILDCARD,
 )
 from repro.punctuation.embedded import Punctuation
@@ -73,11 +72,6 @@ class AggregateKind:
     MIN = "min"
 
     ALL = (COUNT, SUM, AVG, MAX, MIN)
-
-    #: Aggregates whose partial value can only grow as tuples arrive.
-    MONOTONE_INCREASING = frozenset({COUNT, MAX})
-    #: Aggregates whose partial value can only shrink as tuples arrive.
-    MONOTONE_DECREASING = frozenset({MIN})
 
 
 @dataclass
@@ -186,6 +180,10 @@ class WindowAggregate(Operator):
         self._group_indices = tuple(
             input_schema.index_of(g) for g in group_by
         )
+        #: Table 1 for this kind: :meth:`on_assumed` enacts its rows.
+        self.characterization = aggregate_characterization(
+            kind, output_schema, (window_name, *group_by), value_name
+        )
         self._state: dict[tuple[int, tuple], _WindowState] = {}
         # Internal window guards: output-schema patterns whose matching
         # (window, group) pairs must not be accumulated (Example 2).
@@ -221,42 +219,46 @@ class WindowAggregate(Operator):
     def window_interval_atom(self, window_atom: Atom) -> Atom | None:
         """Translate an atom over window ids to one over timestamps.
 
-        Window ids grow monotonically with time, so exact / bounded window
-        constraints translate to timestamp ranges.  Returns None for
-        shapes that have no sound translation.
+        The result admits exactly the timestamps of the windows whose
+        integer id the atom admits, and leaves an open end open.  Returns
+        None when the atom admits no id, or ids with a gap between them:
+        no translation is always sound.
         """
-        shape = ConstraintShape.of_atom(window_atom)
-        if shape is ConstraintShape.EXACT and window_atom.is_point:
-            start, end = self.window_bounds(int(window_atom.point_value()))
-            return Interval(start, end, hi_inclusive=False)
-        if shape is ConstraintShape.EXACT and isinstance(window_atom, InSet):
-            ids = sorted(window_atom.values)
-            if ids and all(isinstance(w, int) for w in ids) and (
-                ids == list(range(ids[0], ids[-1] + 1))
-            ):
-                start, _ = self.window_bounds(ids[0])
-                _, end = self.window_bounds(ids[-1])
-                return Interval(start, end, hi_inclusive=False)
-            return None  # non-contiguous window sets have no single range
-        if shape is ConstraintShape.UPPER:
-            if isinstance(window_atom, AtMost):
-                _, end = self.window_bounds(int(window_atom.value))
-                return LessThan(end)
-            if isinstance(window_atom, LessThan):
-                _, end = self.window_bounds(int(window_atom.value) - 1)
-                return LessThan(end)
-        if shape is ConstraintShape.LOWER:
-            if isinstance(window_atom, AtLeast):
-                start, _ = self.window_bounds(int(window_atom.value))
-                return AtLeast(start)
-            if isinstance(window_atom, GreaterThan):
-                start, _ = self.window_bounds(int(window_atom.value) + 1)
-                return AtLeast(start)
-        if shape is ConstraintShape.RANGE and isinstance(window_atom, Interval):
-            lo_start, _ = self.window_bounds(int(window_atom.lo))
-            _, hi_end = self.window_bounds(int(window_atom.hi))
-            return Interval(lo_start, hi_end, hi_inclusive=False)
-        return None
+        bounds = window_atom.bounds
+        if bounds is None:  # a finite set of ids
+            members = (
+                window_atom.values if isinstance(window_atom, InSet)
+                else (window_atom.point_value(),)
+            )
+            ids = sorted(
+                int(w) for w in members
+                if isinstance(w, int)
+                or (isinstance(w, float) and w.is_integer())
+            )
+            if not ids or ids[-1] - ids[0] != len(ids) - 1:
+                return None
+            first, last = ids[0], ids[-1]
+        else:
+            lo, lo_inclusive, hi, hi_inclusive = bounds
+            try:
+                first = None if lo is NEG_INF else (
+                    math.ceil(lo) if lo_inclusive else math.floor(lo) + 1
+                )
+                last = None if hi is POS_INF else (
+                    math.floor(hi) if hi_inclusive else math.ceil(hi) - 1
+                )
+            except (OverflowError, TypeError, ValueError):
+                return None  # an infinite, NaN or non-numeric bound
+            if first is None and last is None:
+                return None
+            if first is not None and last is not None and first > last:
+                return None
+        if last is None:
+            return AtLeast(self.window_bounds(first)[0])
+        end = self.window_bounds(last)[1]
+        if first is None:
+            return LessThan(end)
+        return Interval(self.window_bounds(first)[0], end, hi_inclusive=False)
 
     # ---------------------------------------------------------------- data
 
@@ -525,39 +527,28 @@ class WindowAggregate(Operator):
 
     # ------------------------------------------------------------- feedback
 
-    def _shape_split(
-        self, pattern: Pattern
-    ) -> tuple[bool, bool, ConstraintShape]:
-        """(group/window constrained?, value constrained?, value shape)."""
-        value_index = len(self.output_schema) - 1
-        value_atom = pattern.atoms[value_index]
-        constrained = set(pattern.constrained_indices())
-        gw_constrained = bool(constrained - {value_index})
-        return (
-            gw_constrained,
-            value_index in constrained,
-            ConstraintShape.of_atom(value_atom),
-        )
-
     def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        pattern = feedback.pattern
-        gw_constrained, value_constrained, value_shape = (
-            self._shape_split(pattern)
-        )
-        if self.exploit_level == 1 or (value_constrained and gw_constrained):
-            # Level 1 (scheme F1), or mixed constraints outside Table 1:
-            # guard the output only -- always correct, minimally invasive.
-            self.output_guards.install(pattern, origin=feedback, at=self.now())
-            return [ExploitAction.GUARD_OUTPUT]
-        if value_constrained:
-            return self._assumed_on_value(feedback, value_shape)
-        return self._assumed_on_groups(feedback)
+        """Enact the row of :attr:`characterization` the pattern falls in.
 
-    # -- ¬[g, *] ------------------------------------------------------------
+        A pattern no row classifies (group and value constrained at once),
+        exploit level 1 (scheme F1) and a row that does not purge get the
+        output guard alone, which Definition 1 always permits.
+        """
+        rule = self.characterization.classify_or_none(feedback.pattern)
+        if (
+            rule is None or self.exploit_level == 1
+            or ExploitAction.PURGE_STATE not in rule.exploit
+        ):
+            return super().on_assumed(feedback)
+        if rule.propagation is PropagationBehavior.STATE_DEPENDENT:
+            return self._purge_certain(feedback)
+        return self._purge_matching(feedback)
 
-    def _assumed_on_groups(
+    def _purge_matching(
         self, feedback: FeedbackPunctuation
     ) -> list[ExploitAction]:
+        """A mapped row: purge the pairs the pattern names and keep them
+        from re-forming; the planner-style relay is :meth:`relay_feedback`."""
         pattern = feedback.pattern
         actions = [ExploitAction.PURGE_STATE]
         purged = [
@@ -582,26 +573,15 @@ class WindowAggregate(Operator):
     def _key_matches(self, pattern: Pattern, key: tuple[int, tuple]) -> bool:
         return pattern.matches(self._output_values(key[0], key[1], None))
 
-    # -- ¬[*, θa] ------------------------------------------------------------
-
-    def _assumed_on_value(
-        self, feedback: FeedbackPunctuation, shape: ConstraintShape
+    def _purge_certain(
+        self, feedback: FeedbackPunctuation
     ) -> list[ExploitAction]:
+        """A state-dependent row: G is the pairs whose partial already
+        satisfies the value atom, so their final value is certain to
+        match.  Purge G, keep it from re-forming, and relay it."""
         pattern = feedback.pattern
-        value_atom = pattern.atoms[-1]
-        certain = (
-            shape is ConstraintShape.LOWER
-            and self.kind in AggregateKind.MONOTONE_INCREASING
-        ) or (
-            shape is ConstraintShape.UPPER
-            and self.kind in AggregateKind.MONOTONE_DECREASING
-        )
         self.output_guards.install(pattern, origin=feedback, at=self.now())
-        if not certain:
-            return [ExploitAction.GUARD_OUTPUT]
-        # G <- pairs whose partial aggregate already satisfies the bound;
-        # their final value is certain to match, so they are dead weight.
-        satisfied = value_atom.predicate()
+        satisfied = pattern.atoms[-1].predicate()
         group_set = [
             key for key, state in self._state.items()
             if state.value(self.kind) is not None
@@ -622,7 +602,6 @@ class WindowAggregate(Operator):
             port.guards.install(input_pattern, origin=feedback, at=self.now())
             if ExploitAction.GUARD_INPUT not in actions:
                 actions.append(ExploitAction.GUARD_INPUT)
-            # State-dependent propagation of G (Table 1, row 3).
             self.metrics.feedback_relayed += 1
             self._send_upstream(
                 ControlMessageKind.FEEDBACK,

@@ -312,7 +312,6 @@ class SymmetricHashJoin(Operator):
 
     def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
         plan = self._planner.plan(feedback.pattern)
-        actions: list[ExploitAction] = []
         usable = {
             idx: pat
             for idx, pat in plan.per_input.items()
@@ -323,24 +322,22 @@ class SymmetricHashJoin(Operator):
                 feedback.pattern, origin=feedback, at=self.now()
             )
             return [ExploitAction.GUARD_OUTPUT]
+        purged = 0
         for idx, pattern in usable.items():
             self.input_port(idx).guards.install(
                 pattern, origin=feedback, at=self.now()
             )
-            purged = self._purge_table_matching(idx, pattern)
-            if purged:
-                actions.append(ExploitAction.PURGE_STATE)
+            purged += self._purge_table_matching(idx, pattern)
             if idx == self.RIGHT and self.how == "left_outer":
                 key_pattern = self._key_pattern_of(self.RIGHT, pattern)
                 if key_pattern is not None:
                     self._suppressed_key_patterns.append(key_pattern)
-        actions.append(ExploitAction.GUARD_INPUT)
         # Late bloomers on unguarded paths are still caught at the output.
         self.output_guards.install(
             feedback.pattern, origin=feedback, at=self.now()
         )
-        actions.append(ExploitAction.GUARD_OUTPUT)
-        return actions
+        actions = [ExploitAction.PURGE_STATE] if purged else []
+        return actions + [ExploitAction.GUARD_INPUT, ExploitAction.GUARD_OUTPUT]
 
     def _purge_table_matching(self, side: int, pattern: Pattern) -> int:
         """Purge stored tuples matching an input-schema pattern."""

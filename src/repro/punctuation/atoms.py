@@ -256,6 +256,11 @@ class Atom:
         return lo is NEG_INF and hi is POS_INF
 
     @property
+    def bounds(self) -> tuple[Any, bool, Any, bool] | None:
+        """``(lo, lo_inclusive, hi, hi_inclusive)``; None for a finite set."""
+        return self._bounds
+
+    @property
     def is_point(self) -> bool:
         """True when the atom admits exactly one value."""
         if self._members is not None:

@@ -6,7 +6,11 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ExploitAction, FeedbackPunctuation
+from repro.core import (
+    ExploitAction,
+    FeedbackPunctuation,
+    check_correct_exploitation,
+)
 from repro.engine.harness import OperatorHarness
 from repro.errors import PlanError
 from repro.operators import AggregateKind, WindowAggregate
@@ -14,11 +18,15 @@ from repro.operators.aggregate import _WindowState
 from repro.punctuation import (
     AtLeast,
     AtMost,
+    Equals,
+    GreaterThan,
     InSet,
     Interval,
+    LessThan,
     Pattern,
     Punctuation,
 )
+from repro.punctuation.atoms import NEG_INF, POS_INF
 from repro.stream import Schema, StreamTuple
 
 SCHEMA = Schema([
@@ -330,6 +338,101 @@ class TestValueFeedback:
                 )
             )
             assert ExploitAction.PURGE_STATE not in actions
+
+
+#: Window atoms against the windows they admit (tumbling, width 10, so
+#: ids 0..4 over timestamps 0..49); None where no window qualifies.
+WINDOW_ATOMS = [
+    (Interval(1, 3), {1, 2, 3}),  # Experiment 2's inclusive integer form
+    (Interval(1, 3, hi_inclusive=False), {1, 2}),
+    (Interval(1, 3, lo_inclusive=False), {2, 3}),
+    (Interval(0.5, 2), {1, 2}),
+    (Interval(NEG_INF, 2), {0, 1, 2}),
+    (Interval(2, POS_INF), {2, 3, 4}),
+    (AtLeast(2.5), {3, 4}),
+    (GreaterThan(1.5), {2, 3, 4}),
+    (AtMost(2.5), {0, 1, 2}),
+    (LessThan(2), {0, 1}),
+    (Equals(2), {2}),
+    (InSet({1, 2}), {1, 2}),
+    (Equals(2.5), None),
+    (InSet({1, 3}), None),
+    # Bounds no window id can be worked out from: left untranslated.
+    (AtLeast(-math.inf), None),
+    (AtLeast(math.nan), None),
+    (LessThan("3"), None),
+]
+
+
+class TestWindowIdTranslation:
+    """A window atom reaches the input as the timestamps of exactly the
+    windows whose integer id it admits (Definition 1)."""
+
+    ROWS = [tup(float(ts), seg=ts % 2) for ts in range(50)]
+
+    def run(self, rows, feedback=None):
+        agg = make(AggregateKind.COUNT)
+        harness = OperatorHarness(agg)
+        if feedback is not None:
+            harness.feedback(feedback)
+        harness.push_all(rows)
+        harness.finish()
+        return harness
+
+    @pytest.mark.parametrize("atom,windows", WINDOW_ATOMS, ids=repr)
+    def test_translation_admits_exactly_the_windows(self, atom, windows):
+        agg = make(AggregateKind.COUNT)
+        translated = agg.window_interval_atom(atom)
+        if windows is None:
+            assert translated is None
+            return
+        covered = {
+            w for ts in range(50) if translated.matches(float(ts))
+            for w in agg.window_ids(float(ts))
+        }
+        assert covered == windows
+
+    def test_inclusive_integer_range_translates_as_before(self):
+        translated = make(AggregateKind.COUNT).window_interval_atom(
+            Interval(1, 3)
+        )
+        assert translated == Interval(10.0, 40.0, hi_inclusive=False)
+
+    @pytest.mark.parametrize("atom,windows", WINDOW_ATOMS, ids=repr)
+    def test_local_input_guard_is_correct(self, atom, windows):
+        reference = self.run(self.ROWS).emitted_tuples()
+        pattern = Pattern.from_mapping(
+            make(AggregateKind.COUNT).output_schema, {"window": atom}
+        )
+        harness = self.run(self.ROWS, FeedbackPunctuation.assumed(pattern))
+        report = check_correct_exploitation(
+            reference, harness.emitted_tuples(), pattern
+        )
+        assert report.ok, report.summary()
+        assert harness.input_guard_count() == (windows is not None)
+
+    @pytest.mark.parametrize("atom,windows", WINDOW_ATOMS, ids=repr)
+    def test_relayed_pattern_is_correct(self, atom, windows):
+        reference = self.run(self.ROWS).emitted_tuples()
+        pattern = Pattern.from_mapping(
+            make(AggregateKind.COUNT).output_schema, {"window": atom}
+        )
+        relayed = self.run(
+            [], FeedbackPunctuation.assumed(pattern)
+        ).upstream_feedback(0)
+        assert len(relayed) == (windows is not None)
+        # The upstream honours the relay; this run takes no feedback.
+        kept = [
+            r for r in self.ROWS
+            if not any(fb.pattern.matches(r) for fb in relayed)
+        ]
+        out = self.run(kept).emitted_tuples()
+        report = check_correct_exploitation(reference, out, pattern)
+        assert report.ok, report.summary()
+        suppressed = {r["window"] for r in reference} - {
+            r["window"] for r in out
+        }
+        assert suppressed == (windows or set())
 
 
 class TestDemandedAndPolling:

@@ -7,13 +7,19 @@ from repro.core import (
     ExploitAction,
     PropagationBehavior,
     SchemaPartition,
-    count_characterization,
+    aggregate_characterization,
     join_characterization,
-    max_characterization,
-    sum_characterization,
 )
 from repro.errors import FeedbackError
-from repro.punctuation import AtLeast, AtMost, GreaterThan, InSet, LessThan, Pattern
+from repro.punctuation import (
+    AtLeast,
+    AtMost,
+    GreaterThan,
+    InSet,
+    Interval,
+    LessThan,
+    Pattern,
+)
 from repro.stream import Schema
 
 
@@ -24,7 +30,9 @@ def count_schema():
 
 @pytest.fixture
 def count_char(count_schema):
-    return count_characterization(count_schema, ["segment"], "cnt")
+    return aggregate_characterization(
+        "count", count_schema, ["segment"], "cnt"
+    )
 
 
 @pytest.fixture
@@ -107,6 +115,18 @@ class TestTable1Count:
         )
         assert rule.label == "¬[g, *]"
 
+    def test_exp2_viewer_pattern_is_the_group_row(self):
+        # Experiment 2's viewer: a window range and a segment set, so the
+        # group constraint mixes shapes.
+        schema = Schema.of("window", "segment", "avg_speed")
+        char = aggregate_characterization(
+            "avg", schema, ["window", "segment"], "avg_speed"
+        )
+        rule = char.classify(Pattern.from_mapping(
+            schema, {"window": Interval(3, 5), "segment": InSet({1, 2})}
+        ))
+        assert rule.label == "¬[g, *]"
+
     def test_unclassifiable_pattern_raises(self, count_char, count_schema):
         # Constraining both g and a at once is not in Table 1.
         pattern = Pattern.from_mapping(
@@ -160,16 +180,20 @@ class TestTable2Join:
 class TestMaxAndSum:
     def test_max_lower_bound_closes_windows(self):
         schema = Schema.of("minute", "max_speed")
-        char = max_characterization(schema, ["minute"], "max_speed")
+        char = aggregate_characterization(
+            "max", schema, ["minute"], "max_speed"
+        )
         rule = char.classify(
             Pattern.from_mapping(schema, {"max_speed": AtLeast(50)})
         )
-        assert ExploitAction.CLOSE_WINDOWS in rule.exploit
+        assert ExploitAction.PURGE_STATE in rule.exploit
         assert ExploitAction.GUARD_INPUT in rule.exploit
 
     def test_max_upper_bound_only_guards_output(self):
         schema = Schema.of("minute", "max_speed")
-        char = max_characterization(schema, ["minute"], "max_speed")
+        char = aggregate_characterization(
+            "max", schema, ["minute"], "max_speed"
+        )
         rule = char.classify(
             Pattern.from_mapping(schema, {"max_speed": AtMost(50)})
         )
@@ -177,7 +201,9 @@ class TestMaxAndSum:
 
     def test_sum_value_feedback_always_output_guard(self):
         schema = Schema.of("minute", "total")
-        char = sum_characterization(schema, ["minute"], "total")
+        char = aggregate_characterization(
+            "sum", schema, ["minute"], "total"
+        )
         for atom in (AtLeast(5), AtMost(5), GreaterThan(5), LessThan(5)):
             rule = char.classify(
                 Pattern.from_mapping(schema, {"total": atom})
@@ -185,8 +211,16 @@ class TestMaxAndSum:
             assert rule.exploit == (ExploitAction.GUARD_OUTPUT,)
             assert rule.propagation is PropagationBehavior.NONE
 
+    def test_unknown_aggregate_has_no_table(self):
+        with pytest.raises(FeedbackError, match="median"):
+            aggregate_characterization(
+                "median", Schema.of("minute", "m"), ["minute"], "m"
+            )
+
     def test_sum_group_feedback_purges(self):
         schema = Schema.of("minute", "total")
-        char = sum_characterization(schema, ["minute"], "total")
+        char = aggregate_characterization(
+            "sum", schema, ["minute"], "total"
+        )
         rule = char.classify(Pattern.from_mapping(schema, {"minute": 9}))
         assert ExploitAction.PURGE_STATE in rule.exploit

@@ -1,18 +1,14 @@
-"""Tests for the AVG and MIN characterizations + live MIN conformance."""
+"""Tests for the AVG and MIN characterizations."""
 
 import pytest
 
 from repro.core import (
     ExploitAction,
-    FeedbackPunctuation,
     PropagationBehavior,
-    avg_characterization,
-    min_characterization,
+    aggregate_characterization,
 )
-from repro.engine.harness import OperatorHarness
-from repro.operators import AggregateKind, WindowAggregate
 from repro.punctuation import AtLeast, AtMost, GreaterThan, LessThan, Pattern
-from repro.stream import Schema, StreamTuple
+from repro.stream import Schema
 
 OUT = Schema.of("window", "seg", "value")
 
@@ -20,7 +16,9 @@ OUT = Schema.of("window", "seg", "value")
 class TestAvgCharacterization:
     @pytest.fixture
     def char(self):
-        return avg_characterization(OUT, ["window", "seg"], "value")
+        return aggregate_characterization(
+            "avg", OUT, ["window", "seg"], "value"
+        )
 
     def test_group_feedback_purges(self, char):
         rule = char.classify(Pattern.from_mapping(OUT, {"seg": 1}))
@@ -36,18 +34,20 @@ class TestAvgCharacterization:
         assert rule.propagation is PropagationBehavior.NONE
 
     def test_render(self, char):
-        assert "AVERAGE" in char.render_table()
+        assert "AVG" in char.render_table()
 
 
 class TestMinCharacterization:
     @pytest.fixture
     def char(self):
-        return min_characterization(OUT, ["window", "seg"], "value")
+        return aggregate_characterization(
+            "min", OUT, ["window", "seg"], "value"
+        )
 
     @pytest.mark.parametrize("atom", [AtMost(5), LessThan(5)])
     def test_upper_bound_is_certain(self, char, atom):
         rule = char.classify(Pattern.from_mapping(OUT, {"value": atom}))
-        assert ExploitAction.CLOSE_WINDOWS in rule.exploit
+        assert ExploitAction.PURGE_STATE in rule.exploit
         assert rule.propagation is PropagationBehavior.STATE_DEPENDENT
 
     @pytest.mark.parametrize("atom", [AtLeast(5), GreaterThan(5)])
@@ -58,52 +58,3 @@ class TestMinCharacterization:
     def test_exact_value_guards_output(self, char):
         rule = char.classify(Pattern.from_mapping(OUT, {"value": 5}))
         assert rule.exploit == (ExploitAction.GUARD_OUTPUT,)
-
-
-SCHEMA = Schema([("ts", "timestamp", True), ("seg", "int"), ("v", "float")])
-
-
-class TestLiveMinConformance:
-    """The live MIN operator behaves as min_characterization tabulates."""
-
-    def make_harness(self):
-        agg = WindowAggregate(
-            "min", SCHEMA, kind=AggregateKind.MIN,
-            window_attribute="ts", width=10.0,
-            value_attribute="v", group_by=("seg",),
-        )
-        return OperatorHarness(agg)
-
-    def test_upper_bound_purges_certain_windows(self):
-        harness = self.make_harness()
-        agg = harness.operator
-        harness.push(StreamTuple(SCHEMA, (1.0, 0, 3.0)))   # min 3: certain
-        harness.push(StreamTuple(SCHEMA, (1.0, 1, 9.0)))   # min 9: not
-        actions = harness.feedback(
-            FeedbackPunctuation.assumed(
-                Pattern.from_mapping(agg.output_schema,
-                                     {"min_v": AtMost(5.0)})
-            )
-        )
-        assert ExploitAction.PURGE_STATE in actions
-        harness.finish()
-        results = {r["seg"]: r["min_v"] for r in harness.emitted_tuples()}
-        assert 0 not in results
-        assert results[1] == 9.0
-
-    def test_lower_bound_only_guards_output(self):
-        harness = self.make_harness()
-        agg = harness.operator
-        harness.push(StreamTuple(SCHEMA, (1.0, 0, 9.0)))
-        actions = harness.feedback(
-            FeedbackPunctuation.assumed(
-                Pattern.from_mapping(agg.output_schema,
-                                     {"min_v": AtLeast(5.0)})
-            )
-        )
-        assert actions == [ExploitAction.GUARD_OUTPUT]
-        # Min can still shrink below the bound: result survives.
-        harness.push(StreamTuple(SCHEMA, (2.0, 0, 2.0)))
-        harness.finish()
-        out = harness.emitted_tuples()
-        assert len(out) == 1 and out[0]["min_v"] == 2.0
