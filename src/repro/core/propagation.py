@@ -16,18 +16,19 @@ The planner works from :class:`~repro.stream.schema.SchemaMapping` lineage:
 * Join attributes have exact origins in both inputs, so ``¬[*,j,*]``
   propagates to both sides (Table 2, row 1).
 
-This module handles schema-level (state-independent) propagation.  Some
-operators add *state-dependent* propagation on top -- e.g. COUNT translating
+This module handles schema-level (state-independent) propagation: the
+default intent hooks of :class:`~repro.operators.base.Operator` return its
+plan as their relays.  A *state-dependent* relay -- e.g. COUNT translating
 ``¬[*,>=a]`` into the concrete set of groups currently matching (Table 1,
-row 3); that logic lives in the operators themselves and is catalogued by
-:mod:`repro.core.characterization`.
+row 3) -- is what the operator's own hook returns, having found the groups
+in its state; :mod:`repro.core.characterization` catalogues both.  Either
+way the relay is sent by ``Operator.receive_feedback``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.feedback import FeedbackPunctuation
 from repro.punctuation.atoms import Atom, WILDCARD
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import SchemaMapping
@@ -108,17 +109,3 @@ class PropagationPlanner:
             if safe:
                 per_input[input_index] = Pattern(atoms, schema=input_schema)
         return PropagationPlan(per_input, blocked)
-
-    def propagate(
-        self,
-        feedback: FeedbackPunctuation,
-        *,
-        relayer: str = "",
-        at: float | None = None,
-    ) -> dict[int, FeedbackPunctuation]:
-        """Plan and wrap: per-input feedback ready for the control channel."""
-        plan = self.plan(feedback.pattern)
-        return {
-            i: feedback.propagated(p, relayer=relayer, at=at)
-            for i, p in plan.per_input.items()
-        }

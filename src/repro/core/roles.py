@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.feedback import FeedbackPunctuation
+from repro.punctuation.patterns import Pattern
 
 __all__ = [
     "ExploitAction",
     "FeedbackEvent",
     "FeedbackLog",
+    "Response",
 ]
 
 
@@ -43,6 +45,11 @@ class ExploitAction(enum.Enum):
     PRIORITIZE = "prioritize"          # reorder production (desired)
     EMIT_PARTIAL = "emit_partial"      # unblock with partial results (demanded)
     IGNORE = "ignore"                  # null response (still correct)
+
+
+#: What an operator's intent hook returns: the actions it took locally and
+#: the ``(input index, input-schema pattern)`` pairs it relays upstream.
+Response = tuple[list[ExploitAction], list[tuple[int, Pattern]]]
 
 
 @dataclass(frozen=True)

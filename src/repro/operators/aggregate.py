@@ -33,7 +33,7 @@ from repro.core.characterization import (
     aggregate_characterization,
 )
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.errors import PlanError
 from repro.operators.base import Operator
 from repro.punctuation.atoms import (
@@ -51,7 +51,6 @@ from repro.punctuation.atoms import (
 )
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
-from repro.stream.control import ControlMessageKind
 from repro.stream.schema import Attribute, AttributeOrigin, Schema, SchemaMapping
 from repro.stream.tuples import StreamTuple
 
@@ -527,28 +526,41 @@ class WindowAggregate(Operator):
 
     # ------------------------------------------------------------- feedback
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
         """Enact the row of :attr:`characterization` the pattern falls in.
 
         A pattern no row classifies (group and value constrained at once),
         exploit level 1 (scheme F1) and a row that does not purge get the
-        output guard alone, which Definition 1 always permits.
+        output guard alone, which Definition 1 always permits, and relay
+        what translates to the input.
         """
         rule = self.characterization.classify_or_none(feedback.pattern)
         if (
             rule is None or self.exploit_level == 1
             or ExploitAction.PURGE_STATE not in rule.exploit
         ):
-            return super().on_assumed(feedback)
+            self.output_guards.install(
+                feedback.pattern, origin=feedback, at=self.now()
+            )
+            return [ExploitAction.GUARD_OUTPUT], self._translated(feedback.pattern)
         if rule.propagation is PropagationBehavior.STATE_DEPENDENT:
             return self._purge_certain(feedback)
         return self._purge_matching(feedback)
 
-    def _purge_matching(
-        self, feedback: FeedbackPunctuation
-    ) -> list[ExploitAction]:
-        """A mapped row: purge the pairs the pattern names and keep them
-        from re-forming; the planner-style relay is :meth:`relay_feedback`."""
+    def on_desired(self, feedback: FeedbackPunctuation) -> Response:
+        """Nothing local; relay what translates to the input."""
+        return [], self._translated(feedback.pattern)
+
+    def _translated(self, pattern: Pattern) -> list[tuple[int, Pattern]]:
+        """The relay of an output pattern that
+        :meth:`_input_pattern_from_output` translates; none otherwise."""
+        input_pattern = self._input_pattern_from_output(pattern)
+        return [] if input_pattern is None else [(0, input_pattern)]
+
+    def _purge_matching(self, feedback: FeedbackPunctuation) -> Response:
+        """A mapped row: purge the pairs the pattern names, keep them from
+        re-forming, and guard and relay the input pattern it translates
+        to (none on a sliding window's window atom, Example 2)."""
         pattern = feedback.pattern
         actions = [ExploitAction.PURGE_STATE]
         purged = [
@@ -559,26 +571,24 @@ class WindowAggregate(Operator):
             self.metrics.shrink_state(purged=True)
         # Never accumulate guarded windows again (works for sliding too).
         self._window_guards.append(pattern)
-        if self.tumbling:
-            input_pattern = self._input_pattern_from_output(pattern)
-            if input_pattern is not None:
-                self.input_port(0).guards.install(
-                    input_pattern, origin=feedback, at=self.now()
-                )
-                actions.append(ExploitAction.GUARD_INPUT)
+        relays = self._translated(pattern)
+        for _, input_pattern in relays:
+            self.input_port(0).guards.install(
+                input_pattern, origin=feedback, at=self.now()
+            )
+            actions.append(ExploitAction.GUARD_INPUT)
         self.output_guards.install(pattern, origin=feedback, at=self.now())
         actions.append(ExploitAction.GUARD_OUTPUT)
-        return actions
+        return actions, relays
 
     def _key_matches(self, pattern: Pattern, key: tuple[int, tuple]) -> bool:
         return pattern.matches(self._output_values(key[0], key[1], None))
 
-    def _purge_certain(
-        self, feedback: FeedbackPunctuation
-    ) -> list[ExploitAction]:
+    def _purge_certain(self, feedback: FeedbackPunctuation) -> Response:
         """A state-dependent row: G is the pairs whose partial already
         satisfies the value atom, so their final value is certain to
-        match.  Purge G, keep it from re-forming, and relay it."""
+        match.  Purge G, keep it from re-forming, and guard and relay at
+        most 64 of its pairs."""
         pattern = feedback.pattern
         self.output_guards.install(pattern, origin=feedback, at=self.now())
         satisfied = pattern.atoms[-1].predicate()
@@ -588,28 +598,22 @@ class WindowAggregate(Operator):
             and satisfied(state.value(self.kind))
         ]
         if not group_set:
-            return [ExploitAction.GUARD_OUTPUT]
+            return [ExploitAction.GUARD_OUTPUT], []
         for key in group_set:
             self._state.pop(key)
             self.metrics.shrink_state(purged=True)
         actions = [ExploitAction.PURGE_STATE, ExploitAction.GUARD_OUTPUT]
         port = self.input_port(0)
         relay_cap = 64
+        relays = []
         for key in group_set[:relay_cap]:
             input_pattern = self._pair_input_pattern(key)
             if input_pattern is None:
                 continue
             port.guards.install(input_pattern, origin=feedback, at=self.now())
-            if ExploitAction.GUARD_INPUT not in actions:
-                actions.append(ExploitAction.GUARD_INPUT)
-            self.metrics.feedback_relayed += 1
-            self._send_upstream(
-                ControlMessageKind.FEEDBACK,
-                feedback.propagated(
-                    input_pattern, relayer=self.name, at=self.now()
-                ),
-                (0,),
-            )
+            relays.append((0, input_pattern))
+        if relays:
+            actions.append(ExploitAction.GUARD_INPUT)
         # Stop matching windows from re-forming locally.
         for key in group_set:
             self._window_guards.append(
@@ -621,7 +625,7 @@ class WindowAggregate(Operator):
                     },
                 )
             )
-        return actions
+        return actions, relays
 
     def _pair_input_pattern(self, key: tuple[int, tuple]) -> Pattern | None:
         """Input pattern for one (window, group) pair: ts range ∧ group."""
@@ -661,22 +665,11 @@ class WindowAggregate(Operator):
         result = Pattern(atoms, schema=self.input_schema)
         return None if result.is_all_wildcard else result
 
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        input_pattern = self._input_pattern_from_output(feedback.pattern)
-        if input_pattern is None:
-            return {}
-        return {
-            0: feedback.propagated(
-                input_pattern, relayer=self.name, at=self.now()
-            )
-        }
-
     # -- demanded ---------------------------------------------------------------
 
-    def on_demanded(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        """Unblock: emit current partials for matching open windows now."""
+    def on_demanded(self, feedback: FeedbackPunctuation) -> Response:
+        """Unblock: emit current partials for matching open windows now,
+        and relay what translates to the input."""
         pattern = feedback.pattern
         emitted = False
         for key, state in list(self._state.items()):
@@ -702,4 +695,5 @@ class WindowAggregate(Operator):
         self._result_buffer = keep
         if emitted:
             self.flush_outputs()  # "now" means now, not at page boundary
-        return [ExploitAction.EMIT_PARTIAL] if emitted else []
+        actions = [ExploitAction.EMIT_PARTIAL] if emitted else []
+        return actions, self._translated(feedback.pattern)

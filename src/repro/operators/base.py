@@ -15,10 +15,13 @@ The feedback roles of section 3 map onto this class as follows:
   guarded output, the maximum exploitation permitted by Definition 1).
   Stateful operators override the hook to add input guards and state
   purging where their semantics allow (Tables 1-2).
-* **relayer** -- :meth:`relay_feedback` uses the operator's
-  :class:`~repro.stream.schema.SchemaMapping` and the safe-propagation
-  planner (Definition 2).  Operators with state-dependent propagation
-  (e.g. COUNT under ``¬[*, >=a]``) override it.
+* **relayer** -- each hook also returns the ``(input, pattern)`` pairs its
+  decision lets it relay (Definition 2): by default what the safe-
+  propagation planner maps through the operator's
+  :class:`~repro.stream.schema.SchemaMapping`; state-dependent ones (e.g.
+  COUNT's groups under ``¬[*, >=a]``) from the hook that found them.
+  :meth:`receive_feedback` sends them -- the one place a relay leaves an
+  operator.
 * **producer** -- operators call :meth:`produce_feedback` when they discover
   an opportunity (PACE's divergence bound, THRIFTY JOIN's empty windows).
 
@@ -40,7 +43,7 @@ from repro.core.feedback import (
 )
 from repro.core.guards import GuardSet
 from repro.core.propagation import PropagationPlanner
-from repro.core.roles import ExploitAction, FeedbackLog
+from repro.core.roles import ExploitAction, FeedbackLog, Response
 from repro.engine.metrics import OperatorMetrics
 from repro.errors import FeedbackError, PlanError
 from repro.punctuation.embedded import Punctuation
@@ -167,7 +170,8 @@ class Operator(abc.ABC):
     n_inputs: int = 1
     #: Whether this operator understands feedback punctuation at all.
     feedback_aware: bool = False
-    #: Whether assumed feedback is forwarded upstream when safely mappable.
+    #: Whether feedback is relayed upstream at all (the hooks' relays are
+    #: dropped, their local actions kept).
     relay_enabled: bool = True
 
     def __init__(
@@ -911,7 +915,9 @@ class Operator(abc.ABC):
         """Engine entry point for feedback arriving from downstream.
 
         The pattern is phrased over this operator's *output* schema.
-        Feedback-unaware operators ignore it (and cannot relay it).
+        Feedback-unaware operators ignore it (and cannot relay it).  The
+        intent's hook acts locally and names what it relays; the relays
+        leave here and nowhere else, each one hop further upstream.
         """
         self.feedback_source_edge = from_edge
         self.metrics.feedback_received += 1
@@ -931,20 +937,23 @@ class Operator(abc.ABC):
             )
             return [ExploitAction.IGNORE]
         if feedback.intent is FeedbackIntent.ASSUMED:
-            actions = list(self.on_assumed(feedback))
+            actions, relays = self.on_assumed(feedback)
         elif feedback.intent is FeedbackIntent.DESIRED:
-            actions = list(self.on_desired(feedback))
+            actions, relays = self.on_desired(feedback)
         else:
-            actions = list(self.on_demanded(feedback))
-        if self.relay_enabled:
-            relayed = self.relay_feedback(feedback)
-            for index, sub in relayed.items():
+            actions, relays = self.on_demanded(feedback)
+        actions = list(actions)
+        if self.relay_enabled and relays:
+            for index, pattern in relays:
                 self.metrics.feedback_relayed += 1
                 self._send_upstream(
-                    ControlMessageKind.FEEDBACK, sub, (index,)
+                    ControlMessageKind.FEEDBACK,
+                    feedback.propagated(
+                        pattern, relayer=self.name, at=self.now()
+                    ),
+                    (index,),
                 )
-            if relayed:
-                actions.append(ExploitAction.PROPAGATE)
+            actions.append(ExploitAction.PROPAGATE)
         self.runtime.feedback_log.record(
             self.now(), self.name, feedback, actions
         )
@@ -952,8 +961,8 @@ class Operator(abc.ABC):
 
     # Per-intent exploitation hooks -------------------------------------------
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        """Default assumed-response: guard the output.
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
+        """Default assumed-response: guard the output, relay what maps.
 
         Correct for every operator: the guarded output is exactly
         ``SR - subset(SR, f)``, the maximum exploitation Definition 1
@@ -963,15 +972,24 @@ class Operator(abc.ABC):
         self.output_guards.install(
             feedback.pattern, origin=feedback, at=self.now()
         )
-        return [ExploitAction.GUARD_OUTPUT]
+        return [ExploitAction.GUARD_OUTPUT], self._planned(feedback.pattern)
 
-    def on_desired(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        """Default desired-response: none (prioritisation is op-specific)."""
-        return []
+    def on_desired(self, feedback: FeedbackPunctuation) -> Response:
+        """Default desired-response: none locally (prioritisation is
+        op-specific); relay what maps."""
+        return [], self._planned(feedback.pattern)
 
-    def on_demanded(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        """Default demanded-response: none (partial results are op-specific)."""
-        return []
+    def on_demanded(self, feedback: FeedbackPunctuation) -> Response:
+        """Default demanded-response: none locally (partial results are
+        op-specific); relay what maps."""
+        return [], self._planned(feedback.pattern)
+
+    def _planned(self, pattern: Pattern) -> list[tuple[int, Pattern]]:
+        """The ``(input, pattern)`` pairs the schema planner maps an output
+        pattern to (Definition 2); none without a schema mapping."""
+        if self._planner is None:
+            return []
+        return list(self._planner.plan(pattern).per_input.items())
 
     def on_result_request(self, pattern: Pattern | None) -> None:
         """Handle an on-demand result request; default: forward upstream."""
@@ -1023,23 +1041,6 @@ class Operator(abc.ABC):
             self._send_upstream(message.kind, message.payload)
         else:
             self._send_downstream(message.kind, message.payload)
-
-    # -------------------------------------------------------- feedback: relay
-
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        """Map feedback onto input schemas where safe (Definition 2).
-
-        The default uses the schema-level planner; operators with
-        state-dependent propagation override this.  Operators without a
-        schema mapping relay nothing.
-        """
-        if self._planner is None:
-            return {}
-        return self._planner.propagate(
-            feedback, relayer=self.name, at=self.now()
-        )
 
     # ---------------------------------------------------------------- repr
 
@@ -1149,8 +1150,3 @@ class SourceOperator(Operator):
 
     def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
         raise PlanError(f"source {self.name} cannot receive tuples")
-
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        return {}  # nothing upstream of a source

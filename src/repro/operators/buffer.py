@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.operators.base import Operator
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
@@ -151,7 +151,7 @@ class PriorityBuffer(Operator):
 
     # -- feedback ---------------------------------------------------------------
 
-    def on_desired(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
+    def on_desired(self, feedback: FeedbackPunctuation) -> Response:
         """Record the desire (most recent first) and surface matches now."""
         self._desires.appendleft(feedback.pattern)
         while len(self._desires) > self.max_desires:
@@ -165,9 +165,9 @@ class PriorityBuffer(Operator):
             self._emit_pending(tup)
         if released:
             self.flush_outputs()  # prioritised tuples must not wait on a page
-        return [ExploitAction.PRIORITIZE]
+        return [ExploitAction.PRIORITIZE], self._planned(feedback.pattern)
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
         """Guard input and drop covered pending tuples (they are unneeded)."""
         self.input_port(0).guards.install(
             feedback.pattern, origin=feedback, at=self.now()
@@ -179,4 +179,7 @@ class PriorityBuffer(Operator):
         dropped = before - len(self._pending)
         if dropped:
             self.metrics.shrink_state(dropped, purged=True)
-        return [ExploitAction.GUARD_INPUT, ExploitAction.PURGE_STATE]
+        return (
+            [ExploitAction.GUARD_INPUT, ExploitAction.PURGE_STATE],
+            self._planned(feedback.pattern),
+        )

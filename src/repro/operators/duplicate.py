@@ -17,12 +17,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.operators.base import Operator, OutputEdge
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import Schema, SchemaMapping
 
-__all__ = ["Duplicate", "agreed_patterns"]
+__all__ = ["Duplicate", "agreed_patterns", "enact_agreed"]
 
 
 def agreed_patterns(
@@ -70,6 +70,33 @@ def agreed_patterns(
     return agreed
 
 
+def enact_agreed(
+    operator: Operator,
+    declared: dict[int, list[Pattern]],
+    feedback: FeedbackPunctuation,
+) -> Response:
+    """Record ``feedback`` from the edge it came up on, and enact every
+    region all of ``operator``'s consumers now agree on: output guard,
+    input guard and relay, each.  Nothing until they agree.
+
+    DUPLICATE's rule, and PARTITION's when the feedback is not key-routed.
+    """
+    agreed = agreed_patterns(
+        declared, operator.outputs, feedback.pattern,
+        operator.feedback_source_edge,
+    )
+    actions: list[ExploitAction] = []
+    at = operator.now()
+    for pattern in agreed:
+        if operator.output_guards.install(pattern, origin=feedback, at=at):
+            actions.append(ExploitAction.GUARD_OUTPUT)
+        operator.input_port(0).guards.install(pattern, origin=feedback, at=at)
+        actions.append(ExploitAction.GUARD_INPUT)
+    return actions, [
+        (0, pattern.with_schema(operator.output_schema)) for pattern in agreed
+    ]
+
+
 class Duplicate(Operator):
     """Emit every input element on every output edge unchanged."""
 
@@ -88,43 +115,5 @@ class Duplicate(Operator):
 
     # -- feedback reconciliation ---------------------------------------------
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        agreed = agreed_patterns(
-            self._declared, self.outputs, feedback.pattern,
-            self.feedback_source_edge,
-        )
-        if not agreed:
-            return []  # null response until all consumers agree
-        actions: list[ExploitAction] = []
-        for pattern in agreed:
-            if self.output_guards.install(
-                pattern, origin=feedback, at=self.now()
-            ):
-                actions.append(ExploitAction.GUARD_OUTPUT)
-            self.input_port(0).guards.install(
-                pattern, origin=feedback, at=self.now()
-            )
-            actions.append(ExploitAction.GUARD_INPUT)
-        self._agreed_pending = agreed
-        return actions
-
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        """Relay only agreed (all-consumer) subsets upstream."""
-        agreed = getattr(self, "_agreed_pending", None)
-        self._agreed_pending = None
-        if not agreed:
-            return {}
-        # Several agreed boxes cannot be sent as one conjunctive pattern;
-        # relay the first and let subsequent consumer feedback cover the
-        # rest incrementally (correct, if not maximal).
-        return {
-            0: feedback.propagated(
-                agreed[0].with_schema(self.output_schema)
-                if self.output_schema is not None
-                else agreed[0],
-                relayer=self.name,
-                at=self.now(),
-            )
-        }
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
+        return enact_agreed(self, self._declared, feedback)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.operators.base import Operator
 from repro.stream.schema import Schema, SchemaMapping
 from repro.stream.tuples import StreamTuple
@@ -126,7 +126,7 @@ class Impute(Operator):
         self.imputed_count += 1
         self.emit(tup.replace(**{self._value_attribute: estimate}))
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
         """Guard the input: late tuples die at guard cost, not lookup cost.
 
         The pattern arrives in output-schema terms; IMPUTE's mapping is the
@@ -137,4 +137,7 @@ class Impute(Operator):
         self.input_port(0).guards.install(
             feedback.pattern, origin=feedback, at=self.now()
         )
-        return [ExploitAction.GUARD_INPUT, ExploitAction.PURGE_STATE]
+        return (
+            [ExploitAction.GUARD_INPUT, ExploitAction.PURGE_STATE],
+            self._planned(feedback.pattern),
+        )

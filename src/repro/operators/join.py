@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.errors import PlanError
 from repro.operators.base import Operator
 from repro.punctuation.embedded import Punctuation
@@ -310,20 +310,23 @@ class SymmetricHashJoin(Operator):
         join_names = {l for l, _ in self.on}
         return constrained <= join_names
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        plan = self._planner.plan(feedback.pattern)
-        usable = {
-            idx: pat
-            for idx, pat in plan.per_input.items()
-            if self._outer_safe(idx, feedback.pattern)
-        }
+    def _usable(self, pattern: Pattern) -> list[tuple[int, Pattern]]:
+        """The planner's relays that are outer-safe: where this join may
+        guard, purge and relay."""
+        return [
+            (idx, mapped) for idx, mapped in self._planned(pattern)
+            if self._outer_safe(idx, pattern)
+        ]
+
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
+        usable = self._usable(feedback.pattern)
         if not usable:
             self.output_guards.install(
                 feedback.pattern, origin=feedback, at=self.now()
             )
-            return [ExploitAction.GUARD_OUTPUT]
+            return [ExploitAction.GUARD_OUTPUT], usable
         purged = 0
-        for idx, pattern in usable.items():
+        for idx, pattern in usable:
             self.input_port(idx).guards.install(
                 pattern, origin=feedback, at=self.now()
             )
@@ -337,7 +340,14 @@ class SymmetricHashJoin(Operator):
             feedback.pattern, origin=feedback, at=self.now()
         )
         actions = [ExploitAction.PURGE_STATE] if purged else []
-        return actions + [ExploitAction.GUARD_INPUT, ExploitAction.GUARD_OUTPUT]
+        actions += [ExploitAction.GUARD_INPUT, ExploitAction.GUARD_OUTPUT]
+        return actions, usable
+
+    def on_desired(self, feedback: FeedbackPunctuation) -> Response:
+        """A production hint: relayed where outer-safe, nothing local."""
+        return [], self._usable(feedback.pattern)
+
+    on_demanded = on_desired
 
     def _purge_table_matching(self, side: int, pattern: Pattern) -> int:
         """Purge stored tuples matching an input-schema pattern."""
@@ -354,15 +364,3 @@ class SymmetricHashJoin(Operator):
         if purged:
             self.metrics.shrink_state(purged, purged=True)
         return purged
-
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        relayed = super().relay_feedback(feedback)
-        if self.how == "inner":
-            return relayed
-        return {
-            idx: fb
-            for idx, fb in relayed.items()
-            if self._outer_safe(idx, feedback.pattern)
-        }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.operators.base import Operator
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
@@ -105,12 +105,16 @@ class Map(Operator):
                 )
             )
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        """Guard the input via back-mapped patterns where safe."""
-        relayable = self.relay_feedback(feedback)
-        if 0 in relayable:
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
+        """Guard the input with the back-mapped pattern where there is
+        one, else the output (stateless)."""
+        relays = self._planned(feedback.pattern)
+        if relays:
             self.input_port(0).guards.install(
-                relayable[0].pattern, origin=feedback, at=self.now()
+                relays[0][1], origin=feedback, at=self.now()
             )
-            return [ExploitAction.GUARD_INPUT]
-        return super().on_assumed(feedback)
+            return [ExploitAction.GUARD_INPUT], relays
+        self.output_guards.install(
+            feedback.pattern, origin=feedback, at=self.now()
+        )
+        return [ExploitAction.GUARD_OUTPUT], relays

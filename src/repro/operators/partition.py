@@ -44,16 +44,15 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 from zlib import crc32
 
-from repro.core.feedback import FeedbackIntent, FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.feedback import FeedbackPunctuation
+from repro.core.roles import ExploitAction, Response
 from repro.errors import PlanError
 from repro.operators.base import Operator, OutputEdge
-from repro.operators.duplicate import agreed_patterns
+from repro.operators.duplicate import enact_agreed
 from repro.operators.union import Union
 from repro.punctuation.atoms import Equals, InSet
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
-from repro.stream.control import ControlMessageKind
 from repro.stream.schema import Schema, SchemaMapping
 from repro.stream.tuples import StreamTuple
 
@@ -143,14 +142,13 @@ class Partition(Operator):
         self._stash: dict[int, list] = {}
         # Assumed patterns declared per output edge (agreement protocol).
         self._declared: dict[int, list[Pattern]] = {}
-        self._relay_pending: Pattern | None = None
         self.tuples_stashed = 0
         self.lane_pauses = 0
         self.key_routed_feedback = 0
 
     state_fields = (
-        "_paused_lanes", "_stash", "_relay_pending", "tuples_stashed",
-        "lane_pauses", "key_routed_feedback",
+        "_paused_lanes", "_stash", "tuples_stashed", "lane_pauses",
+        "key_routed_feedback",
     )
 
     def snapshot_state(self) -> dict[str, Any]:
@@ -298,14 +296,22 @@ class Partition(Operator):
                 return None
         return {self.lane_of_key(*combo) for combo in combos}
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
+        """Enact and relay key-routed feedback at once; anything else
+        once every replica agrees (DUPLICATE's rule, :func:`enact_agreed`:
+        the merged downstream consumer is shared, so a broadcast feedback
+        reaches every lane and agreement converges).
+
+        Desired and demanded feedback is a pure production hint (it never
+        changes the final result): the default hooks relay it through the
+        identity mapping.
+        """
         edge = self.feedback_source_edge
-        lane = (
-            self.outputs.index(edge)
-            if edge is not None and edge in self.outputs else None
-        )
         routed = self._lanes_for_pattern(feedback.pattern)
-        if routed is not None and lane is not None and routed <= {lane}:
+        if (
+            routed is not None and edge in self.outputs
+            and routed <= {self.outputs.index(edge)}
+        ):
             # Key-routed: the pattern's tuples only ever reach the issuing
             # replica, so its feedback alone licenses full exploitation.
             self.key_routed_feedback += 1
@@ -315,67 +321,11 @@ class Partition(Operator):
             self.output_guards.install(
                 feedback.pattern, origin=feedback, at=self.now()
             )
-            self._relay_pending = feedback.pattern
-            return [ExploitAction.GUARD_INPUT, ExploitAction.GUARD_OUTPUT]
-        # DUPLICATE's reconciliation across all lanes.  (The merged
-        # downstream consumer is shared, so a broadcast feedback reaches
-        # every lane and agreement converges.)
-        agreed = agreed_patterns(
-            self._declared, self.outputs, feedback.pattern, edge
-        )
-        if not agreed:
-            return []  # null response until all replicas agree
-        actions: list[ExploitAction] = []
-        for pattern in agreed:
-            if self.output_guards.install(
-                pattern, origin=feedback, at=self.now()
-            ):
-                actions.append(ExploitAction.GUARD_OUTPUT)
-            self.input_port(0).guards.install(
-                pattern, origin=feedback, at=self.now()
+            return (
+                [ExploitAction.GUARD_INPUT, ExploitAction.GUARD_OUTPUT],
+                [(0, feedback.pattern.with_schema(self.output_schema))],
             )
-            actions.append(ExploitAction.GUARD_INPUT)
-        # relay_feedback carries one pattern; additional agreed regions
-        # propagate directly (the aggregate's state-dependent propagation
-        # precedent), so the source stops producing *all* of them.
-        if self.relay_enabled:
-            for pattern in agreed[1:]:
-                self.metrics.feedback_relayed += 1
-                self._send_upstream(
-                    ControlMessageKind.FEEDBACK,
-                    feedback.propagated(
-                        pattern.with_schema(self.output_schema)
-                        if self.output_schema is not None else pattern,
-                        relayer=self.name,
-                        at=self.now(),
-                    ),
-                    (0,),
-                )
-        self._relay_pending = agreed[0]
-        return actions
-
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        """Relay assumed feedback only once key-routed or agreed.
-
-        Desired/demanded feedback is a pure production hint (it never
-        changes the final result), so it relays upstream directly via the
-        identity mapping.
-        """
-        if feedback.intent is not FeedbackIntent.ASSUMED:
-            return super().relay_feedback(feedback)
-        pending, self._relay_pending = self._relay_pending, None
-        if pending is None:
-            return {}
-        return {
-            0: feedback.propagated(
-                pending.with_schema(self.output_schema)
-                if self.output_schema is not None else pending,
-                relayer=self.name,
-                at=self.now(),
-            )
-        }
+        return enact_agreed(self, self._declared, feedback)
 
 
 class ShardMerge(Union):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.errors import PlanError
 from repro.operators.base import Operator
 from repro.punctuation.embedded import Punctuation
@@ -90,49 +90,34 @@ class Router(Operator):
 
     # -- feedback -----------------------------------------------------------------
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
-        """Guard the intersection of the feedback with the sending route.
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
+        """Guard and relay the intersection of the feedback with the
+        sending route.
 
         Only tuples the issuing consumer could ever have seen are
-        suppressed, so no agreement protocol is needed (unlike DUPLICATE).
-        Feedback of unknown provenance falls back to the route-agnostic
-        output guard.
+        suppressed, so no agreement protocol is needed (unlike DUPLICATE);
+        the raw pattern may cover tuples bound for other outputs whose
+        consumers still want them, so only the intersection relays.
+        Feedback of unknown provenance, or from the default output (whose
+        tuples match *no* route, which a conjunctive pattern cannot
+        express), gets the per-edge output guard alone.
         """
         edge = self.feedback_source_edge
-        if edge is None or edge not in self.outputs:
-            return super().on_assumed(feedback)
-        output_index = self.outputs.index(edge)
-        if output_index >= len(self.routes):
-            # Feedback from the default output: tuples there match *no*
-            # route, which a conjunctive pattern cannot express; stay with
-            # the per-edge output guard (null-ish but correct).
-            return super().on_assumed(feedback)
+        output_index = (
+            self.outputs.index(edge) if edge in self.outputs else None
+        )
+        if output_index is None or output_index >= len(self.routes):
+            self.output_guards.install(
+                feedback.pattern, origin=feedback, at=self.now()
+            )
+            return [ExploitAction.GUARD_OUTPUT], []
         scoped = feedback.pattern.intersect(self.routes[output_index])
         if scoped is None:
-            return []  # the consumer never sees this subset: nothing to do
+            return [], []  # the consumer never sees this subset
         self.input_port(0).guards.install(
             scoped, origin=feedback, at=self.now()
         )
-        self._scoped_relay = scoped
-        return [ExploitAction.GUARD_INPUT]
-
-    def relay_feedback(
-        self, feedback: FeedbackPunctuation
-    ) -> dict[int, FeedbackPunctuation]:
-        """Relay the route-scoped pattern, not the raw one.
-
-        The raw pattern may cover tuples destined for other outputs whose
-        consumers still want them; only the intersection is safe.
-        """
-        scoped = getattr(self, "_scoped_relay", None)
-        self._scoped_relay = None
-        if scoped is None:
-            return {}
-        return {
-            0: feedback.propagated(
-                scoped.with_schema(self.output_schema)
-                if self.output_schema is not None else scoped,
-                relayer=self.name,
-                at=self.now(),
-            )
-        }
+        return (
+            [ExploitAction.GUARD_INPUT],
+            [(0, scoped.with_schema(self.output_schema))],
+        )

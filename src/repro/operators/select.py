@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction
+from repro.core.roles import ExploitAction, Response
 from repro.operators.base import Operator
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import Schema, SchemaMapping
@@ -63,12 +63,12 @@ class Select(Operator):
             predicate = self._predicate
             self.emit_many([t for t in batch if predicate(t)])
 
-    def on_assumed(self, feedback: FeedbackPunctuation) -> list[ExploitAction]:
+    def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
         """Add the punctuation to the select condition (an input guard)."""
         self.input_port(0).guards.install(
             feedback.pattern, origin=feedback, at=self.now()
         )
-        return [ExploitAction.GUARD_INPUT]
+        return [ExploitAction.GUARD_INPUT], self._planned(feedback.pattern)
 
 
 class QualityFilter(Select):

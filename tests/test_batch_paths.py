@@ -26,7 +26,7 @@ from repro.operators import (
     ThriftyJoin,
     WindowAggregate,
 )
-from repro.punctuation import Pattern, Punctuation
+from repro.punctuation import Interval, Pattern, Punctuation
 from repro.stream import Schema, StreamTuple
 
 LEFT = Schema.of("a", "t", "id")
@@ -237,11 +237,12 @@ class TestWindowAggregateBatch:
         """Assumed feedback's window guards suppress accumulation in the
         hoisted batch loop exactly as per element.
 
-        Sliding windows, deliberately: tumbling windows exploit
-        group-constrained feedback via *input* guards (dropped before any
-        batch hook runs), while sliding windows must keep the guard check
-        inside accumulation (Example 2) -- the exact check the batch loop
-        hoists.
+        Sliding windows and a window-constrained pattern, deliberately:
+        a pattern that translates to the input (any window-free group
+        pattern, or a window on tumbling windows) is exploited by an
+        *input* guard (dropped before any batch hook runs), while a
+        sliding window's window atom must keep the guard check inside
+        accumulation (Example 2) -- the exact check the batch loop hoists.
         """
         def make():
             return WindowAggregate(
@@ -251,7 +252,8 @@ class TestWindowAggregateBatch:
 
         feedback = FeedbackPunctuation.assumed(
             Pattern.from_mapping(
-                Schema.of("window", "g", "avg_v"), {"g": 1}
+                Schema.of("window", "g", "avg_v"),
+                {"window": Interval(2, 8), "g": 1},
             )
         )
         by_element, by_page = paired_harnesses(make)

@@ -307,7 +307,8 @@ class TestOutputGuardOnly:
 class TestSlidingWindows:
     """Example 2: a tuple of a useless window feeds other windows too, so
     sliding windows take the row without its input guard and relay no
-    window or pair."""
+    window or pair.  A window-free group pattern names no window: it
+    takes the whole row, input guard and relay included."""
 
     @pytest.mark.parametrize(
         "kind,rule,which",
@@ -326,6 +327,19 @@ class TestSlidingWindows:
             assert ExploitAction.PURGE_STATE in actions
         assert actions == set(rule.exploit) - {ExploitAction.GUARD_INPUT}
         assert relayed == {0: []}
+        assert_correct(reference(make, ROWS), out, pattern)
+
+    @pytest.mark.parametrize(
+        "kind,rule,which",
+        [case for case in aggregate_cases() if case.values[2] == "seg"],
+    )
+    def test_group_pattern_takes_the_whole_row(self, kind, rule, which):
+        make = lambda: make_aggregate(kind, slide=5.0)  # noqa: E731
+        pattern = aggregate_pattern(make, rule, which)
+        before, after = split(ROWS)
+        actions, relayed, out = respond(make, pattern, before, after)
+        assert actions == set(rule.exploit)
+        assert [repr(fb.pattern) for fb in relayed[0]] == ["[*, 1, *]"]
         assert_correct(reference(make, ROWS), out, pattern)
 
 

@@ -7,6 +7,8 @@ B(t, id, b) equi-joined on (t, id) with output C(a, t, id, b).
 import pytest
 
 from repro.core import FeedbackPunctuation, PropagationPlanner
+from repro.engine.harness import OperatorHarness
+from repro.operators import SymmetricHashJoin
 from repro.punctuation import Pattern
 from repro.stream import Schema, SchemaMapping
 
@@ -110,12 +112,24 @@ class TestSelfJoinCollisions:
 
 
 class TestPropagateWrapper:
-    def test_propagate_wraps_feedback(self, planner):
-        fb = FeedbackPunctuation.assumed(
-            Pattern.build("*", 3, 4, "*"), issuer="join"
+    def test_propagate_wraps_feedback(self, stream_a_schema, stream_b_schema):
+        """A relay leaves the operator wrapped one hop further upstream,
+        with the planner's per-input pattern."""
+        join = SymmetricHashJoin(
+            "join", stream_a_schema, stream_b_schema,
+            on=[("t", "t"), ("id", "id")],
         )
-        relayed = planner.propagate(fb, relayer="join")
-        assert set(relayed) == {0, 1}
-        for sub in relayed.values():
+        harness = OperatorHarness(join)
+        fb = FeedbackPunctuation.assumed(
+            Pattern.build("*", 3, 4, "*"), issuer="sink"
+        )
+        harness.feedback(fb)
+        relayed = {
+            port: harness.upstream_feedback(port) for port in (0, 1)
+        }
+        assert [repr(sub.pattern) for sub in relayed[0]] == ["[*, 3, 4]"]
+        assert [repr(sub.pattern) for sub in relayed[1]] == ["[3, 4, *]"]
+        for (sub,) in relayed.values():
             assert sub.hops == 1
             assert sub.intent is fb.intent
+            assert sub.issuer == "join"

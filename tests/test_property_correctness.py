@@ -242,19 +242,15 @@ class TestSafePropagationProperty:
         join, reference = run_join(pair, None)
         pattern = Pattern.from_mapping(join.output_schema, constraints)
         fb = FeedbackPunctuation.assumed(pattern)
-        relay_probe = SymmetricHashJoin(
+        relay_probe = OperatorHarness(SymmetricHashJoin(
             "probe", LEFT, RIGHT, on=[("t", "t"), ("id", "id")]
-        )
-        relayed = relay_probe.relay_feedback(fb)
+        ))
+        relay_probe.feedback(fb)
         left_rows, right_rows = pair
-        if 0 in relayed:
-            left_rows = [
-                t for t in left_rows if not relayed[0].pattern.matches(t)
-            ]
-        if 1 in relayed:
-            right_rows = [
-                t for t in right_rows if not relayed[1].pattern.matches(t)
-            ]
+        for sub in relay_probe.upstream_feedback(0):
+            left_rows = [t for t in left_rows if not sub.pattern.matches(t)]
+        for sub in relay_probe.upstream_feedback(1):
+            right_rows = [t for t in right_rows if not sub.pattern.matches(t)]
         _, filtered_output = run_join((left_rows, right_rows), None)
         report = check_correct_exploitation(
             reference, filtered_output, pattern
