@@ -539,21 +539,14 @@ class WindowAggregate(Operator):
             rule is None or self.exploit_level == 1
             or ExploitAction.PURGE_STATE not in rule.exploit
         ):
-            self.output_guards.install(
-                feedback.pattern, origin=feedback, at=self.now()
-            )
-            return [ExploitAction.GUARD_OUTPUT], self._translated(feedback.pattern)
+            return super().on_assumed(feedback)
         if rule.propagation is PropagationBehavior.STATE_DEPENDENT:
             return self._purge_certain(feedback)
         return self._purge_matching(feedback)
 
-    def on_desired(self, feedback: FeedbackPunctuation) -> Response:
-        """Nothing local; relay what translates to the input."""
-        return [], self._translated(feedback.pattern)
-
-    def _translated(self, pattern: Pattern) -> list[tuple[int, Pattern]]:
-        """The relay of an output pattern that
-        :meth:`_input_pattern_from_output` translates; none otherwise."""
+    def _planned(self, pattern: Pattern) -> list[tuple[int, Pattern]]:
+        """What maps to the input: the pattern
+        :meth:`_input_pattern_from_output` translates to, if any."""
         input_pattern = self._input_pattern_from_output(pattern)
         return [] if input_pattern is None else [(0, input_pattern)]
 
@@ -571,7 +564,7 @@ class WindowAggregate(Operator):
             self.metrics.shrink_state(purged=True)
         # Never accumulate guarded windows again (works for sliding too).
         self._window_guards.append(pattern)
-        relays = self._translated(pattern)
+        relays = self._planned(pattern)
         for _, input_pattern in relays:
             self.input_port(0).guards.install(
                 input_pattern, origin=feedback, at=self.now()
@@ -696,4 +689,4 @@ class WindowAggregate(Operator):
         if emitted:
             self.flush_outputs()  # "now" means now, not at page boundary
         actions = [ExploitAction.EMIT_PARTIAL] if emitted else []
-        return actions, self._translated(feedback.pattern)
+        return actions, self._planned(feedback.pattern)

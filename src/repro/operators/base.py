@@ -18,7 +18,9 @@ The feedback roles of section 3 map onto this class as follows:
 * **relayer** -- each hook also returns the ``(input, pattern)`` pairs its
   decision lets it relay (Definition 2): by default what the safe-
   propagation planner maps through the operator's
-  :class:`~repro.stream.schema.SchemaMapping`; state-dependent ones (e.g.
+  :class:`~repro.stream.schema.SchemaMapping` (:meth:`_planned`, which an
+  operator with its own rule overrides: the window aggregate's window
+  translation, the outer join's safe side); state-dependent ones (e.g.
   COUNT's groups under ``¬[*, >=a]``) from the hook that found them.
   :meth:`receive_feedback` sends them -- the one place a relay leaves an
   operator.

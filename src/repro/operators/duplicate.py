@@ -117,3 +117,8 @@ class Duplicate(Operator):
 
     def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
         return enact_agreed(self, self._declared, feedback)
+
+    def on_demanded(self, feedback: FeedbackPunctuation) -> Response:
+        """Relay nothing: a partial the demand unblocks upstream would be
+        broadcast to consumers that never asked for it."""
+        return [], []

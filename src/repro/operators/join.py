@@ -310,16 +310,16 @@ class SymmetricHashJoin(Operator):
         join_names = {l for l, _ in self.on}
         return constrained <= join_names
 
-    def _usable(self, pattern: Pattern) -> list[tuple[int, Pattern]]:
-        """The planner's relays that are outer-safe: where this join may
+    def _planned(self, pattern: Pattern) -> list[tuple[int, Pattern]]:
+        """The planner's pairs that are outer-safe: where this join may
         guard, purge and relay."""
         return [
-            (idx, mapped) for idx, mapped in self._planned(pattern)
+            (idx, mapped) for idx, mapped in super()._planned(pattern)
             if self._outer_safe(idx, pattern)
         ]
 
     def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
-        usable = self._usable(feedback.pattern)
+        usable = self._planned(feedback.pattern)
         if not usable:
             self.output_guards.install(
                 feedback.pattern, origin=feedback, at=self.now()
@@ -342,12 +342,6 @@ class SymmetricHashJoin(Operator):
         actions = [ExploitAction.PURGE_STATE] if purged else []
         actions += [ExploitAction.GUARD_INPUT, ExploitAction.GUARD_OUTPUT]
         return actions, usable
-
-    def on_desired(self, feedback: FeedbackPunctuation) -> Response:
-        """A production hint: relayed where outer-safe, nothing local."""
-        return [], self._usable(feedback.pattern)
-
-    on_demanded = on_desired
 
     def _purge_table_matching(self, side: int, pattern: Pattern) -> int:
         """Purge stored tuples matching an input-schema pattern."""

@@ -14,8 +14,9 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.core.feedback import FeedbackPunctuation
-from repro.core.roles import ExploitAction, Response
+from repro.core.roles import Response
 from repro.operators.base import Operator
+from repro.operators.project import guard_mapped_input
 from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
 from repro.stream.schema import Attribute, AttributeOrigin, Schema, SchemaMapping
@@ -106,15 +107,4 @@ class Map(Operator):
             )
 
     def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
-        """Guard the input with the back-mapped pattern where there is
-        one, else the output (stateless)."""
-        relays = self._planned(feedback.pattern)
-        if relays:
-            self.input_port(0).guards.install(
-                relays[0][1], origin=feedback, at=self.now()
-            )
-            return [ExploitAction.GUARD_INPUT], relays
-        self.output_guards.install(
-            feedback.pattern, origin=feedback, at=self.now()
-        )
-        return [ExploitAction.GUARD_OUTPUT], relays
+        return guard_mapped_input(self, feedback)

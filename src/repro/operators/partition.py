@@ -302,9 +302,9 @@ class Partition(Operator):
         the merged downstream consumer is shared, so a broadcast feedback
         reaches every lane and agreement converges).
 
-        Desired and demanded feedback is a pure production hint (it never
-        changes the final result): the default hooks relay it through the
-        identity mapping.
+        Desired and demanded feedback the default hooks relay through the
+        identity mapping: every lane feeds the one merged consumer, so a
+        partial a demand unblocks upstream reaches only its issuer.
         """
         edge = self.feedback_source_edge
         routed = self._lanes_for_pattern(feedback.pattern)

@@ -18,7 +18,25 @@ from repro.punctuation.embedded import Punctuation
 from repro.stream.schema import AttributeOrigin, Schema, SchemaMapping
 from repro.stream.tuples import StreamTuple
 
-__all__ = ["Project"]
+__all__ = ["Project", "guard_mapped_input"]
+
+
+def guard_mapped_input(
+    operator: Operator, feedback: FeedbackPunctuation
+) -> Response:
+    """A stateless unary operator's assumed rule, PROJECT's and MAP's:
+    guard the input with the back-mapped pattern and relay it where there
+    is one, else guard the output."""
+    relays = operator._planned(feedback.pattern)
+    if relays:
+        operator.input_port(0).guards.install(
+            relays[0][1], origin=feedback, at=operator.now()
+        )
+        return [ExploitAction.GUARD_INPUT], relays
+    operator.output_guards.install(
+        feedback.pattern, origin=feedback, at=operator.now()
+    )
+    return [ExploitAction.GUARD_OUTPUT], relays
 
 
 class Project(Operator):
@@ -74,15 +92,4 @@ class Project(Operator):
             self.emit_punctuation(Punctuation(projected, source=self.name))
 
     def on_assumed(self, feedback: FeedbackPunctuation) -> Response:
-        """Guard the input with the back-mapped pattern where there is
-        one, else the output (stateless)."""
-        relays = self._planned(feedback.pattern)
-        if relays:
-            self.input_port(0).guards.install(
-                relays[0][1], origin=feedback, at=self.now()
-            )
-            return [ExploitAction.GUARD_INPUT], relays
-        self.output_guards.install(
-            feedback.pattern, origin=feedback, at=self.now()
-        )
-        return [ExploitAction.GUARD_OUTPUT], relays
+        return guard_mapped_input(self, feedback)

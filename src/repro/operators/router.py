@@ -121,3 +121,8 @@ class Router(Operator):
             [ExploitAction.GUARD_INPUT],
             [(0, scoped.with_schema(self.output_schema))],
         )
+
+    def on_demanded(self, feedback: FeedbackPunctuation) -> Response:
+        """Relay nothing: a partial the raw pattern unblocks upstream may
+        be routed to a consumer that never asked for it."""
+        return [], []

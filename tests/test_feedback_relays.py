@@ -103,12 +103,15 @@ PIN = {
         lambda: Union("op", SCHEMA, arity=2), 1, 0,
         {"seg": 1}, same({0: ["[*, 1, *]"], 1: ["[*, 1, *]"]}),
     ),
-    # One consumer of two asks: an assumed region waits for agreement.
+    # One consumer of two asks: an assumed region waits for agreement, and
+    # a demand is not relayed (its partials would reach both consumers).
     "duplicate": (
         lambda: Duplicate("op", SCHEMA), 2, 0,
-        {"seg": 1}, hints({0: ["[*, 1, *]"]}),
+        {"seg": 1},
+        {"assumed": {}, "desired": {0: ["[*, 1, *]"]}, "demanded": {}},
     ),
-    # The route of output 0 is seg in {0, 1}: the assumed relay is scoped.
+    # The route of output 0 is seg in {0, 1}: the assumed relay is scoped,
+    # and a demand is not relayed (seg=2 partials would reach output 1).
     "router": (
         lambda: Router(
             "op", SCHEMA,
@@ -121,7 +124,7 @@ PIN = {
         {
             "assumed": {0: ["[*, in{1}, *]"]},
             "desired": {0: ["[*, in{1,2}, *]"]},
-            "demanded": {0: ["[*, in{1,2}, *]"]},
+            "demanded": {},
         },
     ),
     # seg=1 routes to lane 1 of two: key-routed from that lane.
